@@ -39,7 +39,6 @@ from .partner import (
     Pseudopartnered,
     PseudopartneringTrace,
     TraceStep,
-    Unpartnered,
     classify_point,
     nearest_set,
     partner_partition,
@@ -114,7 +113,6 @@ __all__ = [
     "Pseudopartnered",
     "PseudopartneringTrace",
     "TraceStep",
-    "Unpartnered",
     "classify_point",
     "nearest_set",
     "partner_partition",

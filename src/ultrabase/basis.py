@@ -36,12 +36,8 @@ def distinguishers(space: UltrametricSpace, x: str, y: str) -> tuple[str, ...]:
     """All points telling x and y apart; always contains x and y themselves."""
     if x == y:
         raise UsageError("distinguishers needs two distinct points")
-    i, j = space.index(x), space.index(y)
-    return tuple(
-        lab
-        for lab in sorted(space.labels)
-        if space.ranks[i][space.index(lab)] != space.ranks[j][space.index(lab)]
-    )
+    differ = (space.ranks[space.index(x)] != space.ranks[space.index(y)]).tolist()
+    return tuple(lab for lab in sorted(space.labels) if differ[space.index(lab)])
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ def is_k_generator(space: UltrametricSpace, landmarks: Iterable[str], k: int) ->
     if k < 1:
         raise UsageError("k must be a positive integer")
     cols = _landmark_indices(space, landmarks)
-    ranks = space.rank_array
+    ranks = space.ranks
     n = space.n
     if cols:
         sub = ranks[:, cols]
@@ -113,20 +109,6 @@ class BasisFamily:
     @property
     def dim1(self) -> int:
         return sum(len(cls) - 1 for cls in self.classes)
-
-    @property
-    def choice_space(self) -> tuple[tuple[str, ...], ...]:
-        """Per class, the elements that may be the dropped one (all of them)."""
-        return self.classes
-
-    @property
-    def required_core(self) -> frozenset[str]:
-        """Points forced into every basis.
-
-        Empty whenever each class offers a real choice, which is always
-        the case here since partner classes have at least two members.
-        """
-        return frozenset(cls[0] for cls in self.classes if len(cls) == 1)
 
     def bases(self, cap: int | None = DEFAULT_ENUMERATION_CAP) -> Iterator[tuple[str, ...]]:
         """Yield concrete bases as sorted tuples, at most ``cap`` of them.
@@ -172,7 +154,6 @@ class DimensionReport:
     n: int
     dim1: int
     dim2: int
-    max_k: int = 2  # largest k admitting a k-metric basis; always 2 here
 
     def __post_init__(self):
         if not (1 <= self.dim1 <= self.n - 1 and 2 <= self.dim2 <= self.n):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .basis import dimensions, is_k_generator, metric_bases, two_metric_basis
 from .core import UltrametricSpace, ValidationReport
-from .errors import DomainError, UltrametricViolationError, UsageError
+from .errors import DomainError, ParseError, UltrametricViolationError, UsageError
 from .ingest import (
     NEWICK_EPSILON,
     parse_coordinate_csv,
@@ -26,7 +26,7 @@ from .ingest import (
     write_coordinate_csv,
     write_distance_csv,
 )
-from .oracle import cross_check, random_dendrogram_space
+from .oracle import CROSS_CHECK_CAP, cross_check, random_dendrogram_space
 from .partner import partner_partition
 from .reconstruct import coordinates, reconstruct
 from .values import format_value, parse_decimal
@@ -36,20 +36,27 @@ DEFAULT_MAX_BASES = 10
 
 
 def _epsilon_arg(text: str) -> Fraction:
-    eps = parse_decimal(text)
+    try:
+        eps = parse_decimal(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if eps < 0:
         raise argparse.ArgumentTypeError("epsilon must be nonnegative")
     return eps
 
 
 def _read_text(path: str) -> tuple[str, dict]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    shown = "<stdin>" if path == "-" else path
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {shown}: not valid UTF-8") from None
     info = {
-        "path": "<stdin>" if path == "-" else path,
+        "path": shown,
         "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }
     return text, info
@@ -157,6 +164,7 @@ def _cmd_analyze(args) -> int:
     partition = partner_partition(space)
     dims = dimensions(space)
     family = metric_bases(space)
+    max_k = 2  # no set is a 3-metric generator, and P(X) is a 2-metric basis
     cap = _max_bases(args)
     shown = list(family.bases(cap=cap))
 
@@ -168,7 +176,7 @@ def _cmd_analyze(args) -> int:
         "pseudopartnered": list(partition.pseudopartnered),
         "dim1": dims.dim1,
         "dim2": dims.dim2,
-        "max_k": dims.max_k,
+        "max_k": max_k,
         "two_metric_basis": list(two_metric_basis(space)),
         "basis_count": family.count,
         "bases": [list(b) for b in shown],
@@ -180,7 +188,7 @@ def _cmd_analyze(args) -> int:
         print(f"points: {space.n}, distinct distances: {len(space.table)}")
         print("partner classes: " + " ".join(_set_text(c) for c in partition.classes))
         print("pseudopartnered: " + (_set_text(partition.pseudopartnered) if partition.pseudopartnered else "(none)"))
-        print(f"dim1: {dims.dim1}, dim2: {dims.dim2}, max k with a basis: {dims.max_k}")
+        print(f"dim1: {dims.dim1}, dim2: {dims.dim2}, max k with a basis: {max_k}")
         print(f"2-metric basis: {_set_text(two_metric_basis(space))}")
         suffix = ", showing first " + str(len(shown)) if family.count > len(shown) else ""
         print(f"metric bases ({family.count} total{suffix}): "
@@ -219,8 +227,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    if args.n > 12:
-        raise UsageError("oracle-check is capped at 12 points")
+    if args.n > CROSS_CHECK_CAP:
+        raise UsageError(f"oracle-check is capped at {CROSS_CHECK_CAP} points")
     if args.n < 2 or args.seeds < 1 or args.values < 1:
         raise UsageError("need n >= 2, seeds >= 1, values >= 1")
 

@@ -97,20 +97,36 @@ class ValidationReport:
             raise UsageError("a validation report is ok exactly when it has no violations")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UltrametricSpace:
     """An immutable finite ultrametric space.
 
-    ``ranks[i][j]`` is the rank-encoded distance between ``labels[i]`` and
-    ``labels[j]``. Instances are only built through :func:`build_space`
-    (or helpers that call it), which guarantees the strong triangle
-    inequality holds; all methods are pure reads and safe to call
-    concurrently.
+    ``ranks[i, j]`` is the rank-encoded distance between ``labels[i]`` and
+    ``labels[j]``, held in a read-only int32 array. Instances are only
+    built through :func:`build_space`, the rank-level constructor it
+    shares with derived spaces, or by restricting a valid space, so the
+    strong triangle inequality holds; all methods are pure reads and safe
+    to call concurrently.
     """
 
     labels: tuple[str, ...]
     table: DistanceTable
-    ranks: tuple[tuple[int, ...], ...]
+    ranks: np.ndarray
+
+    def __post_init__(self):
+        self.ranks.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, UltrametricSpace):
+            return NotImplemented
+        return (
+            self.labels == other.labels
+            and self.table == other.table
+            and np.array_equal(self.ranks, other.ranks)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.table, self.ranks.tobytes()))
 
     @property
     def n(self) -> int:
@@ -120,12 +136,6 @@ class UltrametricSpace:
     def _index(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
-    @cached_property
-    def rank_array(self) -> np.ndarray:
-        arr = np.array(self.ranks, dtype=np.int32)
-        arr.setflags(write=False)
-        return arr
-
     def index(self, label: str) -> int:
         try:
             return self._index[label]
@@ -133,7 +143,7 @@ class UltrametricSpace:
             raise UnknownLabelError(label) from None
 
     def rank(self, x: str, y: str) -> int:
-        return self.ranks[self.index(x)][self.index(y)]
+        return int(self.ranks[self.index(x), self.index(y)])
 
     def d(self, x: str, y: str) -> Fraction:
         return self.table.value(self.rank(x, y))
@@ -143,7 +153,7 @@ class UltrametricSpace:
         return itertools.combinations(sorted(self.labels), 2)
 
     def value_matrix(self) -> list[list[Fraction]]:
-        return [[self.table.value(r) for r in row] for row in self.ranks]
+        return [[self.table.value(r) for r in row] for row in self.ranks.tolist()]
 
     def value_texts(self) -> dict[Fraction, str]:
         """Source spellings of the table values, where known."""
@@ -153,12 +163,33 @@ class UltrametricSpace:
 
     def restrict(self, subset: Iterable[str]) -> "UltrametricSpace":
         """The induced subspace on ``subset``, in this space's label order."""
-        keep = set(subset)
-        for lab in keep:
-            self.index(lab)
-        labels = [lab for lab in self.labels if lab in keep]
-        matrix = [[self.d(a, b) for b in labels] for a in labels]
-        return build_space(labels, matrix, value_texts=self.value_texts())
+        idx = sorted(self.index(lab) for lab in set(subset))
+        labels = tuple(self.labels[i] for i in idx)
+        _check_labels(labels)
+        # a principal submatrix of an ultrametric is ultrametric: no revalidation
+        table, ranks = _compact(self.table, self.ranks[np.ix_(idx, idx)])
+        return UltrametricSpace(labels=labels, table=table, ranks=ranks)
+
+
+def _rank_matrix(cells, epsilon: Fraction) -> tuple[tuple[Fraction, ...], np.ndarray]:
+    """Representatives and symmetric int32 ranks of a square matrix's upper triangle."""
+    n = len(cells)
+    upper = [cells[i][j] for i in range(n) for j in range(i + 1, n)]
+    reps, rank_of = group_values(upper, epsilon)
+    arr = np.zeros((n, n), dtype=np.int32)
+    arr[np.triu_indices(n, 1)] = [rank_of[v] for v in upper]
+    return reps, arr + arr.T
+
+
+def _compact(table: DistanceTable, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
+    """Drop the ranks a matrix (diagonal included) does not use, keeping spellings."""
+    used, inverse = np.unique(rank_arr, return_inverse=True)
+    kept = used[1:].tolist()
+    compact = DistanceTable(
+        values=tuple(table.values[r - 1] for r in kept),
+        texts=tuple(table.texts[r - 1] for r in kept),
+    )
+    return compact, inverse.reshape(rank_arr.shape).astype(np.int32)
 
 
 def _triangle_violations(rank_arr, labels, table, max_violations):
@@ -281,30 +312,22 @@ def _analyze(
         )
         return report, None
 
-    # Entries are clean; quantize the upper triangle and check triangles on ranks.
-    upper = [cells[i][j] for i in range(n) for j in range(i + 1, n)]
-    reps, rank_of = group_values(upper, eps)
-    rank_arr = np.zeros((n, n), dtype=np.int32)
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = rank_of[upper[idx]]
-            rank_arr[i, j] = rank_arr[j, i] = r
-            idx += 1
+    reps, rank_arr = _rank_matrix(cells, eps)
+    texts = value_texts or {}
+    table = DistanceTable(values=reps, texts=tuple(texts.get(v) for v in reps))
+    return _space_from_ranks(labels, table, rank_arr, max_violations)
 
-    texts_in = dict(value_texts or {})
-    texts = tuple(texts_in.get(v) for v in reps)
-    table = DistanceTable(values=reps, texts=texts)
 
+def _space_from_ranks(labels, table, rank_arr, max_violations=DEFAULT_MAX_VIOLATIONS):
+    """Check labels and triangles of a symmetric rank matrix with a zero diagonal.
+
+    Returns the report and the space, or None in its place when invalid.
+    """
+    _check_labels(labels)
     tri, truncated = _triangle_violations(rank_arr, list(labels), table, max_violations)
     if tri:
         return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
-
-    space = UltrametricSpace(
-        labels=tuple(labels),
-        table=table,
-        ranks=tuple(tuple(int(r) for r in row) for row in rank_arr),
-    )
+    space = UltrametricSpace(labels=tuple(labels), table=table, ranks=rank_arr)
     return ValidationReport(ok=True, violations=()), space
 
 
@@ -358,8 +381,8 @@ def ball(space: UltrametricSpace, x: str, radius: Numeric, closed: bool = False)
     i = space.index(x)
     members = frozenset(
         lab
-        for j, lab in enumerate(space.labels)
-        if (v := space.table.value(space.ranks[i][j])) < r or (closed and v == r)
+        for lab, rank in zip(space.labels, space.ranks[i].tolist())
+        if (v := space.table.value(rank)) < r or (closed and v == r)
     )
     return Ball(center=x, radius=r, closed=closed, members=members)
 

@@ -18,10 +18,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import UltrametricSpace, Violation, ValidationReport, build_space
+from .core import (
+    DistanceTable,
+    UltrametricSpace,
+    ValidationReport,
+    Violation,
+    _compact,
+    _rank_matrix,
+    _space_from_ranks,
+    build_space,
+)
 from .errors import ParseError, UltrametricViolationError, UsageError
 from .reconstruct import CoordinateTable
-from .values import Numeric, format_value, group_values, parse_decimal, to_fraction
+from .values import Numeric, format_value, parse_decimal, to_fraction
 
 NEWICK_EPSILON = Fraction(1, 10**9)
 
@@ -91,10 +100,10 @@ def write_distance_csv(space: UltrametricSpace) -> str:
     parse/write cycles."""
     rank_of = {v: i + 1 for i, v in enumerate(space.table.values)}
     texts = _distinct_texts(space.table.values, lambda v: space.table.text(rank_of[v]))
-    texts[Fraction(0)] = "0"
+    cells = ["0", *(texts[v] for v in space.table.values)]
     lines = [",".join(space.labels)]
-    for row in space.ranks:
-        lines.append(",".join(texts[space.table.value(r)] for r in row))
+    for row in space.ranks.tolist():
+        lines.append(",".join(cells[r] for r in row))
     return "\n".join(lines) + "\n"
 
 
@@ -362,19 +371,13 @@ def subdominant_ultrametric(
 
     # Work on ranks: the min-max closure only compares values, so the
     # quantized integer picture is exact and lets numpy do the sweeps.
-    upper = [vals[i][j] for i in range(n) for j in range(i + 1, n)]
-    reps, rank_of = group_values(upper, to_fraction(epsilon))
-    arr = np.zeros((n, n), dtype=np.int32)
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            arr[i, j] = arr[j, i] = rank_of[upper[pos]]
-            pos += 1
+    reps, arr = _rank_matrix(vals, to_fraction(epsilon))
     for k in range(n):
         arr = np.minimum(arr, np.maximum.outer(arr[:, k], arr[k, :]))
-
-    closed = [
-        [Fraction(0) if i == j else reps[arr[i, j] - 1] for j in range(n)]
-        for i in range(n)
-    ]
-    return build_space(labels, closed)
+    if reps[0] == 0:
+        # Zero dissimilarities glue distinct points; build_space reports each pair.
+        return build_space(labels, [[reps[r - 1] if r else 0 for r in row] for row in arr.tolist()])
+    report, space = _space_from_ranks(labels, *_compact(DistanceTable(values=reps), arr))
+    if space is None:
+        raise UltrametricViolationError(report)
+    return space

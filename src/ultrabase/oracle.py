@@ -44,16 +44,13 @@ def brute_force_dim(space: UltrametricSpace, k: int) -> OracleResult:
         raise UsageError("k must be a positive integer")
 
     order = sorted(space.labels)
-    ranks = space.rank_array
     idx = [space.index(lab) for lab in order]
     n = space.n
 
-    # differs[z, p]: does point z tell pair p apart
-    pairs = list(itertools.combinations(range(n), 2))
-    differs = np.zeros((n, len(pairs)), dtype=np.int8)
-    for z in range(n):
-        for p, (i, j) in enumerate(pairs):
-            differs[z, p] = 1 if ranks[idx[i], idx[z]] != ranks[idx[j], idx[z]] else 0
+    # differs[z, p]: does point z tell pair p apart (pairs in combinations order)
+    sub = space.ranks[np.ix_(idx, idx)]
+    first, second = np.triu_indices(n, 1)
+    differs = (sub[first] != sub[second]).T.astype(np.int8)
 
     def generates(subset: tuple[int, ...]) -> bool:
         return bool((differs[list(subset)].sum(axis=0) >= k).all())

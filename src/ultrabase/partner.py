@@ -8,9 +8,9 @@ describe all metric bases, the unique 2-metric basis, and the minimal
 basis-preserving subspace.
 
 A point that is not partnered still attains its minimum somewhere (the
-space is finite); it is called pseudopartnered. Points whose minimum is
-not attained cannot exist here, so the ``Unpartnered`` tag is only part
-of the vocabulary, never a classification result.
+space is finite); it is called pseudopartnered. Every point is one or
+the other: points whose minimum is not attained exist only in infinite
+spaces.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .core import UltrametricSpace
 from .errors import InternalInvariantError
@@ -41,12 +43,7 @@ class Pseudopartnered:
     min_dist: Fraction
 
 
-@dataclass(frozen=True)
-class Unpartnered:
-    """Minimum distance not attained; impossible in a finite space."""
-
-
-PointClass = Partnered | Pseudopartnered | Unpartnered
+PointClass = Partnered | Pseudopartnered
 
 
 @dataclass(frozen=True)
@@ -54,14 +51,11 @@ class PartnerPartition:
     """Every point of the space, sorted into partner classes or the rest.
 
     ``classes`` are the equivalence classes of the partner relation (each
-    of size >= 2, all pairwise distances within a class equal);
-    ``unpartnered`` is always empty for finite spaces and kept only so the
-    shape of the classification is explicit.
+    of size >= 2, all pairwise distances within a class equal).
     """
 
     classes: tuple[tuple[str, ...], ...]
     pseudopartnered: tuple[str, ...]
-    unpartnered: tuple[str, ...] = ()
 
     @property
     def partnered(self) -> tuple[str, ...]:
@@ -77,42 +71,29 @@ class PartnerPartition:
 
 def _min_offdiag_ranks(space: UltrametricSpace):
     """Per-point minimum off-diagonal rank (the rank of its nearest distance)."""
-    arr = space.rank_array.copy()
-    n = space.n
-    big = len(space.table) + 1
-    arr[range(n), range(n)] = big
+    arr = space.ranks.copy()
+    np.fill_diagonal(arr, len(space.table) + 1)
     return arr.min(axis=1)
 
 
 def nearest_set(space: UltrametricSpace, x: str) -> tuple[tuple[str, ...], Fraction]:
     """All points realizing min_{z != x} d(x, z), with that minimum."""
     i = space.index(x)
-    row = space.ranks[i]
+    row = space.ranks[i].tolist()
     m = min(r for j, r in enumerate(row) if j != i)
     members = tuple(sorted(space.labels[j] for j, r in enumerate(row) if j != i and r == m))
     return members, space.table.value(m)
 
 
 def classify_point(space: UltrametricSpace, x: str) -> PointClass:
-    """Partnered with its full reciprocating set, else pseudopartnered.
-
-    Finite spaces never yield ``Unpartnered``: the minimum below is taken
-    over finitely many positive distances.
-    """
-    i = space.index(x)
+    """Partnered with its full reciprocating set, else pseudopartnered."""
+    nearest, min_dist = nearest_set(space, x)
     mins = _min_offdiag_ranks(space)
-    nearest = [j for j in range(space.n) if j != i and space.ranks[i][j] == mins[i]]
-    reciprocating = [j for j in nearest if mins[j] == mins[i]]
-    min_dist = space.table.value(int(mins[i]))
-    if reciprocating:
-        return Partnered(
-            partners=tuple(sorted(space.labels[j] for j in reciprocating)),
-            min_dist=min_dist,
-        )
-    return Pseudopartnered(
-        nearest=tuple(sorted(space.labels[j] for j in nearest)),
-        min_dist=min_dist,
-    )
+    m = mins[space.index(x)]
+    partners = tuple(lab for lab in nearest if mins[space.index(lab)] == m)
+    if partners:
+        return Partnered(partners=partners, min_dist=min_dist)
+    return Pseudopartnered(nearest=nearest, min_dist=min_dist)
 
 
 def partner_partition(space: UltrametricSpace) -> PartnerPartition:
@@ -125,15 +106,12 @@ def partner_partition(space: UltrametricSpace) -> PartnerPartition:
     """
     mins = _min_offdiag_ranks(space)
     n = space.n
-    ranks = space.rank_array
+    ranks = space.ranks
 
     partners_of: dict[int, list[int]] = {}
     for i in range(n):
-        mates = [
-            j
-            for j in range(n)
-            if j != i and ranks[i][j] == mins[i] and mins[j] == mins[i]
-        ]
+        # the diagonal (rank 0) never equals a minimum, so i is not its own mate
+        mates = np.flatnonzero((ranks[i] == mins[i]) & (mins == mins[i])).tolist()
         if mates:
             partners_of[i] = mates
 
@@ -206,7 +184,7 @@ def pseudopartnering_trace(space: UltrametricSpace, x: str) -> PseudopartneringT
     steps = [TraceStep(point=x, dist=INFINITY)]
 
     for _ in range(space.n):
-        row = space.ranks[cur]
+        row = space.ranks[cur].tolist()
         inside = [j for j in range(space.n) if j != cur and row[j] < radius]
         if not inside:
             break

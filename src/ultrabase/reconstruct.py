@@ -18,13 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from .basis import is_k_generator
-from .core import UltrametricSpace, build_space
+from .core import DistanceTable, UltrametricSpace, _space_from_ranks
 from .errors import (
     CoordinateTableError,
     NotGeneratorError,
-    UltrametricViolationError,
     UsageError,
 )
+from .values import to_fraction
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,14 @@ class CoordinateTable:
             raise UsageError(f"no coordinate row for {point!r}") from None
 
 
+def _coordinate_ranks(table: CoordinateTable) -> tuple[list[Fraction], np.ndarray]:
+    """The sorted distinct table values and the rows as int32 indices into them."""
+    flat = sorted({v for row in table.rows for v in row})
+    rank_of = {v: i for i, v in enumerate(flat)}
+    arr = np.array([[rank_of[v] for v in row] for row in table.rows], dtype=np.int32)
+    return flat, arr.reshape(len(table.rows), len(table.landmarks))
+
+
 def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> CoordinateTable:
     """Project the distance matrix onto the landmark columns.
 
@@ -65,10 +73,8 @@ def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> Coordinate
     if len(set(landmarks)) != len(landmarks):
         raise UsageError("duplicate landmark in list")
     cols = [space.index(s) for s in landmarks]
-    rows = tuple(
-        tuple(space.table.value(space.ranks[i][c]) for c in cols)
-        for i in range(space.n)
-    )
+    value = space.table.value
+    rows = tuple(tuple(map(value, row)) for row in space.ranks[:, cols].tolist())
     return CoordinateTable(
         landmarks=tuple(landmarks),
         points=space.labels,
@@ -86,7 +92,6 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     these coordinates.
     """
     pts = table.points
-    col_of = {s: c for c, s in enumerate(table.landmarks)}
 
     for lab, row in zip(pts, table.rows):
         for c, v in enumerate(row):
@@ -98,10 +103,10 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
                 raise CoordinateTableError(
                     f"zero distance between distinct points {lab} and {table.landmarks[c]}"
                 )
-    for s in table.landmarks:
+    for c, s in enumerate(table.landmarks):
         if s not in pts:
             raise CoordinateTableError(f"landmark {s} has no coordinate row")
-        if table.row(s)[col_of[s]] != 0:
+        if table.row(s)[c] != 0:
             raise CoordinateTableError(f"landmark {s} is not at distance 0 from itself")
 
     by_row: dict[tuple[Fraction, ...], str] = {}
@@ -115,30 +120,32 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
             )
         by_row[row] = lab
 
+    # Landmark rows carry a zero, so rank 0 of the encoding is the zero distance.
+    flat, arr = _coordinate_ranks(table)
+    values = tuple(map(to_fraction, flat[1:]))
+    dtable = DistanceTable(values, tuple(map(table.value_texts.get, values)))
     n = len(pts)
-    rows = [table.row(lab) for lab in pts]
-    matrix: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = rows[i], rows[j]
-            d = next(max(u, v) for u, v in zip(a, b) if u != v)
-            matrix[i][j] = matrix[j][i] = d
+    rank_arr = np.zeros((n, n), dtype=np.int32)
+    for i in range(n - 1):
+        rest = arr[i + 1:]
+        # first landmark telling i apart from each later row (rows are distinct)
+        first = (rest != arr[i]).argmax(axis=1)
+        d = np.maximum(arr[i, first], rest[np.arange(len(rest)), first])
+        rank_arr[i, i + 1:] = rank_arr[i + 1:, i] = d
 
-    try:
-        space = build_space(pts, matrix, value_texts=table.value_texts)
-    except UltrametricViolationError as exc:
-        first = exc.report.violations[0]
+    report, space = _space_from_ranks(pts, dtable, rank_arr)
+    if space is None:
+        raise CoordinateTableError(f"inconsistent coordinates: {report.violations[0].detail}")
+
+    cols = [pts.index(s) for s in table.landmarks]
+    mismatch = np.argwhere(space.ranks[:, cols] != arr)
+    if mismatch.size:
+        i, c = mismatch[0].tolist()
         raise CoordinateTableError(
-            f"inconsistent coordinates: {first.detail}"
-        ) from exc
-
-    for i, lab in enumerate(pts):
-        for s, c in col_of.items():
-            if space.d(lab, s) != rows[i][c]:
-                raise CoordinateTableError(
-                    f"inconsistent coordinates: rebuilt d({lab},{s}) = "
-                    f"{space.d(lab, s)} but the table says {rows[i][c]}"
-                )
+            f"inconsistent coordinates: rebuilt d({pts[i]},{table.landmarks[c]}) = "
+            f"{space.table.value(int(space.ranks[i, cols[c]]))} "
+            f"but the table says {table.rows[i][c]}"
+        )
     return space
 
 
@@ -164,10 +171,7 @@ def landmark_independence_witness(
     rule is single-valued everywhere (as it must be for a table that came
     from a real space).
     """
-    flat = sorted({v for row in table.rows for v in row})
-    rank_of = {v: i for i, v in enumerate(flat)}
-    arr = np.array([[rank_of[v] for v in row] for row in table.rows], dtype=np.int32)
-
+    _, arr = _coordinate_ranks(table)
     for i, j in itertools.combinations(range(len(table.points)), 2):
         diff = arr[i] != arr[j]
         if not diff.any():

@@ -94,8 +94,6 @@ def test_basis_family_cap_and_core():
     family = metric_bases(uniform_space(6))
     assert family.count == 6
     assert len(list(family.bases(cap=4))) == 4
-    assert family.required_core == frozenset()
-    assert family.choice_space == family.classes
 
 
 def test_every_enumerated_basis_is_minimal_generator():
@@ -136,7 +134,7 @@ def test_partner_pairs_sit_in_every_2_generator():
 
 def test_dimensions(recmin7):
     dims = dimensions(uniform_space(5))
-    assert (dims.dim1, dims.dim2, dims.max_k) == (4, 5, 2)
+    assert (dims.dim1, dims.dim2) == (4, 5)
     dims = dimensions(recmin7)
     assert (dims.dim1, dims.dim2) == (1, 2)
     dims = dimensions(uniform_space(2))

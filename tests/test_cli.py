@@ -67,6 +67,29 @@ def test_stdin_input(recmin_csv, capsys, monkeypatch):
     assert "<stdin>" in capsys.readouterr().out
 
 
+def test_bad_epsilon_is_a_usage_error(recmin_csv, capsys):
+    assert main(["validate", str(recmin_csv), "--epsilon", "abc"]) == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--epsilon" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch):
+    import io
+
+    raw = b"\xff\xfea,b\n0,1\n1,0\n"
+    path = tmp_path / "utf16.csv"
+    path.write_bytes(raw)
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "UTF-8" in err
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    assert main(["validate", "-", "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "<stdin>" in err
+
+
 def test_analyze_human(recmin_csv, capsys):
     assert main(["analyze", str(recmin_csv)]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ultrabase import (
@@ -31,7 +32,7 @@ def test_parse_distance_csv_roundtrip(uniform3, recmin4):
         text = write_distance_csv(space)
         again = parse_distance_csv(text)
         assert again.labels == space.labels
-        assert again.ranks == space.ranks
+        assert np.array_equal(again.ranks, space.ranks)
         assert len(again.table) == len(space.table)
         assert write_distance_csv(again) == text
 
@@ -51,7 +52,7 @@ def test_parse_preserves_decimal_spellings():
 def test_quantized_decimals_match_exact_space(recmin4):
     text = (DATA / "recmin4_6dec.csv").read_text()
     space = parse_distance_csv(text, epsilon="1e-9")
-    assert space.ranks == recmin4.ranks
+    assert np.array_equal(space.ranks, recmin4.ranks)
     assert dimensions(space) == dimensions(recmin4)
 
 
@@ -226,5 +227,5 @@ def test_write_read_fractional_values():
     space = build_space(["x", "y", "z"], [[0, F(1, 3), F(1, 3)], [F(1, 3), 0, F(1, 7)], [F(1, 3), F(1, 7), 0]])
     text = write_distance_csv(space)
     again = parse_distance_csv(text)
-    assert again.ranks == space.ranks  # spelled as shortest floats, same structure
+    assert np.array_equal(again.ranks, space.ranks)  # spelled as shortest floats, same structure
     assert write_distance_csv(again) == text

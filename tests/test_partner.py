@@ -55,7 +55,7 @@ def test_partnered_point_with_nonreciprocating_nearest():
 def test_partner_partition(recmin4, uniform4):
     part = partner_partition(uniform4)
     assert part.classes == (("1", "2", "3", "4"),)
-    assert part.pseudopartnered == () and part.unpartnered == ()
+    assert part.pseudopartnered == ()
 
     part = partner_partition(recmin4)
     assert part.classes == (("3", "4"),)
@@ -69,7 +69,7 @@ def test_partner_partition(recmin4, uniform4):
 def test_partition_covers_space_once(recmin7):
     part = partner_partition(recmin7)
     everything = [lab for cls in part.classes for lab in cls]
-    everything += list(part.pseudopartnered) + list(part.unpartnered)
+    everything += list(part.pseudopartnered)
     assert sorted(everything) == sorted(recmin7.labels)
     assert len(everything) == recmin7.n
 

@@ -92,7 +92,6 @@ def test_partner_partition_is_a_partition(space):
     part = partner_partition(space)
     labs = [lab for cls in part.classes for lab in cls] + list(part.pseudopartnered)
     assert sorted(labs) == sorted(space.labels)
-    assert part.unpartnered == ()
     assert part.classes  # at least one class in any finite space
 
 
