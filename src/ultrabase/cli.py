@@ -59,7 +59,7 @@ def _read_text(path: str) -> tuple[str, dict]:
         "path": shown,
         "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
     }
-    return text, info
+    return text.removeprefix("\ufeff"), info
 
 
 def _infer_format(path: str, flag: str | None) -> str:

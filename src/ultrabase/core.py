@@ -20,10 +20,16 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import UltrametricViolationError, UnknownLabelError, UsageError
-from .values import Numeric, format_value, group_values, to_fraction
+from .errors import (
+    InternalInvariantError,
+    UltrametricViolationError,
+    UnknownLabelError,
+    UsageError,
+)
+from .values import Numeric, format_value, group_values, quantize, to_fraction
 
 DEFAULT_MAX_VIOLATIONS = 16
+_UNREACHED = np.iinfo(np.int64).max
 
 ZERO = Fraction(0)
 
@@ -35,7 +41,7 @@ def _check_labels(labels: Sequence[str]) -> None:
     for lab in labels:
         if not isinstance(lab, str) or not lab:
             raise UsageError(f"invalid point label {lab!r}: labels are nonempty text")
-        if "," in lab or any(ord(c) < 32 or ord(c) == 127 for c in lab):
+        if "," in lab or any(ord(c) < 32 or c in "\x7f\ufeff" for c in lab):
             raise UsageError(f"invalid point label {lab!r}: no commas or control characters")
         if lab in seen:
             raise UsageError(f"duplicate point label {lab!r}")
@@ -171,13 +177,16 @@ class UltrametricSpace:
         return UltrametricSpace(labels=labels, table=table, ranks=ranks)
 
 
-def _rank_matrix(cells, epsilon: Fraction) -> tuple[tuple[Fraction, ...], np.ndarray]:
-    """Representatives and symmetric int32 ranks of a square matrix's upper triangle."""
-    n = len(cells)
-    upper = [cells[i][j] for i in range(n) for j in range(i + 1, n)]
-    reps, rank_of = group_values(upper, epsilon)
+def _rank_ids(ids: np.ndarray, values, epsilon: Fraction):
+    """Representatives and symmetric int32 ranks of a value-id matrix's upper triangle."""
+    n = len(ids)
+    upper = np.triu_indices(n, 1)
+    used = np.unique(ids[upper]).tolist()
+    reps, rank_of = group_values([values[u] for u in used], epsilon)
+    lut = np.zeros(len(values), dtype=np.int32)
+    lut[used] = [rank_of[values[u]] for u in used]
     arr = np.zeros((n, n), dtype=np.int32)
-    arr[np.triu_indices(n, 1)] = [rank_of[v] for v in upper]
+    arr[upper] = lut[ids[upper]]
     return reps, arr + arr.T
 
 
@@ -226,106 +235,164 @@ def _triangle_violations(rank_arr, labels, table, max_violations):
     return found, truncated
 
 
+def _epsilon(epsilon: Numeric) -> Fraction:
+    eps = to_fraction(epsilon)
+    if eps < 0:
+        raise UsageError("epsilon must be nonnegative")
+    return eps
+
+
+def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, list[Fraction]]:
+    """Value ids of raw matrix cells (row-major), converting each distinct cell once.
+
+    Cells are told apart by type as well as value, so a float and an equal
+    `Fraction` are converted separately. A cell that is not a finite
+    number gets ``nonfinite(position)``: None (id -1), or an exception.
+    """
+
+    def convert(p):
+        try:
+            return to_fraction(cells[p])
+        except (ValueError, TypeError):
+            pass
+        return nonfinite(p)
+
+    try:
+        return quantize([(type(c), c) for c in cells], convert)
+    except TypeError:  # an unhashable cell: give every cell its own key
+        return quantize(range(len(cells)), convert)
+
+
+@dataclass(frozen=True, eq=False)
+class _ValueIds:
+    """A square matrix a parser has already quantized with :func:`quantize`:
+    int32 ids (-1: not a finite number) into distinct ``values``."""
+
+    ids: np.ndarray
+    values: list[Fraction]
+
+
 def _analyze(
     labels: Sequence[str],
-    matrix: Sequence[Sequence[Numeric]],
+    matrix: Sequence[Sequence[Numeric]] | _ValueIds,
     epsilon: Numeric,
     max_violations: int,
     value_texts: Mapping[Fraction, str] | None,
 ):
+    """Check a matrix and build its space.
+
+    Violations come in row-major order: first the per-cell ones
+    (nonfinite, diagonal, negative, positivity), then asymmetric pairs.
+    """
     _check_labels(labels)
     n = len(labels)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    quantized = isinstance(matrix, _ValueIds)
+    if not quantized and (len(matrix) != n or any(len(row) != n for row in matrix)):
         raise UsageError(f"distance matrix must be {n}x{n} to match the labels")
-    eps = to_fraction(epsilon)
-    if eps < 0:
-        raise UsageError("epsilon must be nonnegative")
+    eps = _epsilon(epsilon)
+    if quantized:
+        ids, values, cells = matrix.ids, matrix.values, None
+    else:
+        cells = [c for row in matrix for c in row]
+        ids, values = _cell_ids(cells)
+        ids = ids.reshape(n, n)
 
-    violations: list[Violation] = []
-    cells: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            try:
-                v = to_fraction(matrix[i][j])
-            except (ValueError, TypeError):
-                violations.append(
-                    Violation(
-                        kind="nonfinite",
-                        labels=(labels[i], labels[j]),
-                        values=(),
-                        detail=f"entry ({labels[i]},{labels[j]}) is not a finite number: {matrix[i][j]!r}",
-                    )
-                )
-                continue
-            cells[i][j] = v
-            if i == j and v != 0:
-                violations.append(
-                    Violation(
-                        kind="diagonal",
-                        labels=(labels[i],),
-                        values=(v,),
-                        detail=f"diagonal entry for {labels[i]} is {format_value(v)}, expected 0",
-                    )
-                )
-            elif i < j and v < 0:
-                violations.append(
-                    Violation(
-                        kind="negative",
-                        labels=(labels[i], labels[j]),
-                        values=(v,),
-                        detail=f"d({labels[i]},{labels[j]})={format_value(v)} is negative",
-                    )
-                )
-            elif i < j and v == 0:
-                violations.append(
-                    Violation(
-                        kind="positivity",
-                        labels=(labels[i], labels[j]),
-                        values=(v,),
-                        detail=f"d({labels[i]},{labels[j]})=0 for distinct points",
-                    )
-                )
+    # values are distinct, so two ids differ exactly when their values do
+    finite = ids >= 0
+    neg = np.array([v < 0 for v in values] + [False])[ids]
+    zero = np.array([v == 0 for v in values] + [False])[ids]
+    diagonal = np.eye(n, dtype=bool)
+    upper = np.triu(~diagonal)
+    cell_bad = ~finite | (diagonal & finite & ~zero) | (upper & (neg | zero))
+    asym = upper & finite & finite.T & (ids != ids.T)
+    if eps > 0 and asym.any():
+        pairs, inverse = np.unique(
+            np.stack([ids[asym], ids.T[asym]], axis=1), axis=0, return_inverse=True
+        )
+        apart = np.array([abs(values[a] - values[b]) > eps for a, b in pairs.tolist()])
+        asym[asym] = apart[inverse.ravel()]
+    first, second = np.flatnonzero(cell_bad), np.flatnonzero(asym)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = cells[i][j], cells[j][i]
-            if a is None or b is None:
-                continue
-            if abs(a - b) > eps:
-                violations.append(
-                    Violation(
-                        kind="asymmetry",
-                        labels=(labels[i], labels[j]),
-                        values=(a, b),
-                        detail=(
-                            f"d({labels[i]},{labels[j]})={format_value(a)} differs from "
-                            f"d({labels[j]},{labels[i]})={format_value(b)}"
-                        ),
-                    )
-                )
-
-    if violations:
+    if len(first) or len(second):
+        total = len(first) + len(second)
+        violations = []
+        for k, p in enumerate(np.concatenate([first, second])[:max_violations].tolist()):
+            i, j = divmod(p, n)
+            x, y = labels[i], labels[j]
+            v = values[ids[i, j]] if finite[i, j] else None
+            if k >= len(first):
+                w = values[ids[j, i]]
+                found = ("asymmetry", (x, y), (v, w),
+                         f"d({x},{y})={format_value(v)} differs from d({y},{x})={format_value(w)}")
+            elif v is None:
+                found = ("nonfinite", (x, y), (),
+                         f"entry ({x},{y}) is not a finite number: {cells[p]!r}")
+            elif i == j:
+                found = ("diagonal", (x,), (v,),
+                         f"diagonal entry for {x} is {format_value(v)}, expected 0")
+            elif neg[i, j]:
+                found = ("negative", (x, y), (v,), f"d({x},{y})={format_value(v)} is negative")
+            else:
+                found = ("positivity", (x, y), (v,), f"d({x},{y})=0 for distinct points")
+            violations.append(Violation(*found))
         report = ValidationReport(
-            ok=False,
-            violations=tuple(violations[:max_violations]),
-            truncated=len(violations) > max_violations,
+            ok=False, violations=tuple(violations), truncated=total > max_violations
         )
         return report, None
 
-    reps, rank_arr = _rank_matrix(cells, eps)
+    reps, rank_arr = _rank_ids(ids, values, eps)
     texts = value_texts or {}
     table = DistanceTable(values=reps, texts=tuple(texts.get(v) for v in reps))
     return _space_from_ranks(labels, table, rank_arr, max_violations)
 
 
+def _prim(rank_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prim's visiting order from point 0, and each point's rank to the tree so far."""
+    n = len(rank_arr)
+    order = np.zeros(n, dtype=np.intp)
+    attach = np.zeros(n, dtype=np.int64)
+    dist = rank_arr[0].astype(np.int64)
+    dist[0] = _UNREACHED
+    open_ = np.ones(n, dtype=bool)
+    open_[0] = False
+    for k in range(1, n):
+        j = int(dist.argmin())
+        order[k], attach[k] = j, dist[j]
+        open_[j] = False
+        np.minimum(dist, rank_arr[j], out=dist, where=open_)
+        dist[j] = _UNREACHED
+    return order, attach
+
+
+def _single_linkage(rank_arr: np.ndarray) -> np.ndarray:
+    """The cophenetic matrix of the minimum spanning tree, in O(n²).
+
+    This is the subdominant ultrametric: entry (x, y) is the least, over
+    paths from x to y, of the largest rank on the path. Every
+    single-linkage cluster is a run of consecutive points in Prim's
+    order, so the entry for the i-th and j-th visited points (i < j) is
+    the largest attach rank among visits i+1..j.
+    """
+    order, attach = _prim(rank_arr)
+    runs = np.maximum.accumulate(np.triu(np.broadcast_to(attach, rank_arr.shape), 1), axis=1)
+    closed = np.empty_like(rank_arr)
+    closed[np.ix_(order, order)] = runs + runs.T
+    return closed
+
+
 def _space_from_ranks(labels, table, rank_arr, max_violations=DEFAULT_MAX_VIOLATIONS):
     """Check labels and triangles of a symmetric rank matrix with a zero diagonal.
 
-    Returns the report and the space, or None in its place when invalid.
+    A matrix is an ultrametric exactly when it equals its own single-linkage
+    closure, which takes O(n²); only an invalid matrix pays for the O(n³)
+    triangle sweep that names witnesses. Returns the report and the space,
+    or None in its place when invalid.
     """
     _check_labels(labels)
-    tri, truncated = _triangle_violations(rank_arr, list(labels), table, max_violations)
-    if tri:
+    if not np.array_equal(_single_linkage(rank_arr), rank_arr):
+        tri, truncated = _triangle_violations(rank_arr, list(labels), table, max_violations)
+        if not tri:
+            raise InternalInvariantError("single linkage and the triangle sweep disagree")
         return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
     space = UltrametricSpace(labels=tuple(labels), table=table, ranks=rank_arr)
     return ValidationReport(ok=True, violations=()), space
@@ -344,6 +411,8 @@ def validate_ultrametric(
     problems (non-square input, fewer than two points) raise instead of
     being reported, since no meaningful check can run.
     """
+    if max_violations < 1:
+        raise UsageError("max_violations must be at least 1")
     if labels is None:
         labels = [str(i + 1) for i in range(len(matrix))]
     report, _ = _analyze(labels, matrix, epsilon, max_violations, None)
@@ -352,11 +421,16 @@ def validate_ultrametric(
 
 def build_space(
     labels: Sequence[str],
-    matrix: Sequence[Sequence[Numeric]],
+    matrix: Sequence[Sequence[Numeric]] | _ValueIds,
     epsilon: Numeric = 0,
     value_texts: Mapping[Fraction, str] | None = None,
 ) -> UltrametricSpace:
-    """Validate and construct a space, raising on any violation."""
+    """Validate and construct a space, raising on any violation.
+
+    Each distinct cell is converted once; cells are told apart by type as
+    well as value, so a float and an equal `Fraction` are converted
+    separately.
+    """
     report, space = _analyze(
         labels, matrix, epsilon, DEFAULT_MAX_VIOLATIONS, value_texts
     )

@@ -23,26 +23,59 @@ from .core import (
     UltrametricSpace,
     ValidationReport,
     Violation,
+    _ValueIds,
+    _cell_ids,
     _compact,
-    _rank_matrix,
+    _epsilon,
+    _rank_ids,
+    _single_linkage,
     _space_from_ranks,
     build_space,
 )
 from .errors import ParseError, UltrametricViolationError, UsageError
 from .reconstruct import CoordinateTable
-from .values import Numeric, format_value, parse_decimal, to_fraction
+from .values import Numeric, format_value, parse_decimal, quantize, to_fraction
 
 NEWICK_EPSILON = Fraction(1, 10**9)
 
 
 def _csv_rows(text: str) -> list[list[str]]:
     rows = []
-    for line in text.splitlines():
+    for line in text.removeprefix("\ufeff").splitlines():
         if line.strip():
-            rows.append([field.strip() for field in line.split(",")])
+            rows.append(list(map(str.strip, line.split(","))))
     if not rows:
         raise ParseError("empty document")
     return rows
+
+
+def _token_ids(
+    body: list[list[str]], width: int, skip: int = 0
+) -> tuple[list[str], np.ndarray, list[Fraction]]:
+    """Parse the numeric fields of CSV rows, each distinct spelling once.
+
+    Each row holds ``skip`` leading non-numeric fields, then ``width``
+    numbers. Returns the tokens (row-major), their value ids as a rows x
+    ``width`` array and the distinct values. A bad token raises with the
+    line of its first use (rows start at line 2).
+    """
+    tokens = [tok for fields in body for tok in fields[skip:]]
+
+    def convert(p):
+        try:
+            return parse_decimal(tokens[p])
+        except ParseError as exc:
+            raise ParseError(str(exc), line=p // width + 2) from None
+
+    ids, values = quantize(tokens, convert)
+    return tokens, ids.reshape(len(body), width), values
+
+
+def _first_spellings(tokens, ids, values, where) -> dict[Fraction, str]:
+    """Each value's first spelling in row-major order among the cells ``where`` selects."""
+    cells = np.flatnonzero(where)
+    used, first = np.unique(ids.ravel()[cells], return_index=True)
+    return {values[v]: tokens[p] for v, p in zip(used.tolist(), cells[first].tolist())}
 
 
 def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
@@ -50,6 +83,7 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
 
     Values closer than ``epsilon`` collapse into one distance rank; the
     default 0 keeps values apart unless they denote the same number.
+    Each distinct spelling is parsed once.
     """
     rows = _csv_rows(text)
     labels = rows[0]
@@ -57,23 +91,14 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
     if len(rows) != n + 1:
         raise ParseError(f"expected {n} data rows after the header, found {len(rows) - 1}")
 
-    matrix: list[list[Fraction]] = []
-    texts: dict[Fraction, str] = {}
-    for r, fields in enumerate(rows[1:], start=2):
-        if len(fields) != n:
-            raise ParseError(f"expected {n} fields, found {len(fields)}", line=r)
-        row = []
-        for i, tok in enumerate(fields):
-            try:
-                v = parse_decimal(tok)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=r) from None
-            row.append(v)
-            if i != r - 2:
-                texts.setdefault(v, tok)
-        matrix.append(row)
-
-    return build_space(labels, matrix, epsilon=epsilon, value_texts=texts)
+    # A row's field count is checked before its tokens, so a bad token
+    # only wins when it sits in an earlier row.
+    good = next((r for r, fields in enumerate(rows[1:]) if len(fields) != n), n)
+    tokens, ids, values = _token_ids(rows[1:good + 1], n)
+    if good < n:
+        raise ParseError(f"expected {n} fields, found {len(rows[good + 1])}", line=good + 2)
+    texts = _first_spellings(tokens, ids, values, ~np.eye(n, dtype=bool))
+    return build_space(labels, _ValueIds(ids, values), epsilon, value_texts=texts)
 
 
 def _distinct_texts(values, render) -> dict[Fraction, str]:
@@ -117,36 +142,29 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
     if len(set(landmarks)) != len(landmarks):
         raise ParseError("duplicate landmark column", line=1)
 
+    # As in parse_distance_csv, row-level errors come before the row's tokens.
+    error = None
     points: list[str] = []
-    table_rows: list[tuple[Fraction, ...]] = []
-    texts: dict[Fraction, str] = {}
     for r, fields in enumerate(rows[1:], start=2):
         if len(fields) != len(landmarks) + 1:
-            raise ParseError(
-                f"expected {len(landmarks) + 1} fields, found {len(fields)}", line=r
-            )
-        label = fields[0]
-        if not label:
-            raise ParseError("empty point label", line=r)
-        if label in points:
-            raise ParseError(f"duplicate point label {label!r}", line=r)
-        row = []
-        for tok in fields[1:]:
-            try:
-                v = parse_decimal(tok)
-            except ParseError as exc:
-                raise ParseError(str(exc), line=r) from None
-            row.append(v)
-            if v > 0:
-                texts.setdefault(v, tok)
-        points.append(label)
-        table_rows.append(tuple(row))
+            error = ParseError(f"expected {len(landmarks) + 1} fields, found {len(fields)}", line=r)
+        elif not fields[0]:
+            error = ParseError("empty point label", line=r)
+        elif fields[0] in points:
+            error = ParseError(f"duplicate point label {fields[0]!r}", line=r)
+        if error:
+            break
+        points.append(fields[0])
+    tokens, ids, values = _token_ids(rows[1:len(points) + 1], len(landmarks), skip=1)
+    if error:
+        raise error
 
+    positive = np.array([v > 0 for v in values], dtype=bool)[ids]
     return CoordinateTable(
         landmarks=landmarks,
         points=tuple(points),
-        rows=tuple(table_rows),
-        value_texts=texts,
+        rows=tuple(tuple(map(values.__getitem__, row)) for row in ids.tolist()),
+        value_texts=_first_spellings(tokens, ids, values, positive),
     )
 
 
@@ -163,22 +181,27 @@ def write_coordinate_csv(table: CoordinateTable) -> str:
 
 
 class _NewickNode:
-    __slots__ = ("children", "leaf_label", "length")
+    """A parsed tree node; its leaves are leaves ``lo``..``hi - 1`` in document order."""
 
-    def __init__(self, children, leaf_label, length):
+    __slots__ = ("children", "leaf_label", "length", "lo", "hi")
+
+    def __init__(self, children, leaf_label, length, lo, hi):
         self.children = children
         self.leaf_label = leaf_label
         self.length = length
+        self.lo = lo
+        self.hi = hi
 
 
 class _NewickParser:
-    """Recursive descent over the equidistant-tree subset of Newick.
+    """Iterative descent over the equidistant-tree subset of Newick.
 
     Grammar: tree := subtree ";" ; subtree := leaf ":" length
     | "(" subtree ("," subtree)+ ")" [label] [":" length]. Branch lengths
     are mandatory except on the root, whose length (having no parent
     edge) is parsed and ignored. Quoted labels, comments and hybrid
-    notation are out of scope.
+    notation are out of scope. Nesting depth is bounded by memory only:
+    open parentheses live on an explicit stack.
     """
 
     _DELIMITERS = set("(),:;")
@@ -186,6 +209,7 @@ class _NewickParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.leaves = 0
 
     def error(self, message: str):
         raise ParseError(message, position=self.pos)
@@ -223,33 +247,41 @@ class _NewickParser:
             self.error(f"negative branch length {tok!r}")
         return length
 
-    def subtree(self, at_root: bool) -> _NewickNode:
-        self.skip_ws()
-        if self.peek() == "(":
-            self.pos += 1
-            children = [self.subtree(False)]
+    def subtree(self) -> _NewickNode:
+        open_nodes: list[list[_NewickNode]] = []  # children read so far, per open "("
+        while True:
             self.skip_ws()
-            while self.peek() == ",":
+            if self.peek() == "(":
                 self.pos += 1
-                children.append(self.subtree(False))
+                open_nodes.append([])
+                continue
+            label = self.token()
+            if not label:
+                self.error("expected a leaf label or '('")
+            length = self.branch_length(required=bool(open_nodes))
+            node = _NewickNode([], label, length, self.leaves, self.leaves + 1)
+            self.leaves += 1
+            while open_nodes:
+                open_nodes[-1].append(node)
                 self.skip_ws()
-            if self.peek() != ")":
-                self.error("expected ',' or ')'")
-            self.pos += 1
-            if len(children) < 2:
-                self.error("an internal node needs at least two children")
-            self.skip_ws()
-            self.token()  # optional internal label, discarded
-            length = self.branch_length(required=not at_root)
-            return _NewickNode(children, None, length)
-        label = self.token()
-        if not label:
-            self.error("expected a leaf label or '('")
-        length = self.branch_length(required=not at_root)
-        return _NewickNode([], label, length)
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                if self.peek() != ")":
+                    self.error("expected ',' or ')'")
+                self.pos += 1
+                children = open_nodes.pop()
+                if len(children) < 2:
+                    self.error("an internal node needs at least two children")
+                self.skip_ws()
+                self.token()  # optional internal label, discarded
+                length = self.branch_length(required=bool(open_nodes))
+                node = _NewickNode(children, None, length, children[0].lo, children[-1].hi)
+            else:
+                return node
 
     def parse(self) -> _NewickNode:
-        root = self.subtree(at_root=True)
+        root = self.subtree()
         self.skip_ws()
         if self.peek() != ";":
             self.error("expected ';'")
@@ -268,28 +300,35 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     more than ``epsilon`` are rejected: their leaf path metric would not
     be ultrametric.
     """
-    root = _NewickParser(text).parse()
+    root = _NewickParser(text.removeprefix("\ufeff")).parse()
     eps = to_fraction(epsilon)
 
-    leaves: list[tuple[str, Fraction]] = []
-
-    def collect(node: _NewickNode, depth: Fraction):
+    # Pre-order walk: leaves in document order with their root path sums,
+    # and per internal node the blocks of leaf pairs it is the LCA of
+    # (leaves lo..mid-1 of one child against mid..hi-1 of later siblings).
+    labels: list[str] = []
+    depths: list[Fraction] = []
+    blocks: list[tuple[int, int, int, Fraction]] = []
+    stack = [(root, Fraction(0))]
+    while stack:
+        node, depth = stack.pop()
         depth = depth + (node.length or 0)
         if node.leaf_label is not None:
-            leaves.append((node.leaf_label, depth))
-            return
-        for child in node.children:
-            collect(child, depth)
+            labels.append(node.leaf_label)
+            depths.append(depth)
+            continue
+        blocks.extend((child.lo, child.hi, node.hi, depth) for child in node.children[:-1])
+        stack.extend((child, depth) for child in reversed(node.children))
 
-    collect(root, Fraction(0))
-    if len(leaves) < 2:
+    if len(labels) < 2:
         raise ParseError("a tree needs at least two leaves")
-    labels = [lab for lab, _ in leaves]
-    if len(set(labels)) != len(labels):
-        dup = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
-        raise ParseError(f"duplicate leaf label {dup!r}")
+    seen: set[str] = set()
+    for lab in labels:
+        if lab in seen:
+            raise ParseError(f"duplicate leaf label {lab!r}")
+        seen.add(lab)
 
-    depths = {lab: d for lab, d in leaves}
+    leaves = list(zip(labels, depths))
     lo = min(leaves, key=lambda t: t[1])
     hi = max(leaves, key=lambda t: t[1])
     if hi[1] - lo[1] > eps:
@@ -309,26 +348,28 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
         )
         raise UltrametricViolationError(report)
 
+    # d(a, b) = depth(a) + depth(b) - 2 depth(lca): key each pair by the
+    # three depth ids and compute each distinct key once.
+    depth_ids: dict[Fraction, int] = {}
+    leaf_ids = np.array([depth_ids.setdefault(d, len(depth_ids)) for d in depths])
     n = len(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    matrix = [[Fraction(0)] * n for _ in range(n)]
+    lca_depth = np.diag(leaf_ids)
+    for start, mid, end, depth in blocks:
+        at = depth_ids.setdefault(depth, len(depth_ids))
+        lca_depth[start:mid, mid:end] = lca_depth[mid:end, start:mid] = at
+    k = len(depth_ids)
+    low, high = np.minimum.outer(leaf_ids, leaf_ids), np.maximum.outer(leaf_ids, leaf_ids)
+    keys = (low * k + high) * k + lca_depth
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    by_id = list(depth_ids)
 
-    def pair_up(node: _NewickNode, depth: Fraction) -> list[str]:
-        depth = depth + (node.length or 0)
-        if node.leaf_label is not None:
-            return [node.leaf_label]
-        groups = [pair_up(child, depth) for child in node.children]
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for a in groups[gi]:
-                    for b in groups[gj]:
-                        d = depths[a] + depths[b] - 2 * depth
-                        i, j = index[a], index[b]
-                        matrix[i][j] = matrix[j][i] = d
-        return [lab for grp in groups for lab in grp]
+    def distance(p):
+        a, rest = divmod(int(distinct[p]), k * k)
+        b, c = divmod(rest, k)
+        return by_id[a] + by_id[b] - 2 * by_id[c]
 
-    pair_up(root, Fraction(0))
-    return build_space(labels, matrix, epsilon=eps)
+    ids, values = quantize(range(len(distinct)), distance)
+    return build_space(labels, _ValueIds(ids[inverse].reshape(n, n), values), eps)
 
 
 def subdominant_ultrametric(
@@ -349,35 +390,35 @@ def subdominant_ultrametric(
         raise UsageError("dissimilarity matrix must be square and match the labels")
     if n < 2:
         raise UsageError("need at least two points")
+    eps = _epsilon(epsilon)
 
-    vals: list[list[Fraction]] = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            try:
-                v = to_fraction(matrix[i][j])
-            except (ValueError, TypeError):
-                raise UsageError(f"entry ({labels[i]},{labels[j]}) is not a finite number")
-            row.append(v)
-        vals.append(row)
-    for i in range(n):
-        if vals[i][i] != 0:
+    def nonfinite(p):
+        i, j = divmod(p, n)
+        raise UsageError(f"entry ({labels[i]},{labels[j]}) is not a finite number")
+
+    ids, values = _cell_ids([c for row in matrix for c in row], nonfinite)
+    ids = ids.reshape(n, n)
+    neg = np.array([v < 0 for v in values], dtype=bool)[ids]
+    zero = np.array([v == 0 for v in values], dtype=bool)[ids]
+    diagonal = np.eye(n, dtype=bool)
+    bad = (diagonal & ~zero) | (np.triu(~diagonal) & ((ids != ids.T) | neg))
+    if bad.any():
+        i, j = divmod(int(np.flatnonzero(bad)[0]), n)
+        if i == j:
             raise UsageError(f"nonzero diagonal at {labels[i]}")
-        for j in range(i + 1, n):
-            if vals[i][j] != vals[j][i]:
-                raise UsageError(f"asymmetric entries at ({labels[i]},{labels[j]})")
-            if vals[i][j] < 0:
-                raise UsageError(f"negative entry at ({labels[i]},{labels[j]})")
+        if ids[i, j] != ids[j, i]:
+            raise UsageError(f"asymmetric entries at ({labels[i]},{labels[j]})")
+        raise UsageError(f"negative entry at ({labels[i]},{labels[j]})")
 
-    # Work on ranks: the min-max closure only compares values, so the
-    # quantized integer picture is exact and lets numpy do the sweeps.
-    reps, arr = _rank_matrix(vals, to_fraction(epsilon))
-    for k in range(n):
-        arr = np.minimum(arr, np.maximum.outer(arr[:, k], arr[k, :]))
+    # Work on ranks: the closure only compares values, so the quantized
+    # integer picture is exact.
+    reps, arr = _rank_ids(ids, values, eps)
+    closed = _single_linkage(arr)
     if reps[0] == 0:
-        # Zero dissimilarities glue distinct points; build_space reports each pair.
-        return build_space(labels, [[reps[r - 1] if r else 0 for r in row] for row in arr.tolist()])
-    report, space = _space_from_ranks(labels, *_compact(DistanceTable(values=reps), arr))
+        # Zero dissimilarities glue distinct points; report each such pair.
+        # Rank r holds reps[r - 1], and reps[0] = 0 also serves the diagonal.
+        return build_space(labels, _ValueIds(np.maximum(closed - 1, 0), list(reps)))
+    report, space = _space_from_ranks(labels, *_compact(DistanceTable(values=reps), closed))
     if space is None:
         raise UltrametricViolationError(report)
     return space

@@ -1,15 +1,20 @@
-"""Exact distance values: parsing, canonical formatting, epsilon grouping.
+"""Exact distance values: parsing, quantization, canonical formatting, epsilon grouping.
 
 All distances are `fractions.Fraction` internally, so equality tests are
 exact. Decimal text maps to the exact rational it denotes ("0.50" and
 "0.5" are the same value). Floats are converted through their repr, i.e.
 the shortest decimal that round-trips, which keeps ingestion deterministic.
+Ingestion converts each distinct cell once (:func:`quantize`) and works on
+integer value ids from there on.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, Hashable, Sequence
+
+import numpy as np
 
 from .errors import ParseError
 
@@ -75,6 +80,17 @@ def _strip_factor(n: int, p: int) -> int:
     return count
 
 
+def _order_key(value: Fraction) -> tuple[float, Fraction]:
+    """Sort key that compares as the exact value, mostly at float speed.
+
+    Rounding to float is monotone, so the exact value only breaks ties.
+    """
+    try:
+        return float(value), value
+    except OverflowError:
+        return (math.inf if value > 0 else -math.inf), value
+
+
 def group_values(
     values: list[Fraction], epsilon: Fraction
 ) -> tuple[tuple[Fraction, ...], dict[Fraction, int]]:
@@ -86,13 +102,38 @@ def group_values(
     from every input value to its 1-based rank (rank 0 is reserved for
     distance zero).
     """
-    distinct = sorted(set(values))
+    distinct = sorted(set(values), key=_order_key)
     reps: list[Fraction] = []
     rank_of: dict[Fraction, int] = {}
     prev: Fraction | None = None
     for v in distinct:
-        if prev is None or v - prev > epsilon:
+        if prev is None or not epsilon or v - prev > epsilon:
             reps.append(v)
         rank_of[v] = len(reps)
         prev = v
     return tuple(reps), rank_of
+
+
+def quantize(
+    keys: Sequence[Hashable], convert: Callable[[int], Fraction | None]
+) -> tuple[np.ndarray, list[Fraction]]:
+    """Convert each distinct key once and give keys of equal value one id.
+
+    ``convert(p)`` returns the exact value of ``keys[p]``, or None when the
+    key is not a finite number (its id is then -1). It is called once per
+    distinct key, at the key's first position, in increasing position, so
+    an exception it raises concerns the earliest offending key. Returns an
+    int32 id per key and the distinct values, numbered in order of first
+    occurrence.
+    """
+    index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    dense = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    # dense ids first appear in increasing order, so the running maximum
+    # steps up exactly at each key's first position
+    starts = np.flatnonzero(np.diff(np.maximum.accumulate(dense), prepend=-1))
+    slots: dict[Fraction, int] = {}
+    remap = np.zeros(len(index), dtype=np.int32)
+    for i, p in enumerate(starts.tolist()):
+        v = convert(p)
+        remap[i] = -1 if v is None else slots.setdefault(v, len(slots))
+    return remap[dense], list(slots)

@@ -90,6 +90,28 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error:") and "<stdin>" in err
 
 
+def test_leading_bom_is_stripped(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b,c\n0,1,2\n1,0,2\n2,2,0\n")
+    assert main(["analyze", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["labels"] == ["a", "b", "c"]
+    assert result["partner_classes"] == [["a", "b"]]
+
+
+def test_validate_deep_caterpillar_newick(tmp_path, capsys):
+    n = 2000
+    text = "A0:1"
+    for i in range(1, n):
+        text = f"({text},A{i}:{i}):1"
+    path = tmp_path / "caterpillar.nwk"
+    path.write_text(text.rsplit(":", 1)[0] + ";\n")
+    assert main(["validate", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"OK: {path} is an ultrametric space ({n} points, {n - 1} distinct")
+    assert captured.err == ""
+
+
 def test_analyze_human(recmin_csv, capsys):
     assert main(["analyze", str(recmin_csv)]) == 0
     out = capsys.readouterr().out

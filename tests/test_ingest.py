@@ -191,6 +191,35 @@ def test_subdominant_rejects_malformed():
         subdominant_ultrametric([[0, 0], [0, 0]])  # degenerate dissimilarity
 
 
+def test_subdominant_rejects_negative_epsilon():
+    with pytest.raises(UsageError, match="epsilon must be nonnegative"):
+        subdominant_ultrametric([[0, 1], [1, 0]], epsilon=-1)
+    with pytest.raises(UsageError, match="epsilon must be nonnegative"):
+        build_space(["a", "b"], [[0, 1], [1, 0]], epsilon=-1)
+
+
+def test_leading_bom_is_not_part_of_the_first_label():
+    bom = "\ufeff"
+    space = parse_distance_csv(bom + "a,b\n0,1\n1,0\n")
+    assert space.labels == ("a", "b")
+    assert parse_newick(bom + "(a:1,b:1);").labels == ("a", "b")
+    assert parse_coordinate_csv(bom + "label,a\na,0\nb,1\n").landmarks == ("a",)
+    with pytest.raises(UsageError, match="control characters"):
+        parse_distance_csv("a,b" + bom + "\n0,1\n1,0\n")
+    with pytest.raises(UsageError, match="control characters"):
+        parse_newick("(a:1,b" + bom + ":1);")
+
+
+def test_deep_newick_parses_without_recursion():
+    n = 1500
+    text = "A0:1"
+    for i in range(1, n):
+        text = f"({text},A{i}:{i}):1"
+    space = parse_newick(text.rsplit(":", 1)[0] + ";")
+    assert space.n == n and len(space.table) == n - 1
+    assert space.d("A0", "A1") == 2 and space.d("A0", f"A{n - 1}") == 2 * (n - 1)
+
+
 def test_coordinate_csv_roundtrip(recmin4):
     dendro = random_dendrogram_space(9, seed=5, value_count=3)
     t = coordinates(dendro, list(dendro.labels[:2]))

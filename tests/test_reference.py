@@ -1,11 +1,13 @@
 """Rank-level paths checked against the `Fraction`-matrix code they replaced.
 
 Each reference below builds its result the way the library once did: a
-matrix of exact values handed to `build_space`, which quantizes and
-validates it from scratch. The rank-level code must give an equal space
-(labels, table, ranks) and the same CSV bytes (spellings included).
+matrix of exact values, checked and quantized cell by cell, then
+validated by the O(n³) triangle sweep. The rank-level code must give an
+equal space (labels, table, ranks) and the same CSV bytes (spellings
+included), or the same validation report.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,26 +17,201 @@ from hypothesis import assume, given, settings, strategies as st
 from ultrabase import (
     CoordinateTable,
     CoordinateTableError,
+    ParseError,
     UltrametricViolationError,
+    UsageError,
     build_space,
     coordinates,
     metric_bases,
     parse_distance_csv,
+    parse_newick,
     random_dendrogram_space,
     reconstruct,
     subdominant_ultrametric,
+    validate_ultrametric,
     write_distance_csv,
 )
-from ultrabase.values import group_values, to_fraction
+from ultrabase.core import (
+    DEFAULT_MAX_VIOLATIONS,
+    DistanceTable,
+    UltrametricSpace,
+    ValidationReport,
+    Violation,
+    _check_labels,
+    _single_linkage,
+    _triangle_violations,
+)
+from ultrabase.ingest import _csv_rows, _NewickParser
+from ultrabase.values import format_value, group_values, parse_decimal, to_fraction
 
 F = Fraction
+
+
+def analyze_reference(labels, matrix, epsilon, max_violations, value_texts):
+    """Per-cell checks, per-cell quantization, then the triangle sweep."""
+    _check_labels(labels)
+    n = len(labels)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise UsageError(f"distance matrix must be {n}x{n} to match the labels")
+    eps = to_fraction(epsilon)
+    if eps < 0:
+        raise UsageError("epsilon must be nonnegative")
+
+    violations = []
+    cells = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            try:
+                v = to_fraction(matrix[i][j])
+            except (ValueError, TypeError):
+                violations.append(Violation(
+                    kind="nonfinite",
+                    labels=(labels[i], labels[j]),
+                    values=(),
+                    detail=f"entry ({labels[i]},{labels[j]}) is not a finite number: {matrix[i][j]!r}",
+                ))
+                continue
+            cells[i][j] = v
+            if i == j and v != 0:
+                violations.append(Violation(
+                    kind="diagonal",
+                    labels=(labels[i],),
+                    values=(v,),
+                    detail=f"diagonal entry for {labels[i]} is {format_value(v)}, expected 0",
+                ))
+            elif i < j and v < 0:
+                violations.append(Violation(
+                    kind="negative",
+                    labels=(labels[i], labels[j]),
+                    values=(v,),
+                    detail=f"d({labels[i]},{labels[j]})={format_value(v)} is negative",
+                ))
+            elif i < j and v == 0:
+                violations.append(Violation(
+                    kind="positivity",
+                    labels=(labels[i], labels[j]),
+                    values=(v,),
+                    detail=f"d({labels[i]},{labels[j]})=0 for distinct points",
+                ))
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = cells[i][j], cells[j][i]
+            if a is None or b is None:
+                continue
+            if abs(a - b) > eps:
+                violations.append(Violation(
+                    kind="asymmetry",
+                    labels=(labels[i], labels[j]),
+                    values=(a, b),
+                    detail=(
+                        f"d({labels[i]},{labels[j]})={format_value(a)} differs from "
+                        f"d({labels[j]},{labels[i]})={format_value(b)}"
+                    ),
+                ))
+    if violations:
+        return ValidationReport(
+            ok=False,
+            violations=tuple(violations[:max_violations]),
+            truncated=len(violations) > max_violations,
+        ), None
+
+    upper = [cells[i][j] for i in range(n) for j in range(i + 1, n)]
+    reps, rank_of = group_values(upper, eps)
+    arr = np.zeros((n, n), dtype=np.int32)
+    arr[np.triu_indices(n, 1)] = [rank_of[v] for v in upper]
+    arr = arr + arr.T
+    texts = value_texts or {}
+    table = DistanceTable(values=reps, texts=tuple(texts.get(v) for v in reps))
+    tri, truncated = _triangle_violations(arr, list(labels), table, max_violations)
+    if tri:
+        return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
+    space = UltrametricSpace(labels=tuple(labels), table=table, ranks=arr)
+    return ValidationReport(ok=True, violations=()), space
+
+
+def build_space_reference(labels, matrix, epsilon=0, value_texts=None):
+    report, space = analyze_reference(labels, matrix, epsilon, DEFAULT_MAX_VIOLATIONS, value_texts)
+    if space is None:
+        raise UltrametricViolationError(report)
+    return space
+
+
+def parse_distance_csv_reference(text, epsilon=0):
+    """One `parse_decimal` per cell; the first spelling of each value wins."""
+    rows = _csv_rows(text)
+    labels = rows[0]
+    n = len(labels)
+    if len(rows) != n + 1:
+        raise ParseError(f"expected {n} data rows after the header, found {len(rows) - 1}")
+    matrix, texts = [], {}
+    for r, fields in enumerate(rows[1:], start=2):
+        if len(fields) != n:
+            raise ParseError(f"expected {n} fields, found {len(fields)}", line=r)
+        row = []
+        for i, tok in enumerate(fields):
+            try:
+                v = parse_decimal(tok)
+            except ParseError as exc:
+                raise ParseError(str(exc), line=r) from None
+            row.append(v)
+            if i != r - 2:
+                texts.setdefault(v, tok)
+        matrix.append(row)
+    return build_space_reference(labels, matrix, epsilon=epsilon, value_texts=texts)
+
+
+def parse_newick_reference(text, epsilon=F(1, 10**9)):
+    """Recursive leaf collection and pair loop over the parsed tree."""
+    root = _NewickParser(text).parse()
+    leaves = []
+
+    def collect(node, depth):
+        depth = depth + (node.length or 0)
+        if node.leaf_label is not None:
+            leaves.append((node.leaf_label, depth))
+            return
+        for child in node.children:
+            collect(child, depth)
+
+    collect(root, F(0))
+    labels = [lab for lab, _ in leaves]
+    lo, hi = min(leaves, key=lambda t: t[1]), max(leaves, key=lambda t: t[1])
+    if hi[1] - lo[1] > to_fraction(epsilon):
+        raise UltrametricViolationError(ValidationReport(ok=False, violations=(Violation(
+            kind="equidistance",
+            labels=(lo[0], hi[0]),
+            values=(lo[1], hi[1]),
+            detail=(
+                f"tree is not equidistant: root-to-leaf path sums "
+                f"{format_value(lo[1])} ({lo[0]}) and {format_value(hi[1])} ({hi[0]}) differ"
+            ),
+        ),)))
+    depths = dict(leaves)
+    index = {lab: i for i, lab in enumerate(labels)}
+    matrix = [[F(0)] * len(labels) for _ in labels]
+
+    def pair_up(node, depth):
+        depth = depth + (node.length or 0)
+        if node.leaf_label is not None:
+            return [node.leaf_label]
+        groups = [pair_up(child, depth) for child in node.children]
+        for gi in range(len(groups)):
+            for gj in range(gi + 1, len(groups)):
+                for a in groups[gi]:
+                    for b in groups[gj]:
+                        i, j = index[a], index[b]
+                        matrix[i][j] = matrix[j][i] = depths[a] + depths[b] - 2 * depth
+        return [lab for grp in groups for lab in grp]
+
+    pair_up(root, F(0))
+    return build_space_reference(labels, matrix, epsilon=epsilon)
 
 
 def restrict_reference(space, subset):
     keep = set(subset)
     labels = [lab for lab in space.labels if lab in keep]
     matrix = [[space.d(a, b) for b in labels] for a in labels]
-    return build_space(labels, matrix, value_texts=space.value_texts())
+    return build_space_reference(labels, matrix, value_texts=space.value_texts())
 
 
 def reconstruct_reference(table):
@@ -47,7 +224,7 @@ def reconstruct_reference(table):
             d = next(max(u, v) for u, v in zip(rows[i], rows[j]) if u != v)
             matrix[i][j] = matrix[j][i] = d
     try:
-        space = build_space(pts, matrix, value_texts=table.value_texts)
+        space = build_space_reference(pts, matrix, value_texts=table.value_texts)
     except UltrametricViolationError as exc:
         first = exc.report.violations[0]
         raise CoordinateTableError(f"inconsistent coordinates: {first.detail}") from exc
@@ -75,7 +252,7 @@ def subdominant_reference(matrix, labels, epsilon):
         for i in range(n):
             for j in range(n):
                 d[i][j] = min(d[i][j], max(d[i][k], d[k][j]))
-    return build_space(labels, d)
+    return build_space_reference(labels, d)
 
 
 def spelled(space):
@@ -201,3 +378,252 @@ def test_subdominant_matches_scipy_single_linkage(matrix):
     cophenetic = squareform(hierarchy.cophenet(hierarchy.linkage(squareform(dense), method="single")))
     space = subdominant_ultrametric(matrix)
     assert np.array_equal(np.array(space.value_matrix(), dtype=float), cophenetic)
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call gives: a space, a validation report, or a usage error's text."""
+    try:
+        return "space", fn(*args, **kwargs)
+    except UltrametricViolationError as exc:
+        return "invalid", exc.report
+    except UsageError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_same_outcome(actual, expected):
+    assert actual[0] == expected[0], (actual, expected)
+    if actual[0] == "space":
+        assert_same(actual[1], expected[1])
+    else:
+        assert actual[1] == expected[1]
+
+
+def spellings(v):
+    """Texts that all denote the exact value v."""
+    base = format_value(v)
+    if F(base) != v:  # not a terminating decimal
+        return [f"{v.numerator}/{v.denominator}"]
+    padded = base + ("0" if "." in base else ".0")
+    return [base, padded, f"{v.numerator}/{v.denominator}", base + "e0"]
+
+
+@st.composite
+def raw_matrices(draw, max_n=9):
+    """A valid dendrogram matrix in eighths, then some cells overwritten.
+
+    Overwrites hit one side of a pair or both, and use existing values,
+    values near the mirror entry, new values, zero, negatives, nonzero
+    diagonals, NaN, infinity and None.
+    Cells are drawn as `Fraction`, int, float or decimal text.
+    """
+    n = draw(st.integers(2, max_n))
+    space = random_dendrogram_space(n, seed=draw(st.integers(0, 10_000)),
+                                    value_count=draw(st.integers(1, 5)))
+    m = [[v / 8 for v in row] for row in space.value_matrix()]
+    edits = draw(st.integers(0, 3)) if draw(st.booleans()) else draw(st.integers(0, 3 * n * n))
+    pool = sorted({v for row in m for v in row} | {F(1, 8), F(3, 2), F(0)})
+    for _ in range(edits):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        mirror = m[j][i] if isinstance(m[j][i], Fraction) else F(1)
+        v = draw(st.one_of(
+            st.integers(-4, 4).map(lambda k: mirror + F(k, 8)),  # gaps at epsilon
+            st.sampled_from(pool),
+            st.sampled_from(pool).map(lambda x: -x - F(1, 8)),
+            st.fractions(min_value=0, max_value=4, max_denominator=16),
+            st.sampled_from([math.nan, math.inf, None]),
+        ))
+        m[i][j] = v
+        if draw(st.booleans()) and v is not None:
+            m[j][i] = v
+
+    def dress(v):
+        if not isinstance(v, Fraction):
+            return v
+        kind = draw(st.sampled_from(["fraction", "int", "float", "text"]))
+        if kind == "int" and v.denominator == 1:
+            return int(v)
+        if kind == "float" and float(v) == v:
+            return float(v)
+        if kind == "text":
+            return draw(st.sampled_from(spellings(v)))
+        return v
+
+    return space.labels, [[dress(v) for v in row] for row in m]
+
+
+epsilons = st.sampled_from([0, F(1, 8), F(1, 2), "0.2"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_matrices(), epsilons)
+def test_build_space_matches_per_cell_reference(case, epsilon):
+    labels, matrix = case
+    assert_same_outcome(outcome(build_space, labels, matrix, epsilon),
+                        outcome(build_space_reference, labels, matrix, epsilon))
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_matrices(), epsilons, st.sampled_from([1, 3, 16, 1000]))
+def test_validate_ultrametric_matches_per_cell_reference(case, epsilon, max_violations):
+    labels, matrix = case
+    expected = outcome(lambda: analyze_reference(labels, matrix, epsilon, max_violations, None)[0])
+    actual = outcome(validate_ultrametric, matrix, labels, epsilon, max_violations)
+    assert actual == expected
+
+
+def test_validate_ultrametric_needs_room_for_a_witness():
+    # The reference, capped at 0, passed this triangle violation as valid.
+    matrix = [[0, 3, 2], [3, 0, 2], [2, 2, 0]]
+    assert analyze_reference(["a", "b", "c"], matrix, 0, 0, None)[0].ok
+    assert not validate_ultrametric(matrix).ok
+    for cap in (0, -1):
+        with pytest.raises(UsageError, match="max_violations must be at least 1"):
+            validate_ultrametric(matrix, max_violations=cap)
+
+
+def test_build_space_keeps_equal_float_and_fraction_apart():
+    # float 0.1 means 1/10; the Fraction of its binary expansion is another value
+    binary = F(0.1)
+    matrix = [[0, 0.1, binary], [0.1, 0, binary], [binary, binary, 0]]
+    assert build_space(["a", "b", "c"], matrix).table.values == (F(1, 10), binary)
+    unhashable = [[0, [1]], [[1], 0]]
+    report = validate_ultrametric(unhashable)
+    assert report == analyze_reference(["1", "2"], unhashable, 0, 16, None)[0]
+    assert [v.kind for v in report.violations] == ["nonfinite", "nonfinite"]
+
+
+@st.composite
+def csv_texts(draw):
+    """A distance CSV of a raw matrix in mixed spellings; sometimes with
+    one bad token and one row with a wrong field count."""
+    labels, matrix = draw(raw_matrices(max_n=7))
+    cells = []
+    for row in matrix:
+        line = []
+        for v in row:
+            if v is None or (isinstance(v, float) and not math.isfinite(v)):
+                v = F(5, 4)
+            line.append(v if isinstance(v, str) else draw(st.sampled_from(spellings(to_fraction(v)))))
+        cells.append(line)
+    n = len(labels)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        cells[i][j] = draw(st.sampled_from(["x", "", "1/0", "nan", "0x1"]))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        cells[r] = cells[r][:-1] if draw(st.booleans()) else cells[r] + ["1"]
+    return "\n".join([",".join(labels)] + [",".join(row) for row in cells]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_texts(), epsilons)
+def test_parse_distance_csv_matches_per_cell_reference(text, epsilon):
+    assert_same_outcome(outcome(parse_distance_csv, text, epsilon),
+                        outcome(parse_distance_csv_reference, text, epsilon))
+
+
+def test_parse_error_precedence_examples():
+    head = "a,b,c\n"
+    cases = [
+        "0,1,2\n1,0,x\n2,2\n",  # bad token (line 3) before a short row (line 4)
+        "0,1,2\n1,0\n2,x,0\n",  # short row (line 3) before a bad token (line 4)
+        "0,1,2\n1,0,y,5\n2,2,0\n",  # one row with both: its field count wins
+        "0,1,z\n1,0,1\nz,1,0\n",  # one bad spelling used twice: its first line
+    ]
+    for body in cases:
+        with pytest.raises(ParseError) as want:
+            parse_distance_csv_reference(head + body)
+        with pytest.raises(ParseError) as got:
+            parse_distance_csv(head + body)
+        assert str(got.value) == str(want.value)
+
+
+@st.composite
+def newick_trees(draw):
+    """Random equidistant rooted trees with heights in quarters, rendered as
+    Newick; sometimes one branch is longer by a quarter or by 10^-12."""
+    nodes = [(f"L{i}", F(0)) for i in range(draw(st.integers(2, 12)))]
+    while len(nodes) > 1:
+        k = draw(st.integers(2, len(nodes)))
+        start = draw(st.integers(0, len(nodes) - k))
+        group = nodes[start:start + k]
+        height = max(h for _, h in group) + F(draw(st.integers(0, 3)), 4)
+        merged = ",".join(f"{t}:{format_value(height - h)}" for t, h in group)
+        nodes[start:start + k] = [(f"({merged})", height)]
+    text = nodes[0][0] + ";"
+    if draw(st.booleans()):
+        cut = draw(st.sampled_from([i for i, c in enumerate(text) if c == ":"]))
+        end = min(i for i in range(cut + 1, len(text) + 1) if i == len(text) or text[i] in ",);")
+        bump = draw(st.sampled_from([F(1, 4), F(1, 10**12)]))
+        text = text[:cut + 1] + str(F(text[cut + 1:end]) + bump) + text[end:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(newick_trees(), st.sampled_from([F(1, 10**9), F(1, 4), F(1), 0]))
+def test_parse_newick_matches_pair_loop(text, epsilon):
+    assert_same_outcome(outcome(parse_newick, text, epsilon),
+                        outcome(parse_newick_reference, text, epsilon))
+
+
+def closure_reference(arr):
+    """The per-k min-max closure on ranks."""
+    for k in range(len(arr)):
+        arr = np.minimum(arr, np.maximum.outer(arr[:, k], arr[k, :]))
+    return arr
+
+
+@st.composite
+def rank_matrices(draw):
+    """Symmetric rank matrices with a zero diagonal: dendrograms, perturbed
+    dendrograms and arbitrary dissimilarities."""
+    n = draw(st.integers(2, 14))
+    kind = draw(st.sampled_from(["valid", "perturbed", "random"]))
+    if kind == "random":
+        arr = np.zeros((n, n), dtype=np.int32)
+        arr[np.triu_indices(n, 1)] = draw(st.lists(
+            st.integers(1, 6), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+        return arr + arr.T
+    arr = random_dendrogram_space(n, seed=draw(st.integers(0, 10_000)),
+                                  value_count=draw(st.integers(1, 5))).ranks.copy()
+    if kind == "perturbed":
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            if i != j:
+                arr[i, j] = arr[j, i] = draw(st.integers(1, int(arr.max()) + 1))
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_matrices())
+def test_single_linkage_verdict_matches_triangle_sweep(arr):
+    labels = [f"x{i}" for i in range(len(arr))]
+    table = DistanceTable(values=tuple(F(v) for v in range(1, int(arr.max()) + 1)))
+    witnesses, truncated = _triangle_violations(arr, labels, table, 16)
+    closed = _single_linkage(arr)
+    assert np.array_equal(closed, closure_reference(arr))
+    assert np.array_equal(closed, arr) == (not witnesses and not truncated)
+
+
+def group_values_reference(values, epsilon):
+    """Chaining over values sorted by exact `Fraction` comparison."""
+    reps, rank_of, prev = [], {}, None
+    for v in sorted(set(values)):
+        if prev is None or v - prev > epsilon:
+            reps.append(v)
+        rank_of[v] = len(reps)
+        prev = v
+    return tuple(reps), rank_of
+
+
+huge_or_close = st.one_of(
+    st.fractions(),
+    st.integers(-2, 2).map(lambda e: F(10) ** (400 * e)),  # beyond float range
+    st.integers(-3, 3).map(lambda k: 1 + F(k, 10**30)),  # one float, distinct values
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(huge_or_close, max_size=30), st.sampled_from([F(0), F(1, 10**30), F(1, 2)]))
+def test_group_values_orders_exactly(values, epsilon):
+    assert group_values(values, epsilon) == group_values_reference(values, epsilon)
