@@ -53,44 +53,32 @@ class GeneratorCheck:
         return self.ok
 
 
-def _landmark_indices(space: UltrametricSpace, landmarks: Iterable[str]) -> list[int]:
-    idx = sorted({space.index(s) for s in landmarks})
-    return idx
-
-
 def is_k_generator(space: UltrametricSpace, landmarks: Iterable[str], k: int) -> GeneratorCheck:
     """Does every pair of points have at least k distinguishers in the set?
 
     On failure the witness is the lexicographically first failing pair,
     together with how many landmarks actually distinguish it. An empty
     landmark set simply fails (witness: the first pair), it is not an
-    error.
+    error. Each point is compared with the later ones in label order, so
+    memory is O(n * |landmarks|).
     """
     if k < 1:
         raise UsageError("k must be a positive integer")
-    cols = _landmark_indices(space, landmarks)
-    ranks = space.ranks
-    n = space.n
-    if cols:
-        sub = ranks[:, cols]
-        counts = (sub[:, None, :] != sub[None, :, :]).sum(axis=2)
-    else:
-        counts = np.zeros((n, n), dtype=int)
-
-    failing = [
-        (x, y)
-        for x, y in itertools.combinations(sorted(space.labels), 2)
-        if counts[space.index(x), space.index(y)] < k
-    ]
-    if not failing:
-        return GeneratorCheck(ok=True, k=k)
-    x, y = failing[0]
-    return GeneratorCheck(
-        ok=False,
-        k=k,
-        witness=(x, y),
-        witness_count=int(counts[space.index(x), space.index(y)]),
-    )
+    cols = sorted({space.index(s) for s in landmarks})
+    labels = sorted(space.labels)
+    sub = space.ranks[np.ix_([space.index(lab) for lab in labels], cols)]
+    for i in range(len(labels) - 1):
+        counts = (sub[i + 1:] != sub[i]).sum(axis=1)
+        short = np.flatnonzero(counts < k)
+        if short.size:
+            j = int(short[0])
+            return GeneratorCheck(
+                ok=False,
+                k=k,
+                witness=(labels[i], labels[i + 1 + j]),
+                witness_count=int(counts[j]),
+            )
+    return GeneratorCheck(ok=True, k=k)
 
 
 @dataclass(frozen=True)

@@ -160,23 +160,27 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
         raise error
 
     positive = np.array([v > 0 for v in values], dtype=bool)[ids]
-    return CoordinateTable(
-        landmarks=landmarks,
-        points=tuple(points),
-        rows=tuple(tuple(map(values.__getitem__, row)) for row in ids.tolist()),
-        value_texts=_first_spellings(tokens, ids, values, positive),
+    texts = _first_spellings(tokens, ids, values, positive)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    position = np.zeros(len(values), dtype=np.int32)
+    position[order] = np.arange(len(values), dtype=np.int32)
+    return CoordinateTable._encoded(
+        landmarks, tuple(points), tuple(values[i] for i in order), position[ids], texts
     )
 
 
 def write_coordinate_csv(table: CoordinateTable) -> str:
-    positive = {v for row in table.rows for v in row if v > 0}
+    """Inverse of :func:`parse_coordinate_csv`; each value in use is rendered once."""
+    values, index = table.encoding
+    used = [values[u] for u in np.unique(index).tolist()]
     texts = _distinct_texts(
-        positive, lambda v: table.value_texts.get(v) or format_value(v)
+        [v for v in used if v != 0], lambda v: table.value_texts.get(v) or format_value(v)
     )
     texts[Fraction(0)] = "0"
+    cells = [texts.get(v, "") for v in values]
     lines = ["label," + ",".join(table.landmarks)]
-    for lab, row in zip(table.points, table.rows):
-        lines.append(lab + "," + ",".join(texts[v] for v in row))
+    for lab, row in zip(table.points, index.tolist()):
+        lines.append(lab + "," + ",".join(cells[r] for r in row))
     return "\n".join(lines) + "\n"
 
 

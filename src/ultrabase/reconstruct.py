@@ -10,15 +10,15 @@ are reproducible, and the choice-independence is asserted in the tests.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .basis import is_k_generator
-from .core import DistanceTable, UltrametricSpace, _space_from_ranks
+from .core import ZERO, DistanceTable, UltrametricSpace, _space_from_ranks
 from .errors import (
     CoordinateTableError,
     NotGeneratorError,
@@ -27,40 +27,92 @@ from .errors import (
 from .values import to_fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class CoordinateTable:
-    """Distances from every point (rows) to an ordered landmark set (columns)."""
+    """Distances from every point (rows) to an ordered landmark set (columns).
+
+    The table is held rank-encoded, like a space's distances: the
+    increasing tuple of its distinct values and an int32 points x
+    landmarks array of positions in that tuple (see :attr:`encoding`).
+    Tables from :func:`coordinates` and the CSV parser are built encoded
+    and decode ``rows`` only when it is read; a table built from ``rows``
+    encodes them once, on first use. Equality and hashing go by
+    landmarks, points and rows.
+    """
 
     landmarks: tuple[str, ...]
     points: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
-    value_texts: dict[Fraction, str] = field(default_factory=dict, compare=False)
+    value_texts: dict[Fraction, str]
 
-    def __post_init__(self):
-        if not self.landmarks:
-            raise UsageError("a coordinate table needs at least one landmark")
-        if len(set(self.landmarks)) != len(self.landmarks):
-            raise UsageError("duplicate landmark column")
-        if len(self.rows) != len(self.points):
+    def __init__(self, landmarks, points, rows, value_texts=None):
+        self._set_labels(landmarks, points, value_texts)
+        if len(rows) != len(points):
             raise UsageError("coordinate rows must align with point labels")
-        for lab, row in zip(self.points, self.rows):
-            if len(row) != len(self.landmarks):
+        for lab, row in zip(points, rows):
+            if len(row) != len(landmarks):
                 raise UsageError(f"row for {lab!r} has {len(row)} values, "
-                                 f"expected {len(self.landmarks)}")
+                                 f"expected {len(landmarks)}")
+        self.__dict__["rows"] = rows
+
+    def _set_labels(self, landmarks, points, value_texts) -> None:
+        if not landmarks:
+            raise UsageError("a coordinate table needs at least one landmark")
+        if len(set(landmarks)) != len(landmarks):
+            raise UsageError("duplicate landmark column")
+        object.__setattr__(self, "landmarks", landmarks)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "value_texts", {} if value_texts is None else value_texts)
+
+    @classmethod
+    def _encoded(cls, landmarks, points, values, index, value_texts) -> "CoordinateTable":
+        """A table from its encoding: increasing ``values`` and an int32 ``index`` into them."""
+        table = cls.__new__(cls)
+        table._set_labels(landmarks, points, value_texts)
+        index.setflags(write=False)
+        table.__dict__["encoding"] = (values, index)
+        return table
+
+    @cached_property
+    def encoding(self) -> tuple[tuple[Fraction, ...], np.ndarray]:
+        """The increasing distinct values and the read-only int32 array of
+        each cell's position among them (values may include unused ones)."""
+        values = sorted({v for row in self.rows for v in row})
+        position = {v: i for i, v in enumerate(values)}
+        index = np.array([[position[v] for v in row] for row in self.rows], dtype=np.int32)
+        index = index.reshape(len(self.points), len(self.landmarks))
+        index.setflags(write=False)
+        return tuple(values), index
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        values, index = self.encoding
+        return tuple(tuple(map(values.__getitem__, row)) for row in index.tolist())
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        """Each point's first row; a hand-built table may repeat a point."""
+        position: dict[str, int] = {}
+        for i, lab in enumerate(self.points):
+            position.setdefault(lab, i)
+        return position
+
+    def __eq__(self, other):
+        if not isinstance(other, CoordinateTable):
+            return NotImplemented
+        return (self.landmarks, self.points, self.rows) == (other.landmarks, other.points, other.rows)
+
+    def __hash__(self) -> int:
+        return hash((self.landmarks, self.points, self.rows))
+
+    def __repr__(self) -> str:
+        return (f"CoordinateTable(landmarks={self.landmarks!r}, points={self.points!r}, "
+                f"rows={self.rows!r}, value_texts={self.value_texts!r})")
 
     def row(self, point: str) -> tuple[Fraction, ...]:
         try:
-            return self.rows[self.points.index(point)]
-        except ValueError:
+            return self.rows[self._position[point]]
+        except KeyError:
             raise UsageError(f"no coordinate row for {point!r}") from None
-
-
-def _coordinate_ranks(table: CoordinateTable) -> tuple[list[Fraction], np.ndarray]:
-    """The sorted distinct table values and the rows as int32 indices into them."""
-    flat = sorted({v for row in table.rows for v in row})
-    rank_of = {v: i for i, v in enumerate(flat)}
-    arr = np.array([[rank_of[v] for v in row] for row in table.rows], dtype=np.int32)
-    return flat, arr.reshape(len(table.rows), len(table.landmarks))
 
 
 def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> CoordinateTable:
@@ -73,13 +125,12 @@ def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> Coordinate
     if len(set(landmarks)) != len(landmarks):
         raise UsageError("duplicate landmark in list")
     cols = [space.index(s) for s in landmarks]
-    value = space.table.value
-    rows = tuple(tuple(map(value, row)) for row in space.ranks[:, cols].tolist())
-    return CoordinateTable(
-        landmarks=tuple(landmarks),
-        points=space.labels,
-        rows=rows,
-        value_texts=space.value_texts(),
+    return CoordinateTable._encoded(
+        tuple(landmarks),
+        space.labels,
+        (ZERO, *space.table.values),
+        space.ranks[:, cols],
+        space.value_texts(),
     )
 
 
@@ -91,40 +142,52 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     :class:`CoordinateTableError` when no ultrametric space at all has
     these coordinates.
     """
-    pts = table.points
+    pts, landmarks = table.points, table.landmarks
+    values, index = table.encoding
+    n, k = index.shape
 
-    for lab, row in zip(pts, table.rows):
-        for c, v in enumerate(row):
-            if v < 0:
-                raise CoordinateTableError(
-                    f"negative distance {v} at ({lab}, {table.landmarks[c]})"
-                )
-            if v == 0 and lab != table.landmarks[c]:
-                raise CoordinateTableError(
-                    f"zero distance between distinct points {lab} and {table.landmarks[c]}"
-                )
-    for c, s in enumerate(table.landmarks):
-        if s not in pts:
+    negative = np.array([v < 0 for v in values], dtype=bool)[index]
+    zero = np.array([v == 0 for v in values], dtype=bool)[index]
+    column = {s: c for c, s in enumerate(landmarks)}
+    own = np.zeros((n, k), dtype=bool)  # cells where a landmark meets its own row
+    own_rows = [i for i, lab in enumerate(pts) if lab in column]
+    own[own_rows, [column[pts[i]] for i in own_rows]] = True
+    bad = negative | (zero & ~own)
+    if bad.any():
+        i, c = divmod(int(bad.argmax()), k)
+        if negative[i, c]:
+            raise CoordinateTableError(
+                f"negative distance {table.rows[i][c]} at ({pts[i]}, {landmarks[c]})"
+            )
+        raise CoordinateTableError(
+            f"zero distance between distinct points {pts[i]} and {landmarks[c]}"
+        )
+    at = [table._position.get(s, -1) for s in landmarks]
+    for c, s in enumerate(landmarks):
+        if at[c] < 0:
             raise CoordinateTableError(f"landmark {s} has no coordinate row")
-        if table.row(s)[c] != 0:
+        if not zero[at[c], c]:
             raise CoordinateTableError(f"landmark {s} is not at distance 0 from itself")
 
-    by_row: dict[tuple[Fraction, ...], str] = {}
-    for lab in sorted(pts):
-        row = table.row(lab)
-        if row in by_row:
-            a, b = sorted((by_row[row], lab))
-            raise NotGeneratorError(
-                f"not a metric generator: points {a} and {b} have identical coordinates",
-                witness=(a, b),
-            )
-        by_row[row] = lab
+    # The first repeated row in sorted-label order, with the first row equal to it.
+    labels = sorted(pts)
+    rows = index[[table._position[lab] for lab in labels]]
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    first = first[inverse.ravel()]
+    repeated = np.flatnonzero(first != np.arange(n))
+    if repeated.size:
+        p = int(repeated[0])
+        a, b = labels[first[p]], labels[p]
+        raise NotGeneratorError(
+            f"not a metric generator: points {a} and {b} have identical coordinates",
+            witness=(a, b),
+        )
 
-    # Landmark rows carry a zero, so rank 0 of the encoding is the zero distance.
-    flat, arr = _coordinate_ranks(table)
-    values = tuple(map(to_fraction, flat[1:]))
-    dtable = DistanceTable(values, tuple(map(table.value_texts.get, values)))
-    n = len(pts)
+    # Keep the values in use; landmark rows carry a zero, so rank 0 is the zero distance.
+    used, arr = np.unique(index, return_inverse=True)
+    arr = arr.reshape(n, k).astype(np.int32)
+    kept = tuple(to_fraction(values[u]) for u in used[1:].tolist())
+    dtable = DistanceTable(kept, tuple(map(table.value_texts.get, kept)))
     rank_arr = np.zeros((n, n), dtype=np.int32)
     for i in range(n - 1):
         rest = arr[i + 1:]
@@ -137,13 +200,12 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     if space is None:
         raise CoordinateTableError(f"inconsistent coordinates: {report.violations[0].detail}")
 
-    cols = [pts.index(s) for s in table.landmarks]
-    mismatch = np.argwhere(space.ranks[:, cols] != arr)
+    mismatch = np.argwhere(space.ranks[:, at] != arr)
     if mismatch.size:
         i, c = mismatch[0].tolist()
         raise CoordinateTableError(
-            f"inconsistent coordinates: rebuilt d({pts[i]},{table.landmarks[c]}) = "
-            f"{space.table.value(int(space.ranks[i, cols[c]]))} "
+            f"inconsistent coordinates: rebuilt d({pts[i]},{landmarks[c]}) = "
+            f"{space.table.value(int(space.ranks[i, at[c]]))} "
             f"but the table says {table.rows[i][c]}"
         )
     return space
@@ -171,20 +233,21 @@ def landmark_independence_witness(
     rule is single-valued everywhere (as it must be for a table that came
     from a real space).
     """
-    _, arr = _coordinate_ranks(table)
-    for i, j in itertools.combinations(range(len(table.points)), 2):
-        diff = arr[i] != arr[j]
-        if not diff.any():
-            continue
-        maxima = np.maximum(arr[i], arr[j])[diff]
-        if (maxima != maxima[0]).any():
-            cols = np.flatnonzero(diff)
-            first = cols[0]
-            other = cols[int(np.argmax(maxima != maxima[0]))]
+    _, arr = table.encoding
+    for i in range(len(arr) - 1):
+        rest = arr[i + 1:]
+        diff = rest != arr[i]
+        maxima = np.maximum(rest, arr[i])
+        # per later row: the max rule at its first distinguishing landmark
+        at_first = maxima[np.arange(len(rest)), diff.argmax(axis=1)]
+        disagree = diff & (maxima != at_first[:, None])
+        hits = np.flatnonzero(disagree.any(axis=1))
+        if hits.size:
+            j = int(hits[0])
             return (
                 table.points[i],
-                table.points[j],
-                table.landmarks[first],
-                table.landmarks[other],
+                table.points[i + 1 + j],
+                table.landmarks[int(diff[j].argmax())],
+                table.landmarks[int(disagree[j].argmax())],
             )
     return None

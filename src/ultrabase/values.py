@@ -20,6 +20,9 @@ from .errors import ParseError
 
 Numeric = Fraction | int | float | str
 
+MAX_DIGITS = 4000  # bound on a parsed value's numerator and denominator
+_DIGIT_LIMIT = 10**MAX_DIGITS
+
 
 def to_fraction(value: Numeric) -> Fraction:
     """Convert a number-like value to an exact Fraction.
@@ -41,14 +44,66 @@ def to_fraction(value: Numeric) -> Fraction:
 
 
 def parse_decimal(token: str) -> Fraction:
-    """Parse a decimal token ("1", "0.25", "2.5e-3") to an exact Fraction."""
+    """Parse a decimal token ("1", "0.25", "2.5e-3") to an exact Fraction.
+
+    A value whose reduced numerator or denominator has more than
+    MAX_DIGITS decimal digits is rejected. `Fraction` would build the
+    power of ten an exponent asks for, so a token that is out of bounds
+    by its exponent alone is rejected from its text.
+    """
     text = token.strip()
     if not text:
         raise ParseError("empty numeric field")
+    # without an exponent, numerator and denominator are no longer than the text
+    short = len(text) <= MAX_DIGITS and "e" not in text and "E" not in text
+    if not short:
+        text, out_of_bounds = _scaled_text(text)
+        if out_of_bounds:
+            raise _too_large(token)
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"invalid numeric field {token!r}") from exc
+    if not short and max(abs(value.numerator), value.denominator) >= _DIGIT_LIMIT:
+        raise _too_large(token)
+    return value
+
+
+def _too_large(token: str) -> ParseError:
+    return ParseError(f"numeric field {token!r} has more than {MAX_DIGITS} digits")
+
+
+def _scaled_text(text: str) -> tuple[str, bool]:
+    """Judge a token ``mantissa[e exponent]`` from its digits alone.
+
+    Write its value as D * 10**scale, D the mantissa's digits without
+    leading and trailing zeros (L of them). For scale >= 0 the numerator
+    has exactly L + scale digits; for scale < 0 the reduced denominator
+    exceeds 10**(-scale - L). Returns the text to hand to `Fraction` and
+    whether the value is certainly out of bounds. A zero mantissa gets
+    its exponent digits zeroed: same syntax and value, no power of ten.
+    Text that is not a decimal passes through for `Fraction` to reject.
+    """
+    cut = max(text.find("e"), text.find("E"))
+    mantissa, exponent = (text[:cut], text[cut + 1:]) if cut >= 0 else (text, "0")
+    unsigned = [s[1:] if s[:1] in ("+", "-") else s for s in (mantissa, exponent)]
+    whole, _, frac = unsigned[0].replace("_", "").partition(".")
+    digits = (whole + frac).lstrip("0")
+    significant = digits.rstrip("0")
+    body = unsigned[1].replace("_", "")
+    if not (whole + frac).isdecimal() or not body.isdecimal():
+        return text, False
+    if not significant:
+        if cut < 0:
+            return text, False
+        return mantissa + "e" + "".join("0" if c.isdecimal() else c for c in exponent), False
+    body = body.lstrip("0")
+    magnitude = int(body or "0") if len(body) <= 18 else 10**18
+    scale = (-magnitude if exponent.startswith("-") else magnitude) - len(frac)
+    scale += len(digits) - len(significant)
+    if scale >= 0:
+        return text, len(significant) + scale > MAX_DIGITS
+    return text, -scale - len(significant) >= MAX_DIGITS
 
 
 def format_value(value: Fraction) -> str:

@@ -58,6 +58,20 @@ def test_is_k_generator_edge_cases(uniform3):
     assert is_k_generator(uniform3, ["1", "1", "2"], 1).ok
 
 
+def test_is_k_generator_memory_is_linear_in_n():
+    import tracemalloc
+
+    space = random_dendrogram_space(400, seed=1, value_count=8)
+    tracemalloc.start()
+    try:
+        check = is_k_generator(space, space.labels, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.ok
+    assert peak < 8 * 2**20  # an n x n x |S| comparison needs about 64 MB here
+
+
 def test_metric_bases_uniform(uniform3):
     family = metric_bases(uniform3)
     assert family.classes == (("1", "2", "3"),)

@@ -99,6 +99,20 @@ def test_leading_bom_is_stripped(tmp_path, capsys):
     assert result["partner_classes"] == [["a", "b"]]
 
 
+def test_huge_exponent_is_a_usage_error(tmp_path, capsys):
+    # the value is rejected at parsing; printing it raised a ValueError traceback
+    csv = tmp_path / "huge.csv"
+    csv.write_text("a,b,c\n0,1e5000,1\n1e5000,0,1\n1,1,0\n")
+    assert main(["validate", str(csv)]) == 2
+    err = capsys.readouterr().err
+    assert "more than 4000 digits (line 2)" in err and "Traceback" not in err
+    tree = tmp_path / "huge.nwk"
+    tree.write_text("(a:1e5000,b:1e5000);")
+    assert main(["coords", str(tree), "--auto"]) == 2
+    err = capsys.readouterr().err
+    assert "invalid branch length '1e5000'" in err and "Traceback" not in err
+
+
 def test_validate_deep_caterpillar_newick(tmp_path, capsys):
     n = 2000
     text = "A0:1"

@@ -21,6 +21,7 @@ from ultrabase import (
     write_distance_csv,
     coordinates,
 )
+from ultrabase.values import MAX_DIGITS, _scaled_text, parse_decimal
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -258,3 +259,29 @@ def test_write_read_fractional_values():
     again = parse_distance_csv(text)
     assert np.array_equal(again.ranks, space.ranks)  # spelled as shortest floats, same structure
     assert write_distance_csv(again) == text
+
+
+def test_parse_decimal_bounds_digits_before_building_the_value():
+    import time
+
+    start = time.perf_counter()
+    for token in ["1e999999999999", "-1e999999999999", "1e-999999999999", "1e" + "9" * 5000]:
+        with pytest.raises(ParseError, match=f"more than {MAX_DIGITS} digits"):
+            parse_decimal(token)
+    assert time.perf_counter() - start < 1  # no power of ten was built
+    assert parse_decimal("1e300") == F(10) ** 300
+    assert parse_decimal("0e999999999999") == 0  # zero needs no digits
+    # the bound is on the reduced value, at exactly MAX_DIGITS digits
+    assert parse_decimal(f"1e{MAX_DIGITS - 1}") == F(10) ** (MAX_DIGITS - 1)
+    assert parse_decimal(f"1000e-{MAX_DIGITS + 2}") == F(1, 10 ** (MAX_DIGITS - 1))
+    assert parse_decimal(f"5e-{MAX_DIGITS}") == F(1, 2 * 10 ** (MAX_DIGITS - 1))
+    for token in [f"1e{MAX_DIGITS}", f"1e-{MAX_DIGITS}", "7" * (MAX_DIGITS + 1),
+                  f"1/{'3' * (MAX_DIGITS + 1)}"]:
+        with pytest.raises(ParseError, match="digits"):
+            parse_decimal(token)
+    # the text alone settles tokens that are certainly out of bounds
+    assert _scaled_text(f"1e{MAX_DIGITS}")[1] and not _scaled_text(f"1e{MAX_DIGITS - 1}")[1]
+    assert _scaled_text(f"1e-{MAX_DIGITS + 1}")[1] and not _scaled_text(f"1e-{MAX_DIGITS}")[1]
+    for token in ["1e--5", "--1e5", "1e", ".e5", "0e5x"]:
+        with pytest.raises(ParseError, match="invalid numeric field"):
+            parse_decimal(token)

@@ -4,7 +4,9 @@ Each reference below builds its result the way the library once did: a
 matrix of exact values, checked and quantized cell by cell, then
 validated by the O(n³) triangle sweep. The rank-level code must give an
 equal space (labels, table, ranks) and the same CSV bytes (spellings
-included), or the same validation report.
+included), or the same validation report. Coordinate tables are checked
+the same way against per-cell `Fraction` loops, and `is_k_generator`
+against the n x n x |S| comparison it replaced.
 """
 
 import math
@@ -17,20 +19,26 @@ from hypothesis import assume, given, settings, strategies as st
 from ultrabase import (
     CoordinateTable,
     CoordinateTableError,
+    NotGeneratorError,
     ParseError,
     UltrametricViolationError,
     UsageError,
     build_space,
     coordinates,
+    is_k_generator,
+    landmark_independence_witness,
     metric_bases,
+    parse_coordinate_csv,
     parse_distance_csv,
     parse_newick,
     random_dendrogram_space,
     reconstruct,
     subdominant_ultrametric,
     validate_ultrametric,
+    write_coordinate_csv,
     write_distance_csv,
 )
+from ultrabase.basis import GeneratorCheck
 from ultrabase.core import (
     DEFAULT_MAX_VIOLATIONS,
     DistanceTable,
@@ -41,7 +49,7 @@ from ultrabase.core import (
     _single_linkage,
     _triangle_violations,
 )
-from ultrabase.ingest import _csv_rows, _NewickParser
+from ultrabase.ingest import _csv_rows, _distinct_texts, _NewickParser
 from ultrabase.values import format_value, group_values, parse_decimal, to_fraction
 
 F = Fraction
@@ -627,3 +635,209 @@ huge_or_close = st.one_of(
 @given(st.lists(huge_or_close, max_size=30), st.sampled_from([F(0), F(1, 10**30), F(1, 2)]))
 def test_group_values_orders_exactly(values, epsilon):
     assert group_values(values, epsilon) == group_values_reference(values, epsilon)
+
+
+def check_table_reference(table):
+    """The per-cell input checks `reconstruct` ran on `Fraction` rows."""
+    pts = table.points
+    for lab, row in zip(pts, table.rows):
+        for c, v in enumerate(row):
+            if v < 0:
+                raise CoordinateTableError(f"negative distance {v} at ({lab}, {table.landmarks[c]})")
+            if v == 0 and lab != table.landmarks[c]:
+                raise CoordinateTableError(
+                    f"zero distance between distinct points {lab} and {table.landmarks[c]}"
+                )
+    for c, s in enumerate(table.landmarks):
+        if s not in pts:
+            raise CoordinateTableError(f"landmark {s} has no coordinate row")
+        if table.rows[pts.index(s)][c] != 0:
+            raise CoordinateTableError(f"landmark {s} is not at distance 0 from itself")
+    by_row = {}
+    for lab in sorted(pts):
+        row = table.rows[pts.index(lab)]
+        if row in by_row:
+            a, b = sorted((by_row[row], lab))
+            raise NotGeneratorError(
+                f"not a metric generator: points {a} and {b} have identical coordinates",
+                witness=(a, b),
+            )
+        by_row[row] = lab
+
+
+def write_coordinate_csv_reference(table):
+    """One `Fraction` hash per cell: a set of the positive values, then a dict lookup."""
+    positive = {v for row in table.rows for v in row if v > 0}
+    texts = _distinct_texts(positive, lambda v: table.value_texts.get(v) or format_value(v))
+    texts[F(0)] = "0"
+    lines = ["label," + ",".join(table.landmarks)]
+    for lab, row in zip(table.points, table.rows):
+        lines.append(lab + "," + ",".join(texts[v] for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def is_k_generator_reference(space, landmarks, k):
+    """Distinguisher counts of all pairs at once, in an n x n x |S| array."""
+    if k < 1:
+        raise UsageError("k must be a positive integer")
+    cols = sorted({space.index(s) for s in landmarks})
+    counts = np.zeros((space.n, space.n), dtype=int)
+    if cols:
+        sub = space.ranks[:, cols]
+        counts = (sub[:, None, :] != sub[None, :, :]).sum(axis=2)
+    for x, y in space.pairs():
+        count = int(counts[space.index(x), space.index(y)])
+        if count < k:
+            return GeneratorCheck(ok=False, k=k, witness=(x, y), witness_count=count)
+    return GeneratorCheck(ok=True, k=k)
+
+
+def landmark_independence_reference(table):
+    """Pair loop over the rows, ranked through a dict of the distinct values."""
+    position = {v: i for i, v in enumerate(sorted({v for row in table.rows for v in row}))}
+    arr = np.array([[position[v] for v in row] for row in table.rows])
+    for i in range(len(arr)):
+        for j in range(i + 1, len(arr)):
+            diff = arr[i] != arr[j]
+            maxima = np.maximum(arr[i], arr[j])[diff]
+            if diff.any() and (maxima != maxima[0]).any():
+                cols = np.flatnonzero(diff)
+                other = cols[int(np.argmax(maxima != maxima[0]))]
+                return table.points[i], table.points[j], table.landmarks[cols[0]], table.landmarks[other]
+    return None
+
+
+def table_outcome(fn, table):
+    """A space, or the error's type, text and witness."""
+    try:
+        return "space", fn(table)
+    except (CoordinateTableError, NotGeneratorError, UsageError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+def reconstruct_full_reference(table):
+    check_table_reference(table)
+    return reconstruct_reference(table)
+
+
+@st.composite
+def faulty_tables(draw):
+    """Coordinates of a dendrogram, hand-built after one to three faults:
+    a negative cell, a zero off the landmark, a missing landmark row, a
+    nonzero self-distance, a duplicated row, a repeated point label, or
+    cells turned into floats (halves and quarters: exact in binary)."""
+    space = draw(dendrograms)
+    labels = list(space.labels)
+    landmarks = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
+    points = list(labels)
+    scale = draw(st.sampled_from([F(1), F(1, 2), F(1, 4)]))
+    rows = [[v * scale for v in row] for row in coordinates(space, landmarks).rows]
+    k = len(landmarks)
+    faults = draw(st.lists(st.sampled_from(
+        ["negative", "zero", "missing", "self", "duplicate", "label", "float"]), min_size=1, max_size=3))
+    for fault in faults:
+        i, c = draw(st.integers(0, len(points) - 1)), draw(st.integers(0, k - 1))
+        if fault == "negative":
+            rows[i][c] = -draw(st.sampled_from([F(1, 2), F(3), F(0) - scale]))
+        elif fault == "zero":
+            rows[i][c] = F(0)
+        elif fault == "missing" and landmarks[c] in points and len(points) > 1:
+            j = points.index(landmarks[c])
+            del points[j], rows[j]
+        elif fault == "self" and landmarks[c] in points:
+            rows[points.index(landmarks[c])][c] = draw(st.sampled_from([F(1), scale, F(5, 2)]))
+        elif fault == "duplicate":
+            rows[i] = list(rows[draw(st.integers(0, len(points) - 1))])
+        elif fault == "label":
+            points[i] = points[draw(st.integers(0, len(points) - 1))]
+        elif fault == "float":
+            for row in rows:
+                for col, v in enumerate(row):
+                    if draw(st.booleans()):
+                        row[col] = float(v)
+    return CoordinateTable(
+        landmarks=tuple(landmarks),
+        points=tuple(points),
+        rows=tuple(map(tuple, rows)),
+        value_texts=space.value_texts(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(faulty_tables())
+def test_reconstruct_checks_match_per_cell_reference(table):
+    actual = table_outcome(reconstruct, table)
+    expected = table_outcome(reconstruct_full_reference, table)
+    assert actual[0] == expected[0], (actual, expected)
+    if actual[0] == "space":
+        assert_same(actual[1], expected[1])
+    else:
+        assert actual == expected
+
+
+def test_reconstruct_checks_examples():
+    # each fault alone, and the first one wins when several are present
+    cases = [
+        ([("s", [0]), ("a", [-1]), ("b", [0])], "negative distance -1 at (a, s)"),
+        ([("s", [0]), ("a", [0]), ("b", [-1])], "zero distance between distinct points a and s"),
+        ([("a", [1]), ("b", [2])], "landmark s has no coordinate row"),
+        ([("s", [3]), ("a", [1])], "landmark s is not at distance 0 from itself"),
+        ([("s", [0]), ("b", [1.5]), ("a", [F(3, 2)])], "points a and b have identical coordinates"),
+        ([("s", [0]), ("b", [2]), ("s", [1])], "points s and s have identical coordinates"),
+    ]
+    for rows, message in cases:
+        table = CoordinateTable(("s",), tuple(lab for lab, _ in rows), tuple(tuple(r) for _, r in rows))
+        actual = table_outcome(reconstruct, table)
+        assert actual == table_outcome(reconstruct_full_reference, table)
+        assert message in actual[1]
+
+
+@st.composite
+def coordinate_tables(draw):
+    """Tables from `coordinates` on spaces with source spellings, and the
+    same tables parsed back from CSV with each cell in a drawn spelling."""
+    space = draw(dendrograms)
+    space = draw(st.sampled_from([space, spelled(space)]))
+    landmarks = draw(st.lists(st.sampled_from(space.labels), min_size=1, unique=True))
+    table = coordinates(space, landmarks)
+    if draw(st.booleans()):
+        return table
+    lines = ["label," + ",".join(landmarks)]
+    for lab, row in zip(table.points, table.rows):
+        lines.append(",".join([lab] + [draw(st.sampled_from(spellings(v))) if v else "0" for v in row]))
+    return parse_coordinate_csv("\n".join(lines) + "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(coordinate_tables())
+def test_write_coordinate_csv_matches_per_cell_reference(table):
+    text = write_coordinate_csv(table)
+    assert text == write_coordinate_csv_reference(table)
+    again = parse_coordinate_csv(text)
+    assert again == table and hash(again) == hash(table)
+    assert write_coordinate_csv(again) == text
+
+
+landmark_lists = st.one_of(
+    st.just([]),
+    st.lists(st.integers(0, 15), max_size=8),  # partial, possibly with repeats
+    st.just(None),  # every point
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dendrograms, landmark_lists, st.sampled_from([1, 2, 3]))
+def test_is_k_generator_matches_pairwise_reference(space, picks, k):
+    labels = space.labels
+    landmarks = list(labels) if picks is None else [labels[p % space.n] for p in picks]
+    assert is_k_generator(space, landmarks, k) == is_k_generator_reference(space, landmarks, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 9), st.integers(1, 4), st.data())
+def test_landmark_independence_matches_pair_loop(n, k, data):
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, 3).map(F), min_size=k, max_size=k), min_size=n, max_size=n))
+    table = CoordinateTable(tuple(f"s{c}" for c in range(k)), tuple(f"x{i}" for i in range(n)),
+                            tuple(map(tuple, rows)))
+    assert landmark_independence_witness(table) == landmark_independence_reference(table)
