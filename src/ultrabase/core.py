@@ -26,7 +26,7 @@ from .errors import (
     UnknownLabelError,
     UsageError,
 )
-from .values import Numeric, format_value, group_values, quantize, to_fraction
+from .values import Numeric, _float, format_value, group_values, quantize, to_fraction
 
 DEFAULT_MAX_VIOLATIONS = 16
 _UNREACHED = np.iinfo(np.int64).max
@@ -64,9 +64,13 @@ class DistanceTable:
             object.__setattr__(self, "texts", (None,) * len(self.values))
         if len(self.texts) != len(self.values):
             raise UsageError("distance table texts must align with values")
-        for a, b in itertools.pairwise(self.values):
-            if not a < b:
-                raise UsageError("distance table values must be strictly increasing")
+        # rounding is monotone: only neighbours with equal floats need exact comparison
+        floats = np.array([_float(v) for v in self.values])
+        if (floats[1:] < floats[:-1]).any() or any(
+            not self.values[k] < self.values[k + 1]
+            for k in np.flatnonzero(floats[1:] == floats[:-1]).tolist()
+        ):
+            raise UsageError("distance table values must be strictly increasing")
         if self.values and self.values[0] <= 0:
             raise UsageError("distance table values must be positive")
 
@@ -173,30 +177,32 @@ class UltrametricSpace:
         labels = tuple(self.labels[i] for i in idx)
         _check_labels(labels)
         # a principal submatrix of an ultrametric is ultrametric: no revalidation
-        table, ranks = _compact(self.table, self.ranks[np.ix_(idx, idx)])
+        table, ranks = _compact(self.table.values, self.table.texts, self.ranks[np.ix_(idx, idx)])
         return UltrametricSpace(labels=labels, table=table, ranks=ranks)
 
 
-def _rank_ids(ids: np.ndarray, values, epsilon: Fraction):
-    """Representatives and symmetric int32 ranks of a value-id matrix's upper triangle."""
+def _rank_ids(ids: np.ndarray, values, epsilon: Fraction) -> tuple[list[int], np.ndarray]:
+    """Value ids of the representatives, in increasing value, and the
+    symmetric int32 ranks of a value-id matrix's upper triangle."""
     n = len(ids)
     upper = np.triu_indices(n, 1)
     used = np.unique(ids[upper]).tolist()
-    reps, rank_of = group_values([values[u] for u in used], epsilon)
+    reps, rank = group_values([values[u] for u in used], epsilon, by_position=True)
     lut = np.zeros(len(values), dtype=np.int32)
-    lut[used] = [rank_of[values[u]] for u in used]
+    lut[used] = rank
     arr = np.zeros((n, n), dtype=np.int32)
     arr[upper] = lut[ids[upper]]
-    return reps, arr + arr.T
+    return [used[r] for r in reps], arr + arr.T
 
 
-def _compact(table: DistanceTable, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
-    """Drop the ranks a matrix (diagonal included) does not use, keeping spellings."""
+def _compact(values, texts, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
+    """The table of the ranks a matrix (diagonal included) uses, with their
+    spellings, and the matrix renumbered; rank r holds ``values[r - 1]``."""
     used, inverse = np.unique(rank_arr, return_inverse=True)
     kept = used[1:].tolist()
     compact = DistanceTable(
-        values=tuple(table.values[r - 1] for r in kept),
-        texts=tuple(table.texts[r - 1] for r in kept),
+        values=tuple(values[r - 1] for r in kept),
+        texts=tuple(texts[r - 1] for r in kept),
     )
     return compact, inverse.reshape(rank_arr.shape).astype(np.int32)
 
@@ -257,8 +263,11 @@ def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, list[F
             pass
         return nonfinite(p)
 
+    # a Fraction cell is keyed by its ratio, which is cheaper to hash
+    keys = [(t, c.numerator, c.denominator) if (t := type(c)) is Fraction else (t, c)
+            for c in cells]
     try:
-        return quantize([(type(c), c) for c in cells], convert)
+        return quantize(keys, convert)
     except TypeError:  # an unhashable cell: give every cell its own key
         return quantize(range(len(cells)), convert)
 
@@ -266,10 +275,12 @@ def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, list[F
 @dataclass(frozen=True, eq=False)
 class _ValueIds:
     """A square matrix a parser has already quantized with :func:`quantize`:
-    int32 ids (-1: not a finite number) into distinct ``values``."""
+    int32 ids (-1: not a finite number) into distinct ``values``, and
+    optionally each value's source spelling, by id."""
 
     ids: np.ndarray
     values: list[Fraction]
+    texts: list[str | None] | None = None
 
 
 def _analyze(
@@ -299,8 +310,8 @@ def _analyze(
 
     # values are distinct, so two ids differ exactly when their values do
     finite = ids >= 0
-    neg = np.array([v < 0 for v in values] + [False])[ids]
-    zero = np.array([v == 0 for v in values] + [False])[ids]
+    neg = np.array([v.numerator < 0 for v in values] + [False])[ids]
+    zero = np.array([v.numerator == 0 for v in values] + [False])[ids]
     diagonal = np.eye(n, dtype=bool)
     upper = np.triu(~diagonal)
     cell_bad = ~finite | (diagonal & finite & ~zero) | (upper & (neg | zero))
@@ -341,8 +352,13 @@ def _analyze(
         return report, None
 
     reps, rank_arr = _rank_ids(ids, values, eps)
-    texts = value_texts or {}
-    table = DistanceTable(values=reps, texts=tuple(texts.get(v) for v in reps))
+    if quantized and matrix.texts is not None:
+        texts = tuple(matrix.texts[r] for r in reps)
+    elif value_texts:
+        texts = tuple(value_texts.get(values[r]) for r in reps)
+    else:
+        texts = ()
+    table = DistanceTable(values=tuple(values[r] for r in reps), texts=texts)
     return _space_from_ranks(labels, table, rank_arr, max_violations)
 
 

@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DistanceTable,
     UltrametricSpace,
     ValidationReport,
     Violation,
@@ -34,7 +33,7 @@ from .core import (
 )
 from .errors import ParseError, UltrametricViolationError, UsageError
 from .reconstruct import CoordinateTable
-from .values import Numeric, format_value, parse_decimal, quantize, to_fraction
+from .values import Numeric, format_value, parse_decimal, quantize, ratio_text, to_fraction
 
 NEWICK_EPSILON = Fraction(1, 10**9)
 
@@ -71,11 +70,15 @@ def _token_ids(
     return tokens, ids.reshape(len(body), width), values
 
 
-def _first_spellings(tokens, ids, values, where) -> dict[Fraction, str]:
-    """Each value's first spelling in row-major order among the cells ``where`` selects."""
+def _first_spellings(tokens, ids, count, where) -> list[str | None]:
+    """Each of ``count`` value ids' first spelling in row-major order among
+    the cells ``where`` selects (None for an id none of them holds)."""
     cells = np.flatnonzero(where)
     used, first = np.unique(ids.ravel()[cells], return_index=True)
-    return {values[v]: tokens[p] for v, p in zip(used.tolist(), cells[first].tolist())}
+    texts: list[str | None] = [None] * count
+    for v, p in zip(used.tolist(), cells[first].tolist()):
+        texts[v] = tokens[p]
+    return texts
 
 
 def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
@@ -97,8 +100,8 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
     tokens, ids, values = _token_ids(rows[1:good + 1], n)
     if good < n:
         raise ParseError(f"expected {n} fields, found {len(rows[good + 1])}", line=good + 2)
-    texts = _first_spellings(tokens, ids, values, ~np.eye(n, dtype=bool))
-    return build_space(labels, _ValueIds(ids, values), epsilon, value_texts=texts)
+    texts = _first_spellings(tokens, ids, len(values), ~np.eye(n, dtype=bool))
+    return build_space(labels, _ValueIds(ids, values, texts), epsilon)
 
 
 def _distinct_texts(values, render) -> dict[Fraction, str]:
@@ -115,7 +118,7 @@ def _distinct_texts(values, render) -> dict[Fraction, str]:
     for clashing in by_text.values():
         if len(clashing) > 1:
             for v in clashing:
-                texts[v] = f"{v.numerator}/{v.denominator}"
+                texts[v] = ratio_text(v)
     return texts
 
 
@@ -159,13 +162,17 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
     if error:
         raise error
 
-    positive = np.array([v > 0 for v in values], dtype=bool)[ids]
-    texts = _first_spellings(tokens, ids, values, positive)
+    positive = np.array([v.numerator > 0 for v in values], dtype=bool)[ids]
+    texts = _first_spellings(tokens, ids, len(values), positive)
     order = sorted(range(len(values)), key=values.__getitem__)
     position = np.zeros(len(values), dtype=np.int32)
     position[order] = np.arange(len(values), dtype=np.int32)
     return CoordinateTable._encoded(
-        landmarks, tuple(points), tuple(values[i] for i in order), position[ids], texts
+        landmarks,
+        tuple(points),
+        tuple(values[i] for i in order),
+        position[ids],
+        {v: t for v, t in zip(values, texts) if t is not None},
     )
 
 
@@ -402,8 +409,8 @@ def subdominant_ultrametric(
 
     ids, values = _cell_ids([c for row in matrix for c in row], nonfinite)
     ids = ids.reshape(n, n)
-    neg = np.array([v < 0 for v in values], dtype=bool)[ids]
-    zero = np.array([v == 0 for v in values], dtype=bool)[ids]
+    neg = np.array([v.numerator < 0 for v in values], dtype=bool)[ids]
+    zero = np.array([v.numerator == 0 for v in values], dtype=bool)[ids]
     diagonal = np.eye(n, dtype=bool)
     bad = (diagonal & ~zero) | (np.triu(~diagonal) & ((ids != ids.T) | neg))
     if bad.any():
@@ -416,13 +423,15 @@ def subdominant_ultrametric(
 
     # Work on ranks: the closure only compares values, so the quantized
     # integer picture is exact.
-    reps, arr = _rank_ids(ids, values, eps)
+    rep_ids, arr = _rank_ids(ids, values, eps)
+    reps = [values[r] for r in rep_ids]
     closed = _single_linkage(arr)
-    if reps[0] == 0:
+    if reps[0].numerator == 0:
         # Zero dissimilarities glue distinct points; report each such pair.
         # Rank r holds reps[r - 1], and reps[0] = 0 also serves the diagonal.
-        return build_space(labels, _ValueIds(np.maximum(closed - 1, 0), list(reps)))
-    report, space = _space_from_ranks(labels, *_compact(DistanceTable(values=reps), closed))
+        return build_space(labels, _ValueIds(np.maximum(closed - 1, 0), reps))
+    # the closure keeps at most n - 1 ranks: the table holds only those
+    report, space = _space_from_ranks(labels, *_compact(reps, [None] * len(reps), closed))
     if space is None:
         raise UltrametricViolationError(report)
     return space

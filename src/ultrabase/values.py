@@ -10,6 +10,7 @@ integer value ids from there on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
@@ -22,6 +23,7 @@ Numeric = Fraction | int | float | str
 
 MAX_DIGITS = 4000  # bound on a parsed value's numerator and denominator
 _DIGIT_LIMIT = 10**MAX_DIGITS
+_RENDER_LIMIT = 10**4300  # CPython's default bound on the digits `str` renders
 
 
 def to_fraction(value: Numeric) -> Fraction:
@@ -51,6 +53,18 @@ def parse_decimal(token: str) -> Fraction:
     power of ten an exponent asks for, so a token that is out of bounds
     by its exponent alone is rejected from its text.
     """
+    text = token.strip()
+    # ASCII digits[.digits] within the bound: the ratio is read off the text
+    whole, dot, frac = text.partition(".")
+    if len(text) <= MAX_DIGITS and text.isascii() and whole.isdigit() and (
+        not dot or frac.isdigit()
+    ):
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    return _parse_general(token)
+
+
+def _parse_general(token: str) -> Fraction:
+    """:func:`parse_decimal` for any token `Fraction` accepts."""
     text = token.strip()
     if not text:
         raise ParseError("empty numeric field")
@@ -111,20 +125,39 @@ def format_value(value: Fraction) -> str:
 
     Terminating decimals are printed exactly ("0.5", "3", "0.125");
     anything else falls back to the shortest round-trip float string,
-    e.g. 1/3 -> "0.3333333333333333".
+    e.g. 1/3 -> "0.3333333333333333". A value neither form can show
+    (an expansion longer than `str` renders, or a float that overflows
+    or underflows to 0) is printed exactly as "n/d", which parses back
+    while both parts have at most MAX_DIGITS digits.
     """
     num, den = value.numerator, value.denominator
-    if den == 1:
-        return str(num)
-    twos = _strip_factor(den, 2)
-    fives = _strip_factor(den // (2**twos), 5)
+    twos = (den & -den).bit_length() - 1  # trailing zero bits
+    fives = _strip_factor(den >> twos, 5)
     if den == 2**twos * 5**fives:
         digits = max(twos, fives)
         scaled = num * 10**digits // den
-        sign = "-" if scaled < 0 else ""
-        text = str(abs(scaled)).rjust(digits + 1, "0")
-        return f"{sign}{text[:-digits]}.{text[-digits:]}"
-    return repr(float(value))
+        if abs(scaled) < _RENDER_LIMIT:
+            if not digits:
+                return str(scaled)
+            sign = "-" if scaled < 0 else ""
+            text = str(abs(scaled)).rjust(digits + 1, "0")
+            return f"{sign}{text[:-digits]}.{text[-digits:]}"
+    elif (approx := _float(value)) and math.isfinite(approx):
+        return repr(approx)
+    return ratio_text(value)
+
+
+def ratio_text(value: Fraction) -> str:
+    """The exact "n/d" form of a value, however many digits it has."""
+    return f"{_int_text(value.numerator)}/{_int_text(value.denominator)}"
+
+
+def _int_text(i: int) -> str:
+    """``str(i)``, in pieces when it is longer than `str` renders at once."""
+    if abs(i) < _DIGIT_LIMIT:
+        return str(i)
+    high, low = divmod(abs(i), _DIGIT_LIMIT)
+    return ("-" if i < 0 else "") + _int_text(high) + str(low).rjust(MAX_DIGITS, "0")
 
 
 def _strip_factor(n: int, p: int) -> int:
@@ -135,20 +168,19 @@ def _strip_factor(n: int, p: int) -> int:
     return count
 
 
-def _order_key(value: Fraction) -> tuple[float, Fraction]:
-    """Sort key that compares as the exact value, mostly at float speed.
+def _float(value: Fraction) -> float:
+    """The float nearest ``value``, or an infinity beyond the float range.
 
-    Rounding to float is monotone, so the exact value only breaks ties.
+    Rounding is monotone, so of two values the one with the larger float
+    is the larger; only equal floats need the exact comparison.
     """
     try:
-        return float(value), value
+        return value.numerator / value.denominator
     except OverflowError:
-        return (math.inf if value > 0 else -math.inf), value
+        return math.inf if value.numerator > 0 else -math.inf
 
 
-def group_values(
-    values: list[Fraction], epsilon: Fraction
-) -> tuple[tuple[Fraction, ...], dict[Fraction, int]]:
+def group_values(values: Sequence[Fraction], epsilon: Fraction, *, by_position: bool = False):
     """Collapse near-equal values and assign ranks.
 
     Sorted distinct inputs are chained into one group while consecutive
@@ -156,17 +188,33 @@ def group_values(
     member. Returns the increasing tuple of representatives and a map
     from every input value to its 1-based rank (rank 0 is reserved for
     distance zero).
+
+    With ``by_position``, ``values`` must be distinct, and the result is
+    instead the positions of the representatives in ``values``, in
+    increasing value, and an int32 array of each value's rank; no value
+    is hashed, which is how ingestion calls it. Values are sorted by
+    float; only when two floats tie is the order settled exactly.
     """
-    distinct = sorted(set(values), key=_order_key)
-    reps: list[Fraction] = []
-    rank_of: dict[Fraction, int] = {}
-    prev: Fraction | None = None
-    for v in distinct:
-        if prev is None or not epsilon or v - prev > epsilon:
-            reps.append(v)
-        rank_of[v] = len(reps)
-        prev = v
-    return tuple(reps), rank_of
+    distinct = values if by_position else list(dict.fromkeys(values))
+    floats = np.array([_float(v) for v in distinct])
+    order = np.argsort(floats, kind="stable")
+    ordered = floats[order]
+    order = order.tolist()
+    if (ordered[1:] == ordered[:-1]).any():
+        order.sort(key=lambda i: (floats[i], distinct[i]))
+    if not epsilon:
+        reps = order
+    else:
+        reps = order[:1]
+        for a, b in itertools.pairwise(order):
+            if distinct[b] - distinct[a] > epsilon:
+                reps.append(b)
+    rank = np.zeros(len(distinct), dtype=np.int32)
+    rank[reps] = 1
+    rank[order] = np.cumsum(rank[order])
+    if by_position:
+        return reps, rank
+    return tuple(distinct[i] for i in reps), dict(zip(distinct, rank.tolist()))
 
 
 def quantize(
@@ -179,16 +227,29 @@ def quantize(
     distinct key, at the key's first position, in increasing position, so
     an exception it raises concerns the earliest offending key. Returns an
     int32 id per key and the distinct values, numbered in order of first
-    occurrence.
+    occurrence. Values are told apart by their reduced numerator and
+    denominator, so no `Fraction` is hashed.
     """
     index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
     dense = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
     # dense ids first appear in increasing order, so the running maximum
     # steps up exactly at each key's first position
     starts = np.flatnonzero(np.diff(np.maximum.accumulate(dense), prepend=-1))
-    slots: dict[Fraction, int] = {}
-    remap = np.zeros(len(index), dtype=np.int32)
-    for i, p in enumerate(starts.tolist()):
+    slots: dict[int | tuple[int, int], int] = {}
+    values: list[Fraction] = []
+    remap = []
+    for p in starts.tolist():
         v = convert(p)
-        remap[i] = -1 if v is None else slots.setdefault(v, len(slots))
-    return remap[dense], list(slots)
+        if v is None:
+            remap.append(-1)
+            continue
+        # Key on the numerator, an int the value already holds; a value that
+        # shares it with an earlier, different value is keyed on its ratio.
+        key = v.numerator
+        if key in slots and values[slots[key]] != v:
+            key = v.as_integer_ratio()
+        slot = slots.setdefault(key, len(values))
+        if slot == len(values):
+            values.append(v)
+        remap.append(slot)
+    return np.array(remap, dtype=np.int32)[dense], values

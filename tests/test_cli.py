@@ -1,12 +1,23 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ultrabase import reciprocal_min_space, uniform_space, write_distance_csv
+from ultrabase import (
+    build_space,
+    parse_distance_csv,
+    reciprocal_min_space,
+    uniform_space,
+    write_distance_csv,
+)
 from ultrabase.cli import main
+from ultrabase.values import ratio_text
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,6 +122,73 @@ def test_huge_exponent_is_a_usage_error(tmp_path, capsys):
     assert main(["coords", str(tree), "--auto"]) == 2
     err = capsys.readouterr().err
     assert "invalid branch length '1e5000'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("small", [
+    f"1/{2**13000}",  # its decimal expansion has 13000 digits
+    f"1/{3 * 2**1100}",  # its float underflows to 0
+], ids=["long-expansion", "float-underflow"])
+def test_violation_with_a_tiny_value_prints_its_fraction(tmp_path, capsys, small):
+    path = tmp_path / "tiny.csv"
+    path.write_text(f"a,b,c\n0,{small},1\n{small},0,{small}\n1,{small},0\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"d(a,c)=1 > max(d(a,b)={small}, d(b,c)={small})" in captured.out
+    assert "Traceback" not in captured.err
+    assert main(["validate", str(path), "--json"]) == 1
+    values = json.loads(capsys.readouterr().out)["result"]["violations"][0]["values"]
+    assert values == ["1", small, small]
+
+
+def test_violation_with_a_huge_value_prints_its_fraction(tmp_path, capsys):
+    huge = f"{10**400}/3"  # its float overflows
+    path = tmp_path / "huge.csv"
+    path.write_text(f"a,b,c\n0,1,{huge}\n1,0,1\n{huge},1,0\n")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"d(a,c)={huge} > max(d(a,b)=1, d(b,c)=1)" in captured.out
+    assert "Traceback" not in captured.err
+
+
+def test_fraction_longer_than_str_prints(tmp_path, capsys):
+    # depth(a) = 1/A + 1/B has a 7410-digit denominator, more than `str` prints at once
+    a, b = 3 * 2**13000, 7 * 5**5000
+    path = tmp_path / "deep.nwk"
+    path.write_text(f"((a:1/{a},b:1/{a}):1/{b},c:1/11);")
+    assert main(["validate", str(path), "--epsilon", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    numerator, denominator = captured.out.split("path sums ")[1].split(" (a)")[0].split("/")
+    assert len(denominator) == 7410
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert F(int(numerator), int(denominator)) == F(1, a) + F(1, b)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert ratio_text(F(-1, 10**5000)) == "-1/1" + "0" * 5000
+
+
+def test_unprintable_values_round_trip_as_fractions(tmp_path, capsys):
+    values = [F(1, 2**13000), F(1, 3 * 2**1100), F(10**400, 3)]
+    space = build_space(["a", "b", "c", "d"], [
+        [0, values[0], values[1], values[2]],
+        [values[0], 0, values[1], values[2]],
+        [values[1], values[1], 0, values[2]],
+        [values[2], values[2], values[2], 0],
+    ])
+    text = write_distance_csv(space)
+    assert text.splitlines()[1] == f"0,1/{2**13000},1/{3 * 2**1100},{10**400}/3"
+    assert parse_distance_csv(text) == space
+    path = tmp_path / "space.csv"
+    path.write_text(text)
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["coords", str(path), "--auto"]) == 0
+    table = tmp_path / "coords.csv"
+    table.write_text(capsys.readouterr().out)
+    assert main(["reconstruct", str(table)]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_validate_deep_caterpillar_newick(tmp_path, capsys):
@@ -271,3 +349,104 @@ def test_module_entry_point(recmin_csv):
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout
+
+
+NUMBERS = ["1", "2", "3", "0.5", "1/2", "5e-1", "+.5", "1.", "1_0", "0.50", "1e-400", "1e400",
+           f"1/{2**13000}", f"{10**400}/3", f"1/{3 * 2**1100}"]
+ODD_TOKENS = ["0", "-1", "", " ", "x", "nan", "inf", "1/0", "0x1", "٣", "1e5000",
+              "1e999999999999", "\ufeff1", "1,5"]
+numbers = st.sampled_from(NUMBERS)
+any_tokens = st.sampled_from(NUMBERS * 3 + ODD_TOKENS)
+odd_names = st.sampled_from(["a", "", "a b", "x\x01", "\ufeffa", "é", "(", ":"])
+noise = st.sampled_from([False] * 4 + [True])
+
+
+@st.composite
+def near_csv(draw):
+    """A distance CSV: often symmetric with a zero diagonal, sometimes with odd parts."""
+    n = draw(st.integers(1, 5))
+    tokens = any_tokens if draw(noise) else numbers
+    rows = [[draw(tokens) for _ in range(n)] for _ in range(n)]
+    if not draw(noise):
+        for i in range(n):
+            rows[i][i] = "0"
+            for j in range(i):
+                rows[i][j] = rows[j][i]
+    labels = [draw(odd_names) if draw(noise) else chr(97 + i) for i in range(n)]
+    lines = [",".join(labels)] + [",".join(r) for r in rows]
+    if draw(noise):
+        i = draw(st.integers(0, n))
+        lines[i] = draw(st.sampled_from([lines[i] + ",1", lines[i].rpartition(",")[0], ""]))
+    return "\n".join(lines)
+
+
+@st.composite
+def near_newick(draw):
+    """An equidistant Newick tree, with some lengths and labels from the odd pools."""
+    leaves = iter(range(1000))
+
+    def subtree(depth):
+        """Text and height of a subtree; a leaf has height 0."""
+        if depth >= 3 or draw(st.booleans()):
+            return (draw(odd_names) if draw(noise) else f"L{next(leaves)}"), 0
+        children = [subtree(depth + 1) for _ in range(draw(st.integers(1, 3)))]
+        height = max(h for _, h in children) + 1
+        parts = [t + ":" + (draw(any_tokens) if draw(noise) else str(height - h)) for t, h in children]
+        return "(" + ",".join(parts) + ")" + draw(st.sampled_from(["", "x"])), height
+
+    return subtree(0)[0] + draw(st.sampled_from([";", ";", ";", "", ";x", ":1;"]))
+
+
+@st.composite
+def near_coordinates(draw):
+    """A coordinate CSV over some of its own points as landmarks."""
+    n = draw(st.integers(0, 5))
+    points = [draw(odd_names) if draw(noise) else f"p{i}" for i in range(n)]
+    landmarks = draw(st.lists(st.sampled_from(points or ["p0"]), min_size=1, max_size=3))
+    header = "label," + ",".join(landmarks)
+    tokens = any_tokens if draw(noise) else numbers
+    rows = [p + "," + ",".join("0" if p == s and not draw(noise) else draw(tokens) for s in landmarks)
+            for p in points]
+    return "\n".join([header, *rows])
+
+
+@st.composite
+def mutated(draw, texts):
+    """Text with up to two characters deleted or inserted."""
+    text = draw(texts)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + draw(st.sampled_from(list("(),:;./e-\n"))) + text[i:]
+    return text.encode()
+
+
+fuzz_cases = st.one_of(
+    st.tuples(st.binary(max_size=120), st.sampled_from(
+        [["validate", "--format", "csv"], ["analyze", "--json", "--format", "newick"], ["reconstruct"]])),
+    st.tuples(mutated(near_csv()), st.sampled_from(
+        [["validate", "--format", "csv"], ["analyze", "--json", "--format", "csv"],
+         ["validate", "--format", "csv", "--epsilon", "0.5"]])),
+    st.tuples(mutated(near_newick()), st.sampled_from(
+        [["validate", "--format", "newick"], ["analyze", "--json", "--format", "newick"]])),
+    st.tuples(mutated(near_coordinates()), st.just(["reconstruct"])),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input"
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_cases)
+def test_any_input_exits_0_1_or_2_without_a_traceback(fuzz_path, case):
+    data, (command, *flags) = case
+    fuzz_path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(fuzz_path), *flags])  # an uncaught exception fails the test
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

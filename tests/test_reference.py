@@ -45,12 +45,21 @@ from ultrabase.core import (
     UltrametricSpace,
     ValidationReport,
     Violation,
+    _cell_ids,
     _check_labels,
     _single_linkage,
     _triangle_violations,
 )
-from ultrabase.ingest import _csv_rows, _distinct_texts, _NewickParser
-from ultrabase.values import format_value, group_values, parse_decimal, to_fraction
+import ultrabase.values as values_module
+from ultrabase.ingest import _csv_rows, _distinct_texts, _first_spellings, _NewickParser
+from ultrabase.values import (
+    _parse_general,
+    format_value,
+    group_values,
+    parse_decimal,
+    quantize,
+    to_fraction,
+)
 
 F = Fraction
 
@@ -635,6 +644,148 @@ huge_or_close = st.one_of(
 @given(st.lists(huge_or_close, max_size=30), st.sampled_from([F(0), F(1, 10**30), F(1, 2)]))
 def test_group_values_orders_exactly(values, epsilon):
     assert group_values(values, epsilon) == group_values_reference(values, epsilon)
+
+
+def quantize_reference(keys, convert):
+    """Value ids from one dict keyed by `Fraction`, in order of first occurrence."""
+    first, slots, ids = {}, {}, []
+    for p, key in enumerate(keys):
+        if key not in first:
+            v = convert(p)
+            first[key] = -1 if v is None else slots.setdefault(v, len(slots))
+        ids.append(first[key])
+    return np.array(ids, dtype=np.int32), list(slots)
+
+
+def first_spellings_reference(tokens, ids, values, where):
+    """Each value's first spelling in row-major order, in a dict keyed by `Fraction`."""
+    texts = {}
+    for p in np.flatnonzero(where).tolist():
+        texts.setdefault(values[ids.flat[p]], tokens[p])
+    return texts
+
+
+def wide_spellings(v):
+    """Texts `parse_decimal` reads as the nonnegative value v, in many styles."""
+    base = format_value(v)
+    forms = [base, f"{v.numerator}/{v.denominator}", "+" + base]
+    if F(base) != v:  # not a terminating decimal
+        return forms[1:2]
+    if "." in base:
+        whole, frac = base.split(".")
+        forms += [base + "0", "00" + base, f"{int(whole + frac)}e-{len(frac)}"]
+        if whole == "0":
+            forms.append("+." + frac)
+    else:
+        forms += [base + ".", base + ".0", base + "e0", base + "000e-3"]
+        if len(base) > 1:
+            forms.append(base[0] + "_" + base[1:])
+    return forms
+
+
+value_pool = st.one_of(
+    st.integers(0, 40).map(lambda k: F(k, 8)),
+    st.integers(0, 3).map(lambda k: F(10**k)),
+    st.integers(0, 3).map(lambda k: 1 + F(k, 10**30)),  # one float, distinct values
+    st.sampled_from([F(1, 3), F(2, 3), F(5, 10**40)]),
+)
+
+
+@st.composite
+def spelled_tokens(draw):
+    """Decimal tokens over a small value pool, each value in several spellings."""
+    values = draw(st.lists(value_pool, min_size=1, max_size=12))
+    return [draw(st.sampled_from(wide_spellings(v))) for v in values for _ in range(draw(st.integers(1, 3)))]
+
+
+@st.composite
+def raw_cells(draw):
+    """Matrix cells as `Fraction`, int, float or decimal text, equal values in several types."""
+    cells = []
+    for v in draw(st.lists(value_pool, min_size=1, max_size=20)):
+        kinds = ["fraction", "text"] + ["int"] * (v.denominator == 1) + ["float"] * (float(v) == v)
+        kind = draw(st.sampled_from(kinds))
+        cells.append(
+            v if kind == "fraction" else int(v) if kind == "int" else float(v) if kind == "float"
+            else draw(st.sampled_from(wide_spellings(v)))
+        )
+    return cells
+
+
+value_epsilons = st.sampled_from([F(0), F(1, 10**30), F(1, 2)])
+
+
+def assert_same_grouping(values, epsilon):
+    reps, rank = group_values(values, epsilon, by_position=True)
+    expected_reps, expected_rank = group_values_reference(values, epsilon)
+    assert tuple(values[r] for r in reps) == expected_reps
+    assert rank.tolist() == [expected_rank[v] for v in values]
+
+
+@settings(max_examples=200, deadline=None)
+@given(spelled_tokens(), value_epsilons, st.data())
+def test_token_value_ids_match_fraction_keys(tokens, epsilon, data):
+    ids, values = quantize(tokens, lambda p: parse_decimal(tokens[p]))
+    expected_ids, expected_values = quantize_reference(tokens, lambda p: parse_decimal(tokens[p]))
+    assert np.array_equal(ids, expected_ids)
+    assert values == expected_values
+    where = np.array(data.draw(st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens))))
+    texts = _first_spellings(tokens, ids, len(values), where)
+    assert {values[i]: t for i, t in enumerate(texts) if t is not None} == (
+        first_spellings_reference(tokens, ids, values, where)
+    )
+    assert_same_grouping(values, epsilon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_cells(), value_epsilons)
+def test_cell_value_ids_match_fraction_keys(cells, epsilon):
+    ids, values = _cell_ids(cells)
+    expected_ids, expected_values = quantize_reference(
+        [(type(c), c) for c in cells], lambda p: to_fraction(cells[p])
+    )
+    assert np.array_equal(ids, expected_ids)
+    assert values == expected_values
+    assert_same_grouping(values, epsilon)
+
+
+def parse_outcome(fn, token):
+    try:
+        return "value", fn(token)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(r"\A0{0,3}[0-9]{0,25}0{0,3}(\.0{0,3}[0-9]{0,25}0{0,3})?\Z"))
+def test_parse_decimal_fast_path_matches_general_path(token):
+    assert parse_outcome(parse_decimal, token) == parse_outcome(_parse_general, token)
+
+
+def test_parse_decimal_fast_path_declines_other_tokens(monkeypatch):
+    general = []
+    monkeypatch.setattr(values_module, "_parse_general",
+                        lambda token: general.append(token) or _parse_general(token))
+    for token in ["1", "0.50", "007.250", " 12 "]:
+        parse_decimal(token)
+    assert general == []
+    declined = ["1.", ".5", "+1", "1_0", "٣", "0" * 4000 + "1", "", "1/2", "1e3", "-0.5"]
+    for token in declined:
+        assert parse_outcome(parse_decimal, token) == parse_outcome(_parse_general, token)
+    assert general == declined
+
+
+def test_distance_table_orders_values_that_share_a_float():
+    close = [1 + F(k, 10**30) for k in range(4)]
+    assert len({float(v) for v in close}) == 1
+    assert DistanceTable(tuple(close)).values == tuple(close)
+    for wrong in ([close[1], close[0], close[2]], [close[0], close[2], close[2]], [F(2), *close]):
+        with pytest.raises(UsageError, match="strictly increasing"):
+            DistanceTable(tuple(wrong))
+    huge = [F(10) ** 400, F(10) ** 400 + 1]  # both beyond the float range
+    assert DistanceTable(tuple(huge)).values == tuple(huge)
+    with pytest.raises(UsageError, match="strictly increasing"):
+        DistanceTable(tuple(reversed(huge)))
 
 
 def check_table_reference(table):
