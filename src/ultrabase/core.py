@@ -13,6 +13,7 @@ denotes ``table.values[i - 1]``.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -32,6 +33,7 @@ DEFAULT_MAX_VIOLATIONS = 16
 _UNREACHED = np.iinfo(np.int64).max
 
 ZERO = Fraction(0)
+_BAD_LABEL_CHAR = re.compile(r"[\x00-\x1f,\x7f\ufeff]")
 
 
 def _check_labels(labels: Sequence[str]) -> None:
@@ -41,7 +43,7 @@ def _check_labels(labels: Sequence[str]) -> None:
     for lab in labels:
         if not isinstance(lab, str) or not lab:
             raise UsageError(f"invalid point label {lab!r}: labels are nonempty text")
-        if "," in lab or any(ord(c) < 32 or c in "\x7f\ufeff" for c in lab):
+        if _BAD_LABEL_CHAR.search(lab):
             raise UsageError(f"invalid point label {lab!r}: no commas or control characters")
         if lab in seen:
             raise UsageError(f"duplicate point label {lab!r}")
@@ -283,9 +285,21 @@ class _ValueIds:
     texts: list[str | None] | None = None
 
 
+@dataclass(frozen=True, eq=False)
+class _Gaps:
+    """A dendrogram in its points' leaf order: ``ids[p]`` (p >= 1) is the id
+    of the distance between points p - 1 and p among distinct positive
+    ``values``, and the distance between points i < j is the largest
+    value among ids[i + 1..j]. Such a matrix is ultrametric by
+    construction; ``ids[0]`` is unused."""
+
+    ids: np.ndarray
+    values: list[Fraction]
+
+
 def _analyze(
     labels: Sequence[str],
-    matrix: Sequence[Sequence[Numeric]] | _ValueIds,
+    matrix: Sequence[Sequence[Numeric]] | _ValueIds | _Gaps,
     epsilon: Numeric,
     max_violations: int,
     value_texts: Mapping[Fraction, str] | None,
@@ -294,8 +308,16 @@ def _analyze(
 
     Violations come in row-major order: first the per-cell ones
     (nonfinite, diagonal, negative, positivity), then asymmetric pairs.
+    A `_Gaps` dendrogram has none and is built without checks.
     """
     _check_labels(labels)
+    if isinstance(matrix, _Gaps):
+        # ranking is monotone, so the ranks are the maxima of the ranked gaps
+        reps, rank = group_values(matrix.values, _epsilon(epsilon), by_position=True)
+        table = DistanceTable(values=tuple(matrix.values[r] for r in reps))
+        ranks = _cophenetic(rank[matrix.ids])
+        space = UltrametricSpace(labels=tuple(labels), table=table, ranks=ranks)
+        return ValidationReport(ok=True, violations=()), space
     n = len(labels)
     quantized = isinstance(matrix, _ValueIds)
     if not quantized and (len(matrix) != n or any(len(row) != n for row in matrix)):
@@ -380,19 +402,30 @@ def _prim(rank_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, attach
 
 
+def _cophenetic(gaps: np.ndarray) -> np.ndarray:
+    """The dendrogram matrix of a leaf order, in O(n²).
+
+    Entry (i, j), i < j, is the largest of ``gaps[i + 1..j]``, the gaps
+    between neighbouring leaves; ``gaps[0]`` is ignored and the diagonal
+    is 0. Every cluster is a run of consecutive leaves, so this is
+    ultrametric, and every finite ultrametric arises this way.
+    """
+    n = len(gaps)
+    runs = np.maximum.accumulate(np.triu(np.broadcast_to(gaps, (n, n)), 1), axis=1)
+    return runs + runs.T
+
+
 def _single_linkage(rank_arr: np.ndarray) -> np.ndarray:
     """The cophenetic matrix of the minimum spanning tree, in O(n²).
 
     This is the subdominant ultrametric: entry (x, y) is the least, over
     paths from x to y, of the largest rank on the path. Every
     single-linkage cluster is a run of consecutive points in Prim's
-    order, so the entry for the i-th and j-th visited points (i < j) is
-    the largest attach rank among visits i+1..j.
+    order, with each point's attach rank as the gap before it.
     """
     order, attach = _prim(rank_arr)
-    runs = np.maximum.accumulate(np.triu(np.broadcast_to(attach, rank_arr.shape), 1), axis=1)
     closed = np.empty_like(rank_arr)
-    closed[np.ix_(order, order)] = runs + runs.T
+    closed[np.ix_(order, order)] = _cophenetic(attach.astype(rank_arr.dtype))
     return closed
 
 
@@ -437,7 +470,7 @@ def validate_ultrametric(
 
 def build_space(
     labels: Sequence[str],
-    matrix: Sequence[Sequence[Numeric]] | _ValueIds,
+    matrix: Sequence[Sequence[Numeric]] | _ValueIds | _Gaps,
     epsilon: Numeric = 0,
     value_texts: Mapping[Fraction, str] | None = None,
 ) -> UltrametricSpace:

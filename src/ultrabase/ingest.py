@@ -22,6 +22,7 @@ from .core import (
     UltrametricSpace,
     ValidationReport,
     Violation,
+    _Gaps,
     _ValueIds,
     _cell_ids,
     _compact,
@@ -309,7 +310,10 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     The distance between two leaves is the sum of branch lengths along
     the path connecting them. Trees whose root-to-leaf sums differ by
     more than ``epsilon`` are rejected: their leaf path metric would not
-    be ultrametric.
+    be ultrametric. A tree whose sums are exactly equal is built from
+    its leaf order and the gaps between neighbouring leaves, with no
+    n x n keys and no validation pass; other trees have each pair keyed
+    by its three depths and go through the full checks.
     """
     root = _NewickParser(text.removeprefix("\ufeff")).parse()
     eps = to_fraction(epsilon)
@@ -359,11 +363,24 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
         )
         raise UltrametricViolationError(report)
 
+    n = len(labels)
+    height = depths[0]
+    if lo[1] == hi[1]:
+        # With every leaf at one height, d(a, b) = 2 (height - depth(lca)),
+        # and the lca of leaves i < j is the shallowest node whose children
+        # meet at a boundary in i+1..j: one gap per boundary fixes the space.
+        gap_ids: dict[Fraction, int] = {}
+        ids = np.zeros(n, dtype=np.int32)
+        ids[[mid for _, mid, _, _ in blocks]] = [
+            gap_ids.setdefault(depth, len(gap_ids)) for _, _, _, depth in blocks
+        ]
+        if height not in gap_ids:  # else a zero distance, which the keyed path reports
+            return build_space(labels, _Gaps(ids, [2 * (height - d) for d in gap_ids]), eps)
+
     # d(a, b) = depth(a) + depth(b) - 2 depth(lca): key each pair by the
     # three depth ids and compute each distinct key once.
     depth_ids: dict[Fraction, int] = {}
     leaf_ids = np.array([depth_ids.setdefault(d, len(depth_ids)) for d in depths])
-    n = len(labels)
     lca_depth = np.diag(leaf_ids)
     for start, mid, end, depth in blocks:
         at = depth_ids.setdefault(depth, len(depth_ids))

@@ -103,7 +103,16 @@ def partner_partition(space: UltrametricSpace) -> PartnerPartition:
     makes the relation transitive on partnered points, so components are
     genuine equivalence classes. That and the equal-distance invariant
     are re-checked here because the rest of the package builds on them.
+    The space and the partition are immutable, so the partition is
+    computed once per space and kept on it.
     """
+    cached = vars(space).get("_partner_partition")
+    if cached is None:
+        cached = vars(space)["_partner_partition"] = _partition(space)
+    return cached
+
+
+def _partition(space: UltrametricSpace) -> PartnerPartition:
     mins = _min_offdiag_ranks(space)
     n = space.n
     ranks = space.ranks

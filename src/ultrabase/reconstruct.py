@@ -37,7 +37,7 @@ class CoordinateTable:
     Tables from :func:`coordinates` and the CSV parser are built encoded
     and decode ``rows`` only when it is read; a table built from ``rows``
     encodes them once, on first use. Equality and hashing go by
-    landmarks, points and rows.
+    landmarks, points and rows. Point labels, like landmarks, are distinct.
     """
 
     landmarks: tuple[str, ...]
@@ -59,6 +59,11 @@ class CoordinateTable:
             raise UsageError("a coordinate table needs at least one landmark")
         if len(set(landmarks)) != len(landmarks):
             raise UsageError("duplicate landmark column")
+        seen: set[str] = set()
+        for lab in points:
+            if lab in seen:
+                raise UsageError(f"duplicate point label {lab!r}")
+            seen.add(lab)
         object.__setattr__(self, "landmarks", landmarks)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "value_texts", {} if value_texts is None else value_texts)
@@ -90,11 +95,7 @@ class CoordinateTable:
 
     @cached_property
     def _position(self) -> dict[str, int]:
-        """Each point's first row; a hand-built table may repeat a point."""
-        position: dict[str, int] = {}
-        for i, lab in enumerate(self.points):
-            position.setdefault(lab, i)
-        return position
+        return {lab: i for i, lab in enumerate(self.points)}
 
     def __eq__(self, other):
         if not isinstance(other, CoordinateTable):

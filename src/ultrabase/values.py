@@ -23,7 +23,6 @@ Numeric = Fraction | int | float | str
 
 MAX_DIGITS = 4000  # bound on a parsed value's numerator and denominator
 _DIGIT_LIMIT = 10**MAX_DIGITS
-_RENDER_LIMIT = 10**4300  # CPython's default bound on the digits `str` renders
 
 
 def to_fraction(value: Numeric) -> Fraction:
@@ -126,7 +125,8 @@ def format_value(value: Fraction) -> str:
     Terminating decimals are printed exactly ("0.5", "3", "0.125");
     anything else falls back to the shortest round-trip float string,
     e.g. 1/3 -> "0.3333333333333333". A value neither form can show
-    (an expansion longer than `str` renders, or a float that overflows
+    (an expansion longer than MAX_DIGITS characters, which
+    :func:`parse_decimal` would not read back, or a float that overflows
     or underflows to 0) is printed exactly as "n/d", which parses back
     while both parts have at most MAX_DIGITS digits.
     """
@@ -136,12 +136,15 @@ def format_value(value: Fraction) -> str:
     if den == 2**twos * 5**fives:
         digits = max(twos, fives)
         scaled = num * 10**digits // den
-        if abs(scaled) < _RENDER_LIMIT:
+        if abs(scaled) < _DIGIT_LIMIT:  # `str` renders it
             if not digits:
-                return str(scaled)
-            sign = "-" if scaled < 0 else ""
-            text = str(abs(scaled)).rjust(digits + 1, "0")
-            return f"{sign}{text[:-digits]}.{text[-digits:]}"
+                text = str(scaled)
+            else:
+                sign = "-" if scaled < 0 else ""
+                text = str(abs(scaled)).rjust(digits + 1, "0")
+                text = f"{sign}{text[:-digits]}.{text[-digits:]}"
+            if len(text) <= MAX_DIGITS:
+                return text
     elif (approx := _float(value)) and math.isfinite(approx):
         return repr(approx)
     return ratio_text(value)

@@ -211,14 +211,69 @@ def test_leading_bom_is_not_part_of_the_first_label():
         parse_newick("(a:1,b" + bom + ":1);")
 
 
-def test_deep_newick_parses_without_recursion():
-    n = 1500
+def caterpillar_newick(n):
+    """Leaf A{i} joins leaves A0..A{i-1} at height i."""
     text = "A0:1"
     for i in range(1, n):
         text = f"({text},A{i}:{i}):1"
-    space = parse_newick(text.rsplit(":", 1)[0] + ";")
+    return text.rsplit(":", 1)[0] + ";"
+
+
+def test_deep_newick_parses_without_recursion():
+    n = 1500
+    space = parse_newick(caterpillar_newick(n))
     assert space.n == n and len(space.table) == n - 1
     assert space.d("A0", "A1") == 2 and space.d("A0", f"A{n - 1}") == 2 * (n - 1)
+
+
+def test_only_exactly_equidistant_trees_take_the_gap_path(monkeypatch):
+    import ultrabase.ingest as ingest
+    from ultrabase.core import _Gaps, _ValueIds
+
+    forms = []  # the matrix form parse_newick hands to build_space, per call
+    build = ingest.build_space
+
+    def spy(labels, matrix, *args):
+        forms.append(type(matrix))
+        return build(labels, matrix, *args)
+
+    monkeypatch.setattr(ingest, "build_space", spy)
+    exact = [
+        "((A:1,B:1):1,(C:1,D:1):1);",
+        "((A:0.5,B:0.5):1.5,C:2);",
+        "((A:1,B:1):0,C:1);",  # a zero-length internal edge below leaf height
+        "(A:1,B:1,C:1);",
+    ]
+    for text in exact:
+        parse_newick(text)
+    assert forms == [_Gaps] * len(exact)
+
+    forms.clear()
+    within_epsilon = "((A:0.5,B:0.5000000001):1,C:1.5);"
+    assert parse_newick(within_epsilon).d("A", "C") == 3
+    zero_distance = [
+        "((A:0,B:0):1,C:1);",  # an internal node at leaf height
+        "(((A:0,B:0):0,C:0):1,D:1);",  # reached through a zero-length internal edge
+    ]
+    for text in zero_distance:
+        with pytest.raises(UltrametricViolationError) as exc:
+            parse_newick(text)
+        assert exc.value.report.violations[0].kind == "positivity"
+    assert forms == [_ValueIds] * 3
+
+
+def test_parse_newick_memory_is_bounded():
+    import tracemalloc
+
+    text = caterpillar_newick(2000)
+    tracemalloc.start()
+    try:
+        space = parse_newick(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.n == 2000 and len(space.table) == 1999
+    assert peak < 100 * 2**20  # n x n int64 depth keys and their sort took about 290 MB
 
 
 def test_coordinate_csv_roundtrip(recmin4):

@@ -148,3 +148,18 @@ def test_partner_relation_symmetric_and_transitive():
 def test_every_space_has_a_partner_class():
     for n in range(2, 9):
         assert partner_partition(reciprocal_min_space(n)).classes
+
+
+def test_partner_partition_is_computed_once_per_space(monkeypatch):
+    import ultrabase.partner as partner
+    from ultrabase import dimensions, metric_bases, minimal_subspace, two_metric_basis
+
+    computed = []
+    compute = partner._partition
+    monkeypatch.setattr(partner, "_partition", lambda space: computed.append(space) or compute(space))
+    space = random_dendrogram_space(12, seed=4, value_count=3)
+    first = partner_partition(space)
+    dimensions(space), metric_bases(space), two_metric_basis(space)
+    sub = minimal_subspace(space, next(metric_bases(space).bases(cap=1)))
+    assert partner_partition(space) is first
+    assert computed == [space] and sub.labels == first.partnered

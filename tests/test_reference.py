@@ -10,11 +10,12 @@ against the n x n x |S| comparison it replaced.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ultrabase import (
     CoordinateTable,
@@ -53,6 +54,7 @@ from ultrabase.core import (
 import ultrabase.values as values_module
 from ultrabase.ingest import _csv_rows, _distinct_texts, _first_spellings, _NewickParser
 from ultrabase.values import (
+    MAX_DIGITS,
     _parse_general,
     format_value,
     group_values,
@@ -583,6 +585,31 @@ def test_parse_newick_matches_pair_loop(text, epsilon):
                         outcome(parse_newick_reference, text, epsilon))
 
 
+def exact_trees(seed, n):
+    """A random multifurcating equidistant tree with integer heights, and a
+    caterpillar with strictly increasing heights, each with n leaves."""
+    rng = random.Random(seed)
+    nodes = [(f"t{i}", 0) for i in range(n)]
+    while len(nodes) > 1:
+        k = rng.randint(2, min(4, len(nodes)))
+        start = rng.randint(0, len(nodes) - k)
+        group = nodes[start:start + k]
+        height = max(h for _, h in group) + rng.randint(1, 5)
+        merged = ",".join(f"{t}:{height - h}" for t, h in group)
+        nodes[start:start + k] = [(f"({merged})", height)]
+    caterpillar, height = "c0", 0
+    for i in range(1, n):
+        step = rng.randint(1, 9)
+        caterpillar, height = f"({caterpillar}:{step},c{i}:{height + step})", height + step
+    return nodes[0][0] + ";", caterpillar + ";"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_parse_newick_matches_pair_loop_on_large_trees(seed):
+    for text in exact_trees(seed, 300):
+        assert_same(parse_newick(text), parse_newick_reference(text))
+
+
 def closure_reference(arr):
     """The per-k min-max closure on ranks."""
     for k in range(len(arr)):
@@ -762,6 +789,70 @@ def test_parse_decimal_fast_path_matches_general_path(token):
     assert parse_outcome(parse_decimal, token) == parse_outcome(_parse_general, token)
 
 
+@st.composite
+def terminating_values(draw):
+    """Terminating decimals whose numerator and denominator have at most
+    MAX_DIGITS digits, many of them with expansions longer than that."""
+    twos = draw(st.integers(0, int(MAX_DIGITS / math.log10(2))))
+    fives = draw(st.integers(0, int((MAX_DIGITS - twos * math.log10(2)) / math.log10(5))))
+    den = 2**twos * 5**fives
+    assume(den < 10**MAX_DIGITS)
+    bound = 10**MAX_DIGITS - 1
+    num = draw(st.one_of(
+        st.integers(-10**6, 10**6),
+        st.integers(0, MAX_DIGITS).map(lambda k: 10**k - 1),
+        st.integers(-bound, bound),
+    ))
+    return F(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terminating_values())
+@example(F(1, 2**5000))
+@example(F(10**MAX_DIGITS - 1, 2))
+@example(-F(10**(MAX_DIGITS - 1)))
+def test_format_value_round_trips_terminating_values(value):
+    text = format_value(value)
+    assert parse_decimal(text) == value
+    if "/" not in text:
+        assert len(text) <= MAX_DIGITS
+
+
+def check_labels_reference(labels):
+    """Label checks with one generator over each label's characters."""
+    if len(labels) < 2:
+        raise UsageError("an ultrametric space needs at least two points")
+    seen = set()
+    for lab in labels:
+        if not isinstance(lab, str) or not lab:
+            raise UsageError(f"invalid point label {lab!r}: labels are nonempty text")
+        if "," in lab or any(ord(c) < 32 or c in "\x7f\ufeff" for c in lab):
+            raise UsageError(f"invalid point label {lab!r}: no commas or control characters")
+        if lab in seen:
+            raise UsageError(f"duplicate point label {lab!r}")
+        seen.add(lab)
+
+
+def label_outcome(check, labels):
+    try:
+        check(labels)
+    except UsageError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_labels_matches_per_character_reference():
+    for code in range(0x10000):
+        labels = ["a", f"b{chr(code)}"]
+        assert label_outcome(_check_labels, labels) == label_outcome(check_labels_reference, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.text(max_size=4), st.none(), st.integers()), max_size=6))
+def test_check_labels_reports_the_first_bad_label(labels):
+    assert label_outcome(_check_labels, labels) == label_outcome(check_labels_reference, labels)
+
+
 def test_parse_decimal_fast_path_declines_other_tokens(monkeypatch):
     general = []
     monkeypatch.setattr(values_module, "_parse_general",
@@ -873,10 +964,11 @@ def reconstruct_full_reference(table):
 
 @st.composite
 def faulty_tables(draw):
-    """Coordinates of a dendrogram, hand-built after one to three faults:
-    a negative cell, a zero off the landmark, a missing landmark row, a
-    nonzero self-distance, a duplicated row, a repeated point label, or
-    cells turned into floats (halves and quarters: exact in binary)."""
+    """Arguments of a `CoordinateTable` of a dendrogram's coordinates,
+    after one to three faults: a negative cell, a zero off the landmark,
+    a missing landmark row, a nonzero self-distance, a duplicated row, a
+    repeated point label, or cells turned into floats (halves and
+    quarters: exact in binary)."""
     space = draw(dendrograms)
     labels = list(space.labels)
     landmarks = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True))
@@ -906,7 +998,7 @@ def faulty_tables(draw):
                 for col, v in enumerate(row):
                     if draw(st.booleans()):
                         row[col] = float(v)
-    return CoordinateTable(
+    return dict(
         landmarks=tuple(landmarks),
         points=tuple(points),
         rows=tuple(map(tuple, rows)),
@@ -916,7 +1008,15 @@ def faulty_tables(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(faulty_tables())
-def test_reconstruct_checks_match_per_cell_reference(table):
+def test_reconstruct_checks_match_per_cell_reference(args):
+    points = args["points"]
+    repeated = [lab for k, lab in enumerate(points) if lab in points[:k]]
+    if repeated:  # a repeated point label is refused at construction
+        with pytest.raises(UsageError) as exc:
+            CoordinateTable(**args)
+        assert str(exc.value) == f"duplicate point label {repeated[0]!r}"
+        return
+    table = CoordinateTable(**args)
     actual = table_outcome(reconstruct, table)
     expected = table_outcome(reconstruct_full_reference, table)
     assert actual[0] == expected[0], (actual, expected)
@@ -934,13 +1034,14 @@ def test_reconstruct_checks_examples():
         ([("a", [1]), ("b", [2])], "landmark s has no coordinate row"),
         ([("s", [3]), ("a", [1])], "landmark s is not at distance 0 from itself"),
         ([("s", [0]), ("b", [1.5]), ("a", [F(3, 2)])], "points a and b have identical coordinates"),
-        ([("s", [0]), ("b", [2]), ("s", [1])], "points s and s have identical coordinates"),
     ]
     for rows, message in cases:
         table = CoordinateTable(("s",), tuple(lab for lab, _ in rows), tuple(tuple(r) for _, r in rows))
         actual = table_outcome(reconstruct, table)
         assert actual == table_outcome(reconstruct_full_reference, table)
         assert message in actual[1]
+    with pytest.raises(UsageError, match="^duplicate point label 's'$"):
+        CoordinateTable(("s",), ("s", "b", "s"), ((0,), (2,), (1,)))
 
 
 @st.composite
