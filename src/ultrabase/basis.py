@@ -56,15 +56,35 @@ class GeneratorCheck:
 def is_k_generator(space: UltrametricSpace, landmarks: Iterable[str], k: int) -> GeneratorCheck:
     """Does every pair of points have at least k distinguishers in the set?
 
-    On failure the witness is the lexicographically first failing pair,
+    The verdict comes from the partner classes: a set is a metric
+    generator iff it misses at most one point of each class, a 2-metric
+    generator iff it contains P(X), and never a 3-metric generator. On
+    failure the witness is the lexicographically first failing pair,
     together with how many landmarks actually distinguish it. An empty
     landmark set simply fails (witness: the first pair), it is not an
-    error. Each point is compared with the later ones in label order, so
-    memory is O(n * |landmarks|).
+    error.
     """
     if k < 1:
         raise UsageError("k must be a positive integer")
-    cols = sorted({space.index(s) for s in landmarks})
+    chosen = {space.index(s) for s in landmarks}
+    if k <= 2:
+        missed = (sum(space.index(lab) not in chosen for lab in cls)
+                  for cls in partner_partition(space).classes)
+        if all(m <= 2 - k for m in missed):
+            return GeneratorCheck(ok=True, k=k)
+    check = _first_short_pair(space, sorted(chosen), k)
+    if check is None:
+        raise InternalInvariantError(
+            f"no pair has fewer than {k} distinguishers, but the partner classes "
+            f"say the landmarks are not a {k}-metric generator"
+        )
+    return check
+
+
+def _first_short_pair(space: UltrametricSpace, cols: list[int], k: int) -> GeneratorCheck | None:
+    """The lexicographically first pair with fewer than k distinguishers
+    among the columns, or None. Each point is compared with the later
+    ones in label order, so memory is O(n * |cols|)."""
     labels = sorted(space.labels)
     sub = space.ranks[np.ix_([space.index(lab) for lab in labels], cols)]
     for i in range(len(labels) - 1):
@@ -78,7 +98,7 @@ def is_k_generator(space: UltrametricSpace, landmarks: Iterable[str], k: int) ->
                 witness=(labels[i], labels[i + 1 + j]),
                 witness_count=int(counts[j]),
             )
-    return GeneratorCheck(ok=True, k=k)
+    return None
 
 
 @dataclass(frozen=True)

@@ -69,11 +69,16 @@ class PartnerPartition:
         return None
 
 
-def _min_offdiag_ranks(space: UltrametricSpace):
-    """Per-point minimum off-diagonal rank (the rank of its nearest distance)."""
-    arr = space.ranks.copy()
-    np.fill_diagonal(arr, len(space.table) + 1)
-    return arr.min(axis=1)
+def _min_offdiag_ranks(space: UltrametricSpace) -> np.ndarray:
+    """Per-point minimum off-diagonal rank (the rank of its nearest distance),
+    computed once per space and kept on it."""
+    mins = vars(space).get("_min_offdiag_ranks")
+    if mins is None:
+        arr = space.ranks.copy()
+        np.fill_diagonal(arr, len(space.table) + 1)
+        mins = vars(space)["_min_offdiag_ranks"] = arr.min(axis=1)
+        mins.setflags(write=False)
+    return mins
 
 
 def nearest_set(space: UltrametricSpace, x: str) -> tuple[tuple[str, ...], Fraction]:

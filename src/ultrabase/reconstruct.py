@@ -3,9 +3,12 @@
 Knowing the distances from every point to a landmark set that
 distinguishes all pairs is enough to recover the whole ultrametric: for
 any pair pick one landmark s telling them apart and take
-d(x,y) = max(d(x,s), d(y,s)). Which landmark is picked does not matter;
-reconstruction here always uses the first distinguishing column so runs
-are reproducible, and the choice-independence is asserted in the tests.
+d(x,y) = max(d(x,s), d(y,s)). Which landmark is picked does not matter.
+Reconstruction reads the rule as a minimax path: the space is the
+single-linkage closure of the star joining every point to every
+landmark, which takes O(n²). Only a table no ultrametric fits falls back
+to the max rule at each pair's first distinguishing column, to name the
+inconsistency.
 """
 
 from __future__ import annotations
@@ -18,7 +21,14 @@ from typing import Sequence
 import numpy as np
 
 from .basis import is_k_generator
-from .core import ZERO, DistanceTable, UltrametricSpace, _space_from_ranks
+from .core import (
+    ZERO,
+    DistanceTable,
+    UltrametricSpace,
+    _check_labels,
+    _single_linkage,
+    _space_from_ranks,
+)
 from .errors import (
     CoordinateTableError,
     NotGeneratorError,
@@ -135,13 +145,12 @@ def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> Coordinate
     )
 
 
-def reconstruct(table: CoordinateTable) -> UltrametricSpace:
-    """Rebuild the unique ultrametric space consistent with the table.
+def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Run the input checks of :func:`reconstruct`, in order.
 
-    Raises :class:`NotGeneratorError` when two rows coincide (the
-    landmarks cannot tell those points apart) and
-    :class:`CoordinateTableError` when no ultrametric space at all has
-    these coordinates.
+    Returns the table's cells as compact ranks (rank 0 is the zero
+    distance), the row of each landmark, and the mask of the encoding's
+    values in use.
     """
     pts, landmarks = table.points, table.landmarks
     values, index = table.encoding
@@ -171,37 +180,62 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
             raise CoordinateTableError(f"landmark {s} is not at distance 0 from itself")
 
     # The first repeated row in sorted-label order, with the first row equal to it.
-    labels = sorted(pts)
-    rows = index[[table._position[lab] for lab in labels]]
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    first = first[inverse.ravel()]
-    repeated = np.flatnonzero(first != np.arange(n))
-    if repeated.size:
-        p = int(repeated[0])
-        a, b = labels[first[p]], labels[p]
-        raise NotGeneratorError(
-            f"not a metric generator: points {a} and {b} have identical coordinates",
-            witness=(a, b),
-        )
+    first: dict[bytes, str] = {}
+    for lab in sorted(pts):
+        a = first.setdefault(index[table._position[lab]].tobytes(), lab)
+        if a != lab:
+            raise NotGeneratorError(
+                f"not a metric generator: points {a} and {lab} have identical coordinates",
+                witness=(a, lab),
+            )
 
-    # Keep the values in use; landmark rows carry a zero, so rank 0 is the zero distance.
-    used, arr = np.unique(index, return_inverse=True)
-    arr = arr.reshape(n, k).astype(np.int32)
-    kept = tuple(to_fraction(values[u]) for u in used[1:].tolist())
-    dtable = DistanceTable(kept, tuple(map(table.value_texts.get, kept)))
+    # Landmark rows carry a zero and nothing is negative, so rank 0 is the zero distance.
+    used = np.zeros(len(values), dtype=bool)
+    used[index] = True
+    ranks = (np.cumsum(used, dtype=np.int32) - 1)[index]
+    return ranks, at, used
+
+
+def _star_closure(ranks: np.ndarray, at: list[int]) -> np.ndarray | None:
+    """The single-linkage closure of the landmark star, or None when its
+    landmark columns differ from the table.
+
+    The star joins every point to every landmark by the table's distance;
+    every other pair gets a rank above all of them. When some ultrametric
+    has these coordinates and distinct rows, each star edge is one of its
+    distances, so no path undercuts d(x,y) (strong triangle inequality),
+    and the path x-s-y through a landmark s telling x and y apart attains
+    it: the closure is that ultrametric. Conversely a closure whose
+    landmark columns equal the table is such an ultrametric.
+    """
+    n = len(ranks)
+    star = np.full((n, n), int(ranks.max()) + 1, dtype=np.int32)
+    star[:, at] = ranks
+    star[at, :] = ranks.T
+    np.fill_diagonal(star, 0)
+    closed = _single_linkage(star)
+    return closed if np.array_equal(closed[:, at], ranks) else None
+
+
+def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
+                      ranks: np.ndarray, at: list[int]) -> UltrametricSpace:
+    """Rebuild by the max rule at each pair's first distinguishing landmark,
+    then validate, naming why an inconsistent table fails."""
+    pts, landmarks = table.points, table.landmarks
+    n = len(pts)
     rank_arr = np.zeros((n, n), dtype=np.int32)
     for i in range(n - 1):
-        rest = arr[i + 1:]
+        rest = ranks[i + 1:]
         # first landmark telling i apart from each later row (rows are distinct)
-        first = (rest != arr[i]).argmax(axis=1)
-        d = np.maximum(arr[i, first], rest[np.arange(len(rest)), first])
+        first = (rest != ranks[i]).argmax(axis=1)
+        d = np.maximum(ranks[i, first], rest[np.arange(len(rest)), first])
         rank_arr[i, i + 1:] = rank_arr[i + 1:, i] = d
 
     report, space = _space_from_ranks(pts, dtable, rank_arr)
     if space is None:
         raise CoordinateTableError(f"inconsistent coordinates: {report.violations[0].detail}")
 
-    mismatch = np.argwhere(space.ranks[:, at] != arr)
+    mismatch = np.argwhere(space.ranks[:, at] != ranks)
     if mismatch.size:
         i, c = mismatch[0].tolist()
         raise CoordinateTableError(
@@ -210,6 +244,26 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
             f"but the table says {table.rows[i][c]}"
         )
     return space
+
+
+def reconstruct(table: CoordinateTable) -> UltrametricSpace:
+    """Rebuild the unique ultrametric space consistent with the table.
+
+    The space is the single-linkage closure of the landmark star (see
+    :func:`_star_closure`), in O(n²). Raises :class:`NotGeneratorError`
+    when two rows coincide (the landmarks cannot tell those points apart)
+    and :class:`CoordinateTableError` when no ultrametric space at all
+    has these coordinates.
+    """
+    ranks, at, used = _table_ranks(table)
+    values = table.encoding[0]
+    kept = tuple(to_fraction(values[u]) for u in np.flatnonzero(used)[1:].tolist())
+    dtable = DistanceTable(kept, tuple(map(table.value_texts.get, kept)))
+    closed = _star_closure(ranks, at)
+    if closed is None:
+        return _rebuild_pairwise(table, dtable, ranks, at)
+    _check_labels(table.points)
+    return UltrametricSpace(labels=tuple(table.points), table=dtable, ranks=closed)
 
 
 def verify_roundtrip(space: UltrametricSpace, landmarks: Sequence[str]) -> bool:
@@ -232,8 +286,17 @@ def landmark_independence_witness(
     Returns (x, y, s, s') with both landmarks distinguishing x,y but
     max(d(x,s), d(y,s)) != max(d(x,s'), d(y,s')), or None when the max
     rule is single-valued everywhere (as it must be for a table that came
-    from a real space).
+    from a real space). A table that passes the input checks of
+    :func:`reconstruct` and whose star closure fits it is such a table,
+    by the strong triangle inequality, so it is not searched.
     """
+    try:
+        ranks, at, _ = _table_ranks(table)
+    except (CoordinateTableError, NotGeneratorError):
+        pass
+    else:
+        if _star_closure(ranks, at) is not None:
+            return None
     _, arr = table.encoding
     for i in range(len(arr) - 1):
         rest = arr[i + 1:]

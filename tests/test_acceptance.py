@@ -38,6 +38,7 @@ from ultrabase import (
     uniform_space,
     write_distance_csv,
 )
+from test_reference import is_k_generator_reference
 
 DATA = Path(__file__).parent / "data"
 
@@ -105,6 +106,7 @@ def test_criterion_3_no_3_generator(sharp_fixtures, random_suite):
     spaces = [s for _, u, r in sharp_fixtures for s in (u, r)] + random_suite
     for space in spaces:
         check = is_k_generator(space, space.labels, 3)
+        assert check == is_k_generator_reference(space, space.labels, 3)
         assert not check.ok
         x, y = check.witness
         assert check.witness_count == 2
@@ -166,6 +168,10 @@ def test_criterion_5_minimal_subspace(random_suite):
                 not is_k_generator(restricted, [t for t in basis if t != d], 1).ok
                 for d in basis
             )
+            assert direct == (is_k_generator_reference(restricted, basis, 1).ok and all(
+                not is_k_generator_reference(restricted, [t for t in basis if t != d], 1).ok
+                for d in basis
+            ))
             if answer:
                 assert direct  # the structural transfer is confirmed directly
             elif direct:

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from ultrabase import (
     NotBasisError,
+    PartnerPartition,
     UsageError,
     brute_force_dim,
     dimensions,
@@ -17,7 +20,8 @@ from ultrabase import (
     two_metric_basis,
     uniform_space,
 )
-from ultrabase.errors import UnknownLabelError
+from ultrabase.errors import InternalInvariantError, UnknownLabelError
+from test_reference import is_k_generator_reference
 
 
 def test_distinguishes(recmin4, uniform3):
@@ -115,9 +119,11 @@ def test_every_enumerated_basis_is_minimal_generator():
         space = random_dendrogram_space(8, seed=seed, value_count=3)
         for basis in metric_bases(space).bases(cap=20):
             assert is_k_generator(space, basis, 1).ok
+            assert is_k_generator_reference(space, basis, 1).ok
             for drop in basis:
                 rest = [s for s in basis if s != drop]
                 assert not is_k_generator(space, rest, 1).ok
+                assert not is_k_generator_reference(space, rest, 1).ok
 
 
 def test_each_basis_misses_at_most_one_per_class():
@@ -257,3 +263,44 @@ def test_oracle_equivalence_small():
         assert family.dim1 == oracle.min_cardinality
         oracle2 = brute_force_dim(space, 2)
         assert oracle2.generators == (two_metric_basis(space),)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_verdicts_match_brute_force(n):
+    # a set is a k-generator iff it contains a minimum one (generators are upward closed)
+    for space in (random_dendrogram_space(n, seed=n, value_count=n % 4 + 1), reciprocal_min_space(n)):
+        labels = sorted(space.labels)
+        subsets = [set(c) for size in range(n + 1) for c in itertools.combinations(labels, size)]
+        for k in (1, 2, 3):
+            minimum = [set(g) for g in brute_force_dim(space, k).generators]
+            for s in subsets:
+                assert is_k_generator(space, s, k).ok == any(g <= s for g in minimum), (k, s)
+
+
+def test_true_verdicts_never_reach_the_row_search(monkeypatch):
+    import ultrabase.basis as basis_module
+
+    calls = []
+    search = basis_module._first_short_pair
+    monkeypatch.setattr(basis_module, "_first_short_pair",
+                        lambda space, cols, k: calls.append(k) or search(space, cols, k))
+    for seed in range(6):
+        space = random_dendrogram_space(10, seed=seed, value_count=seed % 3 + 1)
+        for basis in metric_bases(space).bases(cap=5):
+            assert is_k_generator(space, basis, 1).ok
+        assert is_k_generator(space, two_metric_basis(space), 2).ok
+        assert is_k_generator(space, space.labels, 1).ok
+        assert minimal_subspace(space, next(metric_bases(space).bases(cap=1)))
+    assert calls == []
+    assert not is_k_generator(space, space.labels, 3).ok
+    assert calls == [3]
+
+
+def test_false_verdict_without_a_witness_is_an_internal_error(monkeypatch, recmin4):
+    import ultrabase.basis as basis_module
+
+    # {4} is a basis, but a wrong partition says it misses both of 1 and 2
+    wrong = PartnerPartition(classes=(("1", "2"),), pseudopartnered=("3", "4"))
+    monkeypatch.setattr(basis_module, "partner_partition", lambda space: wrong)
+    with pytest.raises(InternalInvariantError):
+        is_k_generator(recmin4, ["4"], 1)

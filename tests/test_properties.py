@@ -21,6 +21,7 @@ from ultrabase import (
     two_metric_basis,
     verify_roundtrip,
 )
+from test_reference import is_k_generator_reference
 
 settings.register_profile("suite", max_examples=40, deadline=None)
 settings.load_profile("suite")
@@ -127,7 +128,9 @@ def test_dimension_bounds(space):
 def test_two_metric_basis_is_a_2_generator(space):
     basis = two_metric_basis(space)
     assert is_k_generator(space, basis, 2).ok
+    assert is_k_generator_reference(space, basis, 2).ok
     assert not is_k_generator(space, space.labels, 3).ok
+    assert not is_k_generator_reference(space, space.labels, 3).ok
 
 
 @settings(max_examples=25, deadline=None)
@@ -137,8 +140,10 @@ def test_first_bases_are_minimal_generators(space):
     for basis in family.bases(cap=5):
         assert len(basis) == family.dim1
         assert is_k_generator(space, basis, 1).ok
+        assert is_k_generator_reference(space, basis, 1).ok
         for drop in basis:
             assert not is_k_generator(space, [s for s in basis if s != drop], 1).ok
+            assert not is_k_generator_reference(space, [s for s in basis if s != drop], 1).ok
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -145,3 +146,22 @@ def test_roundtrip_with_any_generator_not_just_bases(recmin4):
     # supersets of a basis still reconstruct exactly
     assert verify_roundtrip(recmin4, ["3", "1"])
     assert verify_roundtrip(recmin4, list(recmin4.labels))
+
+
+def test_consistent_tables_never_reach_the_pair_loop(monkeypatch):
+    rec = importlib.import_module("ultrabase.reconstruct")  # the package exports a function of that name
+
+    calls = []
+    pairwise = rec._rebuild_pairwise
+    monkeypatch.setattr(rec, "_rebuild_pairwise", lambda *args: calls.append(args) or pairwise(*args))
+    for seed in range(8):
+        space = random_dendrogram_space(14, seed=seed, value_count=seed % 4 + 1)
+        for basis in metric_bases(space).bases(cap=4):
+            landmarks = list(reversed(basis)) + [lab for lab in space.labels[:3] if lab not in basis]
+            coords = coordinates(space, landmarks)
+            assert reconstruct(coords) == space
+            assert landmark_independence_witness(coords) is None
+    assert calls == []
+    with pytest.raises(CoordinateTableError, match="inconsistent coordinates"):
+        reconstruct(table(["s", "t"], [("s", [0, 5]), ("t", [5, 0]), ("a", [1, 1])]))
+    assert len(calls) == 1

@@ -5,8 +5,9 @@ matrix of exact values, checked and quantized cell by cell, then
 validated by the O(n³) triangle sweep. The rank-level code must give an
 equal space (labels, table, ranks) and the same CSV bytes (spellings
 included), or the same validation report. Coordinate tables are checked
-the same way against per-cell `Fraction` loops, and `is_k_generator`
-against the n x n x |S| comparison it replaced.
+the same way against per-cell `Fraction` loops, `is_k_generator`
+against the n x n x |S| comparison it replaced, and the landmark-star
+closure of `reconstruct` against the pair loop.
 """
 
 import math
@@ -21,14 +22,18 @@ from ultrabase import (
     CoordinateTable,
     CoordinateTableError,
     NotGeneratorError,
+    Partnered,
     ParseError,
+    Pseudopartnered,
     UltrametricViolationError,
     UsageError,
     build_space,
+    classify_point,
     coordinates,
     is_k_generator,
     landmark_independence_witness,
     metric_bases,
+    nearest_set,
     parse_coordinate_csv,
     parse_distance_csv,
     parse_newick,
@@ -1093,3 +1098,75 @@ def test_landmark_independence_matches_pair_loop(n, k, data):
     table = CoordinateTable(tuple(f"s{c}" for c in range(k)), tuple(f"x{i}" for i in range(n)),
                             tuple(map(tuple, rows)))
     assert landmark_independence_witness(table) == landmark_independence_reference(table)
+
+
+@st.composite
+def star_tables(draw):
+    """A dendrogram, a landmark list and a `CoordinateTable` over it:
+    the landmarks' coordinates (a generator's, in any order), or those
+    of a generator with one cell off the landmarks' own changed, with a
+    row copied over another, or with one cell of the landmark-landmark
+    block changed so the block is asymmetric, or the coordinates of a
+    landmark list that is not a generator."""
+    space = draw(dendrograms)
+    kind = draw(st.sampled_from(["consistent", "corrupted", "duplicate", "asymmetric", "non-generator"]))
+    if kind == "non-generator":
+        landmarks = draw(st.lists(st.sampled_from(space.labels), min_size=1, unique=True))
+        assume(not is_k_generator_reference(space, landmarks, 1).ok)
+    else:
+        basis = draw(st.sampled_from(list(metric_bases(space).bases(cap=20))))
+        extra = draw(st.lists(st.sampled_from(space.labels), unique=True))
+        landmarks = draw(st.permutations(sorted(set(basis) | set(extra))))
+    table = coordinates(space, landmarks)
+    rows = [list(row) for row in table.rows]
+    choices = sorted(set(space.table.values) | {F(1, 2), F(1000)})
+    k = len(landmarks)
+    if kind == "corrupted":
+        i, c = draw(st.integers(0, space.n - 1)), draw(st.integers(0, k - 1))
+        assume(table.points[i] != landmarks[c])
+        rows[i][c] = draw(st.sampled_from(choices))
+    elif kind == "duplicate":
+        i, j = draw(st.lists(st.integers(0, space.n - 1), min_size=2, max_size=2, unique=True))
+        rows[i] = list(rows[j])
+    elif kind == "asymmetric":
+        assume(k >= 2)
+        c, other = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        row = rows[table.points.index(landmarks[c])]
+        row[other] = draw(st.sampled_from([v for v in choices if v != row[other]]))
+    bad = CoordinateTable(table.landmarks, table.points, tuple(map(tuple, rows)), table.value_texts)
+    return space, landmarks, bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_tables(), st.sampled_from([1, 2, 3]))
+def test_star_closure_and_verdicts_match_the_pair_loops(case, k):
+    space, landmarks, table = case
+    actual = table_outcome(reconstruct, table)
+    expected = table_outcome(reconstruct_full_reference, table)
+    assert actual[0] == expected[0], (actual, expected)
+    if actual[0] == "space":
+        assert_same(actual[1], expected[1])
+    else:
+        assert actual == expected
+    assert landmark_independence_witness(table) == landmark_independence_reference(table)
+    assert is_k_generator(space, landmarks, k) == is_k_generator_reference(space, landmarks, k)
+
+
+def classify_point_reference(space, x):
+    """The per-point minima from a copy of the whole rank matrix, on every call."""
+    arr = space.ranks.copy()
+    np.fill_diagonal(arr, len(space.table) + 1)
+    mins = arr.min(axis=1)
+    nearest, min_dist = nearest_set(space, x)
+    m = mins[space.index(x)]
+    partners = tuple(lab for lab in nearest if mins[space.index(lab)] == m)
+    if partners:
+        return Partnered(partners=partners, min_dist=min_dist)
+    return Pseudopartnered(nearest=nearest, min_dist=min_dist)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dendrograms)
+def test_classify_point_matches_copy_per_call(space):
+    for x in space.labels:
+        assert classify_point(space, x) == classify_point_reference(space, x)
