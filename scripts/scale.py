@@ -1,28 +1,32 @@
-"""Scaling tier: wall time and peak RSS of single calls on large spaces.
+"""Scaling tier: wall time and memory of single calls on large spaces.
 
-For each size n the input is a valid dendrogram CSV from ``bench/gen.py``
-(8 distinct heights, seeded), and the landmarks are its first metric basis
-as the generator knows it. Each (call, n) runs in a fresh Python process:
+For each size n in SIZES the input is a valid dendrogram CSV from
+``bench/gen.py`` (8 distinct heights, seed SEED), and the landmarks are its
+first metric basis as the generator knows it. Every measurement runs in a
+fresh Python process:
 
 - ``is_k_generator``, ``reconstruct``, ``landmark_independence_witness``
-  and ``minimal_subspace`` parse the CSV, build what the call needs
-  (the coordinate table for the reconstruct calls), then time the call
-  alone; ``peak_rss_mb`` is the process peak, ``rss_before_mb`` the peak
-  before the call.
-- ``cli_coords_auto`` times ``python -m ultrabase coords FILE --auto``
-  end to end, parse included.
+  and ``minimal_subspace``: the child parses the CSV and builds what the
+  call needs (the coordinate table for the reconstruct calls), then runs
+  the call alone. One child times it (``wall_s``); a second child runs it
+  under ``tracemalloc`` and records ``call_peak_mb``, the peak of the
+  Python and numpy memory the call itself holds. Parsing is in neither.
+- ``cli_coords_auto``: ``python -m ultrabase coords FILE --auto`` end to
+  end, parse included, with the process's ``peak_rss_mb``.
 
-A call that exceeds the wall budget is stopped and recorded as
-``"skipped": "budget"``, as is one whose process peak exceeds the memory
-budget. No test or CI step reads the output.
+Budgets: BUDGET_S wall seconds per call and BUDGET_MB of memory. A child is
+killed as soon as its resident set passes BUDGET_MB (polled while it runs),
+a call is stopped at BUDGET_S, and either is recorded as
+``"skipped": "budget"`` with the limit it hit. No test or CI step reads the
+output.
 
 Usage, from the repository root::
 
-    python scripts/scale.py [--src DIR] [--commit ID] [--sizes 400,1000,2000]
+    python scripts/scale.py [--src DIR]
 
 ``--src`` measures another checkout's ``src`` directory (default: this
-one); the result goes to ``BENCH_scale_<commit>.json`` unless ``--out``
-names a file.
+one). The result goes to ``BENCH_scale_<commit>.json`` at the repository
+root, where ``<commit>`` is the short git HEAD of that checkout.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ import json
 import os
 import platform
 import random
-import resource
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,22 +54,23 @@ CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
          "minimal_subspace", "cli_coords_auto")
 SIZES = (400, 1000, 2000)
 LEVELS = 8
+SEED = 1
+BUDGET_S = 30.0
+BUDGET_MB = 2048.0
+SETUP_S = 600.0  # parsing and set-up in a library child, outside the call's budget
+PAGE_MB = os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
 class OverBudget(Exception):
     pass
 
 
-def _peak_mb(usage) -> float:
-    return round(usage.ru_maxrss / 1024, 1)  # ru_maxrss is in KiB on Linux
+def _case(n: int) -> gen.Case:
+    return gen.dendrogram_case(random.Random(f"scale:{n}:{SEED}"), n, LEVELS)
 
 
-def _case(n: int, seed: int) -> gen.Case:
-    return gen.dendrogram_case(random.Random(f"scale:{n}:{seed}"), n, LEVELS)
-
-
-def child(call: str, path: str, landmarks: list[str], budget_s: float) -> dict:
-    """Run one library call in this (fresh) process and describe it."""
+def child(call: str, path: str, landmarks: list[str], mode: str) -> dict:
+    """Run one library call in this (fresh) process: timed, or traced for memory."""
     import ultrabase as ub
 
     space = ub.parse_distance_csv(Path(path).read_text())
@@ -76,13 +81,18 @@ def child(call: str, path: str, landmarks: list[str], budget_s: float) -> dict:
     else:
         table = ub.coordinates(space, landmarks)
         run = lambda: getattr(ub, call)(table)  # noqa: E731
-    before = _peak_mb(resource.getrusage(resource.RUSAGE_SELF))
+    if mode == "memory":
+        tracemalloc.start()
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return {"call_peak_mb": round(peak / 2**20, 1)}
 
     def stop(*_):
         raise OverBudget
 
     signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, budget_s)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
         start = time.perf_counter()
         run()
@@ -91,8 +101,7 @@ def child(call: str, path: str, landmarks: list[str], budget_s: float) -> dict:
         return {"skipped": "budget", "limit": "wall_s"}
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
-    return {"wall_s": round(wall, 4), "peak_rss_mb": _peak_mb(resource.getrusage(resource.RUSAGE_SELF)),
-            "rss_before_mb": before}
+    return {"wall_s": round(wall, 4)}
 
 
 def _env(src: Path) -> dict:
@@ -102,38 +111,69 @@ def _env(src: Path) -> dict:
     return env
 
 
-def _wait(proc: subprocess.Popen, budget_s: float):
-    """Wait for a child up to the budget; its wall seconds and rusage, or None if stopped."""
-    start = time.perf_counter()
-    deadline = start + budget_s
-    while True:
-        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
-        if pid:
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            return time.perf_counter() - start, usage
-        if time.perf_counter() > deadline:
-            proc.kill()
-            proc.wait()
-            return None
-        time.sleep(0.002)
+def _rss_mb(pid: int) -> float:
+    try:
+        return int(Path(f"/proc/{pid}/statm").read_text().split()[1]) * PAGE_MB
+    except (OSError, IndexError, ValueError):
+        return 0.0
 
 
-def measure(call: str, path: Path, landmarks: list[str], src: Path, budget_s: float) -> dict:
-    if call == "cli_coords_auto":
-        proc = subprocess.Popen([sys.executable, "-m", "ultrabase", "coords", str(path), "--auto"],
-                                env=_env(src), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-        done = _wait(proc, budget_s)
-        if done is None:
-            return {"skipped": "budget", "limit": "wall_s"}
-        wall, usage = done
+def _run(args: list[str], src: Path, deadline_s: float, capture: bool):
+    """Run a child under the budgets.
+
+    Returns (stdout, wall seconds, peak RSS in MB) once it exits 0, or a
+    skip record when it ran past ``deadline_s`` or its resident set past
+    BUDGET_MB. stdout and stderr go to files, so neither can fill a pipe.
+    """
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(args, env=_env(src), stderr=err,
+                                stdout=out if capture else subprocess.DEVNULL)
+        start = time.perf_counter()
+        while True:
+            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            if pid:
+                wall = time.perf_counter() - start
+                proc.returncode = os.waitstatus_to_exitcode(status)
+                break
+            limit = ("wall_s" if time.perf_counter() - start > deadline_s
+                     else "peak_rss_mb" if _rss_mb(proc.pid) > BUDGET_MB else None)
+            if limit:
+                proc.kill()
+                proc.wait()
+                return {"skipped": "budget", "limit": limit}
+            time.sleep(0.002)
+        peak = round(usage.ru_maxrss / 1024, 1)  # ru_maxrss is in KiB on Linux
+        if peak > BUDGET_MB:
+            return {"skipped": "budget", "limit": "peak_rss_mb"}
         if proc.returncode != 0:
-            raise RuntimeError(f"coords --auto exited {proc.returncode}: {proc.stderr.read()!r}")
-        return {"wall_s": round(wall, 4), "peak_rss_mb": _peak_mb(usage)}
-    args = [sys.executable, str(Path(__file__).resolve()), "--child", call, str(path),
-            ",".join(landmarks), str(budget_s)]
-    out = subprocess.run(args, env=_env(src), capture_output=True, text=True, check=True,
-                         timeout=budget_s + 600)  # parsing comes first and is not timed
-    return json.loads(out.stdout)
+            err.seek(0)
+            raise RuntimeError(f"{args[1:]} exited {proc.returncode}: {err.read()!r}")
+        out.seek(0)
+        return out.read(), wall, peak
+
+
+def measure(call: str, path: Path, landmarks: list[str], src: Path) -> dict:
+    if call == "cli_coords_auto":
+        done = _run([sys.executable, "-m", "ultrabase", "coords", str(path), "--auto"],
+                    src, BUDGET_S, capture=False)
+        if isinstance(done, dict):
+            return done
+        _, wall, peak = done
+        return {"wall_s": round(wall, 4), "peak_rss_mb": peak}
+    result = {}
+    for mode in ("time", "memory"):
+        args = [sys.executable, str(Path(__file__).resolve()), "--child", call, str(path),
+                ",".join(landmarks), mode]
+        done = _run(args, src, BUDGET_S + SETUP_S, capture=True)
+        if isinstance(done, dict):
+            return done
+        part = json.loads(done[0])
+        if "skipped" in part:
+            return part
+        result.update(part)
+    if result["call_peak_mb"] > BUDGET_MB:
+        return {"skipped": "budget", "limit": "call_peak_mb"}
+    return result
 
 
 def machine() -> dict:
@@ -158,41 +198,31 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="src directory to measure")
-    parser.add_argument("--commit", help="commit id of --src (default: its git HEAD)")
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--budget-s", type=float, default=30.0)
-    parser.add_argument("--budget-mb", type=float, default=2048.0)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args(argv)
-    src = args.src.resolve()
-    commit = args.commit or subprocess.run(
-        ["git", "-C", str(src), "rev-parse", "--short", "HEAD"],
-        capture_output=True, text=True, check=True).stdout.strip()
+    src = parser.parse_args(argv).src.resolve()
+    commit = subprocess.run(["git", "-C", str(src), "rev-parse", "--short", "HEAD"],
+                            capture_output=True, text=True, check=True).stdout.strip()
 
     report = {
         "commit": commit,
         "machine": machine(),
-        "input": f"bench/gen.py dendrogram_case, {LEVELS} heights, seed {args.seed}; "
+        "input": f"bench/gen.py dendrogram_case, {LEVELS} heights, seed {SEED}; "
                  "landmarks: the first metric basis",
-        "budget": {"wall_s": args.budget_s, "peak_rss_mb": args.budget_mb},
+        "budget": {"wall_s": BUDGET_S, "memory_mb": BUDGET_MB},
         "sizes": {},
         "results": {call: {} for call in CALLS},
     }
     with tempfile.TemporaryDirectory() as work:
-        for n in map(int, args.sizes.split(",")):
-            case = _case(n, args.seed)
+        for n in SIZES:
+            case = _case(n)
             path = Path(work) / f"dendrogram_{n}.csv"
             path.write_text(case.text)
             landmarks = case.first_basis
             report["sizes"][str(n)] = {"landmarks": len(landmarks), "csv_bytes": len(case.text)}
             for call in CALLS:
-                result = measure(call, path, landmarks, src, args.budget_s)
-                if result.get("peak_rss_mb", 0) > args.budget_mb:
-                    result = {"skipped": "budget", "limit": "peak_rss_mb"}
+                result = measure(call, path, landmarks, src)
                 report["results"][call][str(n)] = result
                 print(f"n={n} {call}: {result}", file=sys.stderr)
-    out = args.out or ROOT / f"BENCH_scale_{commit}.json"
+    out = ROOT / f"BENCH_scale_{commit}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(out)
     return 0
@@ -200,7 +230,7 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
-        _, _, call, path, landmarks, budget_s = sys.argv
-        print(json.dumps(child(call, path, landmarks.split(","), float(budget_s))))
+        _, _, call, path, landmarks, mode = sys.argv
+        print(json.dumps(child(call, path, landmarks.split(","), mode)))
     else:
         sys.exit(main())

@@ -288,7 +288,9 @@ def landmark_independence_witness(
     rule is single-valued everywhere (as it must be for a table that came
     from a real space). A table that passes the input checks of
     :func:`reconstruct` and whose star closure fits it is such a table,
-    by the strong triangle inequality, so it is not searched.
+    by the strong triangle inequality, so it is not searched. Any other
+    table pays for those checks and the closure before the search; on
+    tables of a dozen points they cost more than the search itself.
     """
     try:
         ranks, at, _ = _table_ranks(table)
