@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -167,12 +167,6 @@ class UltrametricSpace:
     def value_matrix(self) -> list[list[Fraction]]:
         return [[self.table.value(r) for r in row] for row in self.ranks.tolist()]
 
-    def value_texts(self) -> dict[Fraction, str]:
-        """Source spellings of the table values, where known."""
-        return {
-            v: t for v, t in zip(self.table.values, self.table.texts) if t is not None
-        }
-
     def restrict(self, subset: Iterable[str]) -> "UltrametricSpace":
         """The induced subspace on ``subset``, in this space's label order."""
         idx = sorted(self.index(lab) for lab in set(subset))
@@ -189,7 +183,7 @@ def _rank_ids(ids: np.ndarray, values, epsilon: Fraction) -> tuple[list[int], np
     n = len(ids)
     upper = np.triu_indices(n, 1)
     used = np.unique(ids[upper]).tolist()
-    reps, rank = group_values([values[u] for u in used], epsilon, by_position=True)
+    reps, rank = group_values([values[u] for u in used], epsilon)
     lut = np.zeros(len(values), dtype=np.int32)
     lut[used] = rank
     arr = np.zeros((n, n), dtype=np.int32)
@@ -287,12 +281,13 @@ class _ValueIds:
 
 @dataclass(frozen=True, eq=False)
 class _Gaps:
-    """A dendrogram in its points' leaf order: ``ids[p]`` (p >= 1) is the id
-    of the distance between points p - 1 and p among distinct positive
-    ``values``, and the distance between points i < j is the largest
-    value among ids[i + 1..j]. Such a matrix is ultrametric by
-    construction; ``ids[0]`` is unused."""
+    """A dendrogram: its points in leaf ``order``, and ``ids[k]`` (k >= 1)
+    the id of the distance between leaves k - 1 and k among distinct
+    positive ``values``, each of them used. The distance between leaves
+    i < j is the largest value among ids[i + 1..j]. Such a matrix is
+    ultrametric by construction; ``ids[0]`` is unused."""
 
+    order: Sequence[int]
     ids: np.ndarray
     values: list[Fraction]
 
@@ -302,7 +297,6 @@ def _analyze(
     matrix: Sequence[Sequence[Numeric]] | _ValueIds | _Gaps,
     epsilon: Numeric,
     max_violations: int,
-    value_texts: Mapping[Fraction, str] | None,
 ):
     """Check a matrix and build its space.
 
@@ -313,9 +307,9 @@ def _analyze(
     _check_labels(labels)
     if isinstance(matrix, _Gaps):
         # ranking is monotone, so the ranks are the maxima of the ranked gaps
-        reps, rank = group_values(matrix.values, _epsilon(epsilon), by_position=True)
+        reps, rank = group_values(matrix.values, _epsilon(epsilon))
         table = DistanceTable(values=tuple(matrix.values[r] for r in reps))
-        ranks = _cophenetic(rank[matrix.ids])
+        ranks = _cophenetic(matrix.order, rank[matrix.ids])
         space = UltrametricSpace(labels=tuple(labels), table=table, ranks=ranks)
         return ValidationReport(ok=True, violations=()), space
     n = len(labels)
@@ -374,12 +368,7 @@ def _analyze(
         return report, None
 
     reps, rank_arr = _rank_ids(ids, values, eps)
-    if quantized and matrix.texts is not None:
-        texts = tuple(matrix.texts[r] for r in reps)
-    elif value_texts:
-        texts = tuple(value_texts.get(values[r]) for r in reps)
-    else:
-        texts = ()
+    texts = tuple(matrix.texts[r] for r in reps) if quantized and matrix.texts is not None else ()
     table = DistanceTable(values=tuple(values[r] for r in reps), texts=texts)
     return _space_from_ranks(labels, table, rank_arr, max_violations)
 
@@ -402,17 +391,19 @@ def _prim(rank_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, attach
 
 
-def _cophenetic(gaps: np.ndarray) -> np.ndarray:
-    """The dendrogram matrix of a leaf order, in O(n²).
+def _cophenetic(order: Sequence[int], gaps: np.ndarray) -> np.ndarray:
+    """The dendrogram matrix of points in leaf ``order``, in O(n²).
 
-    Entry (i, j), i < j, is the largest of ``gaps[i + 1..j]``, the gaps
-    between neighbouring leaves; ``gaps[0]`` is ignored and the diagonal
-    is 0. Every cluster is a run of consecutive leaves, so this is
-    ultrametric, and every finite ultrametric arises this way.
+    Between the points at leaf positions i < j it holds the largest of
+    ``gaps[i + 1..j]``, the gaps between neighbouring leaves; ``gaps[0]``
+    is ignored and the diagonal is 0. Every cluster is a run of
+    consecutive leaves, so this is ultrametric, and every finite
+    ultrametric arises this way.
     """
     n = len(gaps)
     runs = np.maximum.accumulate(np.triu(np.broadcast_to(gaps, (n, n)), 1), axis=1)
-    return runs + runs.T
+    leaf = np.argsort(order)  # each point's leaf position
+    return (runs + runs.T).take(leaf, axis=0).take(leaf, axis=1)  # cheaper than a 2-D scatter
 
 
 def _single_linkage(rank_arr: np.ndarray) -> np.ndarray:
@@ -424,9 +415,7 @@ def _single_linkage(rank_arr: np.ndarray) -> np.ndarray:
     order, with each point's attach rank as the gap before it.
     """
     order, attach = _prim(rank_arr)
-    closed = np.empty_like(rank_arr)
-    closed[np.ix_(order, order)] = _cophenetic(attach.astype(rank_arr.dtype))
-    return closed
+    return _cophenetic(order, attach.astype(rank_arr.dtype))
 
 
 def _space_from_ranks(labels, table, rank_arr, max_violations=DEFAULT_MAX_VIOLATIONS):
@@ -464,7 +453,7 @@ def validate_ultrametric(
         raise UsageError("max_violations must be at least 1")
     if labels is None:
         labels = [str(i + 1) for i in range(len(matrix))]
-    report, _ = _analyze(labels, matrix, epsilon, max_violations, None)
+    report, _ = _analyze(labels, matrix, epsilon, max_violations)
     return report
 
 
@@ -472,7 +461,6 @@ def build_space(
     labels: Sequence[str],
     matrix: Sequence[Sequence[Numeric]] | _ValueIds | _Gaps,
     epsilon: Numeric = 0,
-    value_texts: Mapping[Fraction, str] | None = None,
 ) -> UltrametricSpace:
     """Validate and construct a space, raising on any violation.
 
@@ -480,9 +468,7 @@ def build_space(
     well as value, so a float and an equal `Fraction` are converted
     separately.
     """
-    report, space = _analyze(
-        labels, matrix, epsilon, DEFAULT_MAX_VIOLATIONS, value_texts
-    )
+    report, space = _analyze(labels, matrix, epsilon, DEFAULT_MAX_VIOLATIONS)
     if space is None:
         raise UltrametricViolationError(report)
     return space

@@ -105,34 +105,35 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
     return build_space(labels, _ValueIds(ids, values, texts), epsilon)
 
 
-def _distinct_texts(values, render) -> dict[Fraction, str]:
-    """Render each value, falling back to exact n/d when spellings collide.
+def _distinct_texts(values, texts) -> list[str]:
+    """Each of the distinct ``values`` rendered: "0" for zero, else its
+    aligned source spelling in ``texts``, or the canonical form where that
+    is None; nonzero values whose renderings collide get exact n/d.
 
     Shortest-float rendering could in principle map two distinct exact
     values to one string, which would corrupt the rank structure on the
     next parse; the fraction form always round-trips.
     """
-    texts = {v: render(v) for v in values}
-    by_text: dict[str, list[Fraction]] = {}
-    for v, t in texts.items():
-        by_text.setdefault(t, []).append(v)
+    cells = ["0" if not v else (format_value(v) if t is None else t) for v, t in zip(values, texts)]
+    by_text: dict[str, list[int]] = {}
+    for i, v in enumerate(values):
+        if v:
+            by_text.setdefault(cells[i], []).append(i)
     for clashing in by_text.values():
         if len(clashing) > 1:
-            for v in clashing:
-                texts[v] = ratio_text(v)
-    return texts
+            for i in clashing:
+                cells[i] = ratio_text(values[i])
+    return cells
 
 
 def write_distance_csv(space: UltrametricSpace) -> str:
     """Inverse of :func:`parse_distance_csv`: the rank structure survives
     the round trip exactly, and the output is byte-stable under further
     parse/write cycles."""
-    rank_of = {v: i + 1 for i, v in enumerate(space.table.values)}
-    texts = _distinct_texts(space.table.values, lambda v: space.table.text(rank_of[v]))
-    cells = ["0", *(texts[v] for v in space.table.values)]
+    cells = ["0", *_distinct_texts(space.table.values, space.table.texts)]
     lines = [",".join(space.labels)]
     for row in space.ranks.tolist():
-        lines.append(",".join(cells[r] for r in row))
+        lines.append(",".join(map(cells.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -149,46 +150,34 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
     # As in parse_distance_csv, row-level errors come before the row's tokens.
     error = None
     points: list[str] = []
+    seen: set[str] = set()
     for r, fields in enumerate(rows[1:], start=2):
         if len(fields) != len(landmarks) + 1:
             error = ParseError(f"expected {len(landmarks) + 1} fields, found {len(fields)}", line=r)
         elif not fields[0]:
             error = ParseError("empty point label", line=r)
-        elif fields[0] in points:
+        elif fields[0] in seen:
             error = ParseError(f"duplicate point label {fields[0]!r}", line=r)
         if error:
             break
         points.append(fields[0])
+        seen.add(fields[0])
     tokens, ids, values = _token_ids(rows[1:len(points) + 1], len(landmarks), skip=1)
     if error:
         raise error
 
     positive = np.array([v.numerator > 0 for v in values], dtype=bool)[ids]
     texts = _first_spellings(tokens, ids, len(values), positive)
-    order = sorted(range(len(values)), key=values.__getitem__)
-    position = np.zeros(len(values), dtype=np.int32)
-    position[order] = np.arange(len(values), dtype=np.int32)
-    return CoordinateTable._encoded(
-        landmarks,
-        tuple(points),
-        tuple(values[i] for i in order),
-        position[ids],
-        {v: t for v, t in zip(values, texts) if t is not None},
-    )
+    return CoordinateTable._encoded(landmarks, points, ids, values, texts)
 
 
 def write_coordinate_csv(table: CoordinateTable) -> str:
-    """Inverse of :func:`parse_coordinate_csv`; each value in use is rendered once."""
+    """Inverse of :func:`parse_coordinate_csv`; each value is rendered once."""
     values, index = table.encoding
-    used = [values[u] for u in np.unique(index).tolist()]
-    texts = _distinct_texts(
-        [v for v in used if v != 0], lambda v: table.value_texts.get(v) or format_value(v)
-    )
-    texts[Fraction(0)] = "0"
-    cells = [texts.get(v, "") for v in values]
+    cells = _distinct_texts(values, table.texts)
     lines = ["label," + ",".join(table.landmarks)]
     for lab, row in zip(table.points, index.tolist()):
-        lines.append(lab + "," + ",".join(cells[r] for r in row))
+        lines.append(lab + "," + ",".join(map(cells.__getitem__, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -375,7 +364,7 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
             gap_ids.setdefault(depth, len(gap_ids)) for _, _, _, depth in blocks
         ]
         if height not in gap_ids:  # else a zero distance, which the keyed path reports
-            return build_space(labels, _Gaps(ids, [2 * (height - d) for d in gap_ids]), eps)
+            return build_space(labels, _Gaps(range(n), ids, [2 * (height - d) for d in gap_ids]), eps)
 
     # d(a, b) = depth(a) + depth(b) - 2 depth(lca): key each pair by the
     # three depth ids and compute each distinct key once.

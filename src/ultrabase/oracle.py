@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .basis import dimensions, metric_bases, two_metric_basis
-from .core import UltrametricSpace, build_space
+from .core import UltrametricSpace, _Gaps, build_space
 from .errors import UsageError
 
 BRUTE_FORCE_CAP = 16
@@ -97,7 +97,9 @@ def random_dendrogram_space(n: int, seed: int, value_count: int = 3) -> Ultramet
     Blocks are split recursively into random sub-blocks; cross-block
     pairs get the current height, and a block that reaches the deepest
     level becomes a uniform cluster (hence a partner class). Ultrametric
-    by construction, deterministic per (n, seed, value_count).
+    by construction, deterministic per (n, seed, value_count). The split
+    records the points in leaf order and the level of the gap before
+    each leaf, which fixes the space without an n x n matrix.
     """
     if n < 2:
         raise UsageError("need at least two points")
@@ -108,30 +110,28 @@ def random_dendrogram_space(n: int, seed: int, value_count: int = 3) -> Ultramet
 
     width = len(str(n))
     labels = [f"p{i + 1:0{width}d}" for i in range(n)]
-    matrix = [[Fraction(0)] * n for _ in range(n)]
-
-    def fill(block: list[int], level: int) -> None:
-        if len(block) == 1:
-            return
-        h = Fraction(heights[level])
-        if level == value_count - 1:
-            for a, b in itertools.combinations(block, 2):
-                matrix[a][b] = matrix[b][a] = h
-            return
+    order: list[int] = []
+    levels: list[int] = []  # levels[k]: level of the gap between leaves k - 1 and k
+    stack = [(list(range(n)), 0, 0)]  # block, its level, the level of the gap before it
+    while stack:
+        block, level, gap = stack.pop()
+        if len(block) == 1 or level == value_count - 1:
+            order += block
+            levels += [gap] + [level] * (len(block) - 1)
+            continue
         shuffled = block[:]
         rng.shuffle(shuffled)
         part_count = rng.randint(2, len(block))
         cuts = sorted(rng.sample(range(1, len(block)), part_count - 1))
         parts = [shuffled[s:e] for s, e in zip([0, *cuts], [*cuts, len(block)])]
-        for pa, pb in itertools.combinations(parts, 2):
-            for a in pa:
-                for b in pb:
-                    matrix[a][b] = matrix[b][a] = h
-        for part in parts:
-            fill(part, level + 1)
+        # depth first, parts in order: the draws come in the order of a recursive fill
+        stack += [(part, level + 1, level) for part in reversed(parts[1:])]
+        stack.append((parts[0], level + 1, gap))
 
-    fill(list(range(n)), 0)
-    return build_space(labels, matrix)
+    used = sorted(set(levels[1:]), reverse=True)  # increasing height
+    slot = {level: i for i, level in enumerate(used)}
+    ids = np.array([0] + [slot[level] for level in levels[1:]], dtype=np.int32)
+    return build_space(labels, _Gaps(order, ids, [Fraction(heights[level]) for level in used]))
 
 
 @dataclass(frozen=True)

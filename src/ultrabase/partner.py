@@ -198,15 +198,12 @@ def pseudopartnering_trace(space: UltrametricSpace, x: str) -> PseudopartneringT
     steps = [TraceStep(point=x, dist=INFINITY)]
 
     for _ in range(space.n):
-        row = space.ranks[cur].tolist()
-        inside = [j for j in range(space.n) if j != cur and row[j] < radius]
-        if not inside:
+        row = space.ranks[cur]
+        inside = row[(row > 0) & (row < radius)]  # rank 0 only on the diagonal
+        if not inside.size:
             break
-        best = min(row[j] for j in inside)
-        nxt = min(
-            (j for j in inside if row[j] == best),
-            key=lambda j: space.labels[j],
-        )
+        best = int(inside.min())
+        nxt = min(np.flatnonzero(row == best).tolist(), key=space.labels.__getitem__)
         steps.append(TraceStep(point=space.labels[nxt], dist=space.table.value(best)))
         cur, radius = nxt, best
     else:

@@ -13,6 +13,7 @@ inconsistency.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,6 +26,7 @@ from .core import (
     ZERO,
     DistanceTable,
     UltrametricSpace,
+    _cell_ids,
     _check_labels,
     _single_linkage,
     _space_from_ranks,
@@ -34,69 +36,68 @@ from .errors import (
     NotGeneratorError,
     UsageError,
 )
-from .values import to_fraction
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class CoordinateTable:
     """Distances from every point (rows) to an ordered landmark set (columns).
 
-    The table is held rank-encoded, like a space's distances: the
-    increasing tuple of its distinct values and an int32 points x
-    landmarks array of positions in that tuple (see :attr:`encoding`).
-    Tables from :func:`coordinates` and the CSV parser are built encoded
-    and decode ``rows`` only when it is read; a table built from ``rows``
-    encodes them once, on first use. Equality and hashing go by
-    landmarks, points and rows. Point labels, like landmarks, are distinct.
+    The table is held in one canonical encoding, like a space's distances:
+    the increasing tuple of its distinct values, each of them used, and a
+    read-only int32 points x landmarks array of positions in that tuple
+    (see :attr:`encoding`). ``texts`` holds each value's source spelling,
+    aligned with the values (None where unknown). A table built from
+    ``rows`` converts each distinct cell once, and looks its spellings up
+    in ``value_texts`` once per value. Equality and hashing go by
+    landmarks, points and encoding; ``rows`` is decoded only when read.
+    Point labels, like landmarks, are distinct.
     """
 
     landmarks: tuple[str, ...]
     points: tuple[str, ...]
-    value_texts: dict[Fraction, str]
+    encoding: tuple[tuple[Fraction, ...], np.ndarray]
+    texts: tuple[str | None, ...]
 
     def __init__(self, landmarks, points, rows, value_texts=None):
-        self._set_labels(landmarks, points, value_texts)
+        _check_table_labels(landmarks, points)
         if len(rows) != len(points):
             raise UsageError("coordinate rows must align with point labels")
         for lab, row in zip(points, rows):
             if len(row) != len(landmarks):
                 raise UsageError(f"row for {lab!r} has {len(row)} values, "
                                  f"expected {len(landmarks)}")
-        self.__dict__["rows"] = rows
 
-    def _set_labels(self, landmarks, points, value_texts) -> None:
-        if not landmarks:
-            raise UsageError("a coordinate table needs at least one landmark")
-        if len(set(landmarks)) != len(landmarks):
-            raise UsageError("duplicate landmark column")
-        seen: set[str] = set()
-        for lab in points:
-            if lab in seen:
-                raise UsageError(f"duplicate point label {lab!r}")
-            seen.add(lab)
-        object.__setattr__(self, "landmarks", landmarks)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "value_texts", {} if value_texts is None else value_texts)
+        def nonfinite(p):
+            i, c = divmod(p, len(landmarks))
+            raise UsageError(f"coordinate ({points[i]}, {landmarks[c]}) is not a finite number")
+
+        ids, values = _cell_ids([c for row in rows for c in row], nonfinite)
+        spelled = value_texts or {}
+        self._set(landmarks, points, ids.reshape(len(points), len(landmarks)),
+                  values, [spelled.get(v) or None for v in values])
 
     @classmethod
-    def _encoded(cls, landmarks, points, values, index, value_texts) -> "CoordinateTable":
-        """A table from its encoding: increasing ``values`` and an int32 ``index`` into them."""
+    def _encoded(cls, landmarks, points, ids, values, texts) -> "CoordinateTable":
+        """The table whose cells hold ``values[ids]``, spelled ``texts[ids]``."""
+        _check_table_labels(landmarks, points)
         table = cls.__new__(cls)
-        table._set_labels(landmarks, points, value_texts)
-        index.setflags(write=False)
-        table.__dict__["encoding"] = (values, index)
+        table._set(landmarks, points, ids, values, texts)
         return table
 
-    @cached_property
-    def encoding(self) -> tuple[tuple[Fraction, ...], np.ndarray]:
-        """The increasing distinct values and the read-only int32 array of
-        each cell's position among them (values may include unused ones)."""
-        values = sorted({v for row in self.rows for v in row})
-        position = {v: i for i, v in enumerate(values)}
-        index = np.array([[position[v] for v in row] for row in self.rows], dtype=np.int32)
-        index = index.reshape(len(self.points), len(self.landmarks))
+    def _set(self, landmarks, points, ids, values, texts) -> None:
+        """Store the canonical encoding of ``values[ids]``: the values in
+        use, increasing, and the cells renumbered to match."""
+        used = np.zeros(len(values), dtype=bool)
+        used[ids] = True
+        kept = sorted(np.flatnonzero(used).tolist(), key=values.__getitem__)
+        position = np.zeros(len(values), dtype=np.int32)
+        position[kept] = np.arange(len(kept), dtype=np.int32)
+        index = position[ids]
         index.setflags(write=False)
-        return tuple(values), index
+        object.__setattr__(self, "landmarks", tuple(landmarks))
+        object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "encoding", (tuple(values[i] for i in kept), index))
+        object.__setattr__(self, "texts", tuple(texts[i] for i in kept))
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -110,20 +111,36 @@ class CoordinateTable:
     def __eq__(self, other):
         if not isinstance(other, CoordinateTable):
             return NotImplemented
-        return (self.landmarks, self.points, self.rows) == (other.landmarks, other.points, other.rows)
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash((self.landmarks, self.points, self.rows))
+        return hash(self._key())
+
+    def _key(self):
+        values, index = self.encoding
+        return self.landmarks, self.points, values, index.tobytes()
 
     def __repr__(self) -> str:
         return (f"CoordinateTable(landmarks={self.landmarks!r}, points={self.points!r}, "
-                f"rows={self.rows!r}, value_texts={self.value_texts!r})")
+                f"rows={self.rows!r}, texts={self.texts!r})")
 
     def row(self, point: str) -> tuple[Fraction, ...]:
         try:
             return self.rows[self._position[point]]
         except KeyError:
             raise UsageError(f"no coordinate row for {point!r}") from None
+
+
+def _check_table_labels(landmarks, points) -> None:
+    if not landmarks:
+        raise UsageError("a coordinate table needs at least one landmark")
+    if len(set(landmarks)) != len(landmarks):
+        raise UsageError("duplicate landmark column")
+    seen: set[str] = set()
+    for lab in points:
+        if lab in seen:
+            raise UsageError(f"duplicate point label {lab!r}")
+        seen.add(lab)
 
 
 def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> CoordinateTable:
@@ -137,27 +154,28 @@ def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> Coordinate
         raise UsageError("duplicate landmark in list")
     cols = [space.index(s) for s in landmarks]
     return CoordinateTable._encoded(
-        tuple(landmarks),
+        landmarks,
         space.labels,
-        (ZERO, *space.table.values),
         space.ranks[:, cols],
-        space.value_texts(),
+        (ZERO, *space.table.values),
+        (None, *space.table.texts),
     )
 
 
-def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int], np.ndarray]:
+def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int]]:
     """Run the input checks of :func:`reconstruct`, in order.
 
-    Returns the table's cells as compact ranks (rank 0 is the zero
-    distance), the row of each landmark, and the mask of the encoding's
-    values in use.
+    Returns the table's cells as ranks (rank 0 is the zero distance) and
+    the row of each landmark. Once the checks pass, the encoding's
+    values start at zero, so its index is those ranks.
     """
     pts, landmarks = table.points, table.landmarks
     values, index = table.encoding
     n, k = index.shape
 
-    negative = np.array([v < 0 for v in values], dtype=bool)[index]
-    zero = np.array([v == 0 for v in values], dtype=bool)[index]
+    below = bisect.bisect_left(values, ZERO)  # the values increase: negatives come first
+    negative = index < below
+    zero = index == below if values[below:below + 1] == (ZERO,) else np.zeros_like(negative)
     column = {s: c for c, s in enumerate(landmarks)}
     own = np.zeros((n, k), dtype=bool)  # cells where a landmark meets its own row
     own_rows = [i for i, lab in enumerate(pts) if lab in column]
@@ -167,7 +185,7 @@ def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int], np.ndar
         i, c = divmod(int(bad.argmax()), k)
         if negative[i, c]:
             raise CoordinateTableError(
-                f"negative distance {table.rows[i][c]} at ({pts[i]}, {landmarks[c]})"
+                f"negative distance {values[index[i, c]]} at ({pts[i]}, {landmarks[c]})"
             )
         raise CoordinateTableError(
             f"zero distance between distinct points {pts[i]} and {landmarks[c]}"
@@ -188,12 +206,7 @@ def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int], np.ndar
                 f"not a metric generator: points {a} and {lab} have identical coordinates",
                 witness=(a, lab),
             )
-
-    # Landmark rows carry a zero and nothing is negative, so rank 0 is the zero distance.
-    used = np.zeros(len(values), dtype=bool)
-    used[index] = True
-    ranks = (np.cumsum(used, dtype=np.int32) - 1)[index]
-    return ranks, at, used
+    return index, at
 
 
 def _star_closure(ranks: np.ndarray, at: list[int]) -> np.ndarray | None:
@@ -241,7 +254,7 @@ def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
         raise CoordinateTableError(
             f"inconsistent coordinates: rebuilt d({pts[i]},{landmarks[c]}) = "
             f"{space.table.value(int(space.ranks[i, at[c]]))} "
-            f"but the table says {table.rows[i][c]}"
+            f"but the table says {table.encoding[0][ranks[i, c]]}"
         )
     return space
 
@@ -255,10 +268,8 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     and :class:`CoordinateTableError` when no ultrametric space at all
     has these coordinates.
     """
-    ranks, at, used = _table_ranks(table)
-    values = table.encoding[0]
-    kept = tuple(to_fraction(values[u]) for u in np.flatnonzero(used)[1:].tolist())
-    dtable = DistanceTable(kept, tuple(map(table.value_texts.get, kept)))
+    ranks, at = _table_ranks(table)
+    dtable = DistanceTable(table.encoding[0][1:], table.texts[1:])
     closed = _star_closure(ranks, at)
     if closed is None:
         return _rebuild_pairwise(table, dtable, ranks, at)
@@ -293,7 +304,7 @@ def landmark_independence_witness(
     tables of a dozen points they cost more than the search itself.
     """
     try:
-        ranks, at, _ = _table_ranks(table)
+        ranks, at = _table_ranks(table)
     except (CoordinateTableError, NotGeneratorError):
         pass
     else:

@@ -183,41 +183,34 @@ def _float(value: Fraction) -> float:
         return math.inf if value.numerator > 0 else -math.inf
 
 
-def group_values(values: Sequence[Fraction], epsilon: Fraction, *, by_position: bool = False):
+def group_values(values: Sequence[Fraction], epsilon: Fraction) -> tuple[list[int], np.ndarray]:
     """Collapse near-equal values and assign ranks.
 
-    Sorted distinct inputs are chained into one group while consecutive
-    gaps stay <= epsilon; each group is represented by its smallest
-    member. Returns the increasing tuple of representatives and a map
-    from every input value to its 1-based rank (rank 0 is reserved for
-    distance zero).
-
-    With ``by_position``, ``values`` must be distinct, and the result is
-    instead the positions of the representatives in ``values``, in
-    increasing value, and an int32 array of each value's rank; no value
-    is hashed, which is how ingestion calls it. Values are sorted by
-    float; only when two floats tie is the order settled exactly.
+    ``values`` must be distinct. Sorted, they are chained into one group
+    while consecutive gaps stay <= epsilon; each group is represented by
+    its smallest member. Returns the positions of the representatives in
+    ``values``, in increasing value, and an int32 array of each value's
+    1-based rank (rank 0 is reserved for distance zero). No value is
+    hashed: values are sorted by float, and only when two floats tie is
+    the order settled exactly.
     """
-    distinct = values if by_position else list(dict.fromkeys(values))
-    floats = np.array([_float(v) for v in distinct])
+    floats = np.array([_float(v) for v in values])
     order = np.argsort(floats, kind="stable")
     ordered = floats[order]
     order = order.tolist()
     if (ordered[1:] == ordered[:-1]).any():
-        order.sort(key=lambda i: (floats[i], distinct[i]))
+        order.sort(key=lambda i: (floats[i], values[i]))
     if not epsilon:
         reps = order
     else:
         reps = order[:1]
         for a, b in itertools.pairwise(order):
-            if distinct[b] - distinct[a] > epsilon:
+            if values[b] - values[a] > epsilon:
                 reps.append(b)
-    rank = np.zeros(len(distinct), dtype=np.int32)
+    rank = np.zeros(len(values), dtype=np.int32)
     rank[reps] = 1
     rank[order] = np.cumsum(rank[order])
-    if by_position:
-        return reps, rank
-    return tuple(distinct[i] for i in reps), dict(zip(distinct, rank.tolist()))
+    return reps, rank
 
 
 def quantize(

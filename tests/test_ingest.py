@@ -303,6 +303,13 @@ def test_coordinate_csv_errors():
         parse_coordinate_csv("label,s\nx,?\n")
 
 
+def test_coordinate_csv_repeated_label_names_its_line():
+    rows = "".join(f"x{i},{i + 1}\n" for i in range(500))
+    with pytest.raises(ParseError) as exc:
+        parse_coordinate_csv("label,s\ns,0\n" + rows + "x7,9\nx8,?\n")
+    assert str(exc.value) == "duplicate point label 'x7' (line 503)"
+
+
 def test_blank_lines_are_ignored():
     space = parse_distance_csv("a,b\n\n0,1\n1,0\n\n")
     assert space.labels == ("a", "b")

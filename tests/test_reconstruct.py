@@ -165,3 +165,17 @@ def test_consistent_tables_never_reach_the_pair_loop(monkeypatch):
     with pytest.raises(CoordinateTableError, match="inconsistent coordinates"):
         reconstruct(table(["s", "t"], [("s", [0, 5]), ("t", [5, 0]), ("a", [1, 1])]))
     assert len(calls) == 1
+
+
+def test_table_from_rows_is_encoded_once():
+    # equal values in any type share one position; the encoding keeps only values in use
+    t = CoordinateTable(("s",), ("s", "a", "b", "c"), ((0,), (1.5,), (F(3, 2),), ("2",)),
+                        value_texts={F(3, 2): "1.50", F(7): "7.0"})
+    values, index = t.encoding
+    assert values == (F(0), F(3, 2), F(2))
+    assert index.tolist() == [[0], [1], [1], [2]]
+    assert t.texts == (None, "1.50", None)
+    assert t == table(["s"], [("s", [0]), ("a", [F(3, 2)]), ("b", [F(3, 2)]), ("c", [2])])
+    for cell in (None, float("nan")):
+        with pytest.raises(UsageError, match=r"coordinate \(b, s\) is not a finite number"):
+            CoordinateTable(("s",), ("s", "b"), ((0,), (cell,)))

@@ -7,7 +7,8 @@ equal space (labels, table, ranks) and the same CSV bytes (spellings
 included), or the same validation report. Coordinate tables are checked
 the same way against per-cell `Fraction` loops, `is_k_generator`
 against the n x n x |S| comparison it replaced, and the landmark-star
-closure of `reconstruct` against the pair loop.
+closure of `reconstruct` against the pair loop. Spellings travel here
+the way they once did, in dicts keyed by `Fraction`.
 """
 
 import math
@@ -37,7 +38,9 @@ from ultrabase import (
     parse_coordinate_csv,
     parse_distance_csv,
     parse_newick,
+    pseudopartnering_trace,
     random_dendrogram_space,
+    reciprocal_min_space,
     reconstruct,
     subdominant_ultrametric,
     validate_ultrametric,
@@ -56,8 +59,10 @@ from ultrabase.core import (
     _single_linkage,
     _triangle_violations,
 )
+from ultrabase.errors import InternalInvariantError
+from ultrabase.partner import INFINITY, PseudopartneringTrace, TraceStep
 import ultrabase.values as values_module
-from ultrabase.ingest import _csv_rows, _distinct_texts, _first_spellings, _NewickParser
+from ultrabase.ingest import _csv_rows, _first_spellings, _NewickParser
 from ultrabase.values import (
     MAX_DIGITS,
     _parse_general,
@@ -140,7 +145,7 @@ def analyze_reference(labels, matrix, epsilon, max_violations, value_texts):
         ), None
 
     upper = [cells[i][j] for i in range(n) for j in range(i + 1, n)]
-    reps, rank_of = group_values(upper, eps)
+    reps, rank_of = group_values_by_value(upper, eps)
     arr = np.zeros((n, n), dtype=np.int32)
     arr[np.triu_indices(n, 1)] = [rank_of[v] for v in upper]
     arr = arr + arr.T
@@ -151,6 +156,16 @@ def analyze_reference(labels, matrix, epsilon, max_violations, value_texts):
         return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
     space = UltrametricSpace(labels=tuple(labels), table=table, ranks=arr)
     return ValidationReport(ok=True, violations=()), space
+
+
+def space_spellings(space):
+    """The source spellings of a space's values, by value."""
+    return {v: t for v, t in zip(space.table.values, space.table.texts) if t is not None}
+
+
+def table_spellings(table):
+    """The source spellings of a coordinate table's values, by value."""
+    return {v: t for v, t in zip(table.encoding[0], table.texts) if t is not None}
 
 
 def build_space_reference(labels, matrix, epsilon=0, value_texts=None):
@@ -235,7 +250,7 @@ def restrict_reference(space, subset):
     keep = set(subset)
     labels = [lab for lab in space.labels if lab in keep]
     matrix = [[space.d(a, b) for b in labels] for a in labels]
-    return build_space_reference(labels, matrix, value_texts=space.value_texts())
+    return build_space_reference(labels, matrix, value_texts=space_spellings(space))
 
 
 def reconstruct_reference(table):
@@ -248,7 +263,7 @@ def reconstruct_reference(table):
             d = next(max(u, v) for u, v in zip(rows[i], rows[j]) if u != v)
             matrix[i][j] = matrix[j][i] = d
     try:
-        space = build_space_reference(pts, matrix, value_texts=table.value_texts)
+        space = build_space_reference(pts, matrix, value_texts=table_spellings(table))
     except UltrametricViolationError as exc:
         first = exc.report.violations[0]
         raise CoordinateTableError(f"inconsistent coordinates: {first.detail}") from exc
@@ -267,7 +282,7 @@ def subdominant_reference(matrix, labels, epsilon):
     n = len(matrix)
     vals = [[to_fraction(v) for v in row] for row in matrix]
     upper = [vals[i][j] for i in range(n) for j in range(i + 1, n)]
-    reps, rank_of = group_values(upper, to_fraction(epsilon))
+    reps, rank_of = group_values_by_value(upper, to_fraction(epsilon))
     d = [
         [reps[rank_of[vals[min(i, j)][max(i, j)]] - 1] if i != j else F(0) for j in range(n)]
         for i in range(n)
@@ -341,7 +356,7 @@ def test_corrupted_coordinates_fail_like_the_pair_loop(space, data):
         landmarks=table.landmarks,
         points=table.points,
         rows=tuple(tuple(r) for r in rows),
-        value_texts=table.value_texts,
+        value_texts=table_spellings(table),
     )
     try:
         expected = reconstruct_reference(bad)
@@ -654,6 +669,22 @@ def test_single_linkage_verdict_matches_triangle_sweep(arr):
     assert np.array_equal(closed, arr) == (not witnesses and not truncated)
 
 
+def group_values_by_value(values, epsilon):
+    """The dict mode `group_values` had: duplicates allowed, the representatives
+    as a tuple and a dict from each value to its rank; sorted by float, then exactly."""
+    distinct = list(dict.fromkeys(values))
+    floats = [values_module._float(v) for v in distinct]
+    order = sorted(range(len(distinct)), key=lambda i: (floats[i], distinct[i]))
+    reps = order[:1]
+    for a, b in zip(order, order[1:]):
+        if distinct[b] - distinct[a] > epsilon:
+            reps.append(b)
+    rank = np.zeros(len(distinct), dtype=np.int32)
+    rank[reps] = 1
+    rank[order] = np.cumsum(rank[order])
+    return tuple(distinct[i] for i in reps), dict(zip(distinct, rank.tolist()))
+
+
 def group_values_reference(values, epsilon):
     """Chaining over values sorted by exact `Fraction` comparison."""
     reps, rank_of, prev = [], {}, None
@@ -675,7 +706,8 @@ huge_or_close = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(huge_or_close, max_size=30), st.sampled_from([F(0), F(1, 10**30), F(1, 2)]))
 def test_group_values_orders_exactly(values, epsilon):
-    assert group_values(values, epsilon) == group_values_reference(values, epsilon)
+    assert_same_grouping(list(dict.fromkeys(values)), epsilon)
+    assert group_values_by_value(values, epsilon) == group_values_reference(values, epsilon)
 
 
 def quantize_reference(keys, convert):
@@ -748,7 +780,7 @@ value_epsilons = st.sampled_from([F(0), F(1, 10**30), F(1, 2)])
 
 
 def assert_same_grouping(values, epsilon):
-    reps, rank = group_values(values, epsilon, by_position=True)
+    reps, rank = group_values(values, epsilon)
     expected_reps, expected_rank = group_values_reference(values, epsilon)
     assert tuple(values[r] for r in reps) == expected_reps
     assert rank.tolist() == [expected_rank[v] for v in values]
@@ -912,10 +944,25 @@ def check_table_reference(table):
         by_row[row] = lab
 
 
+def distinct_texts_reference(values, render):
+    """Render each value into a dict keyed by value, falling back to exact
+    n/d when spellings collide."""
+    texts = {v: render(v) for v in values}
+    by_text = {}
+    for v, t in texts.items():
+        by_text.setdefault(t, []).append(v)
+    for clashing in by_text.values():
+        if len(clashing) > 1:
+            for v in clashing:
+                texts[v] = f"{v.numerator}/{v.denominator}"
+    return texts
+
+
 def write_coordinate_csv_reference(table):
     """One `Fraction` hash per cell: a set of the positive values, then a dict lookup."""
     positive = {v for row in table.rows for v in row if v > 0}
-    texts = _distinct_texts(positive, lambda v: table.value_texts.get(v) or format_value(v))
+    spelled = table_spellings(table)
+    texts = distinct_texts_reference(positive, lambda v: spelled.get(v) or format_value(v))
     texts[F(0)] = "0"
     lines = ["label," + ",".join(table.landmarks)]
     for lab, row in zip(table.points, table.rows):
@@ -1007,7 +1054,7 @@ def faulty_tables(draw):
         landmarks=tuple(landmarks),
         points=tuple(points),
         rows=tuple(map(tuple, rows)),
-        value_texts=space.value_texts(),
+        value_texts=space_spellings(space),
     )
 
 
@@ -1133,7 +1180,7 @@ def star_tables(draw):
         c, other = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
         row = rows[table.points.index(landmarks[c])]
         row[other] = draw(st.sampled_from([v for v in choices if v != row[other]]))
-    bad = CoordinateTable(table.landmarks, table.points, tuple(map(tuple, rows)), table.value_texts)
+    bad = CoordinateTable(table.landmarks, table.points, tuple(map(tuple, rows)), table_spellings(table))
     return space, landmarks, bad
 
 
@@ -1170,3 +1217,103 @@ def classify_point_reference(space, x):
 def test_classify_point_matches_copy_per_call(space):
     for x in space.labels:
         assert classify_point(space, x) == classify_point_reference(space, x)
+
+
+def random_dendrogram_space_reference(n, seed, value_count=3):
+    """The generator filling an n x n `Fraction` matrix block by block."""
+    rng = random.Random(f"dendrogram:{n}:{seed}:{value_count}")
+    heights = sorted(rng.sample(range(1, 10 * value_count + 1), value_count), reverse=True)
+    width = len(str(n))
+    labels = [f"p{i + 1:0{width}d}" for i in range(n)]
+    matrix = [[F(0)] * n for _ in range(n)]
+
+    def fill(block, level):
+        if len(block) == 1:
+            return
+        h = F(heights[level])
+        if level == value_count - 1:
+            for a in block:
+                for b in block:
+                    if a != b:
+                        matrix[a][b] = h
+            return
+        shuffled = block[:]
+        rng.shuffle(shuffled)
+        part_count = rng.randint(2, len(block))
+        cuts = sorted(rng.sample(range(1, len(block)), part_count - 1))
+        parts = [shuffled[s:e] for s, e in zip([0, *cuts], [*cuts, len(block)])]
+        for x, pa in enumerate(parts):
+            for pb in parts[x + 1:]:
+                for a in pa:
+                    for b in pb:
+                        matrix[a][b] = matrix[b][a] = h
+        for part in parts:
+            fill(part, level + 1)
+
+    fill(list(range(n)), 0)
+    return build_space_reference(labels, matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 10_000), st.sampled_from([1, 2, 3, 5, 8, 40]))
+@example(2, 0, 1)
+@example(40, 29, 8)
+def test_random_dendrogram_space_matches_matrix_fill(n, seed, value_count):
+    space = random_dendrogram_space(n, seed, value_count)
+    expected = random_dendrogram_space_reference(n, seed, value_count)
+    assert space == expected and hash(space) == hash(expected)
+
+
+def pseudopartnering_trace_reference(space, x):
+    """The descent filtering each whole rank row as a Python list."""
+    cur = space.index(x)
+    radius = len(space.table) + 1
+    steps = [TraceStep(point=x, dist=INFINITY)]
+    for _ in range(space.n):
+        row = space.ranks[cur].tolist()
+        inside = [j for j in range(space.n) if j != cur and row[j] < radius]
+        if not inside:
+            break
+        best = min(row[j] for j in inside)
+        nxt = min((j for j in inside if row[j] == best), key=lambda j: space.labels[j])
+        steps.append(TraceStep(point=space.labels[nxt], dist=space.table.value(best)))
+        cur, radius = nxt, best
+    else:
+        raise InternalInvariantError("pseudopartnering trace exceeded the point count")
+    terminal = space.labels[cur]
+    cls = classify_point(space, terminal)
+    assert isinstance(cls, Partnered)
+    return PseudopartneringTrace(start=x, steps=tuple(steps), terminal=terminal, terminal_class=cls)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(dendrograms, st.integers(2, 16).map(reciprocal_min_space)), st.data())
+def test_pseudopartnering_trace_matches_list_filter(space, data):
+    # relabelled, so the smallest label among tied points is not the first index
+    labels = data.draw(st.permutations(space.labels))
+    space = data.draw(st.sampled_from([space, build_space(labels, space.value_matrix())]))
+    for x in space.labels:
+        assert pseudopartnering_trace(space, x) == pseudopartnering_trace_reference(space, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dendrograms, st.data())
+def test_coordinate_tables_have_one_canonical_encoding(space, data):
+    """`coordinates`, the CSV round trip and a table built from rows give one table."""
+    space = data.draw(st.sampled_from([space, spelled(space)]))
+    landmarks = data.draw(st.lists(st.sampled_from(space.labels), min_size=1, unique=True))
+    table = coordinates(space, landmarks)
+    text = write_coordinate_csv(table)
+    values, index = table.encoding
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert np.array_equal(np.unique(index), np.arange(len(values)))  # every value is used
+    assert index.dtype == np.int32 and not index.flags.writeable
+    assert len(table.texts) == len(values)
+    routes = [
+        parse_coordinate_csv(text),
+        CoordinateTable(table.landmarks, table.points, table.rows, table_spellings(table)),
+    ]
+    for other in routes:
+        assert other == table and hash(other) == hash(table)
+        assert other.encoding[0] == values and np.array_equal(other.encoding[1], index)
+        assert write_coordinate_csv(other) == text
