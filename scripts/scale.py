@@ -11,8 +11,12 @@ fresh Python process:
   the call alone. One child times it (``wall_s``); a second child runs it
   under ``tracemalloc`` and records ``call_peak_mb``, the peak of the
   Python and numpy memory the call itself holds. Parsing is in neither.
-- ``cli_coords_auto``: ``python -m ultrabase coords FILE --auto`` end to
-  end, parse included, with the process's ``peak_rss_mb``.
+- ``cli_coords_auto`` (``coords FILE --auto`` on the dendrogram CSV) and
+  ``cli_validate`` (``validate FILE`` on a random dissimilarity CSV from
+  ``gen.dissimilarity_case``, which exits 1 with its witnesses): the child
+  runs the command through ``ultrabase.cli.main`` and checks its exit code;
+  ``wall_s`` and ``peak_rss_mb`` are those of the whole child process,
+  interpreter start and parse included.
 
 Budgets: BUDGET_S wall seconds per call and BUDGET_MB of memory. A child is
 killed as soon as its resident set passes BUDGET_MB (polled while it runs),
@@ -32,6 +36,7 @@ root, where ``<commit>`` is the short git HEAD of that checkout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -51,7 +56,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
 
 CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
-         "minimal_subspace", "cli_coords_auto")
+         "minimal_subspace", "cli_coords_auto", "cli_validate")
+# command-line calls: argv before and after the file, and the expected exit code
+CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["validate"], [], 1)}
 SIZES = (400, 1000, 2000)
 LEVELS = 8
 SEED = 1
@@ -69,8 +76,23 @@ def _case(n: int) -> gen.Case:
     return gen.dendrogram_case(random.Random(f"scale:{n}:{SEED}"), n, LEVELS)
 
 
+def _dissimilarity(n: int) -> gen.Case:
+    return gen.dissimilarity_case(random.Random(f"scale:{n}:{SEED}:dissimilarity"), n)
+
+
 def child(call: str, path: str, landmarks: list[str], mode: str) -> dict:
-    """Run one library call in this (fresh) process: timed, or traced for memory."""
+    """Run one call in this (fresh) process.
+
+    A command-line call returns its exit code; a library call is timed, or
+    traced for memory.
+    """
+    if call in CLI:
+        from ultrabase import cli
+
+        before, after, _ = CLI[call]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            return {"exit": cli.main([*before, path, *after])}
+
     import ultrabase as ub
 
     space = ub.parse_distance_csv(Path(path).read_text())
@@ -118,7 +140,7 @@ def _rss_mb(pid: int) -> float:
         return 0.0
 
 
-def _run(args: list[str], src: Path, deadline_s: float, capture: bool):
+def _run(args: list[str], src: Path, deadline_s: float):
     """Run a child under the budgets.
 
     Returns (stdout, wall seconds, peak RSS in MB) once it exits 0, or a
@@ -126,8 +148,7 @@ def _run(args: list[str], src: Path, deadline_s: float, capture: bool):
     BUDGET_MB. stdout and stderr go to files, so neither can fill a pipe.
     """
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
-        proc = subprocess.Popen(args, env=_env(src), stderr=err,
-                                stdout=out if capture else subprocess.DEVNULL)
+        proc = subprocess.Popen(args, env=_env(src), stdout=out, stderr=err)
         start = time.perf_counter()
         while True:
             pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
@@ -153,18 +174,22 @@ def _run(args: list[str], src: Path, deadline_s: float, capture: bool):
 
 
 def measure(call: str, path: Path, landmarks: list[str], src: Path) -> dict:
-    if call == "cli_coords_auto":
-        done = _run([sys.executable, "-m", "ultrabase", "coords", str(path), "--auto"],
-                    src, BUDGET_S, capture=False)
+    def child_args(mode):
+        return [sys.executable, str(Path(__file__).resolve()), "--child", call, str(path),
+                ",".join(landmarks), mode]
+
+    if call in CLI:
+        done = _run(child_args("time"), src, BUDGET_S)
         if isinstance(done, dict):
             return done
-        _, wall, peak = done
+        out, wall, peak = done
+        code, expected = json.loads(out)["exit"], CLI[call][2]
+        if code != expected:
+            raise RuntimeError(f"{call} on {path} exited {code}, expected {expected}")
         return {"wall_s": round(wall, 4), "peak_rss_mb": peak}
     result = {}
     for mode in ("time", "memory"):
-        args = [sys.executable, str(Path(__file__).resolve()), "--child", call, str(path),
-                ",".join(landmarks), mode]
-        done = _run(args, src, BUDGET_S + SETUP_S, capture=True)
+        done = _run(child_args(mode), src, BUDGET_S + SETUP_S)
         if isinstance(done, dict):
             return done
         part = json.loads(done[0])
@@ -206,7 +231,8 @@ def main(argv=None) -> int:
         "commit": commit,
         "machine": machine(),
         "input": f"bench/gen.py dendrogram_case, {LEVELS} heights, seed {SEED}; "
-                 "landmarks: the first metric basis",
+                 "landmarks: the first metric basis; cli_validate: "
+                 f"bench/gen.py dissimilarity_case, seed {SEED}",
         "budget": {"wall_s": BUDGET_S, "memory_mb": BUDGET_MB},
         "sizes": {},
         "results": {call: {} for call in CALLS},
@@ -217,9 +243,15 @@ def main(argv=None) -> int:
             path = Path(work) / f"dendrogram_{n}.csv"
             path.write_text(case.text)
             landmarks = case.first_basis
-            report["sizes"][str(n)] = {"landmarks": len(landmarks), "csv_bytes": len(case.text)}
+            noisy = Path(work) / f"dissimilarity_{n}.csv"
+            noisy.write_text(_dissimilarity(n).text)
+            report["sizes"][str(n)] = {"landmarks": len(landmarks), "csv_bytes": len(case.text),
+                                       "dissimilarity_csv_bytes": noisy.stat().st_size}
             for call in CALLS:
-                result = measure(call, path, landmarks, src)
+                if call == "cli_validate":
+                    result = measure(call, noisy, [], src)
+                else:
+                    result = measure(call, path, landmarks, src)
                 report["results"][call][str(n)] = result
                 print(f"n={n} {call}: {result}", file=sys.stderr)
     out = ROOT / f"BENCH_scale_{commit}.json"

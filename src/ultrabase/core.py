@@ -23,11 +23,21 @@ import numpy as np
 
 from .errors import (
     InternalInvariantError,
+    ParseError,
     UltrametricViolationError,
     UnknownLabelError,
     UsageError,
 )
-from .values import Numeric, _float, format_value, group_values, quantize, to_fraction
+from .values import (
+    Numeric,
+    ValueList,
+    _float,
+    format_value,
+    group_values,
+    quantize,
+    quantize_tokens,
+    to_fraction,
+)
 
 DEFAULT_MAX_VIOLATIONS = 16
 _UNREACHED = np.iinfo(np.int64).max
@@ -177,18 +187,18 @@ class UltrametricSpace:
         return UltrametricSpace(labels=labels, table=table, ranks=ranks)
 
 
-def _rank_ids(ids: np.ndarray, values, epsilon: Fraction) -> tuple[list[int], np.ndarray]:
+def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """Value ids of the representatives, in increasing value, and the
     symmetric int32 ranks of a value-id matrix's upper triangle."""
     n = len(ids)
     upper = np.triu_indices(n, 1)
-    used = np.unique(ids[upper]).tolist()
-    reps, rank = group_values([values[u] for u in used], epsilon)
+    used = np.unique(ids[upper])
+    reps, rank = group_values(values.take(used), epsilon)
     lut = np.zeros(len(values), dtype=np.int32)
     lut[used] = rank
     arr = np.zeros((n, n), dtype=np.int32)
     arr[upper] = lut[ids[upper]]
-    return [used[r] for r in reps], arr + arr.T
+    return used[reps], arr + arr.T
 
 
 def _compact(values, texts, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
@@ -244,21 +254,25 @@ def _epsilon(epsilon: Numeric) -> Fraction:
     return eps
 
 
-def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, list[Fraction]]:
+def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, ValueList]:
     """Value ids of raw matrix cells (row-major), converting each distinct cell once.
 
-    Cells are told apart by type as well as value, so a float and an equal
-    `Fraction` are converted separately. A cell that is not a finite
-    number gets ``nonfinite(position)``: None (id -1), or an exception.
+    All-text cells go through :func:`quantize_tokens`, so only the values
+    something reads become `Fraction`s. Other cells are told apart by type
+    as well as value, so a float and an equal `Fraction` are converted
+    separately. A cell that is not a finite number, text that is no number
+    included, gets ``nonfinite(position)``: None (id -1), or an exception.
     """
 
     def convert(p):
         try:
             return to_fraction(cells[p])
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, ParseError):
             pass
         return nonfinite(p)
 
+    if set(map(type, cells)) <= {str}:
+        return quantize_tokens(cells, convert)
     # a Fraction cell is keyed by its ratio, which is cheaper to hash
     keys = [(t, c.numerator, c.denominator) if (t := type(c)) is Fraction else (t, c)
             for c in cells]
@@ -270,13 +284,32 @@ def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, list[F
 
 @dataclass(frozen=True, eq=False)
 class _ValueIds:
-    """A square matrix a parser has already quantized with :func:`quantize`:
-    int32 ids (-1: not a finite number) into distinct ``values``, and
-    optionally each value's source spelling, by id."""
+    """A square matrix a parser has already quantized: int32 ids (-1: not
+    a finite number) into distinct ``values``, and optionally each value's
+    source spelling, by id."""
 
     ids: np.ndarray
-    values: list[Fraction]
+    values: ValueList
     texts: list[str | None] | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class _PendingTable:
+    """The distance table of a rank matrix not yet accepted: rank r >= 1
+    holds ``values[reps[r - 1]]``. A witness reads single values; the
+    `DistanceTable` is built only once the matrix passes."""
+
+    values: ValueList
+    reps: np.ndarray
+    texts: list[str | None] | None = None
+
+    def value(self, rank: int) -> Fraction:
+        return ZERO if rank == 0 else self.values[self.reps[rank - 1]]
+
+    def build(self) -> DistanceTable:
+        reps = self.reps.tolist()
+        texts = () if self.texts is None else tuple(map(self.texts.__getitem__, reps))
+        return DistanceTable(values=tuple(map(self.values.__getitem__, reps)), texts=texts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,8 +359,8 @@ def _analyze(
 
     # values are distinct, so two ids differ exactly when their values do
     finite = ids >= 0
-    neg = np.array([v.numerator < 0 for v in values] + [False])[ids]
-    zero = np.array([v.numerator == 0 for v in values] + [False])[ids]
+    sign = np.append(values.signs(), np.int8(1))[ids]  # id -1 reads the appended 1
+    neg, zero = sign < 0, sign == 0
     diagonal = np.eye(n, dtype=bool)
     upper = np.triu(~diagonal)
     cell_bad = ~finite | (diagonal & finite & ~zero) | (upper & (neg | zero))
@@ -368,9 +401,8 @@ def _analyze(
         return report, None
 
     reps, rank_arr = _rank_ids(ids, values, eps)
-    texts = tuple(matrix.texts[r] for r in reps) if quantized and matrix.texts is not None else ()
-    table = DistanceTable(values=tuple(values[r] for r in reps), texts=texts)
-    return _space_from_ranks(labels, table, rank_arr, max_violations)
+    texts = matrix.texts if quantized else None
+    return _space_from_ranks(labels, _PendingTable(values, reps, texts), rank_arr, max_violations)
 
 
 def _prim(rank_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -423,8 +455,9 @@ def _space_from_ranks(labels, table, rank_arr, max_violations=DEFAULT_MAX_VIOLAT
 
     A matrix is an ultrametric exactly when it equals its own single-linkage
     closure, which takes O(n²); only an invalid matrix pays for the O(n³)
-    triangle sweep that names witnesses. Returns the report and the space,
-    or None in its place when invalid.
+    triangle sweep that names witnesses. ``table`` is the `DistanceTable`
+    of the ranks or a `_PendingTable`, built here once the ranks pass.
+    Returns the report and the space, or None in its place when invalid.
     """
     _check_labels(labels)
     if not np.array_equal(_single_linkage(rank_arr), rank_arr):
@@ -432,6 +465,8 @@ def _space_from_ranks(labels, table, rank_arr, max_violations=DEFAULT_MAX_VIOLAT
         if not tri:
             raise InternalInvariantError("single linkage and the triangle sweep disagree")
         return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
+    if isinstance(table, _PendingTable):
+        table = table.build()
     space = UltrametricSpace(labels=tuple(labels), table=table, ranks=rank_arr)
     return ValidationReport(ok=True, violations=()), space
 
@@ -464,9 +499,9 @@ def build_space(
 ) -> UltrametricSpace:
     """Validate and construct a space, raising on any violation.
 
-    Each distinct cell is converted once; cells are told apart by type as
-    well as value, so a float and an equal `Fraction` are converted
-    separately.
+    Cells are quantized by :func:`_cell_ids`: all-text cells by spelling,
+    other cells once per distinct cell, told apart by type as well as
+    value, so a float and an equal `Fraction` are converted separately.
     """
     report, space = _analyze(labels, matrix, epsilon, DEFAULT_MAX_VIOLATIONS)
     if space is None:

@@ -34,7 +34,16 @@ from .core import (
 )
 from .errors import ParseError, UltrametricViolationError, UsageError
 from .reconstruct import CoordinateTable
-from .values import Numeric, format_value, parse_decimal, quantize, ratio_text, to_fraction
+from .values import (
+    Numeric,
+    ValueList,
+    format_value,
+    parse_decimal,
+    quantize,
+    quantize_tokens,
+    ratio_text,
+    to_fraction,
+)
 
 NEWICK_EPSILON = Fraction(1, 10**9)
 
@@ -51,8 +60,8 @@ def _csv_rows(text: str) -> list[list[str]]:
 
 def _token_ids(
     body: list[list[str]], width: int, skip: int = 0
-) -> tuple[list[str], np.ndarray, list[Fraction]]:
-    """Parse the numeric fields of CSV rows, each distinct spelling once.
+) -> tuple[list[str], np.ndarray, ValueList]:
+    """Quantize the numeric fields of CSV rows with :func:`quantize_tokens`.
 
     Each row holds ``skip`` leading non-numeric fields, then ``width``
     numbers. Returns the tokens (row-major), their value ids as a rows x
@@ -67,7 +76,7 @@ def _token_ids(
         except ParseError as exc:
             raise ParseError(str(exc), line=p // width + 2) from None
 
-    ids, values = quantize(tokens, convert)
+    ids, values = quantize_tokens(tokens, convert)
     return tokens, ids.reshape(len(body), width), values
 
 
@@ -87,7 +96,9 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
 
     Values closer than ``epsilon`` collapse into one distance rank; the
     default 0 keeps values apart unless they denote the same number.
-    Each distinct spelling is parsed once.
+    Distinct spellings are ordered by float, and a value becomes an exact
+    `Fraction` only when it is read: a valid space builds the values its
+    table keeps, an invalid one those its witnesses name.
     """
     rows = _csv_rows(text)
     labels = rows[0]
@@ -166,7 +177,7 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
     if error:
         raise error
 
-    positive = np.array([v.numerator > 0 for v in values], dtype=bool)[ids]
+    positive = (values.signs() > 0)[ids]
     texts = _first_spellings(tokens, ids, len(values), positive)
     return CoordinateTable._encoded(landmarks, points, ids, values, texts)
 
@@ -415,8 +426,8 @@ def subdominant_ultrametric(
 
     ids, values = _cell_ids([c for row in matrix for c in row], nonfinite)
     ids = ids.reshape(n, n)
-    neg = np.array([v.numerator < 0 for v in values], dtype=bool)[ids]
-    zero = np.array([v.numerator == 0 for v in values], dtype=bool)[ids]
+    signs = values.signs()
+    neg, zero = signs[ids] < 0, signs[ids] == 0
     diagonal = np.eye(n, dtype=bool)
     bad = (diagonal & ~zero) | (np.triu(~diagonal) & ((ids != ids.T) | neg))
     if bad.any():
@@ -430,9 +441,9 @@ def subdominant_ultrametric(
     # Work on ranks: the closure only compares values, so the quantized
     # integer picture is exact.
     rep_ids, arr = _rank_ids(ids, values, eps)
-    reps = [values[r] for r in rep_ids]
+    reps = values.take(rep_ids)  # each built only if the closure keeps it
     closed = _single_linkage(arr)
-    if reps[0].numerator == 0:
+    if signs[rep_ids[0]] == 0:
         # Zero dissimilarities glue distinct points; report each such pair.
         # Rank r holds reps[r - 1], and reps[0] = 0 also serves the diagonal.
         return build_space(labels, _ValueIds(np.maximum(closed - 1, 0), reps))

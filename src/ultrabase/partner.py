@@ -84,10 +84,10 @@ def _min_offdiag_ranks(space: UltrametricSpace) -> np.ndarray:
 def nearest_set(space: UltrametricSpace, x: str) -> tuple[tuple[str, ...], Fraction]:
     """All points realizing min_{z != x} d(x, z), with that minimum."""
     i = space.index(x)
-    row = space.ranks[i].tolist()
-    m = min(r for j, r in enumerate(row) if j != i)
-    members = tuple(sorted(space.labels[j] for j, r in enumerate(row) if j != i and r == m))
-    return members, space.table.value(m)
+    m = int(_min_offdiag_ranks(space)[i])
+    # m >= 1, and rank 0 sits only on the diagonal, so x is not among the hits
+    hits = np.flatnonzero(space.ranks[i] == m).tolist()
+    return tuple(sorted(map(space.labels.__getitem__, hits))), space.table.value(m)
 
 
 def classify_point(space: UltrametricSpace, x: str) -> PointClass:

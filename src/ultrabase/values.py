@@ -4,14 +4,25 @@ All distances are `fractions.Fraction` internally, so equality tests are
 exact. Decimal text maps to the exact rational it denotes ("0.50" and
 "0.5" are the same value). Floats are converted through their repr, i.e.
 the shortest decimal that round-trips, which keeps ingestion deterministic.
-Ingestion converts each distinct cell once (:func:`quantize`) and works on
-integer value ids from there on.
+
+Ingestion orders values by float and builds a `Fraction` only for a value
+something reads. :func:`quantize_tokens` reads a plain decimal token
+(ASCII ``digits[.digits]``) with `float`, which rounds correctly and so
+orders tokens as their exact values do; a token is parsed exactly up
+front only where floats tie or the spelling is not plain. Values come as
+a :class:`ValueList`: each value's float, and its exact value built when
+a distance table, a witness, a sign test at float 0 or an epsilon
+comparison first reads it. Cells that are not all text are converted
+once per distinct cell (:func:`quantize`). From there on, work is on
+integer value ids.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
+import re
 from fractions import Fraction
 from typing import Callable, Hashable, Sequence
 
@@ -183,7 +194,77 @@ def _float(value: Fraction) -> float:
         return math.inf if value.numerator > 0 else -math.inf
 
 
-def group_values(values: Sequence[Fraction], epsilon: Fraction) -> tuple[list[int], np.ndarray]:
+class ValueList:
+    """Distinct values by id: each value's float up front, and its exact
+    `Fraction`, built by ``make(i)`` when first read and then kept.
+
+    ``floats[i]`` is the float nearest value i, or an infinity beyond the
+    float range (see :func:`_float`), so floats order the values up to
+    ties. ``exact[i]`` holds the values already built, None elsewhere.
+    """
+
+    __slots__ = ("floats", "_exact", "_make")
+
+    def __init__(self, floats: np.ndarray, exact: list[Fraction | None],
+                 make: Callable[[int], Fraction] | None = None):
+        self.floats = floats
+        self._exact = exact
+        self._make = make
+
+    @classmethod
+    def of(cls, values: Sequence[Fraction]) -> "ValueList":
+        """The list of values already built."""
+        values = list(values)
+        return cls(np.array([_float(v) for v in values], dtype=float), values)
+
+    def __len__(self) -> int:
+        return len(self._exact)
+
+    def __getitem__(self, i: int) -> Fraction:
+        v = self._exact[i]
+        if v is None:
+            v = self._exact[i] = self._make(i)
+        return v
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def take(self, ids: np.ndarray) -> "ValueList":
+        """The values at ``ids``, in that order, each still built when first read."""
+        ids = ids.tolist()
+        return ValueList(self.floats[ids], list(map(self._exact.__getitem__, ids)),
+                         lambda j: self[ids[j]])
+
+    def signs(self) -> np.ndarray:
+        """Each value's exact sign (-1, 0 or 1) as int8; only values whose
+        float is 0 are built to tell zero from a tiny nonzero value."""
+        signs = np.sign(self.floats).astype(np.int8)
+        for i in np.flatnonzero(self.floats == 0).tolist():
+            num = self[i].numerator
+            signs[i] = (num > 0) - (num < 0)
+        return signs
+
+
+def _tie_runs(ordered: np.ndarray) -> list[tuple[int, int]]:
+    """The runs ``[start, stop)`` of two or more equal entries in a sorted array."""
+    same = ordered[1:] == ordered[:-1]
+    if not same.any():
+        return []
+    edges = np.flatnonzero(np.diff(same.astype(np.int8), prepend=0, append=0))
+    return list(zip(edges[::2].tolist(), (edges[1::2] + 1).tolist()))
+
+
+def _order(values: ValueList) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of ``values`` sorted by float, runs of equal floats sorted
+    exactly (reading only their values), and the sorted floats."""
+    order = np.argsort(values.floats, kind="stable")
+    ordered = values.floats[order]
+    for start, stop in _tie_runs(ordered):
+        order[start:stop] = sorted(order[start:stop].tolist(), key=values.__getitem__)
+    return order, ordered
+
+
+def group_values(values: Sequence[Fraction] | ValueList, epsilon: Fraction) -> tuple[list[int], np.ndarray]:
     """Collapse near-equal values and assign ranks.
 
     ``values`` must be distinct. Sorted, they are chained into one group
@@ -191,20 +272,17 @@ def group_values(values: Sequence[Fraction], epsilon: Fraction) -> tuple[list[in
     its smallest member. Returns the positions of the representatives in
     ``values``, in increasing value, and an int32 array of each value's
     1-based rank (rank 0 is reserved for distance zero). No value is
-    hashed: values are sorted by float, and only when two floats tie is
-    the order settled exactly.
+    hashed: values are sorted by float, and only values whose floats tie
+    are read exactly, or all of them when ``epsilon`` is positive.
     """
-    floats = np.array([_float(v) for v in values])
-    order = np.argsort(floats, kind="stable")
-    ordered = floats[order]
-    order = order.tolist()
-    if (ordered[1:] == ordered[:-1]).any():
-        order.sort(key=lambda i: (floats[i], values[i]))
+    if not isinstance(values, ValueList):
+        values = ValueList.of(values)
+    order, _ = _order(values)
     if not epsilon:
-        reps = order
+        reps = order.tolist()
     else:
-        reps = order[:1]
-        for a, b in itertools.pairwise(order):
+        reps = order[:1].tolist()
+        for a, b in itertools.pairwise(order.tolist()):
             if values[b] - values[a] > epsilon:
                 reps.append(b)
     rank = np.zeros(len(values), dtype=np.int32)
@@ -215,7 +293,7 @@ def group_values(values: Sequence[Fraction], epsilon: Fraction) -> tuple[list[in
 
 def quantize(
     keys: Sequence[Hashable], convert: Callable[[int], Fraction | None]
-) -> tuple[np.ndarray, list[Fraction]]:
+) -> tuple[np.ndarray, ValueList]:
     """Convert each distinct key once and give keys of equal value one id.
 
     ``convert(p)`` returns the exact value of ``keys[p]``, or None when the
@@ -228,13 +306,10 @@ def quantize(
     """
     index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
     dense = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
-    # dense ids first appear in increasing order, so the running maximum
-    # steps up exactly at each key's first position
-    starts = np.flatnonzero(np.diff(np.maximum.accumulate(dense), prepend=-1))
     slots: dict[int | tuple[int, int], int] = {}
     values: list[Fraction] = []
     remap = []
-    for p in starts.tolist():
+    for p in _first_positions(dense).tolist():
         v = convert(p)
         if v is None:
             remap.append(-1)
@@ -248,4 +323,64 @@ def quantize(
         if slot == len(values):
             values.append(v)
         remap.append(slot)
-    return np.array(remap, dtype=np.int32)[dense], values
+    return np.array(remap, dtype=np.int32)[dense], ValueList.of(values)
+
+
+def _first_positions(dense: np.ndarray) -> np.ndarray:
+    """Each id's first position in ``dense``, whose ids first appear in
+    increasing order: the running maximum steps up exactly there."""
+    return np.flatnonzero(np.diff(np.maximum.accumulate(dense), prepend=-1))
+
+
+_PLAIN = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+
+
+def quantize_tokens(
+    tokens: Sequence[str], convert: Callable[[int], Fraction | None]
+) -> tuple[np.ndarray, ValueList]:
+    """:func:`quantize` for decimal text, merging and ordering by float.
+
+    Each distinct spelling gets an id in order of first occurrence. A
+    plain spelling, ASCII ``digits[.digits]`` of at most MAX_DIGITS
+    characters, is read with `float`, which rounds correctly and so
+    orders like its exact value. Any other spelling goes to ``convert(p)``
+    at its first position p, in increasing position, as in
+    :func:`quantize`. Spellings whose floats tie are parsed with
+    :func:`parse_decimal` to merge equal values and order the rest; every
+    other plain value is parsed only when the returned list is read.
+    Returns an int32 id per token (-1 where ``convert`` gave None), the
+    values numbered in order of first occurrence, and the values.
+    """
+    spelling_ids = collections.defaultdict(itertools.count().__next__)
+    dense = np.fromiter(map(spelling_ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
+    spellings = list(spelling_ids)
+    k = len(spellings)
+    plain = np.fromiter(map(bool, map(_PLAIN.fullmatch, spellings)), dtype=bool, count=k)
+    plain &= np.fromiter(map(len, spellings), dtype=np.intp, count=k) <= MAX_DIGITS
+    floats = np.full(k, np.nan)  # NaN: no number, sorted last and never tied
+    floats[plain] = np.fromiter(map(float, itertools.compress(spellings, plain)), dtype=float)
+    exact: list[Fraction | None] = [None] * k
+    first = np.arange(k)  # each spelling's first spelling of equal value; -1: no number
+    other = np.flatnonzero(~plain)
+    if len(other):
+        position = _first_positions(dense)
+        for s in other.tolist():
+            v = exact[s] = convert(int(position[s]))
+            if v is None:
+                first[s] = -1
+            else:
+                floats[s] = _float(v)
+    spelled = ValueList(floats, exact, lambda s: parse_decimal(spellings[s]))
+    order, ordered = _order(spelled)
+    # equal values lie in one run of tied floats, in increasing spelling id
+    for start, stop in _tie_runs(ordered):
+        for a, b in itertools.pairwise(order[start:stop].tolist()):
+            if spelled[a] == spelled[b]:
+                first[b] = first[a]
+    reps = np.flatnonzero(first == np.arange(k))
+    value_id = np.full(k + 1, -1, dtype=np.int32)  # the extra entry serves first == -1
+    value_id[reps] = np.arange(len(reps), dtype=np.int32)
+    reps = reps.tolist()
+    built = list(map(exact.__getitem__, reps))  # a value of several spellings is built
+    return value_id[first][dense], ValueList(floats[reps], built,
+                                             lambda v: parse_decimal(spellings[reps[v]]))

@@ -53,6 +53,15 @@ def test_validate_reports_entry_violations():
     report = validate_ultrametric([[0, nan], [nan, 0]])
     assert {v.kind for v in report.violations} == {"nonfinite"}
 
+    # text that is no number is a nonfinite entry too, in all-text and mixed matrices
+    for matrix in ([[0, "x"], ["x", 0]], [["0", "x"], ["1", "0"]]):
+        report = validate_ultrametric(matrix, labels=["a", "b"])
+        first = report.violations[0]
+        assert (first.kind, first.labels) == ("nonfinite", ("a", "b"))
+        assert first.detail == "entry (a,b) is not a finite number: 'x'"
+        with pytest.raises(UltrametricViolationError):
+            build_space(["a", "b"], matrix)
+
     report = validate_ultrametric([[0, -1], [-1, 0]])
     assert {v.kind for v in report.violations} == {"negative"}
 

@@ -186,6 +186,9 @@ def test_subdominant_rejects_malformed():
         subdominant_ultrametric([[1, 1], [1, 0]])
     with pytest.raises(UsageError, match="negative"):
         subdominant_ultrametric([[0, -1], [-1, 0]])
+    for cells in (["0", "x"], [0, "x"]):
+        with pytest.raises(UsageError, match=r"entry \(a,b\) is not a finite number"):
+            subdominant_ultrametric([cells, cells[::-1]], labels=["a", "b"])
     with pytest.raises(UsageError, match="square"):
         subdominant_ultrametric([[0, 1]])
     with pytest.raises(UltrametricViolationError):

@@ -176,6 +176,6 @@ def test_table_from_rows_is_encoded_once():
     assert index.tolist() == [[0], [1], [1], [2]]
     assert t.texts == (None, "1.50", None)
     assert t == table(["s"], [("s", [0]), ("a", [F(3, 2)]), ("b", [F(3, 2)]), ("c", [2])])
-    for cell in (None, float("nan")):
+    for cell in (None, float("nan"), "x"):
         with pytest.raises(UsageError, match=r"coordinate \(b, s\) is not a finite number"):
             CoordinateTable(("s",), ("s", "b"), ((0,), (cell,)))

@@ -13,6 +13,7 @@ the way they once did, in dicts keyed by `Fraction`.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -69,7 +70,7 @@ from ultrabase.values import (
     format_value,
     group_values,
     parse_decimal,
-    quantize,
+    quantize_tokens,
     to_fraction,
 )
 
@@ -92,7 +93,7 @@ def analyze_reference(labels, matrix, epsilon, max_violations, value_texts):
         for j in range(n):
             try:
                 v = to_fraction(matrix[i][j])
-            except (ValueError, TypeError):
+            except (ValueError, TypeError, ParseError):
                 violations.append(Violation(
                     kind="nonfinite",
                     labels=(labels[i], labels[j]),
@@ -452,7 +453,7 @@ def raw_matrices(draw, max_n=9):
 
     Overwrites hit one side of a pair or both, and use existing values,
     values near the mirror entry, new values, zero, negatives, nonzero
-    diagonals, NaN, infinity and None.
+    diagonals, NaN, infinity, None and text that is no number.
     Cells are drawn as `Fraction`, int, float or decimal text.
     """
     n = draw(st.integers(2, max_n))
@@ -469,7 +470,7 @@ def raw_matrices(draw, max_n=9):
             st.sampled_from(pool),
             st.sampled_from(pool).map(lambda x: -x - F(1, 8)),
             st.fractions(min_value=0, max_value=4, max_denominator=16),
-            st.sampled_from([math.nan, math.inf, None]),
+            st.sampled_from([math.nan, math.inf, None, "x", "", "nan"]),
         ))
         m[i][j] = v
         if draw(st.booleans()) and v is not None:
@@ -568,6 +569,8 @@ def test_parse_error_precedence_examples():
         "0,1,2\n1,0\n2,x,0\n",  # short row (line 3) before a bad token (line 4)
         "0,1,2\n1,0,y,5\n2,2,0\n",  # one row with both: its field count wins
         "0,1,z\n1,0,1\nz,1,0\n",  # one bad spelling used twice: its first line
+        "0,5e-1,2\n0.5,0,2\n2,2,x\n",  # a bad token after plain and other spellings
+        "0,1,2\n1,0,1e0\n2,1e,0\n",  # a bad token after a valid spelling that is not plain
     ]
     for body in cases:
         with pytest.raises(ParseError) as want:
@@ -755,19 +758,54 @@ value_pool = st.one_of(
 )
 
 
+edge_values = st.one_of(
+    value_pool,  # 1/2 among them: "0.5", "0.50", "00.5", "5e-1", ...
+    st.integers(0, 3).map(lambda k: 1 + F(k, 10**20)),  # 21 significant digits, one float
+    st.integers(0, 3).map(lambda k: F(k, 10**400)),  # plain, underflows to 0.0
+    st.integers(1, 3).map(lambda k: F(k * 10**400)),  # plain, overflows to inf
+)
+
+
 @st.composite
-def spelled_tokens(draw):
-    """Decimal tokens over a small value pool, each value in several spellings."""
-    values = draw(st.lists(value_pool, min_size=1, max_size=12))
-    return [draw(st.sampled_from(wide_spellings(v))) for v in values for _ in range(draw(st.integers(1, 3)))]
+def edge_tokens(draw):
+    """Decimal tokens over a value pool, each value in several spellings:
+    distinct values that share a float, plain tokens beyond the float
+    range, padded tokens, tokens longer than MAX_DIGITS, and a few tokens
+    that are no number."""
+    tokens = []
+    for v in draw(st.lists(edge_values, min_size=1, max_size=12)):
+        for _ in range(draw(st.integers(1, 3))):
+            token = draw(st.sampled_from(wide_spellings(v)))
+            shape = draw(st.sampled_from(["as is"] * 4 + ["padded", "long"]))
+            if shape == "padded":
+                token = f" {token}\t"
+            elif shape == "long" and token[0].isdigit():
+                token = "0" * MAX_DIGITS + token
+            tokens.append(token)
+    tokens += draw(st.lists(st.sampled_from(["x", "", "nan", "1/0"]), max_size=2))
+    return draw(st.permutations(tokens))
+
+
+def parse_or_none(tokens):
+    """The exact value of ``tokens[p]``, or None where it is no number."""
+    def convert(p):
+        try:
+            return parse_decimal(tokens[p])
+        except ParseError:
+            return None
+    return convert
 
 
 @st.composite
 def raw_cells(draw):
-    """Matrix cells as `Fraction`, int, float or decimal text, equal values in several types."""
+    """Matrix cells as `Fraction`, int, float or decimal text, equal values in
+    several types; sometimes all of them text."""
     cells = []
+    text_only = draw(st.booleans())
     for v in draw(st.lists(value_pool, min_size=1, max_size=20)):
         kinds = ["fraction", "text"] + ["int"] * (v.denominator == 1) + ["float"] * (float(v) == v)
+        if text_only:
+            kinds = ["text"]
         kind = draw(st.sampled_from(kinds))
         cells.append(
             v if kind == "fraction" else int(v) if kind == "int" else float(v) if kind == "float"
@@ -787,18 +825,22 @@ def assert_same_grouping(values, epsilon):
 
 
 @settings(max_examples=200, deadline=None)
-@given(spelled_tokens(), value_epsilons, st.data())
+@given(edge_tokens(), value_epsilons, st.data())
 def test_token_value_ids_match_fraction_keys(tokens, epsilon, data):
-    ids, values = quantize(tokens, lambda p: parse_decimal(tokens[p]))
-    expected_ids, expected_values = quantize_reference(tokens, lambda p: parse_decimal(tokens[p]))
+    convert = parse_or_none(tokens)
+    ids, values = quantize_tokens(tokens, convert)
+    expected_ids, expected_values = quantize_reference(tokens, convert)
     assert np.array_equal(ids, expected_ids)
-    assert values == expected_values
+    assert_same_grouping(values, epsilon)  # while most values are still unbuilt
+    assert list(values) == expected_values
+    assert values.floats.tolist() == [values_module._float(v) for v in expected_values]
+    assert values.signs().tolist() == [(v > 0) - (v < 0) for v in expected_values]
     where = np.array(data.draw(st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens))))
+    where &= ids >= 0
     texts = _first_spellings(tokens, ids, len(values), where)
     assert {values[i]: t for i, t in enumerate(texts) if t is not None} == (
         first_spellings_reference(tokens, ids, values, where)
     )
-    assert_same_grouping(values, epsilon)
 
 
 @settings(max_examples=200, deadline=None)
@@ -809,8 +851,31 @@ def test_cell_value_ids_match_fraction_keys(cells, epsilon):
         [(type(c), c) for c in cells], lambda p: to_fraction(cells[p])
     )
     assert np.array_equal(ids, expected_ids)
-    assert values == expected_values
     assert_same_grouping(values, epsilon)
+    assert list(values) == expected_values
+
+
+def test_invalid_csv_builds_only_its_witness_values(monkeypatch):
+    """A random 120-point dissimilarity has thousands of distinct tokens;
+    parsing it builds the exact values of zero and its witnesses only."""
+    rng = random.Random(7)
+    n = 120
+    upper = np.zeros((n, n), dtype=np.int64)
+    upper[np.triu_indices(n, 1)] = [rng.randint(1, 10**6) for _ in range(n * (n - 1) // 2)]
+    lines = [",".join(f"q{i}" for i in range(n))]
+    for row in (upper + upper.T).tolist():
+        lines.append(",".join(format_value(F(v, 1000)) for v in row))
+    text = "\n".join(lines) + "\n"
+    parsed = []
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("ultrabase") and getattr(module, "parse_decimal", None) is parse_decimal:
+            monkeypatch.setattr(module, "parse_decimal", lambda token: parsed.append(token) or parse_decimal(token))
+    with pytest.raises(UltrametricViolationError) as err:
+        parse_distance_csv(text)
+    witnessed = {F(0)} | {v for w in err.value.report.violations for v in w.values}
+    assert len(set(text.replace("\n", ",").split(",")[n:])) > 5000
+    assert len(parsed) == len(set(parsed)) <= len(witnessed)
+    assert {parse_decimal(t) for t in parsed} <= witnessed
 
 
 def parse_outcome(fn, token):
@@ -1197,6 +1262,25 @@ def test_star_closure_and_verdicts_match_the_pair_loops(case, k):
         assert actual == expected
     assert landmark_independence_witness(table) == landmark_independence_reference(table)
     assert is_k_generator(space, landmarks, k) == is_k_generator_reference(space, landmarks, k)
+
+
+def nearest_set_reference(space, x):
+    """The nearest points from a whole rank row filtered in Python."""
+    i = space.index(x)
+    row = space.ranks[i].tolist()
+    m = min(r for j, r in enumerate(row) if j != i)
+    members = tuple(sorted(space.labels[j] for j, r in enumerate(row) if j != i and r == m))
+    return members, space.table.value(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(dendrograms, st.integers(2, 16).map(reciprocal_min_space)), st.data())
+def test_nearest_set_matches_row_filter(space, data):
+    # relabelled, so sorted labels are not in index order
+    labels = data.draw(st.permutations(space.labels))
+    space = data.draw(st.sampled_from([space, build_space(labels, space.value_matrix())]))
+    for x in space.labels:
+        assert nearest_set(space, x) == nearest_set_reference(space, x)
 
 
 def classify_point_reference(space, x):

@@ -1,0 +1,20 @@
+"""The scaling script on a small input, so a broken script shows without
+running its large sizes."""
+
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+
+import scale  # noqa: E402
+
+
+def test_cli_validate_runs_on_a_small_dissimilarity(tmp_path):
+    path = tmp_path / "dissimilarity.csv"
+    path.write_text(scale.gen.dissimilarity_case(random.Random("test_scale"), 24).text)
+    assert scale.child("cli_validate", str(path), [], "time") == {"exit": 1}
+    result = scale.measure("cli_validate", path, [], ROOT / "src")
+    assert set(result) == {"wall_s", "peak_rss_mb"}
+    assert 0 < result["wall_s"] < scale.BUDGET_S and 0 < result["peak_rss_mb"] < scale.BUDGET_MB
