@@ -254,14 +254,14 @@ def _tie_runs(ordered: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(edges[::2].tolist(), (edges[1::2] + 1).tolist()))
 
 
-def _order(values: ValueList) -> tuple[np.ndarray, np.ndarray]:
+def _order(values: ValueList) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Positions of ``values`` sorted by float, runs of equal floats sorted
-    exactly (reading only their values), and the sorted floats."""
+    exactly (reading only their values), and the runs ``[start, stop)``."""
     order = np.argsort(values.floats, kind="stable")
-    ordered = values.floats[order]
-    for start, stop in _tie_runs(ordered):
+    ties = _tie_runs(values.floats[order])
+    for start, stop in ties:
         order[start:stop] = sorted(order[start:stop].tolist(), key=values.__getitem__)
-    return order, ordered
+    return order, ties
 
 
 def group_values(values: Sequence[Fraction] | ValueList, epsilon: Fraction) -> tuple[list[int], np.ndarray]:
@@ -332,7 +332,8 @@ def _first_positions(dense: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(np.maximum.accumulate(dense), prepend=-1))
 
 
-_PLAIN = re.compile(r"[0-9]+(?:\.[0-9]+)?")
+# ASCII digits[.digits] of at most MAX_DIGITS characters
+_PLAIN = re.compile(rf"(?=.{{1,{MAX_DIGITS}}}\Z)[0-9]+(?:\.[0-9]+)?")
 
 
 def quantize_tokens(
@@ -356,24 +357,22 @@ def quantize_tokens(
     spellings = list(spelling_ids)
     k = len(spellings)
     plain = np.fromiter(map(bool, map(_PLAIN.fullmatch, spellings)), dtype=bool, count=k)
-    plain &= np.fromiter(map(len, spellings), dtype=np.intp, count=k) <= MAX_DIGITS
     floats = np.full(k, np.nan)  # NaN: no number, sorted last and never tied
     floats[plain] = np.fromiter(map(float, itertools.compress(spellings, plain)), dtype=float)
     exact: list[Fraction | None] = [None] * k
     first = np.arange(k)  # each spelling's first spelling of equal value; -1: no number
-    other = np.flatnonzero(~plain)
-    if len(other):
+    if not plain.all():
         position = _first_positions(dense)
-        for s in other.tolist():
+        for s in np.flatnonzero(~plain).tolist():
             v = exact[s] = convert(int(position[s]))
             if v is None:
                 first[s] = -1
             else:
                 floats[s] = _float(v)
     spelled = ValueList(floats, exact, lambda s: parse_decimal(spellings[s]))
-    order, ordered = _order(spelled)
+    order, ties = _order(spelled)
     # equal values lie in one run of tied floats, in increasing spelling id
-    for start, stop in _tie_runs(ordered):
+    for start, stop in ties:
         for a, b in itertools.pairwise(order[start:stop].tolist()):
             if spelled[a] == spelled[b]:
                 first[b] = first[a]
