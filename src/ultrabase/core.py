@@ -293,15 +293,16 @@ class _ValueIds:
     texts: list[str | None] | None = None
 
 
-@dataclass(frozen=True, eq=False)
 class _PendingTable:
     """The distance table of a rank matrix not yet accepted: rank r >= 1
-    holds ``values[reps[r - 1]]``. A witness reads single values; the
-    `DistanceTable` is built only once the matrix passes."""
+    holds ``values[reps[r - 1]]``, spelled ``texts[reps[r - 1]]`` when
+    texts are known. A witness reads single values; the `DistanceTable`
+    is built only once the matrix passes."""
 
-    values: ValueList
-    reps: np.ndarray
-    texts: list[str | None] | None = None
+    __slots__ = ("values", "reps", "texts")
+
+    def __init__(self, values: ValueList, reps: np.ndarray, texts: list[str | None] | None):
+        self.values, self.reps, self.texts = values, reps, texts
 
     def value(self, rank: int) -> Fraction:
         return ZERO if rank == 0 else self.values[self.reps[rank - 1]]
