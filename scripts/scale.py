@@ -18,6 +18,15 @@ fresh Python process:
   ``wall_s`` and ``peak_rss_mb`` are those of the whole child process,
   interpreter start and parse included.
 
+Newick trees have their own sizes, NEWICK_SIZES leaves, in two shapes:
+``gen.random_tree_case`` and ``gen.caterpillar_case`` (seed SEED).
+``parse_newick`` is timed and traced like the library calls above, with
+reading the file outside the call; ``cli_validate_newick`` runs
+``validate FILE`` (exit 0) like the other command-line calls. A size whose
+n x n int32 rank matrix alone would fill half of BUDGET_MB is recorded as
+``"skipped": "budget"`` without being generated or run: the tree's space
+holds that matrix and the dendrogram kernel several more of its size.
+
 Budgets: BUDGET_S wall seconds per call and BUDGET_MB of memory. A child is
 killed as soon as its resident set passes BUDGET_MB (polled while it runs),
 a call is stopped at BUDGET_S, and either is recorded as
@@ -57,9 +66,13 @@ import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
 
 CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
          "minimal_subspace", "cli_coords_auto", "cli_validate")
+NEWICK_CALLS = ("parse_newick", "cli_validate_newick")
+NEWICK_SHAPES = {"random-tree": gen.random_tree_case, "caterpillar": gen.caterpillar_case}
 # command-line calls: argv before and after the file, and the expected exit code
-CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["validate"], [], 1)}
+CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["validate"], [], 1),
+       "cli_validate_newick": (["validate"], [], 0)}
 SIZES = (400, 1000, 2000)
+NEWICK_SIZES = (1000, 4000, 20000)
 LEVELS = 8
 SEED = 1
 BUDGET_S = 30.0
@@ -80,6 +93,14 @@ def _dissimilarity(n: int) -> gen.Case:
     return gen.dissimilarity_case(random.Random(f"scale:{n}:{SEED}:dissimilarity"), n)
 
 
+def _tree(shape: str, n: int) -> gen.Case:
+    return NEWICK_SHAPES[shape](random.Random(f"scale:{n}:{SEED}:{shape}"), n)
+
+
+def _rank_matrix_mb(n: int) -> float:
+    return 4 * n * n / 2**20
+
+
 def child(call: str, path: str, landmarks: list[str], mode: str) -> dict:
     """Run one call in this (fresh) process.
 
@@ -95,8 +116,11 @@ def child(call: str, path: str, landmarks: list[str], mode: str) -> dict:
 
     import ultrabase as ub
 
-    space = ub.parse_distance_csv(Path(path).read_text())
-    if call == "is_k_generator":
+    text = Path(path).read_text()
+    space = None if call == "parse_newick" else ub.parse_distance_csv(text)
+    if call == "parse_newick":
+        run = lambda: ub.parse_newick(text)  # noqa: E731
+    elif call == "is_k_generator":
         run = lambda: ub.is_k_generator(space, landmarks, 1)  # noqa: E731
     elif call == "minimal_subspace":
         run = lambda: ub.minimal_subspace(space, landmarks)  # noqa: E731
@@ -234,8 +258,10 @@ def main(argv=None) -> int:
                  "landmarks: the first metric basis; cli_validate: "
                  f"bench/gen.py dissimilarity_case, seed {SEED}",
         "budget": {"wall_s": BUDGET_S, "memory_mb": BUDGET_MB},
+        "newick_input": f"bench/gen.py {' and '.join(NEWICK_SHAPES)} cases, seed {SEED}",
         "sizes": {},
-        "results": {call: {} for call in CALLS},
+        "newick_sizes": {},
+        "results": {call: {} for call in CALLS + NEWICK_CALLS},
     }
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:
@@ -254,6 +280,22 @@ def main(argv=None) -> int:
                     result = measure(call, path, landmarks, src)
                 report["results"][call][str(n)] = result
                 print(f"n={n} {call}: {result}", file=sys.stderr)
+        for n in NEWICK_SIZES:
+            matrix_mb = _rank_matrix_mb(n)
+            report["newick_sizes"][str(n)] = {"rank_matrix_mb": round(matrix_mb, 1)}
+            for call in NEWICK_CALLS:
+                report["results"][call][str(n)] = {}
+            for shape in NEWICK_SHAPES:
+                if matrix_mb > BUDGET_MB / 2:
+                    results = dict.fromkeys(NEWICK_CALLS, {"skipped": "budget", "limit": "rank_matrix_mb"})
+                else:
+                    path = Path(work) / f"{shape}_{n}.nwk"
+                    path.write_text(_tree(shape, n).text)
+                    report["newick_sizes"][str(n)][f"{shape}_bytes"] = path.stat().st_size
+                    results = {call: measure(call, path, [], src) for call in NEWICK_CALLS}
+                for call, result in results.items():
+                    report["results"][call][str(n)][shape] = result
+                    print(f"n={n} {shape} {call}: {result}", file=sys.stderr)
     out = ROOT / f"BENCH_scale_{commit}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(out)

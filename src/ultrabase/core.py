@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -285,23 +285,25 @@ def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, ValueL
 @dataclass(frozen=True, eq=False)
 class _ValueIds:
     """A square matrix a parser has already quantized: int32 ids (-1: not
-    a finite number) into distinct ``values``, and optionally each value's
-    source spelling, by id."""
+    a finite number) into distinct ``values``, and optionally ``texts``, a
+    function giving the source spellings of a list of value ids, called
+    only once the matrix is accepted."""
 
     ids: np.ndarray
     values: ValueList
-    texts: list[str | None] | None = None
+    texts: Callable[[list[int]], list[str]] | None = None
 
 
 class _PendingTable:
     """The distance table of a rank matrix not yet accepted: rank r >= 1
-    holds ``values[reps[r - 1]]``, spelled ``texts[reps[r - 1]]`` when
+    holds ``values[reps[r - 1]]``, spelled ``texts(reps)[r - 1]`` when
     texts are known. A witness reads single values; the `DistanceTable`
-    is built only once the matrix passes."""
+    and its spellings are built only once the matrix passes."""
 
     __slots__ = ("values", "reps", "texts")
 
-    def __init__(self, values: ValueList, reps: np.ndarray, texts: list[str | None] | None):
+    def __init__(self, values: ValueList, reps: np.ndarray,
+                 texts: Callable[[list[int]], list[str]] | None):
         self.values, self.reps, self.texts = values, reps, texts
 
     def value(self, rank: int) -> Fraction:
@@ -309,7 +311,7 @@ class _PendingTable:
 
     def build(self) -> DistanceTable:
         reps = self.reps.tolist()
-        texts = () if self.texts is None else tuple(map(self.texts.__getitem__, reps))
+        texts = () if self.texts is None else tuple(self.texts(reps))
         return DistanceTable(values=tuple(map(self.values.__getitem__, reps)), texts=texts)
 
 
@@ -317,13 +319,15 @@ class _PendingTable:
 class _Gaps:
     """A dendrogram: its points in leaf ``order``, and ``ids[k]`` (k >= 1)
     the id of the distance between leaves k - 1 and k among distinct
-    positive ``values``, each of them used. The distance between leaves
-    i < j is the largest value among ids[i + 1..j]. Such a matrix is
-    ultrametric by construction; ``ids[0]`` is unused."""
+    positive ``values``, each of them used and given in units of
+    1/``scale``. The distance between leaves i < j is the largest value
+    among ids[i + 1..j]. Such a matrix is ultrametric by construction;
+    ``ids[0]`` is unused."""
 
     order: Sequence[int]
     ids: np.ndarray
-    values: list[Fraction]
+    values: list[int | Fraction]
+    scale: int = 1
 
 
 def _analyze(
@@ -340,9 +344,10 @@ def _analyze(
     """
     _check_labels(labels)
     if isinstance(matrix, _Gaps):
-        # ranking is monotone, so the ranks are the maxima of the ranked gaps
-        reps, rank = group_values(matrix.values, _epsilon(epsilon))
-        table = DistanceTable(values=tuple(matrix.values[r] for r in reps))
+        # ranking is monotone, so the ranks are the maxima of the ranked gaps;
+        # only the values the table keeps become exact fractions
+        reps, rank = group_values(matrix.values, _epsilon(epsilon) * matrix.scale)
+        table = DistanceTable(values=tuple(Fraction(matrix.values[r], matrix.scale) for r in reps))
         ranks = _cophenetic(matrix.order, rank[matrix.ids])
         space = UltrametricSpace(labels=tuple(labels), table=table, ranks=ranks)
         return ValidationReport(ok=True, violations=()), space

@@ -13,6 +13,9 @@ out reproduces them.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import re
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,6 +40,8 @@ from .reconstruct import CoordinateTable
 from .values import (
     Numeric,
     ValueList,
+    _first_positions,
+    _two_five_exponents,
     format_value,
     parse_decimal,
     quantize,
@@ -80,15 +85,14 @@ def _token_ids(
     return tokens, ids.reshape(len(body), width), values
 
 
-def _first_spellings(tokens, ids, count, where) -> list[str | None]:
-    """Each of ``count`` value ids' first spelling in row-major order among
-    the cells ``where`` selects (None for an id none of them holds)."""
-    cells = np.flatnonzero(where)
-    used, first = np.unique(ids.ravel()[cells], return_index=True)
-    texts: list[str | None] = [None] * count
-    for v, p in zip(used.tolist(), cells[first].tolist()):
-        texts[v] = tokens[p]
-    return texts
+def _first_tokens(tokens: list[str], ids: np.ndarray, value_ids) -> list[str]:
+    """The first token, in row-major order, of each of ``value_ids``.
+
+    :func:`quantize_tokens` numbers values in order of first occurrence,
+    so one running maximum over ``ids`` finds every value's first cell.
+    """
+    first = _first_positions(ids.ravel())
+    return [tokens[p] for p in first[value_ids].tolist()]
 
 
 def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
@@ -112,7 +116,9 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
     tokens, ids, values = _token_ids(rows[1:good + 1], n)
     if good < n:
         raise ParseError(f"expected {n} fields, found {len(rows[good + 1])}", line=good + 2)
-    texts = _first_spellings(tokens, ids, len(values), ~np.eye(n, dtype=bool))
+    # Spellings are gathered only for the values of an accepted table, all
+    # of them positive and so never on the diagonal.
+    texts = functools.partial(_first_tokens, tokens, ids)
     return build_space(labels, _ValueIds(ids, values, texts), epsilon)
 
 
@@ -177,8 +183,10 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
     if error:
         raise error
 
-    positive = (values.signs() > 0)[ids]
-    texts = _first_spellings(tokens, ids, len(values), positive)
+    positive = np.flatnonzero(values.signs() > 0)
+    texts: list[str | None] = [None] * len(values)
+    for v, text in zip(positive.tolist(), _first_tokens(tokens, ids, positive)):
+        texts[v] = text
     return CoordinateTable._encoded(landmarks, points, ids, values, texts)
 
 
@@ -192,116 +200,129 @@ def write_coordinate_csv(table: CoordinateTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _NewickNode:
-    """A parsed tree node; its leaves are leaves ``lo``..``hi - 1`` in document order."""
-
-    __slots__ = ("children", "leaf_label", "length", "lo", "hi")
-
-    def __init__(self, children, leaf_label, length, lo, hi):
-        self.children = children
-        self.leaf_label = leaf_label
-        self.length = length
-        self.lo = lo
-        self.hi = hi
+# A Newick token: one delimiter, or a maximal run of other characters that
+# are not whitespace (``\s`` matches exactly what `str.isspace` accepts).
+_NEWICK_TOKEN = re.compile(r"[(),:;]|[^(),:;\s]+")
+_STOPS = frozenset(["(", ")", ",", ":", ";", ""])  # "" stands for the end of the text
 
 
-class _NewickParser:
-    """Iterative descent over the equidistant-tree subset of Newick.
+def _newick_error(text: str, message: str, token: int, extra: int = 0) -> ParseError:
+    """A ParseError ``extra`` characters past the start of the ``token``-th
+    token of ``text``, or past its end when it has fewer tokens."""
+    found = next(itertools.islice(_NEWICK_TOKEN.finditer(text), token, None), None)
+    return ParseError(message, position=(len(text) if found is None else found.start()) + extra)
+
+
+def _read_newick(text: str) -> tuple[list[str], list, list[tuple], int]:
+    """Scan the equidistant-tree subset of Newick into leaves and path sums.
 
     Grammar: tree := subtree ";" ; subtree := leaf ":" length
     | "(" subtree ("," subtree)+ ")" [label] [":" length]. Branch lengths
-    are mandatory except on the root, whose length (having no parent
-    edge) is parsed and ignored. Quoted labels, comments and hybrid
-    notation are out of scope. Nesting depth is bounded by memory only:
-    open parentheses live on an explicit stack.
+    are mandatory except on the root, whose length counts in every path
+    sum. Internal labels are discarded. Quoted labels, comments and
+    hybrid notation are out of scope. The text is split into tokens by
+    one regex and read in one loop; nesting depth is bounded by memory
+    only, as open parentheses live on a list. The first fault in the text
+    raises, syntax and lengths alike, with its offset.
+
+    Each distinct length spelling is parsed once, where it first occurs.
+    Lengths are scaled by ``scale`` = 10**k, k the largest exponent of 2 or
+    5 in any length's denominator, so terminating decimals become ints;
+    a length with another denominator stays a `Fraction` in the sums.
+    Returns the leaf labels in document order, each leaf's scaled root
+    path sum, per boundary between neighbouring leaves the block
+    ``(start, mid, end, depth)`` of the node where they meet (leaves
+    start..mid-1 against mid..end-1, and its scaled path sum), and
+    ``scale``.
     """
+    tokens = _NEWICK_TOKEN.findall(text)
+    tokens.append("")
+    spelling_ids: dict[str, int] = {}
+    lengths: list[Fraction] = []  # by spelling id
 
-    _DELIMITERS = set("(),:;")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.leaves = 0
-
-    def error(self, message: str):
-        raise ParseError(message, position=self.pos)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def token(self) -> str:
-        start = self.pos
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c in self._DELIMITERS or c.isspace():
-                break
-            self.pos += 1
-        return self.text[start:self.pos]
-
-    def branch_length(self, required: bool) -> Fraction | None:
-        self.skip_ws()
-        if self.peek() != ":":
+    def length(i: int, required: bool) -> tuple[int, int]:
+        """The spelling id of the length at token i (-1: none) and the next token."""
+        if tokens[i] != ":":
             if required:
-                self.error("missing branch length")
-            return None
-        self.pos += 1
-        self.skip_ws()
-        tok = self.token()
-        try:
-            length = parse_decimal(tok)
-        except ParseError:
-            self.error(f"invalid branch length {tok!r}")
-        if length < 0:
-            self.error(f"negative branch length {tok!r}")
-        return length
+                raise _newick_error(text, "missing branch length", i)
+            return -1, i
+        tok = tokens[i + 1]
+        if tok in _STOPS:
+            tok = ""
+        s = spelling_ids.get(tok)
+        if s is None:
+            try:
+                value = parse_decimal(tok)
+            except ParseError:
+                raise _newick_error(text, f"invalid branch length {tok!r}", i + 1, len(tok)) from None
+            if value.numerator < 0:
+                raise _newick_error(text, f"negative branch length {tok!r}", i + 1, len(tok))
+            s = spelling_ids[tok] = len(lengths)
+            lengths.append(value)
+        return s, i + 1 + bool(tok)
 
-    def subtree(self) -> _NewickNode:
-        open_nodes: list[list[_NewickNode]] = []  # children read so far, per open "("
-        while True:
-            self.skip_ws()
-            if self.peek() == "(":
-                self.pos += 1
-                open_nodes.append([])
-                continue
-            label = self.token()
-            if not label:
-                self.error("expected a leaf label or '('")
-            length = self.branch_length(required=bool(open_nodes))
-            node = _NewickNode([], label, length, self.leaves, self.leaves + 1)
-            self.leaves += 1
-            while open_nodes:
-                open_nodes[-1].append(node)
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    break
-                if self.peek() != ")":
-                    self.error("expected ',' or ')'")
-                self.pos += 1
-                children = open_nodes.pop()
-                if len(children) < 2:
-                    self.error("an internal node needs at least two children")
-                self.skip_ws()
-                self.token()  # optional internal label, discarded
-                length = self.branch_length(required=bool(open_nodes))
-                node = _NewickNode(children, None, length, children[0].lo, children[-1].hi)
-            else:
-                return node
+    labels: list[str] = []
+    leaf_parents: list[int] = []
+    leaf_lengths: list[int] = []
+    parents: list[int] = []  # per internal node, in pre-order; -1: the root
+    node_lengths: list[int] = []
+    open_nodes: list[list[int]] = []  # per open "(": [node, first leaf, children, end leaf]
+    mids: list[int] = []  # each boundary between leaves, and the node it belongs to
+    owners: list[list[int]] = []
+    i = 0
+    while True:
+        tok = tokens[i]
+        up = open_nodes[-1][0] if open_nodes else -1
+        if tok == "(":
+            open_nodes.append([len(parents), len(labels), 1, 0])
+            parents.append(up)
+            node_lengths.append(-1)
+            i += 1
+            continue
+        if tok in _STOPS:
+            raise _newick_error(text, "expected a leaf label or '('", i)
+        labels.append(tok)
+        leaf_parents.append(up)
+        s, i = length(i + 1, bool(open_nodes))
+        leaf_lengths.append(s)
+        while open_nodes:
+            node = open_nodes[-1]
+            tok = tokens[i]
+            i += 1
+            if tok == ",":
+                node[2] += 1
+                mids.append(len(labels))
+                owners.append(node)
+                break
+            if tok != ")":
+                raise _newick_error(text, "expected ',' or ')'", i - 1)
+            if node[2] < 2:
+                raise _newick_error(text, "an internal node needs at least two children", i - 1, 1)
+            open_nodes.pop()
+            node[3] = len(labels)
+            if tokens[i] not in _STOPS:
+                i += 1  # internal label
+            node_lengths[node[0]], i = length(i, bool(open_nodes))
+        else:
+            break
+    if tokens[i] != ";":
+        raise _newick_error(text, "expected ';'", i)
+    if i + 2 != len(tokens):
+        raise _newick_error(text, "trailing content after ';'", i + 1)
 
-    def parse(self) -> _NewickNode:
-        root = self.subtree()
-        self.skip_ws()
-        if self.peek() != ";":
-            self.error("expected ';'")
-        self.pos += 1
-        self.skip_ws()
-        if self.pos != len(self.text):
-            self.error("trailing content after ';'")
-        return root
+    scale = 10**max((e for v in lengths for e in _two_five_exponents(v.denominator)), default=0)
+    scaled: list[int | Fraction] = []
+    for value in lengths:
+        times, rest = divmod(scale, value.denominator)
+        scaled.append(Fraction(value.numerator * scale, value.denominator) if rest
+                      else value.numerator * times)
+    scaled.append(0)  # spelling id -1: no length
+    depths = [0] * (len(parents) + 1)  # the extra entry serves the root's parent, -1
+    for u, (up, s) in enumerate(zip(parents, node_lengths)):
+        depths[u] = depths[up] + scaled[s]
+    leaf_depths = [depths[up] + scaled[s] for up, s in zip(leaf_parents, leaf_lengths)]
+    blocks = [(node[1], mid, node[3], depths[node[0]]) for mid, node in zip(mids, owners)]
+    return labels, leaf_depths, blocks, scale
 
 
 def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpace:
@@ -310,53 +331,40 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     The distance between two leaves is the sum of branch lengths along
     the path connecting them. Trees whose root-to-leaf sums differ by
     more than ``epsilon`` are rejected: their leaf path metric would not
-    be ultrametric. A tree whose sums are exactly equal is built from
-    its leaf order and the gaps between neighbouring leaves, with no
-    n x n keys and no validation pass; other trees have each pair keyed
-    by its three depths and go through the full checks.
+    be ultrametric. The text is read by :func:`_read_newick`: one token
+    scan, one exact parse per distinct length spelling, and path sums
+    in integers over a common power of ten. A tree whose sums are
+    exactly equal is built from its leaf order and the gaps between
+    neighbouring leaves, with no n x n keys and no validation pass, and
+    only the distances its table keeps become `Fraction`s; other trees
+    have each pair keyed by its three depths and go through the full
+    checks.
     """
-    root = _NewickParser(text.removeprefix("\ufeff")).parse()
+    labels, depths, blocks, scale = _read_newick(text.removeprefix("\ufeff"))
     eps = to_fraction(epsilon)
-
-    # Pre-order walk: leaves in document order with their root path sums,
-    # and per internal node the blocks of leaf pairs it is the LCA of
-    # (leaves lo..mid-1 of one child against mid..hi-1 of later siblings).
-    labels: list[str] = []
-    depths: list[Fraction] = []
-    blocks: list[tuple[int, int, int, Fraction]] = []
-    stack = [(root, Fraction(0))]
-    while stack:
-        node, depth = stack.pop()
-        depth = depth + (node.length or 0)
-        if node.leaf_label is not None:
-            labels.append(node.leaf_label)
-            depths.append(depth)
-            continue
-        blocks.extend((child.lo, child.hi, node.hi, depth) for child in node.children[:-1])
-        stack.extend((child, depth) for child in reversed(node.children))
-
     if len(labels) < 2:
         raise ParseError("a tree needs at least two leaves")
-    seen: set[str] = set()
-    for lab in labels:
-        if lab in seen:
-            raise ParseError(f"duplicate leaf label {lab!r}")
-        seen.add(lab)
+    if len(set(labels)) < len(labels):
+        seen: set[str] = set()
+        for lab in labels:
+            if lab in seen:
+                raise ParseError(f"duplicate leaf label {lab!r}")
+            seen.add(lab)
 
-    leaves = list(zip(labels, depths))
-    lo = min(leaves, key=lambda t: t[1])
-    hi = max(leaves, key=lambda t: t[1])
-    if hi[1] - lo[1] > eps:
+    low, high = min(depths), max(depths)
+    if high - low > eps * scale:
+        a, b = labels[depths.index(low)], labels[depths.index(high)]
+        low, high = Fraction(low, scale), Fraction(high, scale)
         report = ValidationReport(
             ok=False,
             violations=(
                 Violation(
                     kind="equidistance",
-                    labels=(lo[0], hi[0]),
-                    values=(lo[1], hi[1]),
+                    labels=(a, b),
+                    values=(low, high),
                     detail=(
                         f"tree is not equidistant: root-to-leaf path sums "
-                        f"{format_value(lo[1])} ({lo[0]}) and {format_value(hi[1])} ({hi[0]}) differ"
+                        f"{format_value(low)} ({a}) and {format_value(high)} ({b}) differ"
                     ),
                 ),
             ),
@@ -364,22 +372,22 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
         raise UltrametricViolationError(report)
 
     n = len(labels)
-    height = depths[0]
-    if lo[1] == hi[1]:
+    if low == high:
         # With every leaf at one height, d(a, b) = 2 (height - depth(lca)),
         # and the lca of leaves i < j is the shallowest node whose children
         # meet at a boundary in i+1..j: one gap per boundary fixes the space.
-        gap_ids: dict[Fraction, int] = {}
+        gap_ids: dict[int | Fraction, int] = {}
         ids = np.zeros(n, dtype=np.int32)
         ids[[mid for _, mid, _, _ in blocks]] = [
             gap_ids.setdefault(depth, len(gap_ids)) for _, _, _, depth in blocks
         ]
-        if height not in gap_ids:  # else a zero distance, which the keyed path reports
-            return build_space(labels, _Gaps(range(n), ids, [2 * (height - d) for d in gap_ids]), eps)
+        if low not in gap_ids:  # else a zero distance, which the keyed path reports
+            gaps = [2 * (low - d) for d in gap_ids]
+            return build_space(labels, _Gaps(range(n), ids, gaps, scale), eps)
 
     # d(a, b) = depth(a) + depth(b) - 2 depth(lca): key each pair by the
     # three depth ids and compute each distinct key once.
-    depth_ids: dict[Fraction, int] = {}
+    depth_ids: dict[int | Fraction, int] = {}
     leaf_ids = np.array([depth_ids.setdefault(d, len(depth_ids)) for d in depths])
     lca_depth = np.diag(leaf_ids)
     for start, mid, end, depth in blocks:
@@ -394,7 +402,7 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     def distance(p):
         a, rest = divmod(int(distinct[p]), k * k)
         b, c = divmod(rest, k)
-        return by_id[a] + by_id[b] - 2 * by_id[c]
+        return Fraction(by_id[a] + by_id[b] - 2 * by_id[c], scale)
 
     ids, values = quantize(range(len(distinct)), distance)
     return build_space(labels, _ValueIds(ids[inverse].reshape(n, n), values), eps)

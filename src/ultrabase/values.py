@@ -142,8 +142,7 @@ def format_value(value: Fraction) -> str:
     while both parts have at most MAX_DIGITS digits.
     """
     num, den = value.numerator, value.denominator
-    twos = (den & -den).bit_length() - 1  # trailing zero bits
-    fives = _strip_factor(den >> twos, 5)
+    twos, fives = _two_five_exponents(den)
     if den == 2**twos * 5**fives:
         digits = max(twos, fives)
         scaled = num * 10**digits // den
@@ -174,12 +173,14 @@ def _int_text(i: int) -> str:
     return ("-" if i < 0 else "") + _int_text(high) + str(low).rjust(MAX_DIGITS, "0")
 
 
-def _strip_factor(n: int, p: int) -> int:
-    count = 0
-    while n % p == 0:
-        n //= p
-        count += 1
-    return count
+def _two_five_exponents(n: int) -> tuple[int, int]:
+    """The exponents of 2 and of 5 in a positive integer."""
+    twos = (n & -n).bit_length() - 1  # trailing zero bits
+    rest, fives = n >> twos, 0
+    while rest % 5 == 0:
+        rest //= 5
+        fives += 1
+    return twos, fives
 
 
 def _float(value: Fraction) -> float:
@@ -264,7 +265,7 @@ def _order(values: ValueList) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return order, ties
 
 
-def group_values(values: Sequence[Fraction] | ValueList, epsilon: Fraction) -> tuple[list[int], np.ndarray]:
+def group_values(values: Sequence[Fraction | int] | ValueList, epsilon: Fraction) -> tuple[list[int], np.ndarray]:
     """Collapse near-equal values and assign ranks.
 
     ``values`` must be distinct. Sorted, they are chained into one group

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,6 +264,36 @@ def test_only_exactly_equidistant_trees_take_the_gap_path(monkeypatch):
             parse_newick(text)
         assert exc.value.report.violations[0].kind == "positivity"
     assert forms == [_ValueIds] * 3
+
+
+def test_newick_parses_each_length_spelling_once(monkeypatch):
+    import ultrabase.ingest as ingest
+
+    calls = []
+    monkeypatch.setattr(ingest, "parse_decimal", lambda token: calls.append(token) or parse_decimal(token))
+    texts = [
+        "((A:1,B:1.0):1,(C:1,D:2/2):1.00):5;",  # equal values in four spellings, and a root length
+        "((A:0.5,B:1/2):1/3,C:5/6);",  # a length that does not terminate
+        caterpillar_newick(300),
+    ]
+    for text in texts:
+        calls.clear()
+        parse_newick(text)
+        assert sorted(calls) == sorted(set(re.findall(r":([^,();]+)", text))) and calls
+    assert parse_newick(texts[1]).d("A", "C") == Fraction(5, 3)
+
+
+def test_invalid_csv_gathers_no_spellings(monkeypatch):
+    import ultrabase.ingest as ingest
+
+    gathered = []
+    first_tokens = ingest._first_tokens
+    monkeypatch.setattr(ingest, "_first_tokens", lambda *args: gathered.append(args[2]) or first_tokens(*args))
+    with pytest.raises(UltrametricViolationError):
+        parse_distance_csv("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
+    assert gathered == []
+    space = parse_distance_csv("a,b,c\n0,1.50,2\n3/2,0,2.0\n2,2,0\n")
+    assert gathered == [[1, 2]] and space.table.texts == ("1.50", "2")  # id 0 is "0"
 
 
 def test_parse_newick_memory_is_bounded():

@@ -63,7 +63,7 @@ from ultrabase.core import (
 from ultrabase.errors import InternalInvariantError
 from ultrabase.partner import INFINITY, PseudopartneringTrace, TraceStep
 import ultrabase.values as values_module
-from ultrabase.ingest import _csv_rows, _first_spellings, _NewickParser
+from ultrabase.ingest import _csv_rows, _first_tokens
 from ultrabase.values import (
     MAX_DIGITS,
     _parse_general,
@@ -200,9 +200,121 @@ def parse_distance_csv_reference(text, epsilon=0):
     return build_space_reference(labels, matrix, epsilon=epsilon, value_texts=texts)
 
 
+class _NewickNode:
+    """A parsed tree node; its leaves are leaves ``lo``..``hi - 1`` in document order."""
+
+    __slots__ = ("children", "leaf_label", "length", "lo", "hi")
+
+    def __init__(self, children, leaf_label, length, lo, hi):
+        self.children = children
+        self.leaf_label = leaf_label
+        self.length = length
+        self.lo = lo
+        self.hi = hi
+
+
+class _NewickParser:
+    """Iterative descent over the equidistant-tree subset of Newick, one
+    character per step, one exact length per branch.
+
+    Grammar: tree := subtree ";" ; subtree := leaf ":" length
+    | "(" subtree ("," subtree)+ ")" [label] [":" length]. Branch lengths
+    are mandatory except on the root. Open parentheses live on an
+    explicit stack.
+    """
+
+    _DELIMITERS = set("(),:;")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.leaves = 0
+
+    def error(self, message: str):
+        raise ParseError(message, position=self.pos)
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def token(self) -> str:
+        start = self.pos
+        while self.pos < len(self.text):
+            c = self.text[self.pos]
+            if c in self._DELIMITERS or c.isspace():
+                break
+            self.pos += 1
+        return self.text[start:self.pos]
+
+    def branch_length(self, required: bool):
+        self.skip_ws()
+        if self.peek() != ":":
+            if required:
+                self.error("missing branch length")
+            return None
+        self.pos += 1
+        self.skip_ws()
+        tok = self.token()
+        try:
+            length = parse_decimal(tok)
+        except ParseError:
+            self.error(f"invalid branch length {tok!r}")
+        if length < 0:
+            self.error(f"negative branch length {tok!r}")
+        return length
+
+    def subtree(self) -> _NewickNode:
+        open_nodes = []  # children read so far, per open "("
+        while True:
+            self.skip_ws()
+            if self.peek() == "(":
+                self.pos += 1
+                open_nodes.append([])
+                continue
+            label = self.token()
+            if not label:
+                self.error("expected a leaf label or '('")
+            length = self.branch_length(required=bool(open_nodes))
+            node = _NewickNode([], label, length, self.leaves, self.leaves + 1)
+            self.leaves += 1
+            while open_nodes:
+                open_nodes[-1].append(node)
+                self.skip_ws()
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                if self.peek() != ")":
+                    self.error("expected ',' or ')'")
+                self.pos += 1
+                children = open_nodes.pop()
+                if len(children) < 2:
+                    self.error("an internal node needs at least two children")
+                self.skip_ws()
+                self.token()  # optional internal label, discarded
+                length = self.branch_length(required=bool(open_nodes))
+                node = _NewickNode(children, None, length, children[0].lo, children[-1].hi)
+            else:
+                return node
+
+    def parse(self) -> _NewickNode:
+        root = self.subtree()
+        self.skip_ws()
+        if self.peek() != ";":
+            self.error("expected ';'")
+        self.pos += 1
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.error("trailing content after ';'")
+        return root
+
+
 def parse_newick_reference(text, epsilon=F(1, 10**9)):
-    """Recursive leaf collection and pair loop over the parsed tree."""
-    root = _NewickParser(text).parse()
+    """The character-by-character parser, then a recursive leaf collection
+    with `Fraction` path sums and a pair loop over the parsed tree."""
+    root = _NewickParser(text.removeprefix("\ufeff")).parse()
     leaves = []
 
     def collect(node, depth):
@@ -215,6 +327,11 @@ def parse_newick_reference(text, epsilon=F(1, 10**9)):
 
     collect(root, F(0))
     labels = [lab for lab, _ in leaves]
+    if len(labels) < 2:
+        raise ParseError("a tree needs at least two leaves")
+    for k, lab in enumerate(labels):
+        if lab in labels[:k]:
+            raise ParseError(f"duplicate leaf label {lab!r}")
     lo, hi = min(leaves, key=lambda t: t[1]), max(leaves, key=lambda t: t[1])
     if hi[1] - lo[1] > to_fraction(epsilon):
         raise UltrametricViolationError(ValidationReport(ok=False, violations=(Violation(
@@ -608,6 +725,69 @@ def test_parse_newick_matches_pair_loop(text, epsilon):
                         outcome(parse_newick_reference, text, epsilon))
 
 
+NEWICK_SPACES = [" ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u3000"]
+
+
+@st.composite
+def odd_newick_trees(draw):
+    """Trees like `newick_trees`, with every length in one of many spellings
+    (decimal, exponent, n/d, underscore), odd whitespace around tokens,
+    internal labels, sometimes a root length or a BOM inside a label."""
+    space = st.text(st.sampled_from(NEWICK_SPACES), max_size=2)
+    count = draw(st.integers(2, 9))
+    nodes = [(f"L{i}", F(0)) for i in range(count)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, count - 1))
+        nodes[i] = (f"L\ufeff{i}", F(0))
+    bumped = draw(st.integers(0, 3 * count))  # a leaf index beyond count bumps none
+    bump = draw(st.sampled_from([F(1, 4), F(1, 10**12)]))
+    while len(nodes) > 1:
+        k = draw(st.integers(2, len(nodes)))
+        start = draw(st.integers(0, len(nodes) - k))
+        group = nodes[start:start + k]
+        height = max(h for _, h in group) + F(draw(st.integers(0, 3)), 4)
+        parts = []
+        for t, h in group:
+            length = height - h + (bump if t == f"L{bumped}" else 0)
+            parts.append(f"{draw(space)}{t}{draw(space)}:{draw(space)}"
+                         f"{draw(st.sampled_from(wide_spellings(length)))}{draw(space)}")
+        label = draw(st.sampled_from(["", "", "in", "1.5", "x\ufeffy"]))
+        nodes[start:start + k] = [(f"({','.join(parts)}){draw(space)}{label}", height)]
+    text = nodes[0][0]
+    if draw(st.booleans()):
+        text += ":" + draw(st.sampled_from(wide_spellings(F(draw(st.integers(0, 6)), 4))))
+    return text + draw(space) + ";" + draw(space)
+
+
+@st.composite
+def mutated_newick_trees(draw):
+    """`odd_newick_trees` with up to three delimiters deleted, duplicated or inserted."""
+    text = draw(odd_newick_trees())
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["delete", "duplicate", "insert"]))
+        if kind == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from("(),:;")) + text[at:]
+            continue
+        at = draw(st.sampled_from([i for i, c in enumerate(text) if c in "(),:;"]))
+        text = text[:at] + (text[at] * 2 if kind == "duplicate" else "") + text[at + 1:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_newick_trees(), st.sampled_from([0, F(1, 10**9), F(1, 4), F(1)]))
+@example("(A:1,B:1", F(1, 10**9))
+@example("(A:1,B:-1e0,C:x);", 0)
+@example("(A:1,A:1);", 0)
+@example("A:1;", 0)
+@example("(A:1,(B:1,C:1)x:0)\u3000:2\x85;\u2028", 0)
+def test_parse_newick_token_scan_matches_character_parser(text, epsilon):
+    """Same space, report, or error text and offset as the parser that read
+    one character per step and one length per branch."""
+    assert_same_outcome(outcome(parse_newick, text, epsilon),
+                        outcome(parse_newick_reference, text, epsilon))
+
+
 def exact_trees(seed, n):
     """A random multifurcating equidistant tree with integer heights, and a
     caterpillar with strictly increasing heights, each with n leaves."""
@@ -722,6 +902,18 @@ def quantize_reference(keys, convert):
             first[key] = -1 if v is None else slots.setdefault(v, len(slots))
         ids.append(first[key])
     return np.array(ids, dtype=np.int32), list(slots)
+
+
+def _first_spellings(tokens, ids, count, where):
+    """Each of ``count`` value ids' first spelling in row-major order among
+    the cells ``where`` selects (None for an id none of them holds), by a
+    sort of the selected cells' ids."""
+    cells = np.flatnonzero(where)
+    used, first = np.unique(ids.ravel()[cells], return_index=True)
+    texts = [None] * count
+    for v, p in zip(used.tolist(), cells[first].tolist()):
+        texts[v] = tokens[p]
+    return texts
 
 
 def first_spellings_reference(tokens, ids, values, where):
@@ -841,6 +1033,9 @@ def test_token_value_ids_match_fraction_keys(tokens, epsilon, data):
     assert {values[i]: t for i, t in enumerate(texts) if t is not None} == (
         first_spellings_reference(tokens, ids, values, where)
     )
+    # the parsers' rule: over all numeric cells, a running maximum finds the same spellings
+    everywhere = _first_spellings(tokens, ids, len(values), ids >= 0)
+    assert _first_tokens(tokens, ids, list(range(len(values)))) == everywhere
 
 
 @settings(max_examples=200, deadline=None)

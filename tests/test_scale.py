@@ -18,3 +18,12 @@ def test_cli_validate_runs_on_a_small_dissimilarity(tmp_path):
     result = scale.measure("cli_validate", path, [], ROOT / "src")
     assert set(result) == {"wall_s", "peak_rss_mb"}
     assert 0 < result["wall_s"] < scale.BUDGET_S and 0 < result["peak_rss_mb"] < scale.BUDGET_MB
+
+
+def test_newick_calls_run_on_a_small_tree(tmp_path):
+    path = tmp_path / "tree.nwk"
+    path.write_text(scale._tree("random-tree", 24).text)
+    assert scale.child("cli_validate_newick", str(path), [], "time") == {"exit": 0}
+    assert set(scale.child("parse_newick", str(path), [], "time")) == {"wall_s"}
+    result = scale.measure("parse_newick", path, [], ROOT / "src")
+    assert set(result) == {"wall_s", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
