@@ -16,7 +16,10 @@ fresh Python process:
   ``gen.dissimilarity_case``, which exits 1 with its witnesses): the child
   runs the command through ``ultrabase.cli.main`` and checks its exit code;
   ``wall_s`` and ``peak_rss_mb`` are those of the whole child process,
-  interpreter start and parse included.
+  interpreter start and parse included. The child reads its peak from
+  its own ``VmHWM``: the ``ru_maxrss`` that ``wait4`` returns starts, on
+  Linux, from the peak of the process that started the child, which
+  holds the generated inputs.
 
 Newick trees have their own sizes, NEWICK_SIZES leaves, in two shapes:
 ``gen.random_tree_case`` and ``gen.caterpillar_case`` (seed SEED).
@@ -164,18 +167,26 @@ def _rss_mb(pid: int) -> float:
         return 0.0
 
 
+def _own_peak_mb() -> float:
+    """This process's peak resident set (``VmHWM``), in MB."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("VmHWM:"):
+            return round(int(line.split()[1]) / 1024, 1)
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
 def _run(args: list[str], src: Path, deadline_s: float):
     """Run a child under the budgets.
 
-    Returns (stdout, wall seconds, peak RSS in MB) once it exits 0, or a
-    skip record when it ran past ``deadline_s`` or its resident set past
-    BUDGET_MB. stdout and stderr go to files, so neither can fill a pipe.
+    Returns (stdout, wall seconds) once it exits 0, or a skip record when
+    it ran past ``deadline_s`` or its resident set past BUDGET_MB. stdout
+    and stderr go to files, so neither can fill a pipe.
     """
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(args, env=_env(src), stdout=out, stderr=err)
         start = time.perf_counter()
         while True:
-            pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+            pid, status = os.waitpid(proc.pid, os.WNOHANG)
             if pid:
                 wall = time.perf_counter() - start
                 proc.returncode = os.waitstatus_to_exitcode(status)
@@ -187,14 +198,11 @@ def _run(args: list[str], src: Path, deadline_s: float):
                 proc.wait()
                 return {"skipped": "budget", "limit": limit}
             time.sleep(0.002)
-        peak = round(usage.ru_maxrss / 1024, 1)  # ru_maxrss is in KiB on Linux
-        if peak > BUDGET_MB:
-            return {"skipped": "budget", "limit": "peak_rss_mb"}
         if proc.returncode != 0:
             err.seek(0)
             raise RuntimeError(f"{args[1:]} exited {proc.returncode}: {err.read()!r}")
         out.seek(0)
-        return out.read(), wall, peak
+        return out.read(), wall
 
 
 def measure(call: str, path: Path, landmarks: list[str], src: Path) -> dict:
@@ -206,11 +214,14 @@ def measure(call: str, path: Path, landmarks: list[str], src: Path) -> dict:
         done = _run(child_args("time"), src, BUDGET_S)
         if isinstance(done, dict):
             return done
-        out, wall, peak = done
-        code, expected = json.loads(out)["exit"], CLI[call][2]
+        out, wall = done
+        part = json.loads(out)
+        if part["peak_rss_mb"] > BUDGET_MB:
+            return {"skipped": "budget", "limit": "peak_rss_mb"}
+        code, expected = part["exit"], CLI[call][2]
         if code != expected:
             raise RuntimeError(f"{call} on {path} exited {code}, expected {expected}")
-        return {"wall_s": round(wall, 4), "peak_rss_mb": peak}
+        return {"wall_s": round(wall, 4), "peak_rss_mb": part["peak_rss_mb"]}
     result = {}
     for mode in ("time", "memory"):
         done = _run(child_args(mode), src, BUDGET_S + SETUP_S)
@@ -305,6 +316,9 @@ def main(argv=None) -> int:
 if __name__ == "__main__":
     if len(sys.argv) > 1 and sys.argv[1] == "--child":
         _, _, call, path, landmarks, mode = sys.argv
-        print(json.dumps(child(call, path, landmarks.split(","), mode)))
+        result = child(call, path, landmarks.split(","), mode)
+        if call in CLI:
+            result["peak_rss_mb"] = _own_peak_mb()
+        print(json.dumps(result))
     else:
         sys.exit(main())
