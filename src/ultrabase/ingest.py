@@ -344,12 +344,11 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     eps = to_fraction(epsilon)
     if len(labels) < 2:
         raise ParseError("a tree needs at least two leaves")
-    if len(set(labels)) < len(labels):
-        seen: set[str] = set()
-        for lab in labels:
-            if lab in seen:
-                raise ParseError(f"duplicate leaf label {lab!r}")
-            seen.add(lab)
+    seen: set[str] = set()
+    for lab in labels:
+        if lab in seen:
+            raise ParseError(f"duplicate leaf label {lab!r}")
+        seen.add(lab)
 
     low, high = min(depths), max(depths)
     if high - low > eps * scale:
