@@ -8,13 +8,17 @@ fresh Python process:
 - ``is_k_generator``, ``reconstruct``, ``landmark_independence_witness``
   and ``minimal_subspace``: the child parses the CSV and builds what the
   call needs (the coordinate table for the reconstruct calls), then runs
-  the call alone. One child times it (``wall_s``); a second child runs it
+  the call alone. ``validate_ultrametric_floats`` reads the CSV's cells as
+  Python floats and runs ``validate_ultrametric`` on them. One child times it (``wall_s``); a second child runs it
   under ``tracemalloc`` and records ``call_peak_mb``, the peak of the
   Python and numpy memory the call itself holds. Parsing is in neither.
 - ``cli_coords_auto`` (``coords FILE --auto`` on the dendrogram CSV) and
   ``cli_validate`` (``validate FILE`` on a random dissimilarity CSV from
   ``gen.dissimilarity_case``, which exits 1 with its witnesses): the child
   runs the command through ``ultrabase.cli.main`` and checks its exit code;
+  ``cli_validate_late_witness`` runs ``validate FILE`` (exit 1) on
+  d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4, whose only
+  witness is the point n - 3;
   ``wall_s`` and ``peak_rss_mb`` are those of the whole child process,
   interpreter start and parse included. The child reads its peak from
   its own ``VmHWM``: the ``ru_maxrss`` that ``wait4`` returns starts, on
@@ -68,12 +72,13 @@ sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
 
 CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
-         "minimal_subspace", "cli_coords_auto", "cli_validate")
+         "minimal_subspace", "validate_ultrametric_floats", "cli_coords_auto", "cli_validate",
+         "cli_validate_late_witness")
 NEWICK_CALLS = ("parse_newick", "cli_validate_newick")
 NEWICK_SHAPES = {"random-tree": gen.random_tree_case, "caterpillar": gen.caterpillar_case}
 # command-line calls: argv before and after the file, and the expected exit code
 CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["validate"], [], 1),
-       "cli_validate_newick": (["validate"], [], 0)}
+       "cli_validate_late_witness": (["validate"], [], 1), "cli_validate_newick": (["validate"], [], 0)}
 SIZES = (400, 1000, 2000)
 NEWICK_SIZES = (1000, 4000, 20000)
 LEVELS = 8
@@ -100,6 +105,16 @@ def _tree(shape: str, n: int) -> gen.Case:
     return NEWICK_SHAPES[shape](random.Random(f"scale:{n}:{SEED}:{shape}"), n)
 
 
+def _late_witness(n: int) -> str:
+    """The late-witness CSV: d(a, b) = n - min(a, b), an ultrametric, with
+    d(n-2, n-1) raised from 2 to 4, so its only witness is the point n - 3."""
+    d = n - np.minimum.outer(np.arange(n), np.arange(n))
+    d[n - 2, n - 1] = d[n - 1, n - 2] = 4
+    np.fill_diagonal(d, 0)
+    lines = [",".join(f"p{i}" for i in range(n))] + [",".join(map(str, row)) for row in d.tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def _rank_matrix_mb(n: int) -> float:
     return 4 * n * n / 2**20
 
@@ -120,9 +135,12 @@ def child(call: str, path: str, landmarks: list[str], mode: str) -> dict:
     import ultrabase as ub
 
     text = Path(path).read_text()
-    space = None if call == "parse_newick" else ub.parse_distance_csv(text)
+    space = None if call in ("parse_newick", "validate_ultrametric_floats") else ub.parse_distance_csv(text)
     if call == "parse_newick":
         run = lambda: ub.parse_newick(text)  # noqa: E731
+    elif call == "validate_ultrametric_floats":
+        matrix = [list(map(float, line.split(","))) for line in text.splitlines()[1:]]
+        run = lambda: ub.validate_ultrametric(matrix)  # noqa: E731
     elif call == "is_k_generator":
         run = lambda: ub.is_k_generator(space, landmarks, 1)  # noqa: E731
     elif call == "minimal_subspace":
@@ -267,7 +285,8 @@ def main(argv=None) -> int:
         "machine": machine(),
         "input": f"bench/gen.py dendrogram_case, {LEVELS} heights, seed {SEED}; "
                  "landmarks: the first metric basis; cli_validate: "
-                 f"bench/gen.py dissimilarity_case, seed {SEED}",
+                 f"bench/gen.py dissimilarity_case, seed {SEED}; cli_validate_late_witness: "
+                 "d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4",
         "budget": {"wall_s": BUDGET_S, "memory_mb": BUDGET_MB},
         "newick_input": f"bench/gen.py {' and '.join(NEWICK_SHAPES)} cases, seed {SEED}",
         "sizes": {},
@@ -282,11 +301,15 @@ def main(argv=None) -> int:
             landmarks = case.first_basis
             noisy = Path(work) / f"dissimilarity_{n}.csv"
             noisy.write_text(_dissimilarity(n).text)
+            late = Path(work) / f"late_witness_{n}.csv"
+            late.write_text(_late_witness(n))
             report["sizes"][str(n)] = {"landmarks": len(landmarks), "csv_bytes": len(case.text),
-                                       "dissimilarity_csv_bytes": noisy.stat().st_size}
+                                       "dissimilarity_csv_bytes": noisy.stat().st_size,
+                                       "late_witness_csv_bytes": late.stat().st_size}
+            inputs = {"cli_validate": noisy, "cli_validate_late_witness": late}
             for call in CALLS:
-                if call == "cli_validate":
-                    result = measure(call, noisy, [], src)
+                if call in inputs:
+                    result = measure(call, inputs[call], [], src)
                 else:
                     result = measure(call, path, landmarks, src)
                 report["results"][call][str(n)] = result

@@ -1,7 +1,7 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 domain failure (invalid space, not a basis,
-failed cross-check), 2 usage or I/O error. Reports are deterministic:
+failed cross-check), 2 usage or I/O error, or not enough memory. Reports are deterministic:
 the same input bytes and flags produce byte-identical output.
 """
 
@@ -330,11 +330,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # not a verdict: the input could not be answered
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,7 +35,6 @@ from .values import (
     format_value,
     group_values,
     quantize,
-    quantize_tokens,
     to_fraction,
 )
 
@@ -192,7 +191,7 @@ def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[np
     symmetric int32 ranks of a value-id matrix's upper triangle."""
     n = len(ids)
     upper = np.triu_indices(n, 1)
-    used = np.unique(ids[upper])
+    used = np.flatnonzero(np.bincount(ids[upper], minlength=len(values)))
     reps, rank = group_values(values.take(used), epsilon)
     lut = np.zeros(len(values), dtype=np.int32)
     lut[used] = rank
@@ -204,27 +203,33 @@ def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[np
 def _compact(values, texts, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
     """The table of the ranks a matrix (diagonal included) uses, with their
     spellings, and the matrix renumbered; rank r holds ``values[r - 1]``."""
-    used, inverse = np.unique(rank_arr, return_inverse=True)
-    kept = used[1:].tolist()
+    used = np.zeros(len(values) + 1, dtype=np.int32)
+    used[rank_arr] = 1
+    used[0] = 0  # the diagonal's zero stays rank 0
+    kept = np.flatnonzero(used).tolist()
     compact = DistanceTable(
         values=tuple(values[r - 1] for r in kept),
         texts=tuple(texts[r - 1] for r in kept),
     )
-    return compact, inverse.reshape(rank_arr.shape).astype(np.int32)
+    return compact, np.cumsum(used, dtype=np.int32)[rank_arr]
 
 
-def _triangle_violations(rank_arr, labels, table, max_violations):
-    """Witness triples (x, y, z) with d(x,y) > max(d(x,z), d(z,y))."""
+def _triangle_violations(rank_arr, closure, labels, table, max_violations):
+    """Witness triples (x, y, z) with d(x,y) > max(d(x,z), d(z,y)), by z,
+    then row-major by (x, y).
+
+    The long side of a witness exceeds the single-linkage ``closure`` C:
+    C(x,y) <= max(C(x,z), C(z,y)) <= max(d(x,z), d(z,y)) < d(x,y). So only
+    the pairs above C are tested against each z, in O(n) per pair.
+    """
     found: list[Violation] = []
-    truncated = False
-    n = len(labels)
-    for k in range(n):
-        allowed = np.maximum.outer(rank_arr[:, k], rank_arr[k, :])
-        bad = np.triu(rank_arr > allowed, 1)
-        for i, j in np.argwhere(bad):
+    rows, cols = np.nonzero(np.triu(rank_arr > closure, 1))
+    long = rank_arr[rows, cols]
+    for k in range(len(labels)):
+        bad = np.flatnonzero(long > np.maximum(rank_arr[rows, k], rank_arr[k, cols]))
+        for i, j in zip(rows[bad].tolist(), cols[bad].tolist()):
             if len(found) >= max_violations:
-                truncated = True
-                break
+                return found, True
             dij, dik, dkj = (
                 table.value(rank_arr[i, j]),
                 table.value(rank_arr[i, k]),
@@ -242,9 +247,7 @@ def _triangle_violations(rank_arr, labels, table, max_violations):
                     ),
                 )
             )
-        if truncated:
-            break
-    return found, truncated
+    return found, False
 
 
 def _epsilon(epsilon: Numeric) -> Fraction:
@@ -255,13 +258,13 @@ def _epsilon(epsilon: Numeric) -> Fraction:
 
 
 def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, ValueList]:
-    """Value ids of raw matrix cells (row-major), converting each distinct cell once.
+    """Value ids of raw matrix cells (row-major), by :func:`quantize`.
 
-    All-text cells go through :func:`quantize_tokens`, so only the values
-    something reads become `Fraction`s. Other cells are told apart by type
-    as well as value, so a float and an equal `Fraction` are converted
-    separately. A cell that is not a finite number, text that is no number
-    included, gets ``nonfinite(position)``: None (id -1), or an exception.
+    Cells are ordered by float, and only the values something reads become
+    `Fraction`s; a float means the decimal of its repr, so float 0.1 and
+    ``Fraction(0.1)`` are two values. A cell that is not a finite number,
+    text that is no number included, gets ``nonfinite(position)``: None
+    (id -1), or an exception.
     """
 
     def convert(p):
@@ -271,15 +274,7 @@ def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, ValueL
             pass
         return nonfinite(p)
 
-    if set(map(type, cells)) <= {str}:
-        return quantize_tokens(cells, convert)
-    # a Fraction cell is keyed by its ratio, which is cheaper to hash
-    keys = [(t, c.numerator, c.denominator) if (t := type(c)) is Fraction else (t, c)
-            for c in cells]
-    try:
-        return quantize(keys, convert)
-    except TypeError:  # an unhashable cell: give every cell its own key
-        return quantize(range(len(cells)), convert)
+    return quantize(cells, convert)
 
 
 @dataclass(frozen=True, eq=False)
@@ -460,14 +455,16 @@ def _space_from_ranks(labels, table, rank_arr, max_violations=DEFAULT_MAX_VIOLAT
     """Check labels and triangles of a symmetric rank matrix with a zero diagonal.
 
     A matrix is an ultrametric exactly when it equals its own single-linkage
-    closure, which takes O(n²); only an invalid matrix pays for the O(n³)
-    triangle sweep that names witnesses. ``table`` is the `DistanceTable`
-    of the ranks or a `_PendingTable`, built here once the ranks pass.
-    Returns the report and the space, or None in its place when invalid.
+    closure, which takes O(n²); only an invalid matrix pays for the
+    triangle sweep that names witnesses, O(n) per pair above the closure.
+    ``table`` is the `DistanceTable` of the ranks or a `_PendingTable`,
+    built here once the ranks pass. Returns the report and the space, or
+    None in its place when invalid.
     """
     _check_labels(labels)
-    if not np.array_equal(_single_linkage(rank_arr), rank_arr):
-        tri, truncated = _triangle_violations(rank_arr, list(labels), table, max_violations)
+    closure = _single_linkage(rank_arr)
+    if not np.array_equal(closure, rank_arr):
+        tri, truncated = _triangle_violations(rank_arr, closure, list(labels), table, max_violations)
         if not tri:
             raise InternalInvariantError("single linkage and the triangle sweep disagree")
         return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
@@ -505,9 +502,9 @@ def build_space(
 ) -> UltrametricSpace:
     """Validate and construct a space, raising on any violation.
 
-    Cells are quantized by :func:`_cell_ids`: all-text cells by spelling,
-    other cells once per distinct cell, told apart by type as well as
-    value, so a float and an equal `Fraction` are converted separately.
+    Cells are quantized by :func:`_cell_ids`: ordered by float, with
+    only the values something reads built exactly. A float means the
+    decimal of its repr, so float 0.1 and ``Fraction(0.1)`` stay apart.
     """
     report, space = _analyze(labels, matrix, epsilon, DEFAULT_MAX_VIOLATIONS)
     if space is None:

@@ -28,11 +28,11 @@ from .core import (
     _Gaps,
     _ValueIds,
     _cell_ids,
+    _check_labels,
     _compact,
     _epsilon,
     _rank_ids,
     _single_linkage,
-    _space_from_ranks,
     build_space,
 )
 from .errors import ParseError, UltrametricViolationError, UsageError
@@ -45,7 +45,6 @@ from .values import (
     format_value,
     parse_decimal,
     quantize,
-    quantize_tokens,
     ratio_text,
     to_fraction,
 )
@@ -66,7 +65,7 @@ def _csv_rows(text: str) -> list[list[str]]:
 def _token_ids(
     body: list[list[str]], width: int, skip: int = 0
 ) -> tuple[list[str], np.ndarray, ValueList]:
-    """Quantize the numeric fields of CSV rows with :func:`quantize_tokens`.
+    """Quantize the numeric fields of CSV rows with :func:`quantize`.
 
     Each row holds ``skip`` leading non-numeric fields, then ``width``
     numbers. Returns the tokens (row-major), their value ids as a rows x
@@ -81,14 +80,14 @@ def _token_ids(
         except ParseError as exc:
             raise ParseError(str(exc), line=p // width + 2) from None
 
-    ids, values = quantize_tokens(tokens, convert)
+    ids, values = quantize(tokens, convert)
     return tokens, ids.reshape(len(body), width), values
 
 
 def _first_tokens(tokens: list[str], ids: np.ndarray, value_ids) -> list[str]:
     """The first token, in row-major order, of each of ``value_ids``.
 
-    :func:`quantize_tokens` numbers values in order of first occurrence,
+    :func:`quantize` numbers values in order of first occurrence,
     so one running maximum over ``ids`` finds every value's first cell.
     """
     first = _first_positions(ids.ravel())
@@ -397,13 +396,9 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     keys = (low * k + high) * k + lca_depth
     distinct, inverse = np.unique(keys, return_inverse=True)
     by_id = list(depth_ids)
-
-    def distance(p):
-        a, rest = divmod(int(distinct[p]), k * k)
-        b, c = divmod(rest, k)
-        return Fraction(by_id[a] + by_id[b] - 2 * by_id[c], scale)
-
-    ids, values = quantize(range(len(distinct)), distance)
+    triples = zip(*(i.tolist() for i in np.unravel_index(distinct, (k, k, k))))
+    distances = [Fraction(by_id[a] + by_id[b] - 2 * by_id[c], scale) for a, b, c in triples]
+    ids, values = quantize(distances, distances.__getitem__)
     return build_space(labels, _ValueIds(ids[inverse].reshape(n, n), values), eps)
 
 
@@ -454,8 +449,7 @@ def subdominant_ultrametric(
         # Zero dissimilarities glue distinct points; report each such pair.
         # Rank r holds reps[r - 1], and reps[0] = 0 also serves the diagonal.
         return build_space(labels, _ValueIds(np.maximum(closed - 1, 0), reps))
-    # the closure keeps at most n - 1 ranks: the table holds only those
-    report, space = _space_from_ranks(labels, *_compact(reps, [None] * len(reps), closed))
-    if space is None:
-        raise UltrametricViolationError(report)
-    return space
+    # the closure is ultrametric and keeps at most n - 1 ranks: the table holds only those
+    _check_labels(labels)
+    table, ranks = _compact(reps, [None] * len(reps), closed)
+    return UltrametricSpace(labels=tuple(labels), table=table, ranks=ranks)

@@ -47,8 +47,8 @@ class CoordinateTable:
     read-only int32 points x landmarks array of positions in that tuple
     (see :attr:`encoding`). ``texts`` holds each value's source spelling,
     aligned with the values (None where unknown). A table built from
-    ``rows`` converts each distinct cell once, and looks its spellings up
-    in ``value_texts`` once per value. Equality and hashing go by
+    ``rows`` orders its cells by float (see :func:`ultrabase.values.quantize`)
+    and looks its spellings up in ``value_texts`` once per value. Equality and hashing go by
     landmarks, points and encoding; ``rows`` is decoded only when read.
     Point labels, like landmarks, are distinct.
     """

@@ -6,15 +6,15 @@ exact. Decimal text maps to the exact rational it denotes ("0.50" and
 the shortest decimal that round-trips, which keeps ingestion deterministic.
 
 Ingestion orders values by float and builds a `Fraction` only for a value
-something reads. :func:`quantize_tokens` reads a plain decimal token
-(ASCII ``digits[.digits]``) with `float`, which rounds correctly and so
-orders tokens as their exact values do; a token is parsed exactly up
-front only where floats tie or the spelling is not plain. Values come as
-a :class:`ValueList`: each value's float, and its exact value built when
-a distance table, a witness, a sign test at float 0 or an epsilon
-comparison first reads it. Cells that are not all text are converted
-once per distinct cell (:func:`quantize`). From there on, work is on
-integer value ids.
+something reads. :func:`quantize` serves every cell: it reads a plain
+decimal token (ASCII ``digits[.digits]``) with `float`, which rounds
+correctly and so orders tokens as their exact values do, and an int,
+float or `Fraction` cell with `float` too. A cell is read exactly up front
+only where floats tie, or where its float is not finite or the cell is
+other text. Values come as a :class:`ValueList`: each value's float, and
+its exact value built when a distance table, a witness, a sign test at
+float 0 or an epsilon comparison first reads it. From there on, work is
+on integer value ids.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import numbers
 import re
 from fractions import Fraction
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,19 +40,22 @@ _DIGIT_LIMIT = 10**MAX_DIGITS
 def to_fraction(value: Numeric) -> Fraction:
     """Convert a number-like value to an exact Fraction.
 
-    Floats go through repr so that 0.1 becomes 1/10, not the underlying
-    binary expansion; NaN and infinities are rejected.
+    Integers, numpy's included, are read exactly. Floats, numpy's
+    included, go through the repr of their Python float, so that 0.1
+    becomes 1/10, not the underlying binary expansion; NaN and infinities
+    are rejected.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        if math.isnan(value) or math.isinf(value):
-            raise ValueError(f"non-finite value {value!r}")
-        return Fraction(repr(value))
     if isinstance(value, str):
         return parse_decimal(value)
+    if isinstance(value, numbers.Integral):
+        return Fraction(int(value))
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r}")
+        return Fraction(repr(value))
     raise TypeError(f"cannot interpret {value!r} as a distance value")
 
 
@@ -292,41 +296,6 @@ def group_values(values: Sequence[Fraction | int] | ValueList, epsilon: Fraction
     return reps, rank
 
 
-def quantize(
-    keys: Sequence[Hashable], convert: Callable[[int], Fraction | None]
-) -> tuple[np.ndarray, ValueList]:
-    """Convert each distinct key once and give keys of equal value one id.
-
-    ``convert(p)`` returns the exact value of ``keys[p]``, or None when the
-    key is not a finite number (its id is then -1). It is called once per
-    distinct key, at the key's first position, in increasing position, so
-    an exception it raises concerns the earliest offending key. Returns an
-    int32 id per key and the distinct values, numbered in order of first
-    occurrence. Values are told apart by their reduced numerator and
-    denominator, so no `Fraction` is hashed.
-    """
-    index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
-    dense = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
-    slots: dict[int | tuple[int, int], int] = {}
-    values: list[Fraction] = []
-    remap = []
-    for p in _first_positions(dense).tolist():
-        v = convert(p)
-        if v is None:
-            remap.append(-1)
-            continue
-        # Key on the numerator, an int the value already holds; a value that
-        # shares it with an earlier, different value is keyed on its ratio.
-        key = v.numerator
-        if key in slots and values[slots[key]] != v:
-            key = v.as_integer_ratio()
-        slot = slots.setdefault(key, len(values))
-        if slot == len(values):
-            values.append(v)
-        remap.append(slot)
-    return np.array(remap, dtype=np.int32)[dense], ValueList.of(values)
-
-
 def _first_positions(dense: np.ndarray) -> np.ndarray:
     """Each id's first position in ``dense``, whose ids first appear in
     increasing order: the running maximum steps up exactly there."""
@@ -335,42 +304,65 @@ def _first_positions(dense: np.ndarray) -> np.ndarray:
 
 # ASCII digits[.digits] of at most MAX_DIGITS characters
 _PLAIN = re.compile(rf"(?=.{{1,{MAX_DIGITS}}}\Z)[0-9]+(?:\.[0-9]+)?")
+# the numbers :func:`to_fraction` reads, the common types first
+_REALS = (float, int, Fraction, np.floating, numbers.Integral)
 
 
-def quantize_tokens(
-    tokens: Sequence[str], convert: Callable[[int], Fraction | None]
-) -> tuple[np.ndarray, ValueList]:
-    """:func:`quantize` for decimal text, merging and ordering by float.
+def _readable(cell) -> bool:
+    """Whether `float` reads a cell as :func:`to_fraction` orders it."""
+    return bool(_PLAIN.fullmatch(cell)) if isinstance(cell, str) else isinstance(cell, _REALS)
 
-    Each distinct spelling gets an id in order of first occurrence. A
-    plain spelling, ASCII ``digits[.digits]`` of at most MAX_DIGITS
-    characters, is read with `float`, which rounds correctly and so
-    orders like its exact value. Any other spelling goes to ``convert(p)``
-    at its first position p, in increasing position, as in
-    :func:`quantize`. Spellings whose floats tie are parsed with
-    :func:`parse_decimal` to merge equal values and order the rest; every
-    other plain value is parsed only when the returned list is read.
-    Returns an int32 id per token (-1 where ``convert`` gave None), the
-    values numbered in order of first occurrence, and the values.
+
+def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tuple[np.ndarray, ValueList]:
+    """Give cells of equal value one id, merging and ordering by float.
+
+    Equal cells of one type share a spelling, numbered in order of first
+    occurrence; an unhashable cell is a spelling of its own. A spelling's
+    float is read with `float` where it is plain text, ASCII
+    ``digits[.digits]`` of at most MAX_DIGITS characters, which `float`
+    rounds correctly, or a number :func:`to_fraction` reads. Any other
+    spelling, and one whose float is not finite, goes to ``convert(p)``
+    at its first position p, in increasing position: it returns the exact
+    value, or None when the cell is not a finite number. Spellings whose
+    floats tie are read exactly to merge equal values and order the rest;
+    every other value is built by :func:`to_fraction` only when the
+    returned list is read. Returns an int32 id per cell (-1 where
+    ``convert`` gave None) and the values, numbered in order of first
+    occurrence.
     """
+    kinds = set(map(type, cells))
+    if kinds == {Fraction}:  # `Fraction.__hash__` runs in Python; a ratio hashes in C
+        keys = map(Fraction.as_integer_ratio, cells)
+    elif len(kinds) > 1:  # float 0.1 (1/10) equals Fraction(0.1), another value
+        keys = zip(map(type, cells), cells)
+    else:
+        keys = cells
     spelling_ids = collections.defaultdict(itertools.count().__next__)
-    dense = np.fromiter(map(spelling_ids.__getitem__, tokens), dtype=np.int32, count=len(tokens))
-    spellings = list(spelling_ids)
+    try:
+        dense = np.fromiter(map(spelling_ids.__getitem__, keys), dtype=np.int32, count=len(cells))
+    except TypeError:  # an unhashable cell: every cell is a spelling of its own
+        dense, spelling_ids = np.arange(len(cells), dtype=np.int32), cells
+    spellings = (list(spelling_ids) if keys is cells
+                 else list(map(cells.__getitem__, _first_positions(dense).tolist())))
     k = len(spellings)
-    plain = np.fromiter(map(bool, map(_PLAIN.fullmatch, spellings)), dtype=bool, count=k)
+    readable = map(_PLAIN.fullmatch if kinds == {str} else _readable, spellings)  # text: no Python call
+    read = np.fromiter(map(bool, readable), dtype=bool, count=k)
     floats = np.full(k, np.nan)  # NaN: no number, sorted last and never tied
-    floats[plain] = np.fromiter(map(float, itertools.compress(spellings, plain)), dtype=float)
+    try:
+        floats[read] = np.fromiter(map(float, itertools.compress(spellings, read)), dtype=float)
+    except OverflowError:  # an int or Fraction beyond the float range: convert them all
+        pass
     exact: list[Fraction | None] = [None] * k
     first = np.arange(k)  # each spelling's first spelling of equal value; -1: no number
-    if not plain.all():
+    if not np.isfinite(floats).all():
         position = _first_positions(dense)
-        for s in np.flatnonzero(~plain).tolist():
+        for s in np.flatnonzero(~np.isfinite(floats)).tolist():
             v = exact[s] = convert(int(position[s]))
             if v is None:
-                first[s] = -1
+                first[s], floats[s] = -1, np.nan
             else:
                 floats[s] = _float(v)
-    spelled = ValueList(floats, exact, lambda s: parse_decimal(spellings[s]))
+    spelled = ValueList(floats, exact, lambda s: to_fraction(spellings[s]))
     order, ties = _order(spelled)
     # equal values lie in one run of tied floats, in increasing spelling id
     for start, stop in ties:
@@ -378,9 +370,11 @@ def quantize_tokens(
             if spelled[a] == spelled[b]:
                 first[b] = first[a]
     reps = np.flatnonzero(first == np.arange(k))
+    if len(reps) == k:  # each spelling is a value of its own
+        return dense, spelled
     value_id = np.full(k + 1, -1, dtype=np.int32)  # the extra entry serves first == -1
     value_id[reps] = np.arange(len(reps), dtype=np.int32)
     reps = reps.tolist()
     built = list(map(exact.__getitem__, reps))  # a value of several spellings is built
     return value_id[first][dense], ValueList(floats[reps], built,
-                                             lambda v: parse_decimal(spellings[reps[v]]))
+                                             lambda v: to_fraction(spellings[reps[v]]))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -349,6 +350,25 @@ def test_module_entry_point(recmin_csv):
     )
     assert proc.returncode == 0
     assert "OK" in proc.stdout
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits are Linux's")
+def test_out_of_memory_exits_2(tmp_path):
+    resource = pytest.importorskip("resource")
+    n = 8000  # its int32 rank matrix alone is 244 MiB
+    path = tmp_path / "caterpillar.nwk"
+    path.write_text("(" * (n - 1) + "A0:1" + "".join(f",A{i}:{i}):1" for i in range(1, n - 1))
+                    + f",A{n - 1}:{n - 1});\n")
+    limit = 250 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "ultrabase", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),  # the child only
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: out of memory") and proc.stderr.count("\n") == 1
 
 
 NUMBERS = ["1", "2", "3", "0.5", "1/2", "5e-1", "+.5", "1.", "1_0", "0.50", "1e-400", "1e400",

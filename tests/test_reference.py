@@ -70,7 +70,7 @@ from ultrabase.values import (
     format_value,
     group_values,
     parse_decimal,
-    quantize_tokens,
+    quantize,
     to_fraction,
 )
 
@@ -152,11 +152,45 @@ def analyze_reference(labels, matrix, epsilon, max_violations, value_texts):
     arr = arr + arr.T
     texts = value_texts or {}
     table = DistanceTable(values=reps, texts=tuple(texts.get(v) for v in reps))
-    tri, truncated = _triangle_violations(arr, list(labels), table, max_violations)
+    tri, truncated = triangle_violations_reference(arr, list(labels), table, max_violations)
     if tri:
         return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
     space = UltrametricSpace(labels=tuple(labels), table=table, ranks=arr)
     return ValidationReport(ok=True, violations=()), space
+
+
+def triangle_violations_reference(rank_arr, labels, table, max_violations):
+    """Witness triples by a sweep of every k over the whole matrix."""
+    found: list[Violation] = []
+    truncated = False
+    n = len(labels)
+    for k in range(n):
+        allowed = np.maximum.outer(rank_arr[:, k], rank_arr[k, :])
+        bad = np.triu(rank_arr > allowed, 1)
+        for i, j in np.argwhere(bad):
+            if len(found) >= max_violations:
+                truncated = True
+                break
+            dij, dik, dkj = (
+                table.value(rank_arr[i, j]),
+                table.value(rank_arr[i, k]),
+                table.value(rank_arr[k, j]),
+            )
+            found.append(
+                Violation(
+                    kind="triangle",
+                    labels=(labels[i], labels[j], labels[k]),
+                    values=(dij, dik, dkj),
+                    detail=(
+                        f"d({labels[i]},{labels[j]})={format_value(dij)} > "
+                        f"max(d({labels[i]},{labels[k]})={format_value(dik)}, "
+                        f"d({labels[k]},{labels[j]})={format_value(dkj)})"
+                    ),
+                )
+            )
+        if truncated:
+            break
+    return found, truncated
 
 
 def space_spellings(space):
@@ -649,6 +683,14 @@ def test_build_space_keeps_equal_float_and_fraction_apart():
     assert [v.kind for v in report.violations] == ["nonfinite", "nonfinite"]
 
 
+def test_numpy_cells_are_numbers():
+    for matrix in (np.array([[0, 1.5], [1.5, 0]]), np.array([[0, 3], [3, 0]])):
+        assert validate_ultrametric(matrix) == validate_ultrametric(matrix.tolist())
+        assert validate_ultrametric(matrix).ok
+        assert build_space(["a", "b"], matrix) == build_space(["a", "b"], matrix.tolist())
+        assert subdominant_ultrametric(matrix) == subdominant_ultrametric(matrix.tolist())
+
+
 @st.composite
 def csv_texts(draw):
     """A distance CSV of a raw matrix in mixed spellings; sometimes with
@@ -841,15 +883,35 @@ def rank_matrices(draw):
     return arr
 
 
+@st.composite
+def late_witness_matrices(draw):
+    """d(a, b) = n - min(a, b), an ultrametric, with d(n-2, n-1) raised from
+    2; raised to 4 or more, its only witness is the point n - 3."""
+    n = draw(st.integers(4, 14))
+    arr = n - np.minimum.outer(np.arange(n), np.arange(n))
+    arr[n - 2, n - 1] = arr[n - 1, n - 2] = draw(st.integers(3, n + 1))
+    np.fill_diagonal(arr, 0)
+    return arr.astype(np.int32)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rank_matrices())
 def test_single_linkage_verdict_matches_triangle_sweep(arr):
     labels = [f"x{i}" for i in range(len(arr))]
     table = DistanceTable(values=tuple(F(v) for v in range(1, int(arr.max()) + 1)))
-    witnesses, truncated = _triangle_violations(arr, labels, table, 16)
+    witnesses, truncated = triangle_violations_reference(arr, labels, table, 16)
     closed = _single_linkage(arr)
     assert np.array_equal(closed, closure_reference(arr))
     assert np.array_equal(closed, arr) == (not witnesses and not truncated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rank_matrices(), late_witness_matrices()), st.sampled_from([1, 3, 16, 1000]))
+def test_triangle_witnesses_from_pairs_above_the_closure_match_the_sweep(arr, max_violations):
+    labels = [f"x{i}" for i in range(len(arr))]
+    table = DistanceTable(values=tuple(F(v) for v in range(1, int(arr.max()) + 1)))
+    assert _triangle_violations(arr, _single_linkage(arr), labels, table, max_violations) == (
+        triangle_violations_reference(arr, labels, table, max_violations))
 
 
 def group_values_by_value(values, epsilon):
@@ -990,19 +1052,21 @@ def parse_or_none(tokens):
 
 @st.composite
 def raw_cells(draw):
-    """Matrix cells as `Fraction`, int, float or decimal text, equal values in
-    several types; sometimes all of them text."""
+    """Matrix cells as `Fraction`, int, bool, float, numpy int64 or float64,
+    or decimal text, equal values in several types; sometimes all of them
+    text."""
     cells = []
     text_only = draw(st.booleans())
     for v in draw(st.lists(value_pool, min_size=1, max_size=20)):
-        kinds = ["fraction", "text"] + ["int"] * (v.denominator == 1) + ["float"] * (float(v) == v)
+        kinds = (["fraction", "text"] + ["int", "np.int64"] * (v.denominator == 1)
+                 + ["float", "np.float64"] * (float(v) == v) + ["bool"] * (v in (0, 1)))
         if text_only:
             kinds = ["text"]
         kind = draw(st.sampled_from(kinds))
-        cells.append(
-            v if kind == "fraction" else int(v) if kind == "int" else float(v) if kind == "float"
-            else draw(st.sampled_from(wide_spellings(v)))
-        )
+        make = {"fraction": lambda v: v, "int": int, "np.int64": lambda v: np.int64(int(v)),
+                "float": float, "np.float64": lambda v: np.float64(float(v)), "bool": bool,
+                "text": lambda v: draw(st.sampled_from(wide_spellings(v)))}[kind]
+        cells.append(make(v))
     return cells
 
 
@@ -1020,7 +1084,7 @@ def assert_same_grouping(values, epsilon):
 @given(edge_tokens(), value_epsilons, st.data())
 def test_token_value_ids_match_fraction_keys(tokens, epsilon, data):
     convert = parse_or_none(tokens)
-    ids, values = quantize_tokens(tokens, convert)
+    ids, values = quantize(tokens, convert)
     expected_ids, expected_values = quantize_reference(tokens, convert)
     assert np.array_equal(ids, expected_ids)
     assert_same_grouping(values, epsilon)  # while most values are still unbuilt
@@ -1047,6 +1111,52 @@ def test_cell_value_ids_match_fraction_keys(cells, epsilon):
     )
     assert np.array_equal(ids, expected_ids)
     assert_same_grouping(values, epsilon)
+    assert list(values) == expected_values
+
+
+def keyed_quantize_reference(keys, convert):
+    """The keyed quantizer number cells took: ``convert`` once per distinct
+    key, at its first position, and values told apart by numerator, then
+    by ratio; ids in order of first occurrence (-1 where ``convert`` gave None)."""
+    index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    dense = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    slots, values, remap = {}, [], []
+    for p in np.flatnonzero(np.diff(np.maximum.accumulate(dense), prepend=-1)).tolist():
+        v = convert(p)
+        if v is None:
+            remap.append(-1)
+            continue
+        key = v.numerator
+        if key in slots and values[slots[key]] != v:
+            key = v.as_integer_ratio()
+        slot = slots.setdefault(key, len(values))
+        if slot == len(values):
+            values.append(v)
+        remap.append(slot)
+    return np.array(remap, dtype=np.int32)[dense], values
+
+
+odd_cells = st.sampled_from([math.nan, -math.inf, None, "x", " 1 ", 10**400, -F(10**400, 3),
+                             F(1, 10**400), 0.1, F(0.1), np.float64(math.nan), [1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_cells(), st.lists(odd_cells, max_size=3), st.data())
+def test_cell_ids_match_the_keyed_quantizer(cells, odd, data):
+    cells = data.draw(st.permutations(cells + odd))
+
+    def convert(p):
+        try:
+            return to_fraction(cells[p])
+        except (ValueError, TypeError, ParseError):
+            return None
+
+    keys = [(t, c.numerator, c.denominator) if (t := type(c)) is F else (t, c) for c in cells]
+    if any(isinstance(c, list) for c in cells):  # unhashable: every cell its own key
+        keys = range(len(cells))
+    ids, values = _cell_ids(cells)
+    expected_ids, expected_values = keyed_quantize_reference(keys, convert)
+    assert np.array_equal(ids, expected_ids)
     assert list(values) == expected_values
 
 

@@ -27,3 +27,12 @@ def test_newick_calls_run_on_a_small_tree(tmp_path):
     assert set(scale.child("parse_newick", str(path), [], "time")) == {"wall_s"}
     result = scale.measure("parse_newick", path, [], ROOT / "src")
     assert set(result) == {"wall_s", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+
+
+def test_validate_cases_run_on_small_inputs(tmp_path):
+    late = tmp_path / "late_witness.csv"
+    late.write_text(scale._late_witness(12))
+    assert scale.child("cli_validate_late_witness", str(late), [], "time") == {"exit": 1}
+    path = tmp_path / "dendrogram.csv"
+    path.write_text(scale._case(24).text)
+    assert set(scale.child("validate_ultrametric_floats", str(path), [], "time")) == {"wall_s"}
