@@ -72,7 +72,7 @@ def _token_ids(
     ``width`` array and the distinct values. A bad token raises with the
     line of its first use (rows start at line 2).
     """
-    tokens = [tok for fields in body for tok in fields[skip:]]
+    tokens = list(itertools.chain.from_iterable(fields[skip:] for fields in body))
 
     def convert(p):
         try:

@@ -313,6 +313,26 @@ def _readable(cell) -> bool:
     return bool(_PLAIN.fullmatch(cell)) if isinstance(cell, str) else isinstance(cell, _REALS)
 
 
+def _spellings(cells: Sequence, kinds: set[type]) -> tuple[np.ndarray, list]:
+    """Each cell's spelling id, numbered in order of first occurrence, and
+    each spelling's first cell. Equal cells of one type share a spelling,
+    given ``kinds``, the set of the cells' types; an unhashable cell is a
+    spelling of its own."""
+    if kinds == {Fraction}:  # `Fraction.__hash__` runs in Python; a ratio hashes in C
+        keys = map(Fraction.as_integer_ratio, cells)
+    elif len(kinds) > 1:  # float 0.1 (1/10) equals Fraction(0.1), another value
+        keys = zip(map(type, cells), cells)
+    else:
+        keys = cells
+    spelling_ids = collections.defaultdict(itertools.count().__next__)
+    try:
+        dense = np.fromiter(map(spelling_ids.__getitem__, keys), dtype=np.int32, count=len(cells))
+    except TypeError:  # an unhashable cell
+        dense, spelling_ids = np.arange(len(cells), dtype=np.int32), cells
+    return dense, (list(spelling_ids) if keys is cells
+                   else list(map(cells.__getitem__, _first_positions(dense).tolist())))
+
+
 def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tuple[np.ndarray, ValueList]:
     """Give cells of equal value one id, merging and ordering by float.
 
@@ -330,20 +350,13 @@ def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tupl
     ``convert`` gave None) and the values, numbered in order of first
     occurrence.
     """
-    kinds = set(map(type, cells))
-    if kinds == {Fraction}:  # `Fraction.__hash__` runs in Python; a ratio hashes in C
-        keys = map(Fraction.as_integer_ratio, cells)
-    elif len(kinds) > 1:  # float 0.1 (1/10) equals Fraction(0.1), another value
-        keys = zip(map(type, cells), cells)
-    else:
-        keys = cells
-    spelling_ids = collections.defaultdict(itertools.count().__next__)
-    try:
-        dense = np.fromiter(map(spelling_ids.__getitem__, keys), dtype=np.int32, count=len(cells))
-    except TypeError:  # an unhashable cell: every cell is a spelling of its own
-        dense, spelling_ids = np.arange(len(cells), dtype=np.int32), cells
-    spellings = (list(spelling_ids) if keys is cells
-                 else list(map(cells.__getitem__, _first_positions(dense).tolist())))
+    # Text, the common case, is guessed from the first cell and confirmed on
+    # the spellings, as no number equals text: its cells are not scanned.
+    kinds = {str} if cells and type(cells[0]) is str else set(map(type, cells))
+    dense, spellings = _spellings(cells, kinds)
+    if kinds == {str} and not all(map(isinstance, spellings, itertools.repeat(str))):
+        kinds = set(map(type, cells))
+        dense, spellings = _spellings(cells, kinds)
     k = len(spellings)
     readable = map(_PLAIN.fullmatch if kinds == {str} else _readable, spellings)  # text: no Python call
     read = np.fromiter(map(bool, readable), dtype=bool, count=k)
