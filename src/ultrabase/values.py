@@ -314,10 +314,9 @@ def _readable(cell) -> bool:
 
 
 def _spellings(cells: Sequence, kinds: set[type]) -> tuple[np.ndarray, list]:
-    """Each cell's spelling id, numbered in order of first occurrence, and
-    each spelling's first cell. Equal cells of one type share a spelling,
-    given ``kinds``, the set of the cells' types; an unhashable cell is a
-    spelling of its own."""
+    """Each cell's spelling id, in order of first occurrence, and each
+    spelling's first cell: equal cells of one type, ``kinds`` being the
+    cells' types, share a spelling; an unhashable cell has its own."""
     if kinds == {Fraction}:  # `Fraction.__hash__` runs in Python; a ratio hashes in C
         keys = map(Fraction.as_integer_ratio, cells)
     elif len(kinds) > 1:  # float 0.1 (1/10) equals Fraction(0.1), another value
@@ -336,19 +335,15 @@ def _spellings(cells: Sequence, kinds: set[type]) -> tuple[np.ndarray, list]:
 def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tuple[np.ndarray, ValueList]:
     """Give cells of equal value one id, merging and ordering by float.
 
-    Equal cells of one type share a spelling, numbered in order of first
-    occurrence; an unhashable cell is a spelling of its own. A spelling's
-    float is read with `float` where it is plain text, ASCII
-    ``digits[.digits]`` of at most MAX_DIGITS characters, which `float`
-    rounds correctly, or a number :func:`to_fraction` reads. Any other
-    spelling, and one whose float is not finite, goes to ``convert(p)``
-    at its first position p, in increasing position: it returns the exact
-    value, or None when the cell is not a finite number. Spellings whose
-    floats tie are read exactly to merge equal values and order the rest;
-    every other value is built by :func:`to_fraction` only when the
-    returned list is read. Returns an int32 id per cell (-1 where
-    ``convert`` gave None) and the values, numbered in order of first
-    occurrence.
+    A spelling (see :func:`_spellings`) is read with `float` where it is
+    plain text, ASCII ``digits[.digits]`` of at most MAX_DIGITS characters,
+    or a number :func:`to_fraction` reads. Any other spelling, and one whose
+    float is not finite, goes to ``convert(p)`` at its first position p, in
+    increasing position: it gives the exact value, or None for a cell that
+    is not a finite number (id -1). Spellings whose floats tie are read
+    exactly; every other value is built by :func:`to_fraction` when the
+    returned list is read. Returns an int32 id per cell and the values,
+    both numbered in order of first occurrence.
     """
     # Text, the common case, is guessed from the first cell and confirmed on
     # the spellings, as no number equals text: its cells are not scanned.
