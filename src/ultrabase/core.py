@@ -227,6 +227,7 @@ def _triangle_violations(rank_arr, closure, labels, table, max_violations):
     long = rank_arr[rows, cols]
     for k in range(len(labels)):
         bad = np.flatnonzero(long > np.maximum(rank_arr[rows, k], rank_arr[k, cols]))
+        bad = bad[:max_violations + 1 - len(found)]  # one past the cap tells truncation
         for i, j in zip(rows[bad].tolist(), cols[bad].tolist()):
             if len(found) >= max_violations:
                 return found, True
