@@ -8,7 +8,8 @@ fresh Python process:
 - ``is_k_generator``, ``reconstruct``, ``landmark_independence_witness``
   and ``minimal_subspace``: the child parses the CSV and builds what the
   call needs (the coordinate table for the reconstruct calls), then runs
-  the call alone. ``validate_ultrametric_floats`` reads the CSV's cells as
+  the call alone. ``partner_partition`` runs the same way on a dendrogram
+  CSV with 2 heights (seed SEED), whose partner classes are large. ``validate_ultrametric_floats`` reads the CSV's cells as
   Python floats and runs ``validate_ultrametric`` on them. One child times it (``wall_s``); a second child runs it
   under ``tracemalloc`` and records ``call_peak_mb``, the peak of the
   Python and numpy memory the call itself holds. Parsing is in neither.
@@ -18,7 +19,8 @@ fresh Python process:
   runs the command through ``ultrabase.cli.main`` and checks its exit code;
   ``cli_validate_late_witness`` runs ``validate FILE`` (exit 1) on
   d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4, whose only
-  witness is the point n - 3;
+  witness is the point n - 3; ``cli_analyze_json`` runs
+  ``analyze FILE --json`` (exit 0) on the 2-height dendrogram CSV;
   ``wall_s`` and ``peak_rss_mb`` are those of the whole child process,
   interpreter start and parse included. The child reads its peak from
   its own ``VmHWM``: the ``ru_maxrss`` that ``wait4`` returns starts, on
@@ -72,16 +74,18 @@ sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
 
 CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
-         "minimal_subspace", "validate_ultrametric_floats", "cli_coords_auto", "cli_validate",
-         "cli_validate_late_witness")
+         "minimal_subspace", "validate_ultrametric_floats", "partner_partition", "cli_coords_auto",
+         "cli_validate", "cli_validate_late_witness", "cli_analyze_json")
 NEWICK_CALLS = ("parse_newick", "cli_validate_newick")
 NEWICK_SHAPES = {"random-tree": gen.random_tree_case, "caterpillar": gen.caterpillar_case}
 # command-line calls: argv before and after the file, and the expected exit code
 CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["validate"], [], 1),
-       "cli_validate_late_witness": (["validate"], [], 1), "cli_validate_newick": (["validate"], [], 0)}
+       "cli_validate_late_witness": (["validate"], [], 1), "cli_validate_newick": (["validate"], [], 0),
+       "cli_analyze_json": (["analyze"], ["--json"], 0)}
 SIZES = (400, 1000, 2000)
 NEWICK_SIZES = (1000, 4000, 20000)
 LEVELS = 8
+PARTNER_LEVELS = 2  # the partner calls' dendrogram: few heights, large classes
 SEED = 1
 BUDGET_S = 30.0
 BUDGET_MB = 2048.0
@@ -95,6 +99,10 @@ class OverBudget(Exception):
 
 def _case(n: int) -> gen.Case:
     return gen.dendrogram_case(random.Random(f"scale:{n}:{SEED}"), n, LEVELS)
+
+
+def _partner_case(n: int) -> gen.Case:
+    return gen.dendrogram_case(random.Random(f"scale:{n}:{SEED}:partner"), n, PARTNER_LEVELS)
 
 
 def _dissimilarity(n: int) -> gen.Case:
@@ -145,6 +153,8 @@ def child(call: str, path: str, landmarks: list[str], mode: str) -> dict:
         run = lambda: ub.is_k_generator(space, landmarks, 1)  # noqa: E731
     elif call == "minimal_subspace":
         run = lambda: ub.minimal_subspace(space, landmarks)  # noqa: E731
+    elif call == "partner_partition":
+        run = lambda: ub.partner_partition(space)  # noqa: E731
     else:
         table = ub.coordinates(space, landmarks)
         run = lambda: getattr(ub, call)(table)  # noqa: E731
@@ -286,7 +296,8 @@ def main(argv=None) -> int:
         "input": f"bench/gen.py dendrogram_case, {LEVELS} heights, seed {SEED}; "
                  "landmarks: the first metric basis; cli_validate: "
                  f"bench/gen.py dissimilarity_case, seed {SEED}; cli_validate_late_witness: "
-                 "d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4",
+                 "d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4; partner_partition "
+                 f"and cli_analyze_json: bench/gen.py dendrogram_case, {PARTNER_LEVELS} heights",
         "budget": {"wall_s": BUDGET_S, "memory_mb": BUDGET_MB},
         "newick_input": f"bench/gen.py {' and '.join(NEWICK_SHAPES)} cases, seed {SEED}",
         "sizes": {},
@@ -303,10 +314,14 @@ def main(argv=None) -> int:
             noisy.write_text(_dissimilarity(n).text)
             late = Path(work) / f"late_witness_{n}.csv"
             late.write_text(_late_witness(n))
+            few = Path(work) / f"dendrogram_{PARTNER_LEVELS}_{n}.csv"
+            few.write_text(_partner_case(n).text)
             report["sizes"][str(n)] = {"landmarks": len(landmarks), "csv_bytes": len(case.text),
                                        "dissimilarity_csv_bytes": noisy.stat().st_size,
-                                       "late_witness_csv_bytes": late.stat().st_size}
-            inputs = {"cli_validate": noisy, "cli_validate_late_witness": late}
+                                       "late_witness_csv_bytes": late.stat().st_size,
+                                       "partner_csv_bytes": few.stat().st_size}
+            inputs = {"cli_validate": noisy, "cli_validate_late_witness": late,
+                      "partner_partition": few, "cli_analyze_json": few}
             for call in CALLS:
                 if call in inputs:
                     result = measure(call, inputs[call], [], src)

@@ -15,9 +15,11 @@ spaces.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,28 +65,61 @@ class PartnerPartition:
         return tuple(sorted(lab for cls in self.classes for lab in cls))
 
     def class_of(self, label: str) -> tuple[str, ...] | None:
-        for cls in self.classes:
-            if label in cls:
-                return cls
-        return None
+        return next((cls for cls in self.classes if label in cls), None)
 
 
-def _min_offdiag_ranks(space: UltrametricSpace) -> np.ndarray:
-    """Per-point minimum off-diagonal rank (the rank of its nearest distance),
-    computed once per space and kept on it."""
-    mins = vars(space).get("_min_offdiag_ranks")
-    if mins is None:
-        arr = space.ranks.copy()
-        np.fill_diagonal(arr, len(space.table) + 1)
-        mins = vars(space)["_min_offdiag_ranks"] = arr.min(axis=1)
-        mins.setflags(write=False)
-    return mins
+class _Partners(NamedTuple):
+    mins: np.ndarray  # each point's minimum off-diagonal rank (its nearest distance)
+    class_at: list[tuple[str, ...] | None]  # each point's class; None: pseudopartnered
+    partition: PartnerPartition
+
+
+def _partners(space: UltrametricSpace) -> _Partners:
+    """The space's partner record, computed once and kept on the (immutable) space."""
+    cached = vars(space).get("_partners")
+    if cached is None:
+        cached = vars(space)["_partners"] = _mate_classes(space)
+    return cached
+
+
+def _mate_classes(space: UltrametricSpace) -> _Partners:
+    """Read the classes off the mate mask in one O(n²) pass.
+
+    Points i != j are mates when d(i, j) is the minimum of both. On an
+    ultrametric that is transitive: if i~j and j~k at minimum m, then
+    m <= d(i, k) <= max(d(i, j), d(j, k)) = m. So a point's class is the
+    point and its mates, and each row of the mask with the diagonal set
+    equals the row of its first member, which is re-checked here.
+    """
+    labels = space.labels
+    off = space.ranks.copy()
+    np.fill_diagonal(off, len(space.table) + 1)
+    mins = off.min(axis=1)
+    rows = off == mins[:, None]
+    rows &= mins == mins[:, None]
+    np.fill_diagonal(rows, True)  # a row: the point's class, or the point alone
+    first = rows.argmax(axis=1)
+    bad = np.flatnonzero((rows != rows[first]).any(axis=1))
+    if bad.size:
+        # a bad row and its first member's row differ, so their union is no clique
+        members = sorted(itertools.compress(labels, rows[rows[bad[0]]].any(axis=0).tolist()))
+        raise InternalInvariantError(f"partner class {members} has unequal internal distances")
+    first = first.tolist()
+    groups: dict[int, list[str]] = {}  # opened in label order: sorted by first label
+    for i in sorted(range(space.n), key=labels.__getitem__):
+        groups.setdefault(first[i], []).append(labels[i])
+    classes = {r: tuple(members) for r, members in groups.items() if len(members) > 1}
+    if not classes:
+        raise InternalInvariantError("finite space without partner points")
+    pseudo = tuple(members[0] for members in groups.values() if len(members) == 1)
+    partition = PartnerPartition(classes=tuple(classes.values()), pseudopartnered=pseudo)
+    return _Partners(mins, list(map(classes.get, first)), partition)
 
 
 def nearest_set(space: UltrametricSpace, x: str) -> tuple[tuple[str, ...], Fraction]:
     """All points realizing min_{z != x} d(x, z), with that minimum."""
     i = space.index(x)
-    m = int(_min_offdiag_ranks(space)[i])
+    m = int(_partners(space).mins[i])
     # m >= 1, and rank 0 sits only on the diagonal, so x is not among the hits
     hits = np.flatnonzero(space.ranks[i] == m).tolist()
     return tuple(sorted(map(space.labels.__getitem__, hits))), space.table.value(m)
@@ -93,71 +128,16 @@ def nearest_set(space: UltrametricSpace, x: str) -> tuple[tuple[str, ...], Fract
 def classify_point(space: UltrametricSpace, x: str) -> PointClass:
     """Partnered with its full reciprocating set, else pseudopartnered."""
     nearest, min_dist = nearest_set(space, x)
-    mins = _min_offdiag_ranks(space)
-    m = mins[space.index(x)]
-    partners = tuple(lab for lab in nearest if mins[space.index(lab)] == m)
-    if partners:
-        return Partnered(partners=partners, min_dist=min_dist)
+    cls = _partners(space).class_at[space.index(x)]
+    if cls is not None:
+        return Partnered(partners=tuple(lab for lab in cls if lab != x), min_dist=min_dist)
     return Pseudopartnered(nearest=nearest, min_dist=min_dist)
 
 
 def partner_partition(space: UltrametricSpace) -> PartnerPartition:
-    """Split X into partner classes and pseudopartnered points.
-
-    Classes are connected components of the partner relation; the theory
-    makes the relation transitive on partnered points, so components are
-    genuine equivalence classes. That and the equal-distance invariant
-    are re-checked here because the rest of the package builds on them.
-    The space and the partition are immutable, so the partition is
-    computed once per space and kept on it.
-    """
-    cached = vars(space).get("_partner_partition")
-    if cached is None:
-        cached = vars(space)["_partner_partition"] = _partition(space)
-    return cached
-
-
-def _partition(space: UltrametricSpace) -> PartnerPartition:
-    mins = _min_offdiag_ranks(space)
-    n = space.n
-    ranks = space.ranks
-
-    partners_of: dict[int, list[int]] = {}
-    for i in range(n):
-        # the diagonal (rank 0) never equals a minimum, so i is not its own mate
-        mates = np.flatnonzero((ranks[i] == mins[i]) & (mins == mins[i])).tolist()
-        if mates:
-            partners_of[i] = mates
-
-    classes: list[tuple[str, ...]] = []
-    seen: set[int] = set()
-    for i in sorted(partners_of, key=lambda i: space.labels[i]):
-        if i in seen:
-            continue
-        stack, component = [i], {i}
-        while stack:
-            cur = stack.pop()
-            for j in partners_of[cur]:
-                if j not in component:
-                    component.add(j)
-                    stack.append(j)
-        seen |= component
-        members = sorted(space.labels[j] for j in component)
-        common = mins[i]
-        for a in component:
-            for b in component:
-                if a != b and ranks[a][b] != common:
-                    raise InternalInvariantError(
-                        f"partner class {members} has unequal internal distances"
-                    )
-        classes.append(tuple(members))
-
-    classes.sort(key=lambda cls: cls[0])
-    partnered = {lab for cls in classes for lab in cls}
-    pseudo = tuple(sorted(set(space.labels) - partnered))
-    if not classes:
-        raise InternalInvariantError("finite space without partner points")
-    return PartnerPartition(classes=tuple(classes), pseudopartnered=pseudo)
+    """Split X into partner classes (see :func:`_mate_classes`) and
+    pseudopartnered points."""
+    return _partners(space).partition
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,14 @@ def _float(value: Fraction) -> float:
         return math.inf if value.numerator > 0 else -math.inf
 
 
+def _float_or_nan(spelling) -> float:
+    """``float(spelling)``, or NaN (no float: read it exactly) where that overflows."""
+    try:
+        return float(spelling)
+    except OverflowError:
+        return math.nan
+
+
 class ValueList:
     """Distinct values by id: each value's float up front, and its exact
     `Fraction`, built by ``make(i)`` when first read and then kept.
@@ -358,8 +366,8 @@ def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tupl
     floats = np.full(k, np.nan)  # NaN: no number, sorted last and never tied
     try:
         floats[read] = np.fromiter(map(float, itertools.compress(spellings, read)), dtype=float)
-    except OverflowError:  # an int or Fraction beyond the float range: convert them all
-        pass
+    except OverflowError:  # an int or Fraction beyond the float range: convert it alone
+        floats[read] = list(map(_float_or_nan, itertools.compress(spellings, read)))
     exact: list[Fraction | None] = [None] * k
     first = np.arange(k)  # each spelling's first spelling of equal value; -1: no number
     if not np.isfinite(floats).all():

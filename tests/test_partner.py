@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ultrabase import (
@@ -15,7 +16,8 @@ from ultrabase import (
     reciprocal_min_space,
     uniform_space,
 )
-from ultrabase.errors import UnknownLabelError
+from ultrabase.core import DistanceTable, UltrametricSpace
+from ultrabase.errors import InternalInvariantError, UnknownLabelError
 
 F = Fraction
 
@@ -64,6 +66,22 @@ def test_partner_partition(recmin4, uniform4):
 
     two = uniform_space(2)
     assert partner_partition(two).classes == (("1", "2"),)
+
+
+def test_class_of(recmin4, uniform4):
+    part = partner_partition(recmin4)
+    assert part.class_of("3") == part.class_of("4") == ("3", "4")
+    assert part.class_of("1") is None  # pseudopartnered
+    assert part.class_of("zzz") is None
+    assert partner_partition(uniform4).class_of("2") == ("1", "2", "3", "4")
+
+
+def test_non_transitive_partner_relation_is_an_internal_error():
+    # d(a,b) = d(b,c) = 1 < d(a,c) = 2: a~b and b~c but not a~c; no ultrametric does this
+    ranks = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int32)
+    space = UltrametricSpace(labels=("a", "b", "c"), table=DistanceTable((F(1), F(2))), ranks=ranks)
+    with pytest.raises(InternalInvariantError, match=r"\['a', 'b', 'c'\] has unequal internal"):
+        partner_partition(space)
 
 
 def test_partition_covers_space_once(recmin7):
@@ -155,11 +173,13 @@ def test_partner_partition_is_computed_once_per_space(monkeypatch):
     from ultrabase import dimensions, metric_bases, minimal_subspace, two_metric_basis
 
     computed = []
-    compute = partner._partition
-    monkeypatch.setattr(partner, "_partition", lambda space: computed.append(space) or compute(space))
+    compute = partner._mate_classes
+    monkeypatch.setattr(partner, "_mate_classes", lambda space: computed.append(space) or compute(space))
     space = random_dendrogram_space(12, seed=4, value_count=3)
     first = partner_partition(space)
     dimensions(space), metric_bases(space), two_metric_basis(space)
+    for lab in space.labels:  # one partner record serves these too
+        nearest_set(space, lab), classify_point(space, lab)
     sub = minimal_subspace(space, next(metric_bases(space).bases(cap=1)))
     assert partner_partition(space) is first
     assert computed == [space] and sub.labels == first.partnered

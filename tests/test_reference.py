@@ -6,7 +6,8 @@ validated by the O(n³) triangle sweep. The rank-level code must give an
 equal space (labels, table, ranks) and the same CSV bytes (spellings
 included), or the same validation report. Coordinate tables are checked
 the same way against per-cell `Fraction` loops, `is_k_generator`
-against the n x n x |S| comparison it replaced, and the landmark-star
+against the n x n x |S| comparison it replaced, the partner classes
+against the component search over mate lists, and the landmark-star
 closure of `reconstruct` against the pair loop. Spellings travel here
 the way they once did, in dicts keyed by `Fraction`.
 """
@@ -39,11 +40,13 @@ from ultrabase import (
     parse_coordinate_csv,
     parse_distance_csv,
     parse_newick,
+    partner_partition,
     pseudopartnering_trace,
     random_dendrogram_space,
     reciprocal_min_space,
     reconstruct,
     subdominant_ultrametric,
+    uniform_space,
     validate_ultrametric,
     write_coordinate_csv,
     write_distance_csv,
@@ -61,7 +64,7 @@ from ultrabase.core import (
     _triangle_violations,
 )
 from ultrabase.errors import InternalInvariantError
-from ultrabase.partner import INFINITY, PseudopartneringTrace, TraceStep
+from ultrabase.partner import INFINITY, PartnerPartition, PseudopartneringTrace, TraceStep
 import ultrabase.values as values_module
 from ultrabase.ingest import _csv_rows, _first_tokens
 from ultrabase.values import (
@@ -1160,6 +1163,51 @@ def test_cell_ids_match_the_keyed_quantizer(cells, odd, data):
     assert list(values) == expected_values
 
 
+huge_cells = st.sampled_from([10**400, -10**400, F(10**400, 3), -F(10**400, 3)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw_cells(), st.lists(huge_cells, min_size=1, max_size=3), st.data())
+def test_cells_beyond_the_float_range_match_the_keyed_quantizer(cells, huge, data):
+    cells = data.draw(st.permutations(cells + huge))
+    keys = [(t, c.numerator, c.denominator) if (t := type(c)) is F else (t, c) for c in cells]
+    ids, values = _cell_ids(cells)
+    expected_ids, expected_values = keyed_quantize_reference(keys, lambda p: to_fraction(cells[p]))
+    assert np.array_equal(ids, expected_ids)
+    assert list(values) == expected_values
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_matrices(), st.lists(huge_cells, min_size=1, max_size=3), st.data(),
+       st.sampled_from([1, 3, 16, 1000]))
+def test_cells_beyond_the_float_range_report_like_the_per_cell_reference(case, huge, data, max_violations):
+    labels, matrix = case
+    n = len(labels)
+    for v in huge:
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        matrix[i][j] = v
+        if data.draw(st.booleans()):
+            matrix[j][i] = v
+    expected = outcome(lambda: analyze_reference(labels, matrix, 0, max_violations, None)[0])
+    assert outcome(validate_ultrametric, matrix, labels, 0, max_violations) == expected
+
+
+def test_a_cell_beyond_the_float_range_is_the_only_one_converted():
+    rng = np.random.default_rng(5)
+    cells = rng.random(3600).tolist() + [10**400, 0.5, -F(10**400, 3), 10**400]
+    calls = []
+
+    def convert(p):
+        calls.append(p)
+        return to_fraction(cells[p])
+
+    ids, values = quantize(cells, convert)
+    assert calls == [3600, 3602]  # the first position of each out-of-range cell, nothing else
+    assert list(values) == keyed_quantize_reference(
+        [(t, c.numerator, c.denominator) if (t := type(c)) is F else (t, c) for c in cells],
+        lambda p: to_fraction(cells[p]))[1]
+
+
 def test_invalid_csv_builds_only_its_witness_values(monkeypatch):
     """A random 120-point dissimilarity has thousands of distinct tokens;
     parsing it builds the exact values of zero and its witnesses only."""
@@ -1604,6 +1652,72 @@ def classify_point_reference(space, x):
 @settings(max_examples=100, deadline=None)
 @given(dendrograms)
 def test_classify_point_matches_copy_per_call(space):
+    for x in space.labels:
+        assert classify_point(space, x) == classify_point_reference(space, x)
+
+
+def partner_partition_reference(space):
+    """Classes as connected components of per-point mate lists, found by a
+    depth-first search and re-checked by a pair loop over each class."""
+    arr = space.ranks.copy()
+    np.fill_diagonal(arr, len(space.table) + 1)
+    mins = arr.min(axis=1)
+    n = space.n
+    ranks = space.ranks
+
+    partners_of: dict[int, list[int]] = {}
+    for i in range(n):
+        # the diagonal (rank 0) never equals a minimum, so i is not its own mate
+        mates = np.flatnonzero((ranks[i] == mins[i]) & (mins == mins[i])).tolist()
+        if mates:
+            partners_of[i] = mates
+
+    classes: list[tuple[str, ...]] = []
+    seen: set[int] = set()
+    for i in sorted(partners_of, key=lambda i: space.labels[i]):
+        if i in seen:
+            continue
+        stack, component = [i], {i}
+        while stack:
+            cur = stack.pop()
+            for j in partners_of[cur]:
+                if j not in component:
+                    component.add(j)
+                    stack.append(j)
+        seen |= component
+        members = sorted(space.labels[j] for j in component)
+        common = mins[i]
+        for a in component:
+            for b in component:
+                if a != b and ranks[a][b] != common:
+                    raise InternalInvariantError(
+                        f"partner class {members} has unequal internal distances"
+                    )
+        classes.append(tuple(members))
+
+    classes.sort(key=lambda cls: cls[0])
+    partnered = {lab for cls in classes for lab in cls}
+    pseudo = tuple(sorted(set(space.labels) - partnered))
+    if not classes:
+        raise InternalInvariantError("finite space without partner points")
+    return PartnerPartition(classes=tuple(classes), pseudopartnered=pseudo)
+
+
+partner_spaces = st.one_of(
+    st.builds(random_dendrogram_space, n=st.integers(2, 24), seed=st.integers(0, 10_000),
+              value_count=st.integers(1, 5)),
+    st.integers(2, 16).map(reciprocal_min_space),
+    st.integers(2, 16).map(uniform_space),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partner_spaces, st.data())
+def test_partner_partition_matches_component_search(space, data):
+    # relabelled, so sorted labels are not in index order
+    labels = data.draw(st.permutations([f"q{i}" for i in range(space.n)]))
+    space = data.draw(st.sampled_from([space, build_space(labels, space.value_matrix())]))
+    assert partner_partition(space) == partner_partition_reference(space)
     for x in space.labels:
         assert classify_point(space, x) == classify_point_reference(space, x)
 

@@ -36,3 +36,11 @@ def test_validate_cases_run_on_small_inputs(tmp_path):
     path = tmp_path / "dendrogram.csv"
     path.write_text(scale._case(24).text)
     assert set(scale.child("validate_ultrametric_floats", str(path), [], "time")) == {"wall_s"}
+
+
+def test_partner_calls_run_on_a_small_dendrogram(tmp_path):
+    path = tmp_path / "dendrogram.csv"
+    path.write_text(scale._partner_case(24).text)
+    assert scale.child("cli_analyze_json", str(path), [], "time") == {"exit": 0}
+    result = scale.measure("partner_partition", path, [], ROOT / "src")
+    assert set(result) == {"wall_s", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
