@@ -91,11 +91,10 @@ def _mate_classes(space: UltrametricSpace) -> _Partners:
     point and its mates, and each row of the mask with the diagonal set
     equals the row of its first member, which is re-checked here.
     """
-    labels = space.labels
-    off = space.ranks.copy()
-    np.fill_diagonal(off, len(space.table) + 1)
-    mins = off.min(axis=1)
-    rows = off == mins[:, None]
+    labels, ranks = space.labels, space.ranks
+    # rank 0 sits only on the diagonal, so no point is its own nearest or mate
+    mins = ranks.min(axis=1, where=ranks > 0, initial=len(space.table) + 1)
+    rows = ranks == mins[:, None]
     rows &= mins == mins[:, None]
     np.fill_diagonal(rows, True)  # a row: the point's class, or the point alone
     first = rows.argmax(axis=1)
