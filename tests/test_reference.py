@@ -1166,13 +1166,18 @@ def test_cell_ids_match_the_keyed_quantizer(cells, odd, data):
 huge_cells = st.sampled_from([10**400, -10**400, F(10**400, 3), -F(10**400, 3)])
 
 
+def typed_keys(cells):
+    """The keyed quantizer's key per hashable cell: its type and value."""
+    return [(t, c.numerator, c.denominator) if (t := type(c)) is F else (t, c) for c in cells]
+
+
 @settings(max_examples=100, deadline=None)
 @given(raw_cells(), st.lists(huge_cells, min_size=1, max_size=3), st.data())
 def test_cells_beyond_the_float_range_match_the_keyed_quantizer(cells, huge, data):
     cells = data.draw(st.permutations(cells + huge))
-    keys = [(t, c.numerator, c.denominator) if (t := type(c)) is F else (t, c) for c in cells]
     ids, values = _cell_ids(cells)
-    expected_ids, expected_values = keyed_quantize_reference(keys, lambda p: to_fraction(cells[p]))
+    expected_ids, expected_values = keyed_quantize_reference(typed_keys(cells),
+                                                             lambda p: to_fraction(cells[p]))
     assert np.array_equal(ids, expected_ids)
     assert list(values) == expected_values
 
@@ -1203,9 +1208,7 @@ def test_a_cell_beyond_the_float_range_is_the_only_one_converted():
 
     ids, values = quantize(cells, convert)
     assert calls == [3600, 3602]  # the first position of each out-of-range cell, nothing else
-    assert list(values) == keyed_quantize_reference(
-        [(t, c.numerator, c.denominator) if (t := type(c)) is F else (t, c) for c in cells],
-        lambda p: to_fraction(cells[p]))[1]
+    assert list(values) == keyed_quantize_reference(typed_keys(cells), lambda p: to_fraction(cells[p]))[1]
 
 
 def test_invalid_csv_builds_only_its_witness_values(monkeypatch):
