@@ -55,7 +55,9 @@ NEWICK_EPSILON = Fraction(1, 10**9)
 def _csv_rows(text: str) -> list[list[str]]:
     rows = []
     for line in text.removeprefix("\ufeff").splitlines():
-        if line.strip():
+        if line.split() == [line]:  # no whitespace, so no field needs a strip
+            rows.append(line.split(","))
+        elif line.strip():
             rows.append(list(map(str.strip, line.split(","))))
     if not rows:
         raise ParseError("empty document")

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -17,6 +18,7 @@ from ultrabase import (
     uniform_space,
     write_distance_csv,
 )
+from ultrabase import cli
 from ultrabase.cli import main
 from ultrabase.values import ratio_text
 
@@ -340,6 +342,65 @@ def test_oracle_check_json(capsys):
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+CSV, NWK = str(DATA / "balanced4.csv"), str(DATA / "balanced4.nwk")
+SEQUENCE = [
+    ["validate", CSV, "--json"],
+    ["validate", CSV],
+    ["analyze", CSV, "--max-bases", "1"],
+    ["analyze", CSV],
+    ["coords", CSV, "--landmarks", "A,C"],
+    ["coords", CSV, "--auto"],
+    ["coords", CSV],  # neither flag: exit 2
+    ["coords", CSV, "--auto", "--landmarks", "A"],  # both flags: exit 2
+    ["validate", CSV, "--epsilon", "-1"],  # exit 2
+    ["validate", CSV, "--epsilon", "0.5"],
+    ["--version"],
+    ["no-such-command"],
+    ["analyze", NWK, "--json"],
+]
+
+
+def test_repeated_main_calls_share_no_state(capsys, monkeypatch):
+    monkeypatch.delenv("ULTRABASE_MAX_BASES", raising=False)
+
+    def run(argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    fresh = {}
+    for argv in SEQUENCE:
+        cli._parser.cache_clear()
+        fresh[tuple(argv)] = run(argv)
+    assert [fresh[tuple(argv)][0] for argv in SEQUENCE] == [0, 0, 0, 0, 0, 0, 2, 2, 2, 0, 0, 2, 0]
+
+    cli._parser.cache_clear()
+    for argv in SEQUENCE + SEQUENCE[::-1]:
+        assert run(argv) == fresh[tuple(argv)], argv
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser()
+    per_build = len(built)
+    assert per_build > 1  # the top-level parser and one per command
+
+    built.clear()
+    cli._parser.cache_clear()
+    for argv in (SEQUENCE * 2)[:20]:
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == per_build
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_module_entry_point(recmin_csv):

@@ -7,8 +7,9 @@ equal space (labels, table, ranks) and the same CSV bytes (spellings
 included), or the same validation report. Coordinate tables are checked
 the same way against per-cell `Fraction` loops, `is_k_generator`
 against the n x n x |S| comparison it replaced, the partner classes
-against the component search over mate lists, and the landmark-star
-closure of `reconstruct` against the pair loop. Spellings travel here
+against the component search over mate lists, the landmark-star
+closure of `reconstruct` against the pair loop, and the CSV row split
+against the version that strips every field. Spellings travel here
 the way they once did, in dicts keyed by `Fraction`.
 """
 
@@ -213,9 +214,20 @@ def build_space_reference(labels, matrix, epsilon=0, value_texts=None):
     return space
 
 
+def csv_rows_reference(text):
+    """Nonblank lines split at commas, every field stripped."""
+    rows = []
+    for line in text.removeprefix("\ufeff").splitlines():
+        if line.strip():
+            rows.append(list(map(str.strip, line.split(","))))
+    if not rows:
+        raise ParseError("empty document")
+    return rows
+
+
 def parse_distance_csv_reference(text, epsilon=0):
     """One `parse_decimal` per cell; the first spelling of each value wins."""
-    rows = _csv_rows(text)
+    rows = csv_rows_reference(text)
     labels = rows[0]
     n = len(labels)
     if len(rows) != n + 1:
@@ -740,6 +752,44 @@ def test_parse_error_precedence_examples():
         with pytest.raises(ParseError) as got:
             parse_distance_csv(head + body)
         assert str(got.value) == str(want.value)
+
+
+# Whitespace that `str.strip` and `str.split` remove; some of it also ends a line.
+CSV_SPACES = [" ", "\t", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"]
+CSV_LINE_ENDS = ["\n", "\r\n", "\r", "\x1c", "\x1f", "\x85", "\u2028"]
+
+
+@st.composite
+def spaced_csv_texts(draw):
+    """CSV-like text with whitespace around fields, blank and
+    whitespace-only lines, assorted line ends and maybe a leading BOM."""
+    pad = st.text(st.sampled_from(CSV_SPACES), max_size=2)
+    field = st.builds(lambda a, t, b: a + t + b, pad, st.text("01.a/", max_size=3), pad)
+    line = st.one_of(
+        st.lists(field, min_size=1, max_size=4).map(",".join),
+        pad,  # blank or whitespace-only
+    )
+    lines = draw(st.lists(line, max_size=6))
+    text = "".join(ln + draw(st.sampled_from(CSV_LINE_ENDS)) for ln in lines)
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def rows_outcome(fn, text):
+    try:
+        return "rows", fn(text)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(spaced_csv_texts(),
+                 st.lists(st.sampled_from(CSV_SPACES + CSV_LINE_ENDS + ["1", ",", "\ufeff"])).map("".join)))
+@example("")
+@example("\ufeff")
+@example(" \t\r\n\xa0\u2028")
+@example("a, b\xa0,c\n\x1c1,\t2 ,3\r\n")
+def test_csv_rows_strip_only_where_there_is_whitespace(text):
+    assert rows_outcome(_csv_rows, text) == rows_outcome(csv_rows_reference, text)
 
 
 @st.composite
