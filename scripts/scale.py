@@ -10,7 +10,9 @@ fresh Python process:
   call needs (the coordinate table for the reconstruct calls), then runs
   the call alone. ``partner_partition`` runs the same way on a dendrogram
   CSV with 2 heights (seed SEED), whose partner classes are large. ``validate_ultrametric_floats`` reads the CSV's cells as
-  Python floats and runs ``validate_ultrametric`` on them. One child times it (``wall_s``); a second child runs it
+  Python floats and runs ``validate_ultrametric`` on them. ``subdominant_ultrametric`` runs on the
+  text cells of the random dissimilarity CSV described below, split into rows
+  outside the call. One child times it (``wall_s``); a second child runs it
   under ``tracemalloc`` and records ``call_peak_mb``, the peak of the
   Python and numpy memory the call itself holds. Parsing is in neither.
 - ``cli_coords_auto`` (``coords FILE --auto`` on the dendrogram CSV) and
@@ -74,7 +76,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
 
 CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
-         "minimal_subspace", "validate_ultrametric_floats", "partner_partition", "cli_coords_auto",
+         "minimal_subspace", "validate_ultrametric_floats", "partner_partition",
+         "subdominant_ultrametric", "cli_coords_auto",
          "cli_validate", "cli_validate_late_witness", "cli_analyze_json")
 NEWICK_CALLS = ("parse_newick", "cli_validate_newick")
 NEWICK_SHAPES = {"random-tree": gen.random_tree_case, "caterpillar": gen.caterpillar_case}
@@ -143,9 +146,13 @@ def child(call: str, path: str, landmarks: list[str], mode: str) -> dict:
     import ultrabase as ub
 
     text = Path(path).read_text()
-    space = None if call in ("parse_newick", "validate_ultrametric_floats") else ub.parse_distance_csv(text)
+    text_only = ("parse_newick", "validate_ultrametric_floats", "subdominant_ultrametric")
+    space = None if call in text_only else ub.parse_distance_csv(text)
     if call == "parse_newick":
         run = lambda: ub.parse_newick(text)  # noqa: E731
+    elif call == "subdominant_ultrametric":
+        labels, *rows = (line.split(",") for line in text.splitlines())
+        run = lambda: ub.subdominant_ultrametric(rows, labels)  # noqa: E731
     elif call == "validate_ultrametric_floats":
         matrix = [list(map(float, line.split(","))) for line in text.splitlines()[1:]]
         run = lambda: ub.validate_ultrametric(matrix)  # noqa: E731
@@ -294,7 +301,7 @@ def main(argv=None) -> int:
         "commit": commit,
         "machine": machine(),
         "input": f"bench/gen.py dendrogram_case, {LEVELS} heights, seed {SEED}; "
-                 "landmarks: the first metric basis; cli_validate: "
+                 "landmarks: the first metric basis; cli_validate and subdominant_ultrametric: "
                  f"bench/gen.py dissimilarity_case, seed {SEED}; cli_validate_late_witness: "
                  "d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4; partner_partition "
                  f"and cli_analyze_json: bench/gen.py dendrogram_case, {PARTNER_LEVELS} heights",
@@ -320,7 +327,7 @@ def main(argv=None) -> int:
                                        "dissimilarity_csv_bytes": noisy.stat().st_size,
                                        "late_witness_csv_bytes": late.stat().st_size,
                                        "partner_csv_bytes": few.stat().st_size}
-            inputs = {"cli_validate": noisy, "cli_validate_late_witness": late,
+            inputs = {"cli_validate": noisy, "subdominant_ultrametric": noisy, "cli_validate_late_witness": late,
                       "partner_partition": few, "cli_analyze_json": few}
             for call in CALLS:
                 if call in inputs:

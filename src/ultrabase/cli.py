@@ -145,15 +145,18 @@ def _cmd_validate(args) -> int:
 
 
 def _max_bases(args) -> int:
-    if args.max_bases is not None:
-        return args.max_bases
-    env = os.environ.get("ULTRABASE_MAX_BASES")
-    if env is not None:
+    cap, source = args.max_bases, "--max-bases"
+    if cap is None:
+        env = os.environ.get("ULTRABASE_MAX_BASES")
+        if env is None:
+            return DEFAULT_MAX_BASES
         try:
-            return int(env)
+            cap, source = int(env), "ULTRABASE_MAX_BASES"
         except ValueError:
             raise UsageError(f"ULTRABASE_MAX_BASES must be an integer, got {env!r}")
-    return DEFAULT_MAX_BASES
+    if cap < 0:
+        raise UsageError(f"{source} must be nonnegative, got {cap}")
+    return cap
 
 
 def _set_text(labels) -> str:

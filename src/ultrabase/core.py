@@ -188,16 +188,21 @@ class UltrametricSpace:
 
 def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """Value ids of the representatives, in increasing value, and the
-    symmetric int32 ranks of a value-id matrix's upper triangle."""
+    symmetric int32 ranks of a value-id matrix's upper triangle; ``values``
+    are numbered in increasing value, so at epsilon 0 the ranks number the
+    used ids in order."""
     n = len(ids)
     upper = np.triu_indices(n, 1)
     used = np.flatnonzero(np.bincount(ids[upper], minlength=len(values)))
-    reps, rank = group_values(values.take(used), epsilon)
+    reps, rank = used, np.arange(1, len(used) + 1, dtype=np.int32)
+    if epsilon:
+        picked, rank = group_values(values.take(used), epsilon)
+        reps = used[picked]
     lut = np.zeros(len(values), dtype=np.int32)
     lut[used] = rank
     arr = np.zeros((n, n), dtype=np.int32)
     arr[upper] = lut[ids[upper]]
-    return used[reps], arr + arr.T
+    return reps, arr + arr.T
 
 
 def _compact(values, texts, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
@@ -281,7 +286,8 @@ def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, ValueL
 @dataclass(frozen=True, eq=False)
 class _ValueIds:
     """A square matrix a parser has already quantized: int32 ids (-1: not
-    a finite number) into distinct ``values``, and optionally ``texts``, a
+    a finite number) into distinct ``values`` in increasing value, as
+    :func:`quantize` numbers them, and optionally ``texts``, a
     function giving the source spellings of a list of value ids, called
     only once the matrix is accepted."""
 

@@ -40,7 +40,6 @@ from .reconstruct import CoordinateTable
 from .values import (
     Numeric,
     ValueList,
-    _first_positions,
     _two_five_exponents,
     format_value,
     parse_decimal,
@@ -64,15 +63,13 @@ def _csv_rows(text: str) -> list[list[str]]:
     return rows
 
 
-def _token_ids(
-    body: list[list[str]], width: int, skip: int = 0
-) -> tuple[list[str], np.ndarray, ValueList]:
+def _token_ids(body: list[list[str]], width: int, skip: int = 0) -> tuple[np.ndarray, ValueList]:
     """Quantize the numeric fields of CSV rows with :func:`quantize`.
 
     Each row holds ``skip`` leading non-numeric fields, then ``width``
-    numbers. Returns the tokens (row-major), their value ids as a rows x
-    ``width`` array and the distinct values. A bad token raises with the
-    line of its first use (rows start at line 2).
+    numbers. Returns the tokens' value ids as a rows x ``width`` array and
+    the distinct values. A bad token raises with the line of its first use
+    (rows start at line 2).
     """
     tokens = list(itertools.chain.from_iterable(fields[skip:] for fields in body))
 
@@ -83,17 +80,13 @@ def _token_ids(
             raise ParseError(str(exc), line=p // width + 2) from None
 
     ids, values = quantize(tokens, convert)
-    return tokens, ids.reshape(len(body), width), values
+    return ids.reshape(len(body), width), values
 
 
-def _first_tokens(tokens: list[str], ids: np.ndarray, value_ids) -> list[str]:
-    """The first token, in row-major order, of each of ``value_ids``.
-
-    :func:`quantize` numbers values in order of first occurrence,
-    so one running maximum over ``ids`` finds every value's first cell.
-    """
-    first = _first_positions(ids.ravel())
-    return [tokens[p] for p in first[value_ids].tolist()]
+def _first_tokens(values: ValueList, value_ids) -> list[str]:
+    """The first token, in row-major order, of each of ``value_ids``, as
+    :func:`quantize` kept it; no other value's token is read."""
+    return list(map(values.spelling, value_ids))
 
 
 def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
@@ -114,12 +107,12 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
     # A row's field count is checked before its tokens, so a bad token
     # only wins when it sits in an earlier row.
     good = next((r for r, fields in enumerate(rows[1:]) if len(fields) != n), n)
-    tokens, ids, values = _token_ids(rows[1:good + 1], n)
+    ids, values = _token_ids(rows[1:good + 1], n)
     if good < n:
         raise ParseError(f"expected {n} fields, found {len(rows[good + 1])}", line=good + 2)
     # Spellings are gathered only for the values of an accepted table, all
     # of them positive and so never on the diagonal.
-    texts = functools.partial(_first_tokens, tokens, ids)
+    texts = functools.partial(_first_tokens, values)
     return build_space(labels, _ValueIds(ids, values, texts), epsilon)
 
 
@@ -180,13 +173,13 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
             break
         points.append(fields[0])
         seen.add(fields[0])
-    tokens, ids, values = _token_ids(rows[1:len(points) + 1], len(landmarks), skip=1)
+    ids, values = _token_ids(rows[1:len(points) + 1], len(landmarks), skip=1)
     if error:
         raise error
 
     positive = np.flatnonzero(values.signs() > 0)
     texts: list[str | None] = [None] * len(values)
-    for v, text in zip(positive.tolist(), _first_tokens(tokens, ids, positive)):
+    for v, text in zip(positive.tolist(), _first_tokens(values, positive)):
         texts[v] = text
     return CoordinateTable._encoded(landmarks, points, ids, values, texts)
 

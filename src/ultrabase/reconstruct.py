@@ -85,11 +85,11 @@ class CoordinateTable:
         return table
 
     def _set(self, landmarks, points, ids, values, texts) -> None:
-        """Store the canonical encoding of ``values[ids]``: the values in
-        use, increasing, and the cells renumbered to match."""
+        """Store the canonical encoding of ``values[ids]``, ``values`` being
+        increasing: the values in use, and the cells renumbered to match."""
         used = np.zeros(len(values), dtype=bool)
         used[ids] = True
-        kept = sorted(np.flatnonzero(used).tolist(), key=values.__getitem__)
+        kept = np.flatnonzero(used).tolist()
         position = np.zeros(len(values), dtype=np.int32)
         position[kept] = np.arange(len(kept), dtype=np.int32)
         index = position[ids]

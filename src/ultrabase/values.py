@@ -11,10 +11,11 @@ decimal token (ASCII ``digits[.digits]``) with `float`, which rounds
 correctly and so orders tokens as their exact values do, and an int,
 float or `Fraction` cell with `float` too. A cell is read exactly up front
 only where floats tie, or where its float is not finite or the cell is
-other text. Values come as a :class:`ValueList`: each value's float, and
-its exact value built when a distance table, a witness, a sign test at
-float 0 or an epsilon comparison first reads it. From there on, work is
-on integer value ids.
+other text. Values come as a :class:`ValueList` numbered in increasing
+value: each value's float, and its exact value built when a distance
+table, a witness, a sign test at float 0 or an epsilon comparison first
+reads it. From there on, work is on integer value ids, and comparing two
+values is comparing their ids.
 """
 
 from __future__ import annotations
@@ -214,15 +215,18 @@ class ValueList:
     ``floats[i]`` is the float nearest value i, or an infinity beyond the
     float range (see :func:`_float`), so floats order the values up to
     ties. ``exact[i]`` holds the values already built, None elsewhere.
+    ``spelling(i)``, where given, is the cell value i was read from.
     """
 
-    __slots__ = ("floats", "_exact", "_make")
+    __slots__ = ("floats", "_exact", "_make", "spelling")
 
     def __init__(self, floats: np.ndarray, exact: list[Fraction | None],
-                 make: Callable[[int], Fraction] | None = None):
+                 make: Callable[[int], Fraction] | None = None,
+                 spelling: Callable[[int], object] | None = None):
         self.floats = floats
         self._exact = exact
         self._make = make
+        self.spelling = spelling
 
     @classmethod
     def of(cls, values: Sequence[Fraction]) -> "ValueList":
@@ -340,6 +344,23 @@ def _spellings(cells: Sequence, kinds: set[type]) -> tuple[np.ndarray, list]:
                    else list(map(cells.__getitem__, _first_positions(dense).tolist())))
 
 
+def _plain_floats(spellings: list) -> np.ndarray | None:
+    """The floats of spellings that are all plain text, ASCII
+    ``digits[.digits]`` of at most MAX_DIGITS characters, checked at C
+    speed over the document of them joined by newlines; None otherwise."""
+    try:
+        doc = "\n".join(spellings)  # TypeError: a spelling that is not text
+        if (not doc.encode().translate(None, b"0123456789.\n")  # ValueError: a lone surrogate
+                and not doc.startswith(("\n", ".")) and not doc.endswith(("\n", "."))
+                and not any(map(doc.__contains__, ("\n\n", "\n.", ".\n")))
+                and max(map(len, spellings), default=0) <= MAX_DIGITS):
+            # a spelling left with two dots, or a newline inside, fails `float`
+            return np.fromiter(map(float, spellings), dtype=float, count=len(spellings))
+    except (TypeError, ValueError):
+        pass
+    return None
+
+
 def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tuple[np.ndarray, ValueList]:
     """Give cells of equal value one id, merging and ordering by float.
 
@@ -351,7 +372,8 @@ def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tupl
     is not a finite number (id -1). Spellings whose floats tie are read
     exactly; every other value is built by :func:`to_fraction` when the
     returned list is read. Returns an int32 id per cell and the values,
-    both numbered in order of first occurrence.
+    numbered in increasing value; ``values.spelling(v)`` is the first cell
+    of value v.
     """
     # Text, the common case, is guessed from the first cell and confirmed on
     # the spellings, as no number equals text: its cells are not scanned.
@@ -361,13 +383,15 @@ def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tupl
         kinds = set(map(type, cells))
         dense, spellings = _spellings(cells, kinds)
     k = len(spellings)
-    readable = map(_PLAIN.fullmatch if kinds == {str} else _readable, spellings)  # text: no Python call
-    read = np.fromiter(map(bool, readable), dtype=bool, count=k)
-    floats = np.full(k, np.nan)  # NaN: no number, sorted last and never tied
-    try:
-        floats[read] = np.fromiter(map(float, itertools.compress(spellings, read)), dtype=float)
-    except OverflowError:  # an int or Fraction beyond the float range: convert it alone
-        floats[read] = list(map(_float_or_nan, itertools.compress(spellings, read)))
+    floats = _plain_floats(spellings) if kinds == {str} else None
+    if floats is None:
+        readable = map(_PLAIN.fullmatch if kinds == {str} else _readable, spellings)  # text: no Python call
+        read = np.fromiter(map(bool, readable), dtype=bool, count=k)
+        floats = np.full(k, np.nan)  # NaN: no number, sorted last and never tied
+        try:
+            floats[read] = np.fromiter(map(float, itertools.compress(spellings, read)), dtype=float)
+        except OverflowError:  # an int or Fraction beyond the float range: convert it alone
+            floats[read] = list(map(_float_or_nan, itertools.compress(spellings, read)))
     exact: list[Fraction | None] = [None] * k
     first = np.arange(k)  # each spelling's first spelling of equal value; -1: no number
     if not np.isfinite(floats).all():
@@ -385,12 +409,10 @@ def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tupl
         for a, b in itertools.pairwise(order[start:stop].tolist()):
             if spelled[a] == spelled[b]:
                 first[b] = first[a]
-    reps = np.flatnonzero(first == np.arange(k))
-    if len(reps) == k:  # each spelling is a value of its own
-        return dense, spelled
+    reps = order[(first == np.arange(k))[order]]  # each value's first spelling, by value
     value_id = np.full(k + 1, -1, dtype=np.int32)  # the extra entry serves first == -1
     value_id[reps] = np.arange(len(reps), dtype=np.int32)
-    reps = reps.tolist()
+    floats, reps = floats[reps], reps.tolist()
     built = list(map(exact.__getitem__, reps))  # a value of several spellings is built
-    return value_id[first][dense], ValueList(floats[reps], built,
-                                             lambda v: to_fraction(spellings[reps[v]]))
+    spelling = lambda v: spellings[reps[v]]  # noqa: E731
+    return value_id[first][dense], ValueList(floats, built, lambda v: to_fraction(spelling(v)), spelling)

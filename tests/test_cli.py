@@ -261,6 +261,22 @@ def test_analyze_max_bases_env(tmp_path, capsys, monkeypatch):
     assert main(["analyze", str(path), "--json"]) == 2
 
 
+def test_analyze_negative_max_bases_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "u6.csv"
+    path.write_text(write_distance_csv(uniform_space(6)))
+    monkeypatch.delenv("ULTRABASE_MAX_BASES", raising=False)
+    assert main(["analyze", str(path), "--max-bases", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: --max-bases must be nonnegative, got -1\n"
+
+    monkeypatch.setenv("ULTRABASE_MAX_BASES", "-1")
+    assert main(["analyze", str(path), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: ULTRABASE_MAX_BASES must be nonnegative, got -1\n"
+    assert main(["analyze", str(path), "--max-bases", "0"]) == 0  # the flag wins over the variable
+    assert "metric bases (6 total, showing first 0):" in capsys.readouterr().out
+
+
 def test_coords_and_reconstruct_roundtrip(recmin_csv, tmp_path, capsys):
     assert main(["coords", str(recmin_csv), "--landmarks", "3"]) == 0
     coords_text = capsys.readouterr().out

@@ -288,7 +288,7 @@ def test_invalid_csv_gathers_no_spellings(monkeypatch):
 
     gathered = []
     first_tokens = ingest._first_tokens
-    monkeypatch.setattr(ingest, "_first_tokens", lambda *args: gathered.append(args[2]) or first_tokens(*args))
+    monkeypatch.setattr(ingest, "_first_tokens", lambda *args: gathered.append(args[-1]) or first_tokens(*args))
     with pytest.raises(UltrametricViolationError):
         parse_distance_csv("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
     assert gathered == []

@@ -1019,6 +1019,22 @@ def quantize_reference(keys, convert):
     return np.array(ids, dtype=np.int32), list(slots)
 
 
+def by_value(ids, values):
+    """A reference quantizer's ids and values renumbered through the
+    sorted order of its values (-1 stays -1)."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    relabel = np.full(len(values) + 1, -1, dtype=np.int32)
+    relabel[order] = np.arange(len(values), dtype=np.int32)
+    return relabel[ids], [values[i] for i in order]
+
+
+def assert_numbered_by_value(values):
+    """Quantized values come in increasing value: floats nondecreasing,
+    exact values strictly increasing."""
+    assert (values.floats[1:] >= values.floats[:-1]).all()
+    assert all(a < b for a, b in zip(values, list(values)[1:]))
+
+
 def _first_spellings(tokens, ids, count, where):
     """Each of ``count`` value ids' first spelling in row-major order among
     the cells ``where`` selects (None for an id none of them holds), by a
@@ -1138,10 +1154,11 @@ def assert_same_grouping(values, epsilon):
 def test_token_value_ids_match_fraction_keys(tokens, epsilon, data):
     convert = parse_or_none(tokens)
     ids, values = quantize(tokens, convert)
-    expected_ids, expected_values = quantize_reference(tokens, convert)
+    expected_ids, expected_values = by_value(*quantize_reference(tokens, convert))
     assert np.array_equal(ids, expected_ids)
     assert_same_grouping(values, epsilon)  # while most values are still unbuilt
     assert list(values) == expected_values
+    assert_numbered_by_value(values)
     assert values.floats.tolist() == [values_module._float(v) for v in expected_values]
     assert values.signs().tolist() == [(v > 0) - (v < 0) for v in expected_values]
     where = np.array(data.draw(st.lists(st.booleans(), min_size=len(tokens), max_size=len(tokens))))
@@ -1150,21 +1167,42 @@ def test_token_value_ids_match_fraction_keys(tokens, epsilon, data):
     assert {values[i]: t for i, t in enumerate(texts) if t is not None} == (
         first_spellings_reference(tokens, ids, values, where)
     )
-    # the parsers' rule: over all numeric cells, a running maximum finds the same spellings
+    # the parsers' rule: quantize keeps each value's first spelling over all numeric cells
     everywhere = _first_spellings(tokens, ids, len(values), ids >= 0)
-    assert _first_tokens(tokens, ids, list(range(len(values)))) == everywhere
+    assert _first_tokens(values, list(range(len(values)))) == everywhere
+
+
+hostile_spellings = ["", ".", ".5", "5.", "1.2.3", "1..2", "1_0", "+1", "1e0", " 1", "1\t", "1\n",
+                     "\n1", "1\n2", "\n", "\u0661", "nan", "inf", "\ud800", "9" * MAX_DIGITS,
+                     "9" * (MAX_DIGITS + 1), "0." + "5" * (MAX_DIGITS - 2), "0." + "5" * (MAX_DIGITS - 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,4})?", fullmatch=True),
+                          st.sampled_from(hostile_spellings),
+                          st.text("0123456789.\n \t", max_size=5)), max_size=8),
+       st.sampled_from([None, 1, 0.5, F(1, 2), b"1"]))
+def test_plain_document_check_matches_the_per_spelling_regex(spellings, odd):
+    if odd is not None:  # a cell that is not text, mixed into text
+        spellings = [*spellings, odd]
+    floats = values_module._plain_floats(spellings)
+    plain = all(isinstance(t, str) and values_module._PLAIN.fullmatch(t) for t in spellings)
+    assert (floats is not None) == plain
+    if plain:
+        assert floats.tolist() == [float(t) for t in spellings]
 
 
 @settings(max_examples=200, deadline=None)
 @given(raw_cells(), value_epsilons)
 def test_cell_value_ids_match_fraction_keys(cells, epsilon):
     ids, values = _cell_ids(cells)
-    expected_ids, expected_values = quantize_reference(
+    expected_ids, expected_values = by_value(*quantize_reference(
         [(type(c), c) for c in cells], lambda p: to_fraction(cells[p])
-    )
+    ))
     assert np.array_equal(ids, expected_ids)
     assert_same_grouping(values, epsilon)
     assert list(values) == expected_values
+    assert_numbered_by_value(values)
 
 
 def keyed_quantize_reference(keys, convert):
@@ -1208,9 +1246,10 @@ def test_cell_ids_match_the_keyed_quantizer(cells, odd, data):
     if any(isinstance(c, list) for c in cells):  # unhashable: every cell its own key
         keys = range(len(cells))
     ids, values = _cell_ids(cells)
-    expected_ids, expected_values = keyed_quantize_reference(keys, convert)
+    expected_ids, expected_values = by_value(*keyed_quantize_reference(keys, convert))
     assert np.array_equal(ids, expected_ids)
     assert list(values) == expected_values
+    assert_numbered_by_value(values)
 
 
 huge_cells = st.sampled_from([10**400, -10**400, F(10**400, 3), -F(10**400, 3)])
@@ -1226,10 +1265,11 @@ def typed_keys(cells):
 def test_cells_beyond_the_float_range_match_the_keyed_quantizer(cells, huge, data):
     cells = data.draw(st.permutations(cells + huge))
     ids, values = _cell_ids(cells)
-    expected_ids, expected_values = keyed_quantize_reference(typed_keys(cells),
-                                                             lambda p: to_fraction(cells[p]))
+    expected_ids, expected_values = by_value(*keyed_quantize_reference(typed_keys(cells),
+                                                                      lambda p: to_fraction(cells[p])))
     assert np.array_equal(ids, expected_ids)
     assert list(values) == expected_values
+    assert_numbered_by_value(values)
 
 
 @settings(max_examples=60, deadline=None)
@@ -1258,7 +1298,8 @@ def test_a_cell_beyond_the_float_range_is_the_only_one_converted():
 
     ids, values = quantize(cells, convert)
     assert calls == [3600, 3602]  # the first position of each out-of-range cell, nothing else
-    assert list(values) == keyed_quantize_reference(typed_keys(cells), lambda p: to_fraction(cells[p]))[1]
+    expected = by_value(*keyed_quantize_reference(typed_keys(cells), lambda p: to_fraction(cells[p])))
+    assert list(values) == expected[1] and np.array_equal(ids, expected[0])
 
 
 def test_invalid_csv_builds_only_its_witness_values(monkeypatch):

@@ -18,6 +18,9 @@ def test_cli_validate_runs_on_a_small_dissimilarity(tmp_path):
     result = scale.measure("cli_validate", path, [], ROOT / "src")
     assert set(result) == {"wall_s", "peak_rss_mb"}
     assert 0 < result["wall_s"] < scale.BUDGET_S and 0 < result["peak_rss_mb"] < scale.BUDGET_MB
+    assert set(scale.child("subdominant_ultrametric", str(path), [], "time")) == {"wall_s"}
+    result = scale.measure("subdominant_ultrametric", path, [], ROOT / "src")
+    assert set(result) == {"wall_s", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
 
 
 def test_newick_calls_run_on_a_small_tree(tmp_path):
