@@ -215,7 +215,7 @@ class ValueList:
     ``floats[i]`` is the float nearest value i, or an infinity beyond the
     float range (see :func:`_float`), so floats order the values up to
     ties. ``exact[i]`` holds the values already built, None elsewhere.
-    ``spelling(i)``, where given, is the cell value i was read from.
+    ``spelling(i)``, where given, is the first cell that spelled value i.
     """
 
     __slots__ = ("floats", "_exact", "_make", "spelling")
@@ -412,7 +412,7 @@ def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tupl
     reps = order[(first == np.arange(k))[order]]  # each value's first spelling, by value
     value_id = np.full(k + 1, -1, dtype=np.int32)  # the extra entry serves first == -1
     value_id[reps] = np.arange(len(reps), dtype=np.int32)
-    floats, reps = floats[reps], reps.tolist()
-    built = list(map(exact.__getitem__, reps))  # a value of several spellings is built
+    built = np.array(exact, dtype=object)[reps].tolist()  # no int object per value
+    floats = floats[reps]
     spelling = lambda v: spellings[reps[v]]  # noqa: E731
     return value_id[first][dense], ValueList(floats, built, lambda v: to_fraction(spelling(v)), spelling)
