@@ -194,15 +194,12 @@ def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[np
     n = len(ids)
     upper = np.triu_indices(n, 1)
     used = np.flatnonzero(np.bincount(ids[upper], minlength=len(values)))
-    reps, rank = used, np.arange(1, len(used) + 1, dtype=np.int32)
-    if epsilon:
-        picked, rank = group_values(values.take(used), epsilon)
-        reps = used[picked]
+    reps, rank = group_values(values.take(used), epsilon)
     lut = np.zeros(len(values), dtype=np.int32)
     lut[used] = rank
     arr = np.zeros((n, n), dtype=np.int32)
     arr[upper] = lut[ids[upper]]
-    return reps, arr + arr.T
+    return used[reps], arr + arr.T
 
 
 def _compact(values, texts, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
@@ -349,7 +346,7 @@ def _analyze(
         # ranking is monotone, so the ranks are the maxima of the ranked gaps;
         # only the values the table keeps become exact fractions
         reps, rank = group_values(matrix.values, _epsilon(epsilon) * matrix.scale)
-        table = DistanceTable(values=tuple(Fraction(matrix.values[r], matrix.scale) for r in reps))
+        table = DistanceTable(values=tuple(Fraction(matrix.values[r], matrix.scale) for r in reps.tolist()))
         ranks = _cophenetic(matrix.order, rank[matrix.ids])
         space = UltrametricSpace(labels=tuple(labels), table=table, ranks=ranks)
         return ValidationReport(ok=True, violations=()), space

@@ -247,10 +247,8 @@ class ValueList:
         return map(self.__getitem__, range(len(self)))
 
     def take(self, ids: np.ndarray) -> "ValueList":
-        """The values at ``ids``, in that order, each still built when first read."""
-        ids = ids.tolist()
-        return ValueList(self.floats[ids], list(map(self._exact.__getitem__, ids)),
-                         lambda j: self[ids[j]])
+        """The values at ``ids``, in that order, each read from this list when first read."""
+        return ValueList(self.floats[ids], [None] * len(ids), lambda j: self[ids[j]])
 
     def signs(self) -> np.ndarray:
         """Each value's exact sign (-1, 0 or 1) as int8; only values whose
@@ -281,7 +279,7 @@ def _order(values: ValueList) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return order, ties
 
 
-def group_values(values: Sequence[Fraction | int] | ValueList, epsilon: Fraction) -> tuple[list[int], np.ndarray]:
+def group_values(values: Sequence[Fraction | int] | ValueList, epsilon: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """Collapse near-equal values and assign ranks.
 
     ``values`` must be distinct. Sorted, they are chained into one group
@@ -290,18 +288,24 @@ def group_values(values: Sequence[Fraction | int] | ValueList, epsilon: Fraction
     ``values``, in increasing value, and an int32 array of each value's
     1-based rank (rank 0 is reserved for distance zero). No value is
     hashed: values are sorted by float, and only values whose floats tie
-    are read exactly, or all of them when ``epsilon`` is positive.
+    are read exactly, or all of them when ``epsilon`` is positive. At
+    epsilon 0, values whose floats increase, as :func:`quantize` numbers
+    them, are ranked in place.
     """
     if not isinstance(values, ValueList):
         values = ValueList.of(values)
+    floats = values.floats
+    if not epsilon and (floats[1:] > floats[:-1]).all():
+        return np.arange(len(values)), np.arange(1, len(values) + 1, dtype=np.int32)
     order, _ = _order(values)
     if not epsilon:
-        reps = order.tolist()
+        reps = order
     else:
-        reps = order[:1].tolist()
+        kept = order[:1].tolist()
         for a, b in itertools.pairwise(order.tolist()):
             if values[b] - values[a] > epsilon:
-                reps.append(b)
+                kept.append(b)
+        reps = np.array(kept, dtype=np.intp)
     rank = np.zeros(len(values), dtype=np.int32)
     rank[reps] = 1
     rank[order] = np.cumsum(rank[order])
