@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,13 +90,6 @@ class DistanceTable:
 
     def value(self, rank: int) -> Fraction:
         return ZERO if rank == 0 else self.values[rank - 1]
-
-    def text(self, rank: int) -> str:
-        """Decimal rendering of the value at ``rank``, preferring source spelling."""
-        if rank == 0:
-            return "0"
-        stored = self.texts[rank - 1]
-        return stored if stored is not None else format_value(self.values[rank - 1])
 
 
 @dataclass(frozen=True)
@@ -186,39 +179,44 @@ class UltrametricSpace:
         return UltrametricSpace(labels=labels, table=table, ranks=ranks)
 
 
-def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[np.ndarray, np.ndarray]:
-    """Value ids of the representatives, in increasing value, and the
-    symmetric int32 ranks of a value-id matrix's upper triangle; ``values``
-    are numbered in increasing value, so at epsilon 0 the ranks number the
-    used ids in order."""
+def _used_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids among 0..size-1 that ``ids`` uses, increasing, and ``ids``
+    renumbered by position among them, as int32."""
+    used = np.zeros(size, dtype=bool)
+    used[ids] = True
+    return np.flatnonzero(used), (np.cumsum(used, dtype=np.int32) - 1)[ids]
+
+
+def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[ValueList, np.ndarray]:
+    """The representatives, in increasing value, taken from ``values``, and
+    the symmetric int32 ranks of a value-id matrix's upper triangle, rank r
+    holding representative r - 1; ``values`` are numbered in increasing
+    value, so at epsilon 0 the ranks number the used ids in order."""
     n = len(ids)
-    upper = np.triu_indices(n, 1)
-    used = np.flatnonzero(np.bincount(ids[upper], minlength=len(values)))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)  # a mask: n² bytes, not n² int64 indices
+    used, position = _used_ids(ids[upper], len(values))
     reps, rank = group_values(values.take(used), epsilon)
-    lut = np.zeros(len(values), dtype=np.int32)
-    lut[used] = rank
     arr = np.zeros((n, n), dtype=np.int32)
-    arr[upper] = lut[ids[upper]]
-    return used[reps], arr + arr.T
+    arr[upper] = rank[position]
+    return values.take(used[reps]), arr + arr.T
 
 
 def _compact(values, texts, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
     """The table of the ranks a matrix (diagonal included) uses, with their
     spellings, and the matrix renumbered; rank r holds ``values[r - 1]``."""
-    used = np.zeros(len(values) + 1, dtype=np.int32)
-    used[rank_arr] = 1
-    used[0] = 0  # the diagonal's zero stays rank 0
-    kept = np.flatnonzero(used).tolist()
+    kept, ranks = _used_ids(rank_arr, len(values) + 1)
+    kept = kept[1:].tolist()  # the diagonal's zero stays rank 0
     compact = DistanceTable(
         values=tuple(values[r - 1] for r in kept),
         texts=tuple(texts[r - 1] for r in kept),
     )
-    return compact, np.cumsum(used, dtype=np.int32)[rank_arr]
+    return compact, ranks
 
 
-def _triangle_violations(rank_arr, closure, labels, table, max_violations):
+def _triangle_violations(rank_arr, closure, labels, values, max_violations):
     """Witness triples (x, y, z) with d(x,y) > max(d(x,z), d(z,y)), by z,
-    then row-major by (x, y).
+    then row-major by (x, y); rank r >= 1 holds ``values[r - 1]``, and a
+    witness reads no zero.
 
     The long side of a witness exceeds the single-linkage ``closure`` C:
     C(x,y) <= max(C(x,z), C(z,y)) <= max(d(x,z), d(z,y)) < d(x,y). So only
@@ -234,9 +232,9 @@ def _triangle_violations(rank_arr, closure, labels, table, max_violations):
             if len(found) >= max_violations:
                 return found, True
             dij, dik, dkj = (
-                table.value(rank_arr[i, j]),
-                table.value(rank_arr[i, k]),
-                table.value(rank_arr[k, j]),
+                values[rank_arr[i, j] - 1],
+                values[rank_arr[i, k] - 1],
+                values[rank_arr[k, j] - 1],
             )
             found.append(
                 Violation(
@@ -284,34 +282,12 @@ def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, ValueL
 class _ValueIds:
     """A square matrix a parser has already quantized: int32 ids (-1: not
     a finite number) into distinct ``values`` in increasing value, as
-    :func:`quantize` numbers them, and optionally ``texts``, a
-    function giving the source spellings of a list of value ids, called
-    only once the matrix is accepted."""
+    :func:`quantize` numbers them. When ``spelled``, ``values.spelling``
+    gives source text, read only for the values of an accepted table."""
 
     ids: np.ndarray
     values: ValueList
-    texts: Callable[[list[int]], list[str]] | None = None
-
-
-class _PendingTable:
-    """The distance table of a rank matrix not yet accepted: rank r >= 1
-    holds ``values[reps[r - 1]]``, spelled ``texts(reps)[r - 1]`` when
-    texts are known. A witness reads single values; the `DistanceTable`
-    and its spellings are built only once the matrix passes."""
-
-    __slots__ = ("values", "reps", "texts")
-
-    def __init__(self, values: ValueList, reps: np.ndarray,
-                 texts: Callable[[list[int]], list[str]] | None):
-        self.values, self.reps, self.texts = values, reps, texts
-
-    def value(self, rank: int) -> Fraction:
-        return ZERO if rank == 0 else self.values[self.reps[rank - 1]]
-
-    def build(self) -> DistanceTable:
-        reps = self.reps.tolist()
-        texts = () if self.texts is None else tuple(self.texts(reps))
-        return DistanceTable(values=tuple(map(self.values.__getitem__, reps)), texts=texts)
+    spelled: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,9 +381,13 @@ def _analyze(
         )
         return report, None
 
-    reps, rank_arr = _rank_ids(ids, values, eps)
-    texts = matrix.texts if quantized else None
-    return _space_from_ranks(labels, _PendingTable(values, reps, texts), rank_arr, max_violations)
+    kept, rank_arr = _rank_ids(ids, values, eps)
+    report = _triangle_report(labels, kept, rank_arr, max_violations)
+    if not report.ok:
+        return report, None
+    texts = tuple(map(kept.spelling, range(len(kept)))) if quantized and matrix.spelled else ()
+    table = DistanceTable(values=tuple(kept), texts=texts)
+    return report, UltrametricSpace(labels=tuple(labels), table=table, ranks=rank_arr)
 
 
 def _prim(rank_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -455,28 +435,22 @@ def _single_linkage(rank_arr: np.ndarray) -> np.ndarray:
     return _cophenetic(order, attach.astype(rank_arr.dtype))
 
 
-def _space_from_ranks(labels, table, rank_arr, max_violations=DEFAULT_MAX_VIOLATIONS):
-    """Check labels and triangles of a symmetric rank matrix with a zero diagonal.
+def _triangle_report(labels, values, rank_arr, max_violations=DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
+    """Check the triangles of a symmetric rank matrix with a zero diagonal,
+    rank r >= 1 holding ``values[r - 1]``.
 
     A matrix is an ultrametric exactly when it equals its own single-linkage
     closure, which takes O(n²); only an invalid matrix pays for the
     triangle sweep that names witnesses, O(n) per pair above the closure.
-    ``table`` is the `DistanceTable` of the ranks or a `_PendingTable`,
-    built here once the ranks pass. Returns the report and the space, or
-    None in its place when invalid.
+    The n x n closure is freed on return, before the caller builds a space.
     """
-    _check_labels(labels)
     closure = _single_linkage(rank_arr)
-    if not np.array_equal(closure, rank_arr):
-        tri, truncated = _triangle_violations(rank_arr, closure, list(labels), table, max_violations)
-        if not tri:
-            raise InternalInvariantError("single linkage and the triangle sweep disagree")
-        return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
-    del closure  # n x n: kept alive, it lifts the peak memory of what follows (30 MB at n=2000)
-    if isinstance(table, _PendingTable):
-        table = table.build()
-    space = UltrametricSpace(labels=tuple(labels), table=table, ranks=rank_arr)
-    return ValidationReport(ok=True, violations=()), space
+    if np.array_equal(closure, rank_arr):
+        return ValidationReport(ok=True, violations=())
+    tri, truncated = _triangle_violations(rank_arr, closure, list(labels), values, max_violations)
+    if not tri:
+        raise InternalInvariantError("single linkage and the triangle sweep disagree")
+    return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated)
 
 
 def validate_ultrametric(

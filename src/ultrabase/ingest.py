@@ -13,7 +13,6 @@ out reproduces them.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from fractions import Fraction
@@ -83,12 +82,6 @@ def _token_ids(body: list[list[str]], width: int, skip: int = 0) -> tuple[np.nda
     return ids.reshape(len(body), width), values
 
 
-def _first_tokens(values: ValueList, value_ids) -> list[str]:
-    """The first token, in row-major order, of each of ``value_ids``, as
-    :func:`quantize` kept it; no other value's token is read."""
-    return list(map(values.spelling, value_ids))
-
-
 def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
     """Read a labeled distance matrix and build the validated space.
 
@@ -112,8 +105,7 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
         raise ParseError(f"expected {n} fields, found {len(rows[good + 1])}", line=good + 2)
     # Spellings are gathered only for the values of an accepted table, all
     # of them positive and so never on the diagonal.
-    texts = functools.partial(_first_tokens, values)
-    return build_space(labels, _ValueIds(ids, values, texts), epsilon)
+    return build_space(labels, _ValueIds(ids, values, spelled=True), epsilon)
 
 
 def _distinct_texts(values, texts) -> list[str]:
@@ -177,10 +169,9 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
     if error:
         raise error
 
-    positive = np.flatnonzero(values.signs() > 0)
     texts: list[str | None] = [None] * len(values)
-    for v, text in zip(positive.tolist(), _first_tokens(values, positive)):
-        texts[v] = text
+    for v in np.flatnonzero(values.signs() > 0).tolist():
+        texts[v] = values.spelling(v)
     return CoordinateTable._encoded(landmarks, points, ids, values, texts)
 
 
@@ -437,10 +428,9 @@ def subdominant_ultrametric(
 
     # Work on ranks: the closure only compares values, so the quantized
     # integer picture is exact.
-    rep_ids, arr = _rank_ids(ids, values, eps)
-    reps = values.take(rep_ids)  # each built only if the closure keeps it
+    reps, arr = _rank_ids(ids, values, eps)  # each built only if the closure keeps it
     closed = _single_linkage(arr)
-    if signs[rep_ids[0]] == 0:
+    if not reps[0]:  # built anyway: the closure keeps rank 1
         # Zero dissimilarities glue distinct points; report each such pair.
         # Rank r holds reps[r - 1], and reps[0] = 0 also serves the diagonal.
         return build_space(labels, _ValueIds(np.maximum(closed - 1, 0), reps))

@@ -29,7 +29,8 @@ from .core import (
     _cell_ids,
     _check_labels,
     _single_linkage,
-    _space_from_ranks,
+    _triangle_report,
+    _used_ids,
 )
 from .errors import (
     CoordinateTableError,
@@ -87,12 +88,8 @@ class CoordinateTable:
     def _set(self, landmarks, points, ids, values, texts) -> None:
         """Store the canonical encoding of ``values[ids]``, ``values`` being
         increasing: the values in use, and the cells renumbered to match."""
-        used = np.zeros(len(values), dtype=bool)
-        used[ids] = True
-        kept = np.flatnonzero(used).tolist()
-        position = np.zeros(len(values), dtype=np.int32)
-        position[kept] = np.arange(len(kept), dtype=np.int32)
-        index = position[ids]
+        kept, index = _used_ids(ids, len(values))
+        kept = kept.tolist()
         index.setflags(write=False)
         object.__setattr__(self, "landmarks", tuple(landmarks))
         object.__setattr__(self, "points", tuple(points))
@@ -123,12 +120,6 @@ class CoordinateTable:
     def __repr__(self) -> str:
         return (f"CoordinateTable(landmarks={self.landmarks!r}, points={self.points!r}, "
                 f"rows={self.rows!r}, texts={self.texts!r})")
-
-    def row(self, point: str) -> tuple[Fraction, ...]:
-        try:
-            return self.rows[self._position[point]]
-        except KeyError:
-            raise UsageError(f"no coordinate row for {point!r}") from None
 
 
 def _check_table_labels(landmarks, points) -> None:
@@ -244,19 +235,18 @@ def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
         d = np.maximum(ranks[i, first], rest[np.arange(len(rest)), first])
         rank_arr[i, i + 1:] = rank_arr[i + 1:, i] = d
 
-    report, space = _space_from_ranks(pts, dtable, rank_arr)
-    if space is None:
+    report = _triangle_report(pts, dtable.values, rank_arr)
+    if not report.ok:
         raise CoordinateTableError(f"inconsistent coordinates: {report.violations[0].detail}")
-
-    mismatch = np.argwhere(space.ranks[:, at] != ranks)
+    mismatch = np.argwhere(rank_arr[:, at] != ranks)
     if mismatch.size:
         i, c = mismatch[0].tolist()
         raise CoordinateTableError(
             f"inconsistent coordinates: rebuilt d({pts[i]},{landmarks[c]}) = "
-            f"{space.table.value(int(space.ranks[i, at[c]]))} "
+            f"{dtable.value(int(rank_arr[i, at[c]]))} "
             f"but the table says {table.encoding[0][ranks[i, c]]}"
         )
-    return space
+    return UltrametricSpace(labels=tuple(pts), table=dtable, ranks=rank_arr)
 
 
 def reconstruct(table: CoordinateTable) -> UltrametricSpace:
@@ -269,11 +259,11 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     has these coordinates.
     """
     ranks, at = _table_ranks(table)
+    _check_labels(table.points)
     dtable = DistanceTable(table.encoding[0][1:], table.texts[1:])
     closed = _star_closure(ranks, at)
     if closed is None:
         return _rebuild_pairwise(table, dtable, ranks, at)
-    _check_labels(table.points)
     return UltrametricSpace(labels=tuple(table.points), table=dtable, ranks=closed)
 
 

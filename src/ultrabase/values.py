@@ -247,8 +247,10 @@ class ValueList:
         return map(self.__getitem__, range(len(self)))
 
     def take(self, ids: np.ndarray) -> "ValueList":
-        """The values at ``ids``, in that order, each read from this list when first read."""
-        return ValueList(self.floats[ids], [None] * len(ids), lambda j: self[ids[j]])
+        """The values at ``ids``, in that order, each read from this list when
+        first read, and spelled as here."""
+        spelling = self.spelling and (lambda j: self.spelling(ids[j]))
+        return ValueList(self.floats[ids], [None] * len(ids), lambda j: self[ids[j]], spelling)
 
     def signs(self) -> np.ndarray:
         """Each value's exact sign (-1, 0 or 1) as int8; only values whose

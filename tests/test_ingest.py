@@ -286,14 +286,21 @@ def test_newick_parses_each_length_spelling_once(monkeypatch):
 def test_invalid_csv_gathers_no_spellings(monkeypatch):
     import ultrabase.ingest as ingest
 
-    gathered = []
-    first_tokens = ingest._first_tokens
-    monkeypatch.setattr(ingest, "_first_tokens", lambda *args: gathered.append(args[-1]) or first_tokens(*args))
+    gathered = []  # the value ids whose spelling is read, per call
+    quantize = ingest.quantize
+
+    def spy(*args):
+        ids, values = quantize(*args)
+        spelling = values.spelling
+        values.spelling = lambda v: gathered.append(int(v)) or spelling(v)
+        return ids, values
+
+    monkeypatch.setattr(ingest, "quantize", spy)
     with pytest.raises(UltrametricViolationError):
         parse_distance_csv("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
     assert gathered == []
     space = parse_distance_csv("a,b,c\n0,1.50,2\n3/2,0,2.0\n2,2,0\n")
-    assert gathered == [[1, 2]] and space.table.texts == ("1.50", "2")  # id 0 is "0"
+    assert gathered == [1, 2] and space.table.texts == ("1.50", "2")  # id 0 is "0"
 
 
 def test_parse_newick_memory_is_bounded():

@@ -67,7 +67,7 @@ from ultrabase.core import (
 from ultrabase.errors import InternalInvariantError
 from ultrabase.partner import INFINITY, PartnerPartition, PseudopartneringTrace, TraceStep
 import ultrabase.values as values_module
-from ultrabase.ingest import _csv_rows, _first_tokens
+from ultrabase.ingest import _csv_rows
 from ultrabase.values import (
     MAX_DIGITS,
     _parse_general,
@@ -963,8 +963,11 @@ def test_single_linkage_verdict_matches_triangle_sweep(arr):
 def test_triangle_witnesses_from_pairs_above_the_closure_match_the_sweep(arr, max_violations):
     labels = [f"x{i}" for i in range(len(arr))]
     table = DistanceTable(values=tuple(F(v) for v in range(1, int(arr.max()) + 1)))
-    assert _triangle_violations(arr, _single_linkage(arr), labels, table, max_violations) == (
-        triangle_violations_reference(arr, labels, table, max_violations))
+    expected = triangle_violations_reference(arr, labels, table, max_violations)
+    assert _triangle_violations(arr, _single_linkage(arr), labels, table.values, max_violations) == expected
+    # a witness never reads rank 0: index -1 raises KeyError here
+    assert _triangle_violations(arr, _single_linkage(arr), labels, dict(enumerate(table.values)),
+                                max_violations) == expected
 
 
 def group_values_by_value(values, epsilon):
@@ -1170,7 +1173,12 @@ def test_token_value_ids_match_fraction_keys(tokens, epsilon, data):
     )
     # the parsers' rule: quantize keeps each value's first spelling over all numeric cells
     everywhere = _first_spellings(tokens, ids, len(values), ids >= 0)
-    assert _first_tokens(values, list(range(len(values)))) == everywhere
+    assert list(map(values.spelling, range(len(values)))) == everywhere
+    # a taken list spells its values as the list it came from, building none of them
+    used = ids[ids >= 0]
+    taken = values.take(used)
+    assert [taken.spelling(j) for j in range(len(used))] == [values.spelling(v) for v in used.tolist()]
+    assert taken._exact == [None] * len(used)
 
 
 hostile_spellings = ["", ".", ".5", "5.", "1.2.3", "1..2", "1_0", "+1", "1e0", " 1", "1\t", "1\n",
