@@ -1,8 +1,10 @@
-"""Scaling tier: wall time and memory of single calls on large spaces.
+"""Scaling tier: wall time and memory of calls on large spaces.
 
 For each size n in SIZES the input is a valid dendrogram CSV from
 ``bench/gen.py`` (8 distinct heights, seed SEED), and the landmarks are its
-first metric basis as the generator knows it. Every measurement runs in a
+first metric basis as the generator knows it. Each call runs REPEATS times,
+each time in a new child: ``wall_s`` is the median of those runs and
+``wall_s_runs`` lists them all, in order. Every measurement runs in a
 fresh Python process:
 
 - ``is_k_generator``, ``reconstruct``, ``landmark_independence_witness``
@@ -12,9 +14,10 @@ fresh Python process:
   CSV with 2 heights (seed SEED), whose partner classes are large. ``validate_ultrametric_floats`` reads the CSV's cells as
   Python floats and runs ``validate_ultrametric`` on them. ``subdominant_ultrametric`` runs on the
   text cells of the random dissimilarity CSV described below, split into rows
-  outside the call. One child times it (``wall_s``); a second child runs it
-  under ``tracemalloc`` and records ``call_peak_mb``, the peak of the
-  Python and numpy memory the call itself holds. Parsing is in neither.
+  outside the call. Each timing child times it once (``wall_s``); one more
+  child runs it under ``tracemalloc`` and records ``call_peak_mb``, the
+  peak of the Python and numpy memory the call itself holds. Parsing is in
+  none of them.
 - ``cli_coords_auto`` (``coords FILE --auto`` on the dendrogram CSV) and
   ``cli_validate`` (``validate FILE`` on a random dissimilarity CSV from
   ``gen.dissimilarity_case``, which exits 1 with its witnesses): the child
@@ -24,7 +27,8 @@ fresh Python process:
   witness is the point n - 3; ``cli_analyze_json`` runs
   ``analyze FILE --json`` (exit 0) on the 2-height dendrogram CSV;
   ``wall_s`` and ``peak_rss_mb`` are those of the whole child process,
-  interpreter start and parse included. The child reads its peak from
+  interpreter start and parse included, and ``peak_rss_mb`` is the largest
+  of the runs. The child reads its peak from
   its own ``VmHWM``: the ``ru_maxrss`` that ``wait4`` returns starts, on
   Linux, from the peak of the process that started the child, which
   holds the generated inputs.
@@ -62,6 +66,7 @@ import os
 import platform
 import random
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -88,6 +93,7 @@ CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["valida
 SIZES = (400, 1000, 2000)
 NEWICK_SIZES = (1000, 4000, 20000)
 LEVELS = 8
+REPEATS = 3  # runs per call, each in a new child
 PARTNER_LEVELS = 2  # the partner calls' dendrogram: few heights, large classes
 SEED = 1
 BUDGET_S = 30.0
@@ -245,30 +251,38 @@ def measure(call: str, path: Path, landmarks: list[str], src: Path) -> dict:
         return [sys.executable, str(Path(__file__).resolve()), "--child", call, str(path),
                 ",".join(landmarks), mode]
 
+    walls = []
     if call in CLI:
-        done = _run(child_args("time"), src, BUDGET_S)
-        if isinstance(done, dict):
-            return done
-        out, wall = done
-        part = json.loads(out)
-        if part["peak_rss_mb"] > BUDGET_MB:
-            return {"skipped": "budget", "limit": "peak_rss_mb"}
-        code, expected = part["exit"], CLI[call][2]
-        if code != expected:
-            raise RuntimeError(f"{call} on {path} exited {code}, expected {expected}")
-        return {"wall_s": round(wall, 4), "peak_rss_mb": part["peak_rss_mb"]}
+        peak = 0.0
+        for _ in range(REPEATS):
+            done = _run(child_args("time"), src, BUDGET_S)
+            if isinstance(done, dict):
+                return done
+            out, wall = done
+            part = json.loads(out)
+            if part["peak_rss_mb"] > BUDGET_MB:
+                return {"skipped": "budget", "limit": "peak_rss_mb"}
+            code, expected = part["exit"], CLI[call][2]
+            if code != expected:
+                raise RuntimeError(f"{call} on {path} exited {code}, expected {expected}")
+            walls.append(round(wall, 4))
+            peak = max(peak, part["peak_rss_mb"])
+        return {"wall_s": statistics.median(walls), "wall_s_runs": walls, "peak_rss_mb": peak}
     result = {}
-    for mode in ("time", "memory"):
+    for mode in ("time",) * REPEATS + ("memory",):
         done = _run(child_args(mode), src, BUDGET_S + SETUP_S)
         if isinstance(done, dict):
             return done
         part = json.loads(done[0])
         if "skipped" in part:
             return part
-        result.update(part)
+        if mode == "time":
+            walls.append(part["wall_s"])
+        else:
+            result.update(part)
     if result["call_peak_mb"] > BUDGET_MB:
         return {"skipped": "budget", "limit": "call_peak_mb"}
-    return result
+    return {"wall_s": statistics.median(walls), "wall_s_runs": walls, **result}
 
 
 def machine() -> dict:

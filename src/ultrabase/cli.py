@@ -76,17 +76,19 @@ def _infer_format(path: str, flag: str | None) -> str:
     )
 
 
-def _parse_space(text: str, fmt: str, epsilon: Fraction | None) -> UltrametricSpace:
-    if fmt == "csv":
-        return parse_distance_csv(text, epsilon if epsilon is not None else 0)
-    return parse_newick(text, epsilon if epsilon is not None else NEWICK_EPSILON)
-
-
 def _load_space(args) -> tuple[UltrametricSpace, dict]:
+    """The input space and its ``input`` report; an invalid space raises
+    :class:`UltrametricViolationError` with that report as ``exc.input``."""
     text, info = _read_text(args.input)
-    fmt = _infer_format(args.input, args.format)
-    info["format"] = fmt
-    return _parse_space(text, fmt, args.epsilon), info
+    fmt = info["format"] = _infer_format(args.input, args.format)
+    eps = args.epsilon
+    try:
+        if fmt == "csv":
+            return parse_distance_csv(text, 0 if eps is None else eps), info
+        return parse_newick(text, NEWICK_EPSILON if eps is None else eps), info
+    except UltrametricViolationError as exc:
+        exc.input = info
+        raise
 
 
 def _report(command: str, input_info: dict, result: dict, warnings: list[str]) -> str:
@@ -113,12 +115,10 @@ def _violations_json(report: ValidationReport) -> list[dict]:
 
 
 def _cmd_validate(args) -> int:
-    text, info = _read_text(args.input)
-    fmt = _infer_format(args.input, args.format)
-    info["format"] = fmt
     try:
-        space = _parse_space(text, fmt, args.epsilon)
+        space, info = _load_space(args)
     except UltrametricViolationError as exc:
+        info = exc.input
         result = {"valid": False, "violations": _violations_json(exc.report)}
         if args.json:
             sys.stdout.write(_report("validate", info, result, []))

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import (
     InternalInvariantError,
-    ParseError,
     UltrametricViolationError,
     UnknownLabelError,
     UsageError,
@@ -195,10 +194,12 @@ def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[Va
     n = len(ids)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)  # a mask: n² bytes, not n² int64 indices
     used, position = _used_ids(ids[upper], len(values))
-    reps, rank = group_values(values.take(used), epsilon)
+    taken = values.take(used)
+    reps, rank = group_values(taken, epsilon)
+    taken = taken.take(reps)  # the grouped list goes before the n x n arrays come
     arr = np.zeros((n, n), dtype=np.int32)
     arr[upper] = rank[position]
-    return values.take(used[reps]), arr + arr.T
+    return taken, arr + arr.T
 
 
 def _compact(values, texts, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
@@ -258,32 +259,12 @@ def _epsilon(epsilon: Numeric) -> Fraction:
     return eps
 
 
-def _cell_ids(cells: list, nonfinite=lambda p: None) -> tuple[np.ndarray, ValueList]:
-    """Value ids of raw matrix cells (row-major), by :func:`quantize`.
-
-    Cells are ordered by float, and only the values something reads become
-    `Fraction`s; a float means the decimal of its repr, so float 0.1 and
-    ``Fraction(0.1)`` are two values. A cell that is not a finite number,
-    text that is no number included, gets ``nonfinite(position)``: None
-    (id -1), or an exception.
-    """
-
-    def convert(p):
-        try:
-            return to_fraction(cells[p])
-        except (ValueError, TypeError, ParseError):
-            pass
-        return nonfinite(p)
-
-    return quantize(cells, convert)
-
-
 @dataclass(frozen=True, eq=False)
 class _ValueIds:
     """A square matrix a parser has already quantized: int32 ids (-1: not
     a finite number) into distinct ``values`` in increasing value, as
-    :func:`quantize` numbers them. When ``spelled``, ``values.spelling``
-    gives source text, read only for the values of an accepted table."""
+    :func:`quantize` numbers them. When ``spelled``, ``values.cells`` are
+    source text, read only for the values of an accepted table."""
 
     ids: np.ndarray
     values: ValueList
@@ -321,7 +302,7 @@ def _analyze(
     if isinstance(matrix, _Gaps):
         # ranking is monotone, so the ranks are the maxima of the ranked gaps;
         # only the values the table keeps become exact fractions
-        reps, rank = group_values(matrix.values, _epsilon(epsilon) * matrix.scale)
+        reps, rank = group_values(ValueList.of(matrix.values), _epsilon(epsilon) * matrix.scale)
         table = DistanceTable(values=tuple(Fraction(matrix.values[r], matrix.scale) for r in reps.tolist()))
         ranks = _cophenetic(matrix.order, rank[matrix.ids])
         space = UltrametricSpace(labels=tuple(labels), table=table, ranks=ranks)
@@ -335,7 +316,7 @@ def _analyze(
         ids, values, cells = matrix.ids, matrix.values, None
     else:
         cells = [c for row in matrix for c in row]
-        ids, values = _cell_ids(cells)
+        ids, values = quantize(cells)
         ids = ids.reshape(n, n)
 
     # values are distinct, so two ids differ exactly when their values do
@@ -385,7 +366,7 @@ def _analyze(
     report = _triangle_report(labels, kept, rank_arr, max_violations)
     if not report.ok:
         return report, None
-    texts = tuple(map(kept.spelling, range(len(kept)))) if quantized and matrix.spelled else ()
+    texts = tuple(kept.cells.tolist()) if quantized and matrix.spelled else ()
     table = DistanceTable(values=tuple(kept), texts=texts)
     return report, UltrametricSpace(labels=tuple(labels), table=table, ranks=rank_arr)
 
@@ -481,9 +462,9 @@ def build_space(
 ) -> UltrametricSpace:
     """Validate and construct a space, raising on any violation.
 
-    Cells are quantized by :func:`_cell_ids`: ordered by float, with
-    only the values something reads built exactly. A float means the
-    decimal of its repr, so float 0.1 and ``Fraction(0.1)`` stay apart.
+    Cells are quantized by :func:`quantize`: ordered by float, with only
+    the values something reads built exactly. A float means the decimal
+    of its repr, so float 0.1 and ``Fraction(0.1)`` stay apart.
     """
     report, space = _analyze(labels, matrix, epsilon, DEFAULT_MAX_VIOLATIONS)
     if space is None:

@@ -26,7 +26,6 @@ from .core import (
     Violation,
     _Gaps,
     _ValueIds,
-    _cell_ids,
     _check_labels,
     _compact,
     _epsilon,
@@ -72,13 +71,10 @@ def _token_ids(body: list[list[str]], width: int, skip: int = 0) -> tuple[np.nda
     """
     tokens = list(itertools.chain.from_iterable(fields[skip:] for fields in body))
 
-    def convert(p):
-        try:
-            return parse_decimal(tokens[p])
-        except ParseError as exc:
-            raise ParseError(str(exc), line=p // width + 2) from None
+    def bad(p, exc):
+        raise ParseError(str(exc), line=p // width + 2) from None
 
-    ids, values = quantize(tokens, convert)
+    ids, values = quantize(tokens, bad)
     return ids.reshape(len(body), width), values
 
 
@@ -169,9 +165,7 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
     if error:
         raise error
 
-    texts: list[str | None] = [None] * len(values)
-    for v in np.flatnonzero(values.signs() > 0).tolist():
-        texts[v] = values.spelling(v)
+    texts = np.where(values.signs() > 0, values.cells, None).tolist()
     return CoordinateTable._encoded(landmarks, points, ids, values, texts)
 
 
@@ -384,7 +378,7 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     by_id = list(depth_ids)
     triples = zip(*(i.tolist() for i in np.unravel_index(distinct, (k, k, k))))
     distances = [Fraction(by_id[a] + by_id[b] - 2 * by_id[c], scale) for a, b, c in triples]
-    ids, values = quantize(distances, distances.__getitem__)
+    ids, values = quantize(distances)
     return build_space(labels, _ValueIds(ids[inverse].reshape(n, n), values), eps)
 
 
@@ -408,11 +402,11 @@ def subdominant_ultrametric(
         raise UsageError("need at least two points")
     eps = _epsilon(epsilon)
 
-    def nonfinite(p):
+    def bad(p, exc):
         i, j = divmod(p, n)
-        raise UsageError(f"entry ({labels[i]},{labels[j]}) is not a finite number")
+        raise UsageError(f"entry ({labels[i]},{labels[j]}) is not a finite number") from None
 
-    ids, values = _cell_ids([c for row in matrix for c in row], nonfinite)
+    ids, values = quantize([c for row in matrix for c in row], bad)
     ids = ids.reshape(n, n)
     signs = values.signs()
     neg, zero = signs[ids] < 0, signs[ids] == 0

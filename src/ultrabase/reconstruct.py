@@ -26,7 +26,6 @@ from .core import (
     ZERO,
     DistanceTable,
     UltrametricSpace,
-    _cell_ids,
     _check_labels,
     _single_linkage,
     _triangle_report,
@@ -37,6 +36,7 @@ from .errors import (
     NotGeneratorError,
     UsageError,
 )
+from .values import quantize
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -68,11 +68,11 @@ class CoordinateTable:
                 raise UsageError(f"row for {lab!r} has {len(row)} values, "
                                  f"expected {len(landmarks)}")
 
-        def nonfinite(p):
+        def bad(p, exc):
             i, c = divmod(p, len(landmarks))
-            raise UsageError(f"coordinate ({points[i]}, {landmarks[c]}) is not a finite number")
+            raise UsageError(f"coordinate ({points[i]}, {landmarks[c]}) is not a finite number") from None
 
-        ids, values = _cell_ids([c for row in rows for c in row], nonfinite)
+        ids, values = quantize([c for row in rows for c in row], bad)
         spelled = value_texts or {}
         self._set(landmarks, points, ids.reshape(len(points), len(landmarks)),
                   values, [spelled.get(v) or None for v in values])

@@ -11,11 +11,14 @@ decimal token (ASCII ``digits[.digits]``) with `float`, which rounds
 correctly and so orders tokens as their exact values do, and an int,
 float or `Fraction` cell with `float` too. A cell is read exactly up front
 only where floats tie, or where its float is not finite or the cell is
-other text. Values come as a :class:`ValueList` numbered in increasing
-value: each value's float, and its exact value built when a distance
-table, a witness, a sign test at float 0 or an epsilon comparison first
-reads it. From there on, work is on integer value ids, and comparing two
-values is comparing their ids.
+other text; ``quantize(cells, bad)`` owns that reading, and ``bad(p, exc)``
+only says what a cell it cannot read means: None (no number) or an
+exception. Values come as a :class:`ValueList` numbered in increasing
+value: each value's float, its first cell, and its exact value,
+``to_fraction`` of that cell, built when a distance table, a witness, a
+sign test at float 0 or an epsilon comparison first reads it. From there
+on, work is on integer value ids, and comparing two values is comparing
+their ids.
 """
 
 from __future__ import annotations
@@ -60,6 +63,10 @@ def to_fraction(value: Numeric) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a distance value")
 
 
+# ASCII digits[.digits] of at most MAX_DIGITS characters
+_PLAIN = re.compile(rf"(?=.{{1,{MAX_DIGITS}}}\Z)[0-9]+(?:\.[0-9]+)?")
+
+
 def parse_decimal(token: str) -> Fraction:
     """Parse a decimal token ("1", "0.25", "2.5e-3") to an exact Fraction.
 
@@ -69,12 +76,9 @@ def parse_decimal(token: str) -> Fraction:
     by its exponent alone is rejected from its text.
     """
     text = token.strip()
-    # ASCII digits[.digits] within the bound: the ratio is read off the text
-    whole, dot, frac = text.partition(".")
-    if len(text) <= MAX_DIGITS and text.isascii() and whole.isdigit() and (
-        not dot or frac.isdigit()
-    ):
-        return Fraction(int(whole + frac), 10 ** len(frac))
+    if _PLAIN.fullmatch(text):  # the ratio is read off the text; an integer needs no gcd
+        whole, _, frac = text.partition(".")
+        return Fraction(int(whole + frac), 10 ** len(frac)) if frac else Fraction(int(whole))
     return _parse_general(token)
 
 
@@ -209,48 +213,43 @@ def _float_or_nan(spelling) -> float:
 
 
 class ValueList:
-    """Distinct values by id: each value's float up front, and its exact
-    `Fraction`, built by ``make(i)`` when first read and then kept.
+    """Distinct values by id, in three aligned arrays.
 
     ``floats[i]`` is the float nearest value i, or an infinity beyond the
     float range (see :func:`_float`), so floats order the values up to
-    ties. ``exact[i]`` holds the values already built, None elsewhere.
-    ``spelling(i)``, where given, is the first cell that spelled value i.
+    ties. ``cells[i]``, an object array, holds the first cell that held
+    value i, and value i is ``to_fraction(cells[i])``: built when first
+    read, then kept among the values built so far (None elsewhere).
     """
 
-    __slots__ = ("floats", "_exact", "_make", "spelling")
+    __slots__ = ("floats", "cells", "_exact")
 
-    def __init__(self, floats: np.ndarray, exact: list[Fraction | None],
-                 make: Callable[[int], Fraction] | None = None,
-                 spelling: Callable[[int], object] | None = None):
+    def __init__(self, floats: np.ndarray, cells: np.ndarray, exact: np.ndarray):
         self.floats = floats
+        self.cells = cells
         self._exact = exact
-        self._make = make
-        self.spelling = spelling
 
     @classmethod
-    def of(cls, values: Sequence[Fraction]) -> "ValueList":
-        """The list of values already built."""
-        values = list(values)
-        return cls(np.array([_float(v) for v in values], dtype=float), values)
+    def of(cls, values: Sequence[Fraction | int]) -> "ValueList":
+        """The list of values already built, each its own cell."""
+        built = np.fromiter(values, dtype=object, count=len(values))
+        return cls(np.fromiter(map(_float, values), dtype=float, count=len(values)), built, built)
 
     def __len__(self) -> int:
-        return len(self._exact)
+        return len(self.floats)
 
     def __getitem__(self, i: int) -> Fraction:
         v = self._exact[i]
         if v is None:
-            v = self._exact[i] = self._make(i)
+            v = self._exact[i] = to_fraction(self.cells[i])
         return v
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
     def take(self, ids: np.ndarray) -> "ValueList":
-        """The values at ``ids``, in that order, each read from this list when
-        first read, and spelled as here."""
-        spelling = self.spelling and (lambda j: self.spelling(ids[j]))
-        return ValueList(self.floats[ids], [None] * len(ids), lambda j: self[ids[j]], spelling)
+        """The values at ``ids``, in that order, with the ones built so far."""
+        return ValueList(self.floats[ids], self.cells[ids], self._exact[ids])
 
     def signs(self) -> np.ndarray:
         """Each value's exact sign (-1, 0 or 1) as int8; only values whose
@@ -281,7 +280,7 @@ def _order(values: ValueList) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return order, ties
 
 
-def group_values(values: Sequence[Fraction | int] | ValueList, epsilon: Fraction) -> tuple[np.ndarray, np.ndarray]:
+def group_values(values: ValueList, epsilon: Fraction) -> tuple[np.ndarray, np.ndarray]:
     """Collapse near-equal values and assign ranks.
 
     ``values`` must be distinct. Sorted, they are chained into one group
@@ -294,8 +293,6 @@ def group_values(values: Sequence[Fraction | int] | ValueList, epsilon: Fraction
     epsilon 0, values whose floats increase, as :func:`quantize` numbers
     them, are ranked in place.
     """
-    if not isinstance(values, ValueList):
-        values = ValueList.of(values)
     floats = values.floats
     if not epsilon and (floats[1:] > floats[:-1]).all():
         return np.arange(len(values)), np.arange(1, len(values) + 1, dtype=np.int32)
@@ -303,11 +300,9 @@ def group_values(values: Sequence[Fraction | int] | ValueList, epsilon: Fraction
     if not epsilon:
         reps = order
     else:
-        kept = order[:1].tolist()
-        for a, b in itertools.pairwise(order.tolist()):
-            if values[b] - values[a] > epsilon:
-                kept.append(b)
-        reps = np.array(kept, dtype=np.intp)
+        ordered = order.tolist()
+        pairs = itertools.pairwise(zip(ordered, map(values.__getitem__, ordered)))  # each read once
+        reps = np.array(ordered[:1] + [b for (_, x), (b, y) in pairs if y - x > epsilon], dtype=np.intp)
     rank = np.zeros(len(values), dtype=np.int32)
     rank[reps] = 1
     rank[order] = np.cumsum(rank[order])
@@ -320,8 +315,6 @@ def _first_positions(dense: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.diff(np.maximum.accumulate(dense), prepend=-1))
 
 
-# ASCII digits[.digits] of at most MAX_DIGITS characters
-_PLAIN = re.compile(rf"(?=.{{1,{MAX_DIGITS}}}\Z)[0-9]+(?:\.[0-9]+)?")
 # the numbers :func:`to_fraction` reads, the common types first
 _REALS = (float, int, Fraction, np.floating, numbers.Integral)
 
@@ -367,19 +360,20 @@ def _plain_floats(spellings: list) -> np.ndarray | None:
     return None
 
 
-def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tuple[np.ndarray, ValueList]:
+def quantize(cells: Sequence,
+             bad: Callable[[int, Exception], None] = lambda p, exc: None) -> tuple[np.ndarray, ValueList]:
     """Give cells of equal value one id, merging and ordering by float.
 
     A spelling (see :func:`_spellings`) is read with `float` where it is
     plain text, ASCII ``digits[.digits]`` of at most MAX_DIGITS characters,
     or a number :func:`to_fraction` reads. Any other spelling, and one whose
-    float is not finite, goes to ``convert(p)`` at its first position p, in
-    increasing position: it gives the exact value, or None for a cell that
-    is not a finite number (id -1). Spellings whose floats tie are read
-    exactly; every other value is built by :func:`to_fraction` when the
-    returned list is read. Returns an int32 id per cell and the values,
-    numbered in increasing value; ``values.spelling(v)`` is the first cell
-    of value v.
+    float is not finite, is read exactly by :func:`to_fraction`, in
+    increasing first position p; where that fails with ``exc``,
+    ``bad(p, exc)`` returns None, for a cell that is not a finite number
+    (id -1), or raises. Spellings whose floats tie are read exactly; every
+    other value is built when the returned list is read. Returns an int32
+    id per cell and the values, numbered in increasing value, each with
+    its first cell.
     """
     # Text, the common case, is guessed from the first cell and confirmed on
     # the spellings, as no number equals text: its cells are not scanned.
@@ -398,17 +392,17 @@ def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tupl
             floats[read] = np.fromiter(map(float, itertools.compress(spellings, read)), dtype=float)
         except OverflowError:  # an int or Fraction beyond the float range: convert it alone
             floats[read] = list(map(_float_or_nan, itertools.compress(spellings, read)))
-    exact: list[Fraction | None] = [None] * k
+    # object arrays filled item by item: numpy never reads a sequence cell as a row
+    spelled = ValueList(floats, np.fromiter(spellings, dtype=object, count=k), np.empty(k, dtype=object))
     first = np.arange(k)  # each spelling's first spelling of equal value; -1: no number
     if not np.isfinite(floats).all():
         position = _first_positions(dense)
         for s in np.flatnonzero(~np.isfinite(floats)).tolist():
-            v = exact[s] = convert(int(position[s]))
-            if v is None:
+            try:
+                floats[s] = _float(spelled[s])
+            except (ValueError, TypeError, ParseError) as exc:
+                bad(int(position[s]), exc)
                 first[s], floats[s] = -1, np.nan
-            else:
-                floats[s] = _float(v)
-    spelled = ValueList(floats, exact, lambda s: to_fraction(spellings[s]))
     order, ties = _order(spelled)
     # equal values lie in one run of tied floats, in increasing spelling id
     for start, stop in ties:
@@ -418,7 +412,4 @@ def quantize(cells: Sequence, convert: Callable[[int], Fraction | None]) -> tupl
     reps = order[(first == np.arange(k))[order]]  # each value's first spelling, by value
     value_id = np.full(k + 1, -1, dtype=np.int32)  # the extra entry serves first == -1
     value_id[reps] = np.arange(len(reps), dtype=np.int32)
-    built = np.array(exact, dtype=object)[reps].tolist()  # no int object per value
-    floats = floats[reps]
-    spelling = lambda v: spellings[reps[v]]  # noqa: E731
-    return value_id[first][dense], ValueList(floats, built, lambda v: to_fraction(spelling(v)), spelling)
+    return value_id[first][dense], spelled.take(reps)

@@ -284,23 +284,26 @@ def test_newick_parses_each_length_spelling_once(monkeypatch):
 
 
 def test_invalid_csv_gathers_no_spellings(monkeypatch):
+    import ultrabase.core as core
     import ultrabase.ingest as ingest
 
-    gathered = []  # the value ids whose spelling is read, per call
-    quantize = ingest.quantize
+    quantized, tables = [], []  # each quantized value list; each distance table's texts
+    quantize, table = ingest.quantize, core.DistanceTable
 
     def spy(*args):
         ids, values = quantize(*args)
-        spelling = values.spelling
-        values.spelling = lambda v: gathered.append(int(v)) or spelling(v)
+        quantized.append(values)
         return ids, values
 
     monkeypatch.setattr(ingest, "quantize", spy)
+    monkeypatch.setattr(core, "DistanceTable",
+                        lambda values, texts=(): tables.append(texts) or table(values, texts))
     with pytest.raises(UltrametricViolationError):
         parse_distance_csv("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
-    assert gathered == []
+    assert tables == []
     space = parse_distance_csv("a,b,c\n0,1.50,2\n3/2,0,2.0\n2,2,0\n")
-    assert gathered == [1, 2] and space.table.texts == ("1.50", "2")  # id 0 is "0"
+    # the spellings of value ids 1 and 2 only; id 0 is "0"
+    assert tables == [tuple(quantized[-1].cells[[1, 2]])] and space.table.texts == ("1.50", "2")
 
 
 def test_parse_newick_memory_is_bounded():

@@ -59,7 +59,6 @@ from ultrabase.core import (
     UltrametricSpace,
     ValidationReport,
     Violation,
-    _cell_ids,
     _check_labels,
     _single_linkage,
     _triangle_violations,
@@ -70,6 +69,7 @@ import ultrabase.values as values_module
 from ultrabase.ingest import _csv_rows
 from ultrabase.values import (
     MAX_DIGITS,
+    ValueList,
     _parse_general,
     format_value,
     group_values,
@@ -696,6 +696,20 @@ def test_build_space_keeps_equal_float_and_fraction_apart():
     report = validate_ultrametric(unhashable)
     assert report == analyze_reference(["1", "2"], unhashable, 0, 16, None)[0]
     assert [v.kind for v in report.violations] == ["nonfinite", "nonfinite"]
+    # sequence cells stay cells in object arrays: every cell a list, or one numpy array
+    lists = [[[0], [1]], [[1], [0]]]
+    array = [[0, np.array([1.0, 2.0])], [1, 0]]
+    for matrix, bad in ((lists, [(0, 0), (0, 1), (1, 0), (1, 1)]), (array, [(0, 1)])):
+        report = validate_ultrametric(matrix)
+        assert report == analyze_reference(["1", "2"], matrix, 0, 16, None)[0]
+        assert [(v.kind, v.detail) for v in report.violations] == [
+            ("nonfinite", f"entry ({i + 1},{j + 1}) is not a finite number: {matrix[i][j]!r}") for i, j in bad
+        ]
+        i, j = bad[0]
+        with pytest.raises(UsageError, match=rf"^entry \({i + 1},{j + 1}\) is not a finite number$"):
+            subdominant_ultrametric(matrix)
+        with pytest.raises(UsageError, match=rf"^coordinate \({'ab'[i]}, {'ab'[j]}\) is not a finite number$"):
+            CoordinateTable(("a", "b"), ("a", "b"), matrix)
 
 
 def test_numpy_cells_are_numbers():
@@ -1008,7 +1022,7 @@ huge_or_close = st.one_of(
 @given(st.lists(huge_or_close, max_size=30), st.sampled_from([F(0), F(1, 10**30), F(1, 2)]))
 @example([1 + F(k, 10**30) for k in (2, 1, 3)], F(0))  # one float, out of exact order
 def test_group_values_orders_exactly(values, epsilon):
-    assert_same_grouping(list(dict.fromkeys(values)), epsilon)
+    assert_same_grouping(ValueList.of(list(dict.fromkeys(values))), epsilon)
     assert group_values_by_value(values, epsilon) == group_values_reference(values, epsilon)
 
 
@@ -1157,7 +1171,7 @@ def assert_same_grouping(values, epsilon):
 @given(edge_tokens(), value_epsilons, st.data())
 def test_token_value_ids_match_fraction_keys(tokens, epsilon, data):
     convert = parse_or_none(tokens)
-    ids, values = quantize(tokens, convert)
+    ids, values = quantize(tokens)
     expected_ids, expected_values = by_value(*quantize_reference(tokens, convert))
     assert np.array_equal(ids, expected_ids)
     assert_same_grouping(values, epsilon)  # while most values are still unbuilt
@@ -1173,12 +1187,15 @@ def test_token_value_ids_match_fraction_keys(tokens, epsilon, data):
     )
     # the parsers' rule: quantize keeps each value's first spelling over all numeric cells
     everywhere = _first_spellings(tokens, ids, len(values), ids >= 0)
-    assert list(map(values.spelling, range(len(values)))) == everywhere
-    # a taken list spells its values as the list it came from, building none of them
+    assert values.cells.tolist() == everywhere
+    # a taken list holds the cells of the list it came from and the values it built
     used = ids[ids >= 0]
-    taken = values.take(used)
-    assert [taken.spelling(j) for j in range(len(used))] == [values.spelling(v) for v in used.tolist()]
-    assert taken._exact == [None] * len(used)
+    _, fresh = quantize(tokens)
+    built = [v is not None for v in fresh._exact]
+    taken = fresh.take(used)
+    assert taken.cells.tolist() == [values.cells[v] for v in used.tolist()]
+    assert [v is not None for v in taken._exact] == [built[v] for v in used.tolist()]
+    assert list(taken) == [values[v] for v in used.tolist()]
 
 
 hostile_spellings = ["", ".", ".5", "5.", "1.2.3", "1..2", "1_0", "+1", "1e0", " 1", "1\t", "1\n",
@@ -1204,7 +1221,7 @@ def test_plain_document_check_matches_the_per_spelling_regex(spellings, odd):
 @settings(max_examples=200, deadline=None)
 @given(raw_cells(), value_epsilons)
 def test_cell_value_ids_match_fraction_keys(cells, epsilon):
-    ids, values = _cell_ids(cells)
+    ids, values = quantize(cells)
     expected_ids, expected_values = by_value(*quantize_reference(
         [(type(c), c) for c in cells], lambda p: to_fraction(cells[p])
     ))
@@ -1254,7 +1271,7 @@ def test_cell_ids_match_the_keyed_quantizer(cells, odd, data):
     keys = [(t, c.numerator, c.denominator) if (t := type(c)) is F else (t, c) for c in cells]
     if any(isinstance(c, list) for c in cells):  # unhashable: every cell its own key
         keys = range(len(cells))
-    ids, values = _cell_ids(cells)
+    ids, values = quantize(cells)
     expected_ids, expected_values = by_value(*keyed_quantize_reference(keys, convert))
     assert np.array_equal(ids, expected_ids)
     assert list(values) == expected_values
@@ -1273,7 +1290,7 @@ def typed_keys(cells):
 @given(raw_cells(), st.lists(huge_cells, min_size=1, max_size=3), st.data())
 def test_cells_beyond_the_float_range_match_the_keyed_quantizer(cells, huge, data):
     cells = data.draw(st.permutations(cells + huge))
-    ids, values = _cell_ids(cells)
+    ids, values = quantize(cells)
     expected_ids, expected_values = by_value(*keyed_quantize_reference(typed_keys(cells),
                                                                       lambda p: to_fraction(cells[p])))
     assert np.array_equal(ids, expected_ids)
@@ -1296,17 +1313,14 @@ def test_cells_beyond_the_float_range_report_like_the_per_cell_reference(case, h
     assert outcome(validate_ultrametric, matrix, labels, 0, max_violations) == expected
 
 
-def test_a_cell_beyond_the_float_range_is_the_only_one_converted():
+def test_a_cell_beyond_the_float_range_is_the_only_one_converted(monkeypatch):
     rng = np.random.default_rng(5)
     cells = rng.random(3600).tolist() + [10**400, 0.5, -F(10**400, 3), 10**400]
     calls = []
-
-    def convert(p):
-        calls.append(p)
-        return to_fraction(cells[p])
-
-    ids, values = quantize(cells, convert)
-    assert calls == [3600, 3602]  # the first position of each out-of-range cell, nothing else
+    monkeypatch.setattr(values_module, "to_fraction", lambda c: calls.append(c) or to_fraction(c))
+    ids, values = quantize(cells)
+    # the first cell of each out-of-range value, nothing else
+    assert len(calls) == 2 and calls[0] is cells[3600] and calls[1] is cells[3602]
     expected = by_value(*keyed_quantize_reference(typed_keys(cells), lambda p: to_fraction(cells[p])))
     assert list(values) == expected[1] and np.array_equal(ids, expected[0])
 

@@ -2,6 +2,7 @@
 running its large sizes."""
 
 import random
+import statistics
 import sys
 from pathlib import Path
 
@@ -11,16 +12,23 @@ sys.path.insert(0, str(ROOT / "scripts"))
 import scale  # noqa: E402
 
 
+def assert_median_of_repeats(result):
+    runs = result["wall_s_runs"]
+    assert len(runs) == scale.REPEATS and result["wall_s"] == statistics.median(runs)
+
+
 def test_cli_validate_runs_on_a_small_dissimilarity(tmp_path):
     path = tmp_path / "dissimilarity.csv"
     path.write_text(scale.gen.dissimilarity_case(random.Random("test_scale"), 24).text)
     assert scale.child("cli_validate", str(path), [], "time") == {"exit": 1}
     result = scale.measure("cli_validate", path, [], ROOT / "src")
-    assert set(result) == {"wall_s", "peak_rss_mb"}
+    assert set(result) == {"wall_s", "wall_s_runs", "peak_rss_mb"}
     assert 0 < result["wall_s"] < scale.BUDGET_S and 0 < result["peak_rss_mb"] < scale.BUDGET_MB
+    assert_median_of_repeats(result)
     assert set(scale.child("subdominant_ultrametric", str(path), [], "time")) == {"wall_s"}
     result = scale.measure("subdominant_ultrametric", path, [], ROOT / "src")
-    assert set(result) == {"wall_s", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+    assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+    assert_median_of_repeats(result)
 
 
 def test_newick_calls_run_on_a_small_tree(tmp_path):
@@ -29,7 +37,7 @@ def test_newick_calls_run_on_a_small_tree(tmp_path):
     assert scale.child("cli_validate_newick", str(path), [], "time") == {"exit": 0}
     assert set(scale.child("parse_newick", str(path), [], "time")) == {"wall_s"}
     result = scale.measure("parse_newick", path, [], ROOT / "src")
-    assert set(result) == {"wall_s", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+    assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
 
 
 def test_validate_cases_run_on_small_inputs(tmp_path):
@@ -46,4 +54,4 @@ def test_partner_calls_run_on_a_small_dendrogram(tmp_path):
     path.write_text(scale._partner_case(24).text)
     assert scale.child("cli_analyze_json", str(path), [], "time") == {"exit": 0}
     result = scale.measure("partner_partition", path, [], ROOT / "src")
-    assert set(result) == {"wall_s", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+    assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
