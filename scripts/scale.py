@@ -22,6 +22,8 @@ fresh Python process:
   ``cli_validate`` (``validate FILE`` on a random dissimilarity CSV from
   ``gen.dissimilarity_case``, which exits 1 with its witnesses): the child
   runs the command through ``ultrabase.cli.main`` and checks its exit code;
+  ``cli_validate_epsilon`` runs ``validate FILE --epsilon 0.001`` (exit 1)
+  on the same dissimilarity, whose values then group on integer units;
   ``cli_validate_late_witness`` runs ``validate FILE`` (exit 1) on
   d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4, whose only
   witness is the point n - 3; ``cli_analyze_json`` runs
@@ -83,11 +85,12 @@ import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
 CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
          "minimal_subspace", "validate_ultrametric_floats", "partner_partition",
          "subdominant_ultrametric", "cli_coords_auto",
-         "cli_validate", "cli_validate_late_witness", "cli_analyze_json")
+         "cli_validate", "cli_validate_epsilon", "cli_validate_late_witness", "cli_analyze_json")
 NEWICK_CALLS = ("parse_newick", "cli_validate_newick")
 NEWICK_SHAPES = {"random-tree": gen.random_tree_case, "caterpillar": gen.caterpillar_case}
 # command-line calls: argv before and after the file, and the expected exit code
 CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["validate"], [], 1),
+       "cli_validate_epsilon": (["validate"], ["--epsilon", "0.001"], 1),
        "cli_validate_late_witness": (["validate"], [], 1), "cli_validate_newick": (["validate"], [], 0),
        "cli_analyze_json": (["analyze"], ["--json"], 0)}
 SIZES = (400, 1000, 2000)
@@ -315,7 +318,7 @@ def main(argv=None) -> int:
         "commit": commit,
         "machine": machine(),
         "input": f"bench/gen.py dendrogram_case, {LEVELS} heights, seed {SEED}; "
-                 "landmarks: the first metric basis; cli_validate and subdominant_ultrametric: "
+                 "landmarks: the first metric basis; cli_validate, cli_validate_epsilon and subdominant_ultrametric: "
                  f"bench/gen.py dissimilarity_case, seed {SEED}; cli_validate_late_witness: "
                  "d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4; partner_partition "
                  f"and cli_analyze_json: bench/gen.py dendrogram_case, {PARTNER_LEVELS} heights",
@@ -341,7 +344,8 @@ def main(argv=None) -> int:
                                        "dissimilarity_csv_bytes": noisy.stat().st_size,
                                        "late_witness_csv_bytes": late.stat().st_size,
                                        "partner_csv_bytes": few.stat().st_size}
-            inputs = {"cli_validate": noisy, "subdominant_ultrametric": noisy, "cli_validate_late_witness": late,
+            inputs = {"cli_validate": noisy, "cli_validate_epsilon": noisy, "subdominant_ultrametric": noisy,
+                      "cli_validate_late_witness": late,
                       "partner_partition": few, "cli_analyze_json": few}
             for call in CALLS:
                 if call in inputs:

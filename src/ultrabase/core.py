@@ -47,6 +47,14 @@ _BAD_LABEL_CHAR = re.compile(r"[\x00-\x1f,\x7f\ufeff]")
 def _check_labels(labels: Sequence[str]) -> None:
     if len(labels) < 2:
         raise UsageError("an ultrametric space needs at least two points")
+    try:
+        joined = "".join(labels)  # TypeError: a label that is not text
+    except TypeError:
+        joined = None
+    if (joined is not None and all(labels) and not _BAD_LABEL_CHAR.search(joined)
+            and len(set(labels)) == len(labels)):
+        return
+    # a label is bad: name the first one
     seen: set[str] = set()
     for lab in labels:
         if not isinstance(lab, str) or not lab:
@@ -275,15 +283,13 @@ class _ValueIds:
 class _Gaps:
     """A dendrogram: its points in leaf ``order``, and ``ids[k]`` (k >= 1)
     the id of the distance between leaves k - 1 and k among distinct
-    positive ``values``, each of them used and given in units of
-    1/``scale``. The distance between leaves i < j is the largest value
-    among ids[i + 1..j]. Such a matrix is ultrametric by construction;
-    ``ids[0]`` is unused."""
+    positive ``values``, each of them used. The distance between leaves
+    i < j is the largest value among ids[i + 1..j]. Such a matrix is
+    ultrametric by construction; ``ids[0]`` is unused."""
 
     order: Sequence[int]
     ids: np.ndarray
-    values: list[int | Fraction]
-    scale: int = 1
+    values: ValueList
 
 
 def _analyze(
@@ -302,8 +308,8 @@ def _analyze(
     if isinstance(matrix, _Gaps):
         # ranking is monotone, so the ranks are the maxima of the ranked gaps;
         # only the values the table keeps become exact fractions
-        reps, rank = group_values(ValueList.of(matrix.values), _epsilon(epsilon) * matrix.scale)
-        table = DistanceTable(values=tuple(Fraction(matrix.values[r], matrix.scale) for r in reps.tolist()))
+        reps, rank = group_values(matrix.values, _epsilon(epsilon))
+        table = DistanceTable(values=tuple(map(matrix.values.__getitem__, reps.tolist())))
         ranks = _cophenetic(matrix.order, rank[matrix.ids])
         space = UltrametricSpace(labels=tuple(labels), table=table, ranks=ranks)
         return ValidationReport(ok=True, violations=()), space
@@ -331,8 +337,7 @@ def _analyze(
         pairs, inverse = np.unique(
             np.stack([ids[asym], ids.T[asym]], axis=1), axis=0, return_inverse=True
         )
-        apart = np.array([abs(values[a] - values[b]) > eps for a, b in pairs.tolist()])
-        asym[asym] = apart[inverse.ravel()]
+        asym[asym] = values.apart(pairs[:, 0], pairs[:, 1], eps)[inverse.ravel()]
     first, second = np.flatnonzero(cell_bad), np.flatnonzero(asym)
 
     if len(first) or len(second):

@@ -14,6 +14,7 @@ out reproduces them.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -205,14 +206,14 @@ def _read_newick(text: str) -> tuple[list[str], list, list[tuple], int]:
     raises, syntax and lengths alike, with its offset.
 
     Each distinct length spelling is parsed once, where it first occurs.
-    Lengths are scaled by ``scale`` = 10**k, k the largest exponent of 2 or
+    Lengths are counted in units of 10**-k, k the largest exponent of 2 or
     5 in any length's denominator, so terminating decimals become ints;
-    a length with another denominator stays a `Fraction` in the sums.
-    Returns the leaf labels in document order, each leaf's scaled root
-    path sum, per boundary between neighbouring leaves the block
+    k and each denominator's factor are found once per distinct
+    denominator. A length with another denominator stays a `Fraction` in
+    the sums. Returns the leaf labels in document order, each leaf's root
+    path sum in units, per boundary between neighbouring leaves the block
     ``(start, mid, end, depth)`` of the node where they meet (leaves
-    start..mid-1 against mid..end-1, and its scaled path sum), and
-    ``scale``.
+    start..mid-1 against mid..end-1, and its path sum in units), and k.
     """
     tokens = _NEWICK_TOKEN.findall(text)
     tokens.append("")
@@ -289,19 +290,21 @@ def _read_newick(text: str) -> tuple[list[str], list, list[tuple], int]:
     if i + 2 != len(tokens):
         raise _newick_error(text, "trailing content after ';'", i + 1)
 
-    scale = 10**max((e for v in lengths for e in _two_five_exponents(v.denominator)), default=0)
-    scaled: list[int | Fraction] = []
-    for value in lengths:
-        times, rest = divmod(scale, value.denominator)
-        scaled.append(Fraction(value.numerator * scale, value.denominator) if rest
-                      else value.numerator * times)
+    denominators = set(map(operator.attrgetter("denominator"), lengths))
+    digits = max(itertools.chain.from_iterable(map(_two_five_exponents, denominators)), default=0)
+    scale = 10**digits
+    times = {den: scale // den for den in denominators if not scale % den}  # None: another denominator
+    scaled: list[int | Fraction] = [
+        v.numerator * t if (t := times.get(v.denominator)) else Fraction(v.numerator * scale, v.denominator)
+        for v in lengths
+    ]
     scaled.append(0)  # spelling id -1: no length
     depths = [0] * (len(parents) + 1)  # the extra entry serves the root's parent, -1
     for u, (up, s) in enumerate(zip(parents, node_lengths)):
         depths[u] = depths[up] + scaled[s]
     leaf_depths = [depths[up] + scaled[s] for up, s in zip(leaf_parents, leaf_lengths)]
     blocks = [(node[1], mid, node[3], depths[node[0]]) for mid, node in zip(mids, owners)]
-    return labels, leaf_depths, blocks, scale
+    return labels, leaf_depths, blocks, digits
 
 
 def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpace:
@@ -312,22 +315,26 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     more than ``epsilon`` are rejected: their leaf path metric would not
     be ultrametric. The text is read by :func:`_read_newick`: one token
     scan, one exact parse per distinct length spelling, and path sums
-    in integers over a common power of ten. A tree whose sums are
+    in integer units of a common power of ten. A tree whose sums are
     exactly equal is built from its leaf order and the gaps between
-    neighbouring leaves, with no n x n keys and no validation pass, and
-    only the distances its table keeps become `Fraction`s; other trees
+    neighbouring leaves, with no n x n keys and no validation pass: the
+    gaps stay integer units, grouped within epsilon by one vectorised
+    comparison, and only the distances its table keeps become
+    `Fraction`s; other trees
     have each pair keyed by its three depths and go through the full
     checks.
     """
-    labels, depths, blocks, scale = _read_newick(text.removeprefix("\ufeff"))
+    labels, depths, blocks, digits = _read_newick(text.removeprefix("\ufeff"))
+    scale = 10**digits
     eps = to_fraction(epsilon)
     if len(labels) < 2:
         raise ParseError("a tree needs at least two leaves")
-    seen: set[str] = set()
-    for lab in labels:
-        if lab in seen:
-            raise ParseError(f"duplicate leaf label {lab!r}")
-        seen.add(lab)
+    if len(set(labels)) != len(labels):
+        seen: set[str] = set()
+        for lab in labels:
+            if lab in seen:
+                raise ParseError(f"duplicate leaf label {lab!r}")
+            seen.add(lab)
 
     low, high = min(depths), max(depths)
     if high - low > eps * scale:
@@ -361,7 +368,11 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
         ]
         if low not in gap_ids:  # else a zero distance, which the keyed path reports
             gaps = [2 * (low - d) for d in gap_ids]
-            return build_space(labels, _Gaps(range(n), ids, gaps, scale), eps)
+            if set(map(type, gaps)) == {int}:
+                values = ValueList.of_units(gaps, digits)
+            else:  # a length that does not terminate
+                values = ValueList.of([Fraction(g, scale) for g in gaps])
+            return build_space(labels, _Gaps(range(n), ids, values), eps)
 
     # d(a, b) = depth(a) + depth(b) - 2 depth(lca): key each pair by the
     # three depth ids and compute each distinct key once.

@@ -18,6 +18,7 @@ import numpy as np
 from .basis import dimensions, metric_bases, two_metric_basis
 from .core import UltrametricSpace, _Gaps, build_space
 from .errors import UsageError
+from .values import ValueList
 
 BRUTE_FORCE_CAP = 16
 CROSS_CHECK_CAP = 12
@@ -131,7 +132,7 @@ def random_dendrogram_space(n: int, seed: int, value_count: int = 3) -> Ultramet
     used = sorted(set(levels[1:]), reverse=True)  # increasing height
     slot = {level: i for i, level in enumerate(used)}
     ids = np.array([0] + [slot[level] for level in levels[1:]], dtype=np.int32)
-    return build_space(labels, _Gaps(order, ids, [Fraction(heights[level]) for level in used]))
+    return build_space(labels, _Gaps(order, ids, ValueList.of_units([heights[level] for level in used], 0)))
 
 
 @dataclass(frozen=True)

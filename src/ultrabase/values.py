@@ -16,9 +16,17 @@ only says what a cell it cannot read means: None (no number) or an
 exception. Values come as a :class:`ValueList` numbered in increasing
 value: each value's float, its first cell, and its exact value,
 ``to_fraction`` of that cell, built when a distance table, a witness, a
-sign test at float 0 or an epsilon comparison first reads it. From there
+sign test at float 0 or an exact epsilon comparison first reads it. From there
 on, work is on integer value ids, and comparing two values is comparing
 their ids.
+
+Epsilon grouping compares gaps on exact integer units where it can: value
+i = units[i] * 10**-d. A list of plain decimal text whose values have at
+most 15 digits reads its units off its floats, when an epsilon comparison
+first asks; a Newick tree's gaps come as units. One vectorised comparison
+then tells every gap above epsilon. Any other list, such as text with
+more digits, other spellings or `Fraction` and float cells, compares exact
+`Fraction` differences.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import collections
 import itertools
 import math
 import numbers
+import operator
 import re
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -39,6 +48,7 @@ Numeric = Fraction | int | float | str
 
 MAX_DIGITS = 4000  # bound on a parsed value's numerator and denominator
 _DIGIT_LIMIT = 10**MAX_DIGITS
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def to_fraction(value: Numeric) -> Fraction:
@@ -192,14 +202,14 @@ def _two_five_exponents(n: int) -> tuple[int, int]:
     return twos, fives
 
 
-def _float(value: Fraction) -> float:
-    """The float nearest ``value``, or an infinity beyond the float range.
+def _float(value: Fraction | int, scale: int = 1) -> float:
+    """The float nearest ``value / scale``, or an infinity beyond the float range.
 
     Rounding is monotone, so of two values the one with the larger float
     is the larger; only equal floats need the exact comparison.
     """
     try:
-        return value.numerator / value.denominator
+        return value.numerator / (value.denominator * scale)
     except OverflowError:
         return math.inf if value.numerator > 0 else -math.inf
 
@@ -213,21 +223,30 @@ def _float_or_nan(spelling) -> float:
 
 
 class ValueList:
-    """Distinct values by id, in three aligned arrays.
+    """Distinct values by id, in aligned arrays.
 
     ``floats[i]`` is the float nearest value i, or an infinity beyond the
     float range (see :func:`_float`), so floats order the values up to
     ties. ``cells[i]``, an object array, holds the first cell that held
     value i, and value i is ``to_fraction(cells[i])``: built when first
     read, then kept among the values built so far (None elsewhere).
+
+    A list may know its values as integer units instead (see
+    :meth:`units`): value i is ``units[i] * 10**-digits``. A list made
+    :meth:`of_units` holds them and has no cells; its values are built from
+    them. A list whose cells are all plain decimal text (``plain``) reads
+    them from its floats each time they are asked for.
     """
 
-    __slots__ = ("floats", "cells", "_exact")
+    __slots__ = ("floats", "cells", "_exact", "_units", "_plain")
 
-    def __init__(self, floats: np.ndarray, cells: np.ndarray, exact: np.ndarray):
+    def __init__(self, floats: np.ndarray, cells: np.ndarray | None, exact: np.ndarray,
+                 units: tuple[np.ndarray, int] | None = None, plain: bool = False):
         self.floats = floats
         self.cells = cells
         self._exact = exact
+        self._units = units
+        self._plain = plain
 
     @classmethod
     def of(cls, values: Sequence[Fraction | int]) -> "ValueList":
@@ -235,13 +254,33 @@ class ValueList:
         built = np.fromiter(values, dtype=object, count=len(values))
         return cls(np.fromiter(map(_float, values), dtype=float, count=len(values)), built, built)
 
+    @classmethod
+    def of_units(cls, units: Sequence[int], digits: int) -> "ValueList":
+        """The values ``units[i] * 10**-digits``, for nonnegative integer
+        ``units``, none of them built yet."""
+        k, scale = len(units), 10**digits
+        try:
+            units = np.array(units, dtype=np.int64)
+        except OverflowError:  # beyond int64: Python ints
+            units = np.fromiter(units, dtype=object, count=k)
+        if units.dtype == np.int64 and digits <= 22 and (abs(units) < 2**53).all():
+            floats = units / float(scale)  # exact operands: one correctly rounded division
+        else:
+            floats = np.fromiter(map(_float, units.tolist(), itertools.repeat(scale)), dtype=float, count=k)
+        return cls(floats, None, np.empty(k, dtype=object), (units, digits))
+
     def __len__(self) -> int:
         return len(self.floats)
 
     def __getitem__(self, i: int) -> Fraction:
         v = self._exact[i]
         if v is None:
-            v = self._exact[i] = to_fraction(self.cells[i])
+            if self.cells is None:
+                units, digits = self._units
+                v = Fraction(int(units[i]), 10**digits) if digits else Fraction(int(units[i]))  # no gcd
+            else:
+                v = to_fraction(self.cells[i])
+            self._exact[i] = v
         return v
 
     def __iter__(self):
@@ -249,7 +288,51 @@ class ValueList:
 
     def take(self, ids: np.ndarray) -> "ValueList":
         """The values at ``ids``, in that order, with the ones built so far."""
-        return ValueList(self.floats[ids], self.cells[ids], self._exact[ids])
+        units = None if self._units is None else (self._units[0][ids], self._units[1])
+        cells = None if self.cells is None else self.cells[ids]
+        return ValueList(self.floats[ids], cells, self._exact[ids], units, self._plain)
+
+    def units(self) -> tuple[np.ndarray, int] | None:
+        """Each value as an integer count of 10**-digits, and digits; None
+        where the list does not know them.
+
+        Plain text ``digits[.digits]`` is N * 10**-d, d the most fraction
+        digits of any cell. Where d <= 15 and every N < 10**15 < 2**50,
+        ``rint(float(text) * 10.0**d)`` is exactly N: `float` rounds
+        correctly, and the two roundings err by less than N * 2**-52 < 1/2.
+        Rounding is monotone, so an N >= 10**15 gives a product >= 1e15.
+        """
+        if self._units is not None or not self._plain:
+            return self._units
+        fractions = map(operator.itemgetter(2), map(str.partition, self.cells.tolist(), itertools.repeat(".")))
+        digits = max(map(len, fractions), default=0)
+        if digits > 15:
+            return None
+        scaled = self.floats * float(10**digits)
+        if not (scaled < 1e15).all():  # an infinite float too
+            return None
+        return np.rint(scaled).astype(np.int64), digits
+
+    def apart(self, a: np.ndarray, b: np.ndarray, epsilon: Fraction) -> np.ndarray:
+        """Whether values ``a[k]`` and ``b[k]`` differ by more than
+        ``epsilon``, as a bool array: one vectorised comparison on the
+        :meth:`units` where the list knows them, else exact differences.
+
+        A gap of g units exceeds epsilon = p/q exactly when g * q > p *
+        10**digits, that is when g > (p * 10**digits) // q, as g is an
+        integer: int64 units are compared with that bound in int64, and
+        units beyond int64 as Python ints.
+        """
+        units = self.units()
+        if units is None:
+            exact = (abs(self[x] - self[y]) > epsilon for x, y in zip(a.tolist(), b.tolist()))
+            return np.fromiter(exact, dtype=bool, count=len(a))
+        units, digits = units
+        gaps = abs(units[a] - units[b])
+        bound = epsilon.numerator * 10**digits // epsilon.denominator
+        if units.dtype == np.int64 and bound > _INT64_MAX:  # every int64 gap is within epsilon
+            return np.zeros(len(gaps), dtype=bool)
+        return gaps > bound
 
     def signs(self) -> np.ndarray:
         """Each value's exact sign (-1, 0 or 1) as int8; only values whose
@@ -289,20 +372,21 @@ def group_values(values: ValueList, epsilon: Fraction) -> tuple[np.ndarray, np.n
     ``values``, in increasing value, and an int32 array of each value's
     1-based rank (rank 0 is reserved for distance zero). No value is
     hashed: values are sorted by float, and only values whose floats tie
-    are read exactly, or all of them when ``epsilon`` is positive. At
-    epsilon 0, values whose floats increase, as :func:`quantize` numbers
-    them, are ranked in place.
+    are read exactly. At a positive ``epsilon`` each gap between neighbours
+    is judged by :meth:`ValueList.apart`: on the list's integer units where
+    it knows them, else on exact values, all of them built. At epsilon 0,
+    values whose floats increase, as :func:`quantize` numbers them, are
+    ranked in place.
     """
     floats = values.floats
     if not epsilon and (floats[1:] > floats[:-1]).all():
         return np.arange(len(values)), np.arange(1, len(values) + 1, dtype=np.int32)
     order, _ = _order(values)
-    if not epsilon:
-        reps = order
-    else:
-        ordered = order.tolist()
-        pairs = itertools.pairwise(zip(ordered, map(values.__getitem__, ordered)))  # each read once
-        reps = np.array(ordered[:1] + [b for (_, x), (b, y) in pairs if y - x > epsilon], dtype=np.intp)
+    reps = order
+    if epsilon:
+        starts = np.ones(len(order), dtype=bool)  # where a group starts, in sorted order
+        starts[1:] = values.apart(order[1:], order[:-1], epsilon)
+        reps = order[starts]
     rank = np.zeros(len(values), dtype=np.int32)
     rank[reps] = 1
     rank[order] = np.cumsum(rank[order])
@@ -384,7 +468,8 @@ def quantize(cells: Sequence,
         dense, spellings = _spellings(cells, kinds)
     k = len(spellings)
     floats = _plain_floats(spellings) if kinds == {str} else None
-    if floats is None:
+    plain = floats is not None
+    if not plain:
         readable = map(_PLAIN.fullmatch if kinds == {str} else _readable, spellings)  # text: no Python call
         read = np.fromiter(map(bool, readable), dtype=bool, count=k)
         floats = np.full(k, np.nan)  # NaN: no number, sorted last and never tied
@@ -393,7 +478,8 @@ def quantize(cells: Sequence,
         except OverflowError:  # an int or Fraction beyond the float range: convert it alone
             floats[read] = list(map(_float_or_nan, itertools.compress(spellings, read)))
     # object arrays filled item by item: numpy never reads a sequence cell as a row
-    spelled = ValueList(floats, np.fromiter(spellings, dtype=object, count=k), np.empty(k, dtype=object))
+    spelled = ValueList(floats, np.fromiter(spellings, dtype=object, count=k), np.empty(k, dtype=object),
+                        plain=plain)
     first = np.arange(k)  # each spelling's first spelling of equal value; -1: no number
     if not np.isfinite(floats).all():
         position = _first_positions(dense)

@@ -8,11 +8,13 @@ included), or the same validation report. Coordinate tables are checked
 the same way against per-cell `Fraction` loops, `is_k_generator`
 against the n x n x |S| comparison it replaced, the partner classes
 against the component search over mate lists, the landmark-star
-closure of `reconstruct` against the pair loop, and the CSV row split
+closure of `reconstruct` against the pair loop, epsilon grouping on
+integer units against the `Fraction` chain, and the CSV row split
 against the version that strips every field. Spellings travel here
 the way they once did, in dicts keyed by `Fraction`.
 """
 
+import itertools
 import math
 import random
 import sys
@@ -658,6 +660,8 @@ def raw_matrices(draw, max_n=9):
 
 
 epsilons = st.sampled_from([0, F(1, 8), F(1, 2), "0.2"])
+# the epsilons of the command-line checks: none, Newick's default, and three more
+unit_epsilons = st.sampled_from([F(0), F(1, 10**9), F(5, 10**4), F(1, 1000), F(1, 2)])
 
 
 @settings(max_examples=150, deadline=None)
@@ -750,6 +754,36 @@ def test_parse_distance_csv_matches_per_cell_reference(text, epsilon):
                         outcome(parse_distance_csv_reference, text, epsilon))
 
 
+@st.composite
+def plain_csv_texts(draw):
+    """A dendrogram CSV in plain decimals (thousandths, sometimes padded
+    with zeros), with a few cells nudged by ten-thousandths on one side of
+    their pair: asymmetry within epsilon or beyond it, or a zero."""
+    n = draw(st.integers(2, 6))
+    space = random_dendrogram_space(n, seed=draw(st.integers(0, 10_000)), value_count=draw(st.integers(1, 4)))
+    m = [[v / 1000 for v in row] for row in space.value_matrix()]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            m[i][j] = max(m[i][j] + F(draw(st.integers(-10, 10)), 10**4), F(0))
+
+    def spell(v):
+        text = format_value(v)
+        return text + "0" * draw(st.integers(0, 2)) if "." in text else text
+
+    rows = [",".join(space.labels)] + [",".join(spell(v) for v in row) for row in m]
+    return "\n".join(rows) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_csv_texts(), unit_epsilons)
+@example("a,b\n0,0.001\n0.002,0\n", F(1, 1000))  # asymmetric by exactly epsilon
+@example("a,b\n0,0.001\n0.0025,0\n", F(1, 1000))
+def test_plain_csv_asymmetry_within_epsilon_matches_per_cell_reference(text, epsilon):
+    assert_same_outcome(outcome(parse_distance_csv, text, epsilon),
+                        outcome(parse_distance_csv_reference, text, epsilon))
+
+
 def test_parse_error_precedence_examples():
     head = "a,b,c\n"
     cases = [
@@ -827,8 +861,15 @@ def newick_trees(draw):
     return text
 
 
+# lengths of 25 fraction digits: the gaps, in units of 10**-25, are beyond int64
+WIDE_TREE = "((A:0.1234567890123456789012345,B:0.1234567890123456789012345):0.0000000000000000000000001," \
+            "C:0.1234567890123456789012346);"
+
+
 @settings(max_examples=150, deadline=None)
 @given(newick_trees(), st.sampled_from([F(1, 10**9), F(1, 4), F(1), 0]))
+@example(WIDE_TREE, F(2 * 10**5, 10**30))  # the two gaps differ by exactly epsilon
+@example(WIDE_TREE, F(2 * 10**5 - 1, 10**30))
 def test_parse_newick_matches_pair_loop(text, epsilon):
     assert_same_outcome(outcome(parse_newick, text, epsilon),
                         outcome(parse_newick_reference, text, epsilon))
@@ -895,6 +936,21 @@ def test_parse_newick_token_scan_matches_character_parser(text, epsilon):
     one character per step and one length per branch."""
     assert_same_outcome(outcome(parse_newick, text, epsilon),
                         outcome(parse_newick_reference, text, epsilon))
+
+
+def test_newick_gaps_beyond_int64_are_compared_as_python_ints(monkeypatch):
+    import ultrabase.core as core
+
+    grouped = []
+    group = core.group_values
+    monkeypatch.setattr(core, "group_values", lambda values, eps: grouped.append(values) or group(values, eps))
+    for epsilon in [F(0), F(1, 10**9), F(2 * 10**5, 10**30), F(2 * 10**5 - 1, 10**30)]:
+        grouped.clear()
+        space = parse_newick(WIDE_TREE, epsilon)
+        assert_same(space, parse_newick_reference(WIDE_TREE, epsilon))
+        units, digits = grouped[0].units()
+        assert units.dtype == object and digits == 25
+        assert len(space.table) == (1 if F(2, 10**25) <= epsilon else 2)
 
 
 def exact_trees(seed, n):
@@ -1024,6 +1080,47 @@ huge_or_close = st.one_of(
 def test_group_values_orders_exactly(values, epsilon):
     assert_same_grouping(ValueList.of(list(dict.fromkeys(values))), epsilon)
     assert group_values_by_value(values, epsilon) == group_values_reference(values, epsilon)
+
+
+plain_spellings = st.one_of(st.from_regex(r"[0-9]{1,4}(\.[0-9]{1,4})?", fullmatch=True),
+                            st.from_regex(r"[0-9]{1,8}\.[0-9]{1,8}", fullmatch=True))  # up to 16 digits
+BEYOND_INT64 = ["0.1234567890123456789012345", "0.1234567890123456789012346", "0.1234567890123456789012348"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(plain_spellings, min_size=1, max_size=30), unit_epsilons)
+@example(["0.001", "0.002", "0.0035", "0.0045", "0.0055"], F(1, 1000))  # gaps exactly at epsilon
+@example(["0.5", "0.50", "1"], F(1, 2))  # mixed fraction lengths, one value spelled twice
+@example(["0.5", "0.50", "1"], F(5, 10**4))
+@example(["123456789012345", "123456789012344", "12345678901234.5"], F(1, 2))  # 15 digits: units
+@example(["1234567890123456", "1234567890123455"], F(1))  # 16 digits: the Fraction chain
+@example(["0.000000000000001", "0.000000000000003"], F(1, 10**15))  # 15 fraction digits: units
+@example(["0.0000000000000001", "0.0000000000000003"], F(1, 10**16))  # 16: the Fraction chain
+@example(BEYOND_INT64, F(10**5 + 1, 10**30))  # units of 10**-25 beyond int64: Python ints
+@example(BEYOND_INT64, F(1, 10**30))
+@example(["1", "2", "3.5"], F(0))
+@example(["0." + "0" * 399 + "1", "1"], F(1, 2))  # 400 fraction digits: no power of ten as a float
+@example(["9" * 400, "1"], F(1, 2))  # a float beyond the float range
+@example(["1", "2.5"], F(10**20))  # a bound on units beyond int64
+def test_integer_units_group_like_the_fraction_chain(spellings, epsilon):
+    """Grouping on integer units, of plain text and of a list made from
+    units, gives the representatives and ranks of the `Fraction` chain."""
+    _, values = quantize(spellings)
+    exact = [F(c) for c in values.cells]
+    digits = max(len(c.partition(".")[2]) for c in values.cells)
+    units = values.units()
+    assert (units is not None) == (digits <= 15 and max(exact) * 10**digits < 10**15)
+    if units is not None:
+        assert units[1] == digits and units[0].dtype == np.int64
+        assert units[0].tolist() == [v * 10**digits for v in exact]
+    assert_same_grouping(values, epsilon)
+
+    counted = ValueList.of_units([int(v * 10**digits) for v in exact], digits)
+    beyond = max(exact) * 10**digits > np.iinfo(np.int64).max
+    assert counted.units()[0].dtype == (object if beyond else np.int64)
+    assert counted.floats.tolist() == [values_module._float(v) for v in exact]
+    assert_same_grouping(counted, epsilon)
+    assert list(counted) == exact
 
 
 def quantize_reference(keys, convert):
@@ -1423,6 +1520,25 @@ def test_check_labels_matches_per_character_reference():
 @given(st.lists(st.one_of(st.text(max_size=4), st.none(), st.integers()), max_size=6))
 def test_check_labels_reports_the_first_bad_label(labels):
     assert label_outcome(_check_labels, labels) == label_outcome(check_labels_reference, labels)
+
+
+MESSAGES = {
+    "": "invalid point label '': labels are nonempty text",
+    "a,b": "invalid point label 'a,b': no commas or control characters",
+    "d": "duplicate point label 'd'",
+}
+
+
+@pytest.mark.parametrize("bad", list(itertools.permutations(["", "a,b", "d"])))
+def test_check_labels_names_the_first_of_several_bad_labels(bad):
+    """An empty label, a comma label and a duplicate, in every order among
+    good labels: the message names the first offender, as the per-label
+    loop did. The duplicate offends at its second occurrence."""
+    labels = ["x", "d", "y", *bad, "z"]
+    first = bad[0]
+    assert label_outcome(_check_labels, labels) == MESSAGES[first]
+    assert label_outcome(_check_labels, labels) == label_outcome(check_labels_reference, labels)
+    assert label_outcome(_check_labels, ["x", *bad]) == label_outcome(check_labels_reference, ["x", *bad])
 
 
 def test_parse_decimal_fast_path_declines_other_tokens(monkeypatch):

@@ -31,6 +31,15 @@ def test_cli_validate_runs_on_a_small_dissimilarity(tmp_path):
     assert_median_of_repeats(result)
 
 
+def test_cli_validate_epsilon_runs_on_a_small_dissimilarity(tmp_path):
+    path = tmp_path / "dissimilarity.csv"
+    path.write_text(scale.gen.dissimilarity_case(random.Random("test_scale"), 24).text)
+    assert scale.child("cli_validate_epsilon", str(path), [], "time") == {"exit": 1}
+    result = scale.measure("cli_validate_epsilon", path, [], ROOT / "src")
+    assert set(result) == {"wall_s", "wall_s_runs", "peak_rss_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+    assert_median_of_repeats(result)
+
+
 def test_newick_calls_run_on_a_small_tree(tmp_path):
     path = tmp_path / "tree.nwk"
     path.write_text(scale._tree("random-tree", 24).text)
