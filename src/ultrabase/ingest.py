@@ -293,7 +293,7 @@ def _read_newick(text: str) -> tuple[list[str], list, list[tuple], int]:
     denominators = set(map(operator.attrgetter("denominator"), lengths))
     digits = max(itertools.chain.from_iterable(map(_two_five_exponents, denominators)), default=0)
     scale = 10**digits
-    times = {den: scale // den for den in denominators if not scale % den}  # None: another denominator
+    times = {den: scale // den for den in denominators if not scale % den}  # absent: den does not divide
     scaled: list[int | Fraction] = [
         v.numerator * t if (t := times.get(v.denominator)) else Fraction(v.numerator * scale, v.denominator)
         for v in lengths
@@ -320,9 +320,8 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     neighbouring leaves, with no n x n keys and no validation pass: the
     gaps stay integer units, grouped within epsilon by one vectorised
     comparison, and only the distances its table keeps become
-    `Fraction`s; other trees
-    have each pair keyed by its three depths and go through the full
-    checks.
+    `Fraction`s. Other trees have each pair keyed by its three depths and
+    go through the full checks.
     """
     labels, depths, blocks, digits = _read_newick(text.removeprefix("\ufeff"))
     scale = 10**digits
