@@ -16,9 +16,9 @@ only says what a cell it cannot read means: None (no number) or an
 exception. Values come as a :class:`ValueList` numbered in increasing
 value: each value's float, its first cell, and its exact value,
 ``to_fraction`` of that cell, built when a distance table, a witness, a
-sign test at float 0 or an exact epsilon comparison first reads it. From there
-on, work is on integer value ids, and comparing two values is comparing
-their ids.
+sign test at float 0 or an exact epsilon comparison first reads it. From
+there on, work is on integer value ids, and comparing two values is
+comparing their ids.
 
 Epsilon grouping compares gaps on exact integer units where it can: value
 i = units[i] * 10**-d. A list of plain decimal text whose values have at
@@ -231,11 +231,11 @@ class ValueList:
     value i, and value i is ``to_fraction(cells[i])``: built when first
     read, then kept among the values built so far (None elsewhere).
 
-    A list may know its values as integer units instead (see
-    :meth:`units`): value i is ``units[i] * 10**-digits``. A list made
-    :meth:`of_units` holds them and has no cells; its values are built from
-    them. A list whose cells are all plain decimal text (``plain``) reads
-    them from its floats each time they are asked for.
+    A list may also know its values as integer units (see :meth:`units`):
+    value i is ``units[i] * 10**-digits``. A list made :meth:`of_units`
+    holds them and has no cells; its values are built from them. A list
+    whose cells are all plain decimal text (``plain``) reads them from its
+    floats each time they are asked for.
     """
 
     __slots__ = ("floats", "cells", "_exact", "_units", "_plain")
