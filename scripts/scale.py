@@ -35,8 +35,10 @@ fresh Python process:
   Linux, from the peak of the process that started the child, which
   holds the generated inputs.
 
-Newick trees have their own sizes, NEWICK_SIZES leaves, in two shapes:
-``gen.random_tree_case`` and ``gen.caterpillar_case`` (seed SEED).
+Newick trees have their own sizes, NEWICK_SIZES leaves, in three shapes:
+``gen.random_tree_case`` and ``gen.caterpillar_case`` (seed SEED), and
+``caterpillar-epsilon``, the caterpillar with its first leaf length raised
+by 10^-12, which is equidistant only within Newick's default epsilon.
 ``parse_newick`` is timed and traced like the library calls above, with
 reading the file outside the call; ``cli_validate_newick`` runs
 ``validate FILE`` (exit 0) like the other command-line calls. A size whose
@@ -63,6 +65,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import decimal
 import json
 import os
 import platform
@@ -87,7 +91,19 @@ CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
          "subdominant_ultrametric", "cli_coords_auto",
          "cli_validate", "cli_validate_epsilon", "cli_validate_late_witness", "cli_analyze_json")
 NEWICK_CALLS = ("parse_newick", "cli_validate_newick")
-NEWICK_SHAPES = {"random-tree": gen.random_tree_case, "caterpillar": gen.caterpillar_case}
+
+
+def _bumped_caterpillar(rng: random.Random, n: int) -> gen.Case:
+    """``gen.caterpillar_case`` with its first leaf length raised by 10^-12;
+    only its text is read."""
+    case = gen.caterpillar_case(rng, n)
+    head, _, rest = case.text.partition(":")
+    length, _, tail = rest.partition(",")
+    return dataclasses.replace(case, text=f"{head}:{decimal.Decimal(length) + decimal.Decimal('1e-12')},{tail}")
+
+
+NEWICK_SHAPES = {"random-tree": gen.random_tree_case, "caterpillar": gen.caterpillar_case,
+                 "caterpillar-epsilon": _bumped_caterpillar}
 # command-line calls: argv before and after the file, and the expected exit code
 CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["validate"], [], 1),
        "cli_validate_epsilon": (["validate"], ["--epsilon", "0.001"], 1),
@@ -323,7 +339,8 @@ def main(argv=None) -> int:
                  "d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4; partner_partition "
                  f"and cli_analyze_json: bench/gen.py dendrogram_case, {PARTNER_LEVELS} heights",
         "budget": {"wall_s": BUDGET_S, "memory_mb": BUDGET_MB},
-        "newick_input": f"bench/gen.py {' and '.join(NEWICK_SHAPES)} cases, seed {SEED}",
+        "newick_input": f"bench/gen.py random-tree and caterpillar cases, seed {SEED}; caterpillar-epsilon: "
+                        "the caterpillar case with its first leaf length raised by 10^-12",
         "sizes": {},
         "newick_sizes": {},
         "results": {call: {} for call in CALLS + NEWICK_CALLS},

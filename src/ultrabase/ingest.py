@@ -28,6 +28,7 @@ from .core import (
     _Gaps,
     _ValueIds,
     _check_labels,
+    _cophenetic,
     _compact,
     _epsilon,
     _rank_ids,
@@ -40,11 +41,11 @@ from .values import (
     Numeric,
     ValueList,
     _two_five_exponents,
+    _unit_array,
     format_value,
     parse_decimal,
     quantize,
     ratio_text,
-    to_fraction,
 )
 
 NEWICK_EPSILON = Fraction(1, 10**9)
@@ -193,7 +194,7 @@ def _newick_error(text: str, message: str, token: int, extra: int = 0) -> ParseE
     return ParseError(message, position=(len(text) if found is None else found.start()) + extra)
 
 
-def _read_newick(text: str) -> tuple[list[str], list, list[tuple], int]:
+def _read_newick(text: str) -> tuple[list[str], list, list, int]:
     """Scan the equidistant-tree subset of Newick into leaves and path sums.
 
     Grammar: tree := subtree ";" ; subtree := leaf ":" length
@@ -211,9 +212,8 @@ def _read_newick(text: str) -> tuple[list[str], list, list[tuple], int]:
     k and each denominator's factor are found once per distinct
     denominator. A length with another denominator stays a `Fraction` in
     the sums. Returns the leaf labels in document order, each leaf's root
-    path sum in units, per boundary between neighbouring leaves the block
-    ``(start, mid, end, depth)`` of the node where they meet (leaves
-    start..mid-1 against mid..end-1, and its path sum in units), and k.
+    path sum in units, per boundary k between leaves k - 1 and k (k >= 1)
+    the path sum of the node where those two leaves meet, and k.
     """
     tokens = _NEWICK_TOKEN.findall(text)
     tokens.append("")
@@ -246,15 +246,14 @@ def _read_newick(text: str) -> tuple[list[str], list, list[tuple], int]:
     leaf_lengths: list[int] = []
     parents: list[int] = []  # per internal node, in pre-order; -1: the root
     node_lengths: list[int] = []
-    open_nodes: list[list[int]] = []  # per open "(": [node, first leaf, children, end leaf]
-    mids: list[int] = []  # each boundary between leaves, and the node it belongs to
-    owners: list[list[int]] = []
+    open_nodes: list[list[int]] = []  # per open "(": [node, children]
+    meets: list[int] = []  # per boundary between leaves, the node where they meet
     i = 0
     while True:
         tok = tokens[i]
         up = open_nodes[-1][0] if open_nodes else -1
         if tok == "(":
-            open_nodes.append([len(parents), len(labels), 1, 0])
+            open_nodes.append([len(parents), 1])
             parents.append(up)
             node_lengths.append(-1)
             i += 1
@@ -270,16 +269,14 @@ def _read_newick(text: str) -> tuple[list[str], list, list[tuple], int]:
             tok = tokens[i]
             i += 1
             if tok == ",":
-                node[2] += 1
-                mids.append(len(labels))
-                owners.append(node)
+                node[1] += 1
+                meets.append(node[0])
                 break
             if tok != ")":
                 raise _newick_error(text, "expected ',' or ')'", i - 1)
-            if node[2] < 2:
+            if node[1] < 2:
                 raise _newick_error(text, "an internal node needs at least two children", i - 1, 1)
             open_nodes.pop()
-            node[3] = len(labels)
             if tokens[i] not in _STOPS:
                 i += 1  # internal label
             node_lengths[node[0]], i = length(i, bool(open_nodes))
@@ -303,8 +300,16 @@ def _read_newick(text: str) -> tuple[list[str], list, list[tuple], int]:
     for u, (up, s) in enumerate(zip(parents, node_lengths)):
         depths[u] = depths[up] + scaled[s]
     leaf_depths = [depths[up] + scaled[s] for up, s in zip(leaf_parents, leaf_lengths)]
-    blocks = [(node[1], mid, node[3], depths[node[0]]) for mid, node in zip(mids, owners)]
-    return labels, leaf_depths, blocks, digits
+    return labels, leaf_depths, list(map(depths.__getitem__, meets)), digits
+
+
+def _unit_values(units: Sequence | np.ndarray, digits: int) -> ValueList:
+    """The values ``units * 10**-digits``: integer units, or `Fraction`
+    units where a length does not terminate."""
+    units = _unit_array(units)
+    if units.dtype == object and Fraction in set(map(type, units.tolist())):
+        return ValueList.of([Fraction(u, 10**digits) for u in units.tolist()])
+    return ValueList.of_units(units, digits)
 
 
 def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpace:
@@ -313,19 +318,23 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     The distance between two leaves is the sum of branch lengths along
     the path connecting them. Trees whose root-to-leaf sums differ by
     more than ``epsilon`` are rejected: their leaf path metric would not
-    be ultrametric. The text is read by :func:`_read_newick`: one token
-    scan, one exact parse per distinct length spelling, and path sums
-    in integer units of a common power of ten. A tree whose sums are
-    exactly equal is built from its leaf order and the gaps between
-    neighbouring leaves, with no n x n keys and no validation pass: the
-    gaps stay integer units, grouped within epsilon by one vectorised
-    comparison, and only the distances its table keeps become
-    `Fraction`s. Other trees have each pair keyed by its three depths and
-    go through the full checks.
+    be ultrametric. :func:`_read_newick` reads the text into path sums in
+    integer units of a common power of ten.
+
+    Every tree then has one gap form. With ``high`` the largest leaf
+    depth, leaf i sits ``off[i] = depth(i) - high <= 0`` below it, and
+    the boundary between leaves k - 1 and k has the gap ``2 (high -
+    meet(k))``, meet(k) the depth of the node where they meet. The lca of
+    leaves i < j is the shallowest node met at a boundary in i+1..j, so
+    d(i, j) = off[i] + off[j] + the largest gap in i+1..j. An exactly
+    equidistant tree with no zero gap is a dendrogram of its gaps alone:
+    no n x n values and no validation pass. Any other tree gets its n x n
+    units from the dendrogram kernel plus the offsets, numbered by one
+    sort, and goes through the full checks.
     """
-    labels, depths, blocks, digits = _read_newick(text.removeprefix("\ufeff"))
+    labels, depths, meets, digits = _read_newick(text.removeprefix("\ufeff"))
     scale = 10**digits
-    eps = to_fraction(epsilon)
+    eps = _epsilon(epsilon)
     if len(labels) < 2:
         raise ParseError("a tree needs at least two leaves")
     if len(set(labels)) != len(labels):
@@ -339,57 +348,34 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     if high - low > eps * scale:
         a, b = labels[depths.index(low)], labels[depths.index(high)]
         low, high = Fraction(low, scale), Fraction(high, scale)
-        report = ValidationReport(
-            ok=False,
-            violations=(
-                Violation(
-                    kind="equidistance",
-                    labels=(a, b),
-                    values=(low, high),
-                    detail=(
-                        f"tree is not equidistant: root-to-leaf path sums "
-                        f"{format_value(low)} ({a}) and {format_value(high)} ({b}) differ"
-                    ),
-                ),
-            ),
-        )
-        raise UltrametricViolationError(report)
+        detail = (f"tree is not equidistant: root-to-leaf path sums "
+                  f"{format_value(low)} ({a}) and {format_value(high)} ({b}) differ")
+        violation = Violation(kind="equidistance", labels=(a, b), values=(low, high), detail=detail)
+        raise UltrametricViolationError(ValidationReport(ok=False, violations=(violation,)))
 
     n = len(labels)
     if low == high:
-        # With every leaf at one height, d(a, b) = 2 (height - depth(lca)),
-        # and the lca of leaves i < j is the shallowest node whose children
-        # meet at a boundary in i+1..j: one gap per boundary fixes the space.
         gap_ids: dict[int | Fraction, int] = {}
         ids = np.zeros(n, dtype=np.int32)
-        ids[[mid for _, mid, _, _ in blocks]] = [
-            gap_ids.setdefault(depth, len(gap_ids)) for _, _, _, depth in blocks
-        ]
-        if low not in gap_ids:  # else a zero distance, which the keyed path reports
-            gaps = [2 * (low - d) for d in gap_ids]
-            if set(map(type, gaps)) == {int}:
-                values = ValueList.of_units(gaps, digits)
-            else:  # a length that does not terminate
-                values = ValueList.of([Fraction(g, scale) for g in gaps])
-            return build_space(labels, _Gaps(range(n), ids, values), eps)
+        ids[1:] = [gap_ids.setdefault(meet, len(gap_ids)) for meet in meets]
+        if high not in gap_ids:  # else a zero distance, which the full checks report
+            gaps = _unit_values([2 * (high - meet) for meet in gap_ids], digits)
+            return build_space(labels, _Gaps(range(n), ids, gaps), eps)
 
-    # d(a, b) = depth(a) + depth(b) - 2 depth(lca): key each pair by the
-    # three depth ids and compute each distinct key once.
-    depth_ids: dict[int | Fraction, int] = {}
-    leaf_ids = np.array([depth_ids.setdefault(d, len(depth_ids)) for d in depths])
-    lca_depth = np.diag(leaf_ids)
-    for start, mid, end, depth in blocks:
-        at = depth_ids.setdefault(depth, len(depth_ids))
-        lca_depth[start:mid, mid:end] = lca_depth[mid:end, start:mid] = at
-    k = len(depth_ids)
-    low, high = np.minimum.outer(leaf_ids, leaf_ids), np.maximum.outer(leaf_ids, leaf_ids)
-    keys = (low * k + high) * k + lca_depth
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    by_id = list(depth_ids)
-    triples = zip(*(i.tolist() for i in np.unravel_index(distinct, (k, k, k))))
-    distances = [Fraction(by_id[a] + by_id[b] - 2 * by_id[c], scale) for a, b, c in triples]
-    ids, values = quantize(distances)
-    return build_space(labels, _ValueIds(ids[inverse].reshape(n, n), values), eps)
+    units = _unit_array([0, *(2 * (high - meet) for meet in meets), *(depth - high for depth in depths)])
+    # a leaf is no shallower than the nodes where it meets its neighbours, so
+    # 2 |off[i]| <= a gap and no sum below leaves the range of the gaps' int64
+    matrix = _cophenetic(range(n), units[:n])
+    off = units[n:]
+    matrix += off[:, None]
+    matrix += off
+    np.fill_diagonal(matrix, 0)
+    ordered = np.sort(matrix, axis=None)  # faster than np.unique, which hashes int64
+    distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    del ordered
+    ids = np.searchsorted(distinct, matrix).astype(np.int32)
+    del matrix
+    return build_space(labels, _ValueIds(ids, _unit_values(distinct, digits)), eps)
 
 
 def subdominant_ultrametric(

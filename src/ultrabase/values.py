@@ -255,14 +255,11 @@ class ValueList:
         return cls(np.fromiter(map(_float, values), dtype=float, count=len(values)), built, built)
 
     @classmethod
-    def of_units(cls, units: Sequence[int], digits: int) -> "ValueList":
+    def of_units(cls, units: Sequence[int] | np.ndarray, digits: int) -> "ValueList":
         """The values ``units[i] * 10**-digits``, for nonnegative integer
         ``units``, none of them built yet."""
         k, scale = len(units), 10**digits
-        try:
-            units = np.array(units, dtype=np.int64)
-        except OverflowError:  # beyond int64: Python ints
-            units = np.fromiter(units, dtype=object, count=k)
+        units = _unit_array(units)
         if units.dtype == np.int64 and digits <= 22 and (abs(units) < 2**53).all():
             floats = units / float(scale)  # exact operands: one correctly rounded division
         else:
@@ -342,6 +339,20 @@ class ValueList:
             num = self[i].numerator
             signs[i] = (num > 0) - (num < 0)
         return signs
+
+
+def _unit_array(units: Sequence | np.ndarray) -> np.ndarray:
+    """Units as an int64 array; as an object array where one is an int
+    beyond int64 or a `Fraction`, which int64 would truncate. An array
+    passes through."""
+    if isinstance(units, np.ndarray):
+        return units
+    if Fraction not in set(map(type, units)):
+        try:
+            return np.array(units, dtype=np.int64)
+        except OverflowError:  # beyond int64: Python ints
+            pass
+    return np.fromiter(units, dtype=object, count=len(units))
 
 
 def _tie_runs(ordered: np.ndarray) -> list[tuple[int, int]]:

@@ -201,6 +201,12 @@ def test_subdominant_rejects_negative_epsilon():
         subdominant_ultrametric([[0, 1], [1, 0]], epsilon=-1)
     with pytest.raises(UsageError, match="epsilon must be nonnegative"):
         build_space(["a", "b"], [[0, 1], [1, 0]], epsilon=-1)
+    with pytest.raises(UsageError, match="epsilon must be nonnegative"):
+        parse_newick("(A:1,B:1);", epsilon=-1)
+    with pytest.raises(UsageError, match="epsilon must be nonnegative"):
+        parse_distance_csv("a,b\n0,1\n1,0\n", epsilon=-1)
+    with pytest.raises(ParseError):  # syntax errors still come first
+        parse_newick("(A:1,B:1", epsilon=-1)
 
 
 def test_leading_bom_is_not_part_of_the_first_label():
@@ -318,6 +324,16 @@ def test_parse_newick_memory_is_bounded():
         tracemalloc.stop()
     assert space.n == 2000 and len(space.table) == 1999
     assert peak < 100 * 2**20  # n x n int64 depth keys and their sort took about 290 MB
+
+    bumped = text.replace("A0:1", "A0:1.000000000001", 1)  # equidistant within the default epsilon
+    tracemalloc.start()
+    try:
+        space = parse_newick(bumped)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.n == 2000 and len(space.table) == 1999
+    assert peak < 200 * 2**20  # (depth, depth, lca) keys, their sort and inverse took about 280 MB
 
 
 def test_coordinate_csv_roundtrip(recmin4):

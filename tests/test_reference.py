@@ -972,10 +972,21 @@ def exact_trees(seed, n):
     return nodes[0][0] + ";", caterpillar + ";"
 
 
+def bump_first_leaf(text, bump):
+    """The tree with its first leaf's length raised by ``bump``."""
+    start = text.index(":") + 1
+    end = min(i for i in range(start, len(text)) if text[i] in ",);")
+    return text[:start] + format_value(F(text[start:end]) + bump) + text[end:]
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_parse_newick_matches_pair_loop_on_large_trees(seed):
     for text in exact_trees(seed, 300):
         assert_same(parse_newick(text), parse_newick_reference(text))
+        # equidistant only within epsilon: the full checks on n x n units
+        for bump, epsilon in [(F(1, 10**12), F(1, 10**9)), (F(1, 4), F(1))]:
+            bumped = bump_first_leaf(text, bump)
+            assert_same(parse_newick(bumped, epsilon), parse_newick_reference(bumped, epsilon))
 
 
 def closure_reference(arr):

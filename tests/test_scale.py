@@ -41,12 +41,13 @@ def test_cli_validate_epsilon_runs_on_a_small_dissimilarity(tmp_path):
 
 
 def test_newick_calls_run_on_a_small_tree(tmp_path):
-    path = tmp_path / "tree.nwk"
-    path.write_text(scale._tree("random-tree", 24).text)
-    assert scale.child("cli_validate_newick", str(path), [], "time") == {"exit": 0}
-    assert set(scale.child("parse_newick", str(path), [], "time")) == {"wall_s"}
-    result = scale.measure("parse_newick", path, [], ROOT / "src")
-    assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+    for shape in ("random-tree", "caterpillar-epsilon"):  # exactly equidistant, and within epsilon
+        path = tmp_path / f"{shape}.nwk"
+        path.write_text(scale._tree(shape, 24).text)
+        assert scale.child("cli_validate_newick", str(path), [], "time") == {"exit": 0}
+        assert set(scale.child("parse_newick", str(path), [], "time")) == {"wall_s"}
+        result = scale.measure("parse_newick", path, [], ROOT / "src")
+        assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
 
 
 def test_validate_cases_run_on_small_inputs(tmp_path):
