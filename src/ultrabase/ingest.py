@@ -14,6 +14,7 @@ out reproduces them.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import re
 from fractions import Fraction
@@ -194,7 +195,7 @@ def _newick_error(text: str, message: str, token: int, extra: int = 0) -> ParseE
     return ParseError(message, position=(len(text) if found is None else found.start()) + extra)
 
 
-def _read_newick(text: str) -> tuple[list[str], list, list, int]:
+def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
     """Scan the equidistant-tree subset of Newick into leaves and path sums.
 
     Grammar: tree := subtree ";" ; subtree := leaf ":" length
@@ -207,13 +208,12 @@ def _read_newick(text: str) -> tuple[list[str], list, list, int]:
     raises, syntax and lengths alike, with its offset.
 
     Each distinct length spelling is parsed once, where it first occurs.
-    Lengths are counted in units of 10**-k, k the largest exponent of 2 or
-    5 in any length's denominator, so terminating decimals become ints;
-    k and each denominator's factor are found once per distinct
-    denominator. A length with another denominator stays a `Fraction` in
-    the sums. Returns the leaf labels in document order, each leaf's root
-    path sum in units, per boundary k between leaves k - 1 and k (k >= 1)
-    the path sum of the node where those two leaves meet, and k.
+    Lengths are counted in units of 1 / (10**k r), the largest such unit
+    that makes every length an int: r is 1 when every length terminates.
+    k and r come from the lcm of the distinct denominators. Returns the
+    leaf labels in document order, each leaf's root path sum in units, per
+    boundary j between leaves j - 1 and j (j >= 1) the path sum of the
+    node where those two leaves meet, k and r.
     """
     tokens = _NEWICK_TOKEN.findall(text)
     tokens.append("")
@@ -288,28 +288,27 @@ def _read_newick(text: str) -> tuple[list[str], list, list, int]:
         raise _newick_error(text, "trailing content after ';'", i + 1)
 
     denominators = set(map(operator.attrgetter("denominator"), lengths))
-    digits = max(itertools.chain.from_iterable(map(_two_five_exponents, denominators)), default=0)
-    scale = 10**digits
-    times = {den: scale // den for den in denominators if not scale % den}  # absent: den does not divide
-    scaled: list[int | Fraction] = [
-        v.numerator * t if (t := times.get(v.denominator)) else Fraction(v.numerator * scale, v.denominator)
-        for v in lengths
-    ]
+    lcm = math.lcm(*denominators)
+    twos, fives = _two_five_exponents(lcm)
+    digits, rest = max(twos, fives), (lcm >> twos) // 5**fives
+    scale = 10**digits * rest
+    times = {den: scale // den for den in denominators}
+    scaled = [v.numerator * times[v.denominator] for v in lengths]
     scaled.append(0)  # spelling id -1: no length
     depths = [0] * (len(parents) + 1)  # the extra entry serves the root's parent, -1
     for u, (up, s) in enumerate(zip(parents, node_lengths)):
         depths[u] = depths[up] + scaled[s]
     leaf_depths = [depths[up] + scaled[s] for up, s in zip(leaf_parents, leaf_lengths)]
-    return labels, leaf_depths, list(map(depths.__getitem__, meets)), digits
+    return labels, leaf_depths, list(map(depths.__getitem__, meets)), digits, rest
 
 
-def _unit_values(units: Sequence | np.ndarray, digits: int) -> ValueList:
-    """The values ``units * 10**-digits``: integer units, or `Fraction`
-    units where a length does not terminate."""
+def _unit_values(units: Sequence[int] | np.ndarray, digits: int, rest: int) -> ValueList:
+    """The values ``units / (10**digits rest)``; with rest 1 they are
+    integer units of 10**-digits, none of them built yet."""
     units = _unit_array(units)
-    if units.dtype == object and Fraction in set(map(type, units.tolist())):
-        return ValueList.of([Fraction(u, 10**digits) for u in units.tolist()])
-    return ValueList.of_units(units, digits)
+    if rest == 1:
+        return ValueList.of_units(units, digits)
+    return ValueList.of([Fraction(u, 10**digits * rest) for u in units.tolist()])
 
 
 def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpace:
@@ -319,7 +318,7 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     the path connecting them. Trees whose root-to-leaf sums differ by
     more than ``epsilon`` are rejected: their leaf path metric would not
     be ultrametric. :func:`_read_newick` reads the text into path sums in
-    integer units of a common power of ten.
+    one integer unit.
 
     Every tree then has one gap form. With ``high`` the largest leaf
     depth, leaf i sits ``off[i] = depth(i) - high <= 0`` below it, and
@@ -332,8 +331,8 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     units from the dendrogram kernel plus the offsets, numbered by one
     sort, and goes through the full checks.
     """
-    labels, depths, meets, digits = _read_newick(text.removeprefix("\ufeff"))
-    scale = 10**digits
+    labels, depths, meets, digits, rest = _read_newick(text.removeprefix("\ufeff"))
+    scale = 10**digits * rest
     eps = _epsilon(epsilon)
     if len(labels) < 2:
         raise ParseError("a tree needs at least two leaves")
@@ -355,11 +354,11 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
 
     n = len(labels)
     if low == high:
-        gap_ids: dict[int | Fraction, int] = {}
+        gap_ids: dict[int, int] = {}
         ids = np.zeros(n, dtype=np.int32)
         ids[1:] = [gap_ids.setdefault(meet, len(gap_ids)) for meet in meets]
         if high not in gap_ids:  # else a zero distance, which the full checks report
-            gaps = _unit_values([2 * (high - meet) for meet in gap_ids], digits)
+            gaps = _unit_values([2 * (high - meet) for meet in gap_ids], digits, rest)
             return build_space(labels, _Gaps(range(n), ids, gaps), eps)
 
     units = _unit_array([0, *(2 * (high - meet) for meet in meets), *(depth - high for depth in depths)])
@@ -375,7 +374,7 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     del ordered
     ids = np.searchsorted(distinct, matrix).astype(np.int32)
     del matrix
-    return build_space(labels, _ValueIds(ids, _unit_values(distinct, digits)), eps)
+    return build_space(labels, _ValueIds(ids, _unit_values(distinct, digits, rest)), eps)
 
 
 def subdominant_ultrametric(

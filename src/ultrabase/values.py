@@ -341,18 +341,15 @@ class ValueList:
         return signs
 
 
-def _unit_array(units: Sequence | np.ndarray) -> np.ndarray:
-    """Units as an int64 array; as an object array where one is an int
-    beyond int64 or a `Fraction`, which int64 would truncate. An array
-    passes through."""
+def _unit_array(units: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Integer units as an int64 array, or as Python ints in an object
+    array where one is beyond int64; an array passes through."""
     if isinstance(units, np.ndarray):
         return units
-    if Fraction not in set(map(type, units)):
-        try:
-            return np.array(units, dtype=np.int64)
-        except OverflowError:  # beyond int64: Python ints
-            pass
-    return np.fromiter(units, dtype=object, count=len(units))
+    try:
+        return np.array(units, dtype=np.int64)
+    except OverflowError:
+        return np.fromiter(units, dtype=object, count=len(units))
 
 
 def _tie_runs(ordered: np.ndarray) -> list[tuple[int, int]]:

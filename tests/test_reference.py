@@ -973,18 +973,20 @@ def exact_trees(seed, n):
 
 
 def bump_first_leaf(text, bump):
-    """The tree with its first leaf's length raised by ``bump``."""
+    """The tree with its first leaf's length raised by ``bump``, written n/d."""
     start = text.index(":") + 1
     end = min(i for i in range(start, len(text)) if text[i] in ",);")
-    return text[:start] + format_value(F(text[start:end]) + bump) + text[end:]
+    length = F(text[start:end]) + bump
+    return f"{text[:start]}{length.numerator}/{length.denominator}{text[end:]}"
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_parse_newick_matches_pair_loop_on_large_trees(seed):
     for text in exact_trees(seed, 300):
         assert_same(parse_newick(text), parse_newick_reference(text))
-        # equidistant only within epsilon: the full checks on n x n units
-        for bump, epsilon in [(F(1, 10**12), F(1, 10**9)), (F(1, 4), F(1))]:
+        # equidistant only within epsilon: the full checks on n x n units,
+        # the last in units of 1 / (3 * 10**12), as the length does not terminate
+        for bump, epsilon in [(F(1, 10**12), F(1, 10**9)), (F(1, 4), F(1)), (F(1, 3 * 10**12), F(1, 10**9))]:
             bumped = bump_first_leaf(text, bump)
             assert_same(parse_newick(bumped, epsilon), parse_newick_reference(bumped, epsilon))
 
