@@ -305,10 +305,10 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
 def _unit_values(units: Sequence[int] | np.ndarray, digits: int, rest: int) -> ValueList:
     """The values ``units / (10**digits rest)``; with rest 1 they are
     integer units of 10**-digits, none of them built yet."""
-    units = _unit_array(units)
     if rest == 1:
         return ValueList.of_units(units, digits)
-    return ValueList.of([Fraction(u, 10**digits * rest) for u in units.tolist()])
+    scale = 10**digits * rest
+    return ValueList.of([Fraction(int(u), scale) for u in units])
 
 
 def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpace:

@@ -343,9 +343,7 @@ class ValueList:
 
 def _unit_array(units: Sequence[int] | np.ndarray) -> np.ndarray:
     """Integer units as an int64 array, or as Python ints in an object
-    array where one is beyond int64; an array passes through."""
-    if isinstance(units, np.ndarray):
-        return units
+    array where one is beyond int64."""
     try:
         return np.array(units, dtype=np.int64)
     except OverflowError:
