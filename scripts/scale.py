@@ -36,15 +36,20 @@ fresh Python process:
   holds the generated inputs.
 
 Newick trees have their own sizes, NEWICK_SIZES leaves, in three shapes:
-``gen.random_tree_case`` and ``gen.caterpillar_case`` (seed SEED), and
+the texts of ``gen.random_tree_case`` and ``gen.caterpillar_case`` (seed
+SEED), written by :func:`random_tree_text` and :func:`caterpillar_text`
+without the n x n truth matrix those cases carry, and
 ``caterpillar-epsilon``, the caterpillar with its first leaf length raised
 by 10^-12, which is equidistant only within Newick's default epsilon.
 ``parse_newick`` is timed and traced like the library calls above, with
 reading the file outside the call; ``cli_validate_newick`` runs
-``validate FILE`` (exit 0) like the other command-line calls. A size whose
-n x n int32 rank matrix alone would fill half of BUDGET_MB is recorded as
-``"skipped": "budget"`` without being generated or run: the tree's space
-holds that matrix and the dendrogram kernel several more of its size.
+``validate FILE`` and ``cli_analyze_json_newick`` runs ``analyze FILE
+--json`` (both exit 0) like the other command-line calls. An exactly
+equidistant tree is held in its gap form, so it runs at every size. A
+``caterpillar-epsilon`` size whose n x n int32 rank matrix alone would
+fill half of BUDGET_MB is recorded as ``"skipped": "budget"`` without
+being generated or run: that tree's units are built as an n x n int64
+matrix and checked like a CSV.
 
 Budgets: BUDGET_S wall seconds per call and BUDGET_MB of memory. A child is
 killed as soon as its resident set passes BUDGET_MB (polled while it runs),
@@ -65,8 +70,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import decimal
+import itertools
 import json
 import os
 import platform
@@ -90,25 +95,40 @@ CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
          "minimal_subspace", "validate_ultrametric_floats", "partner_partition",
          "subdominant_ultrametric", "cli_coords_auto",
          "cli_validate", "cli_validate_epsilon", "cli_validate_late_witness", "cli_analyze_json")
-NEWICK_CALLS = ("parse_newick", "cli_validate_newick")
+NEWICK_CALLS = ("parse_newick", "cli_validate_newick", "cli_analyze_json_newick")
 
 
-def _bumped_caterpillar(rng: random.Random, n: int) -> gen.Case:
-    """``gen.caterpillar_case`` with its first leaf length raised by 10^-12;
-    only its text is read."""
-    case = gen.caterpillar_case(rng, n)
-    head, _, rest = case.text.partition(":")
+def random_tree_text(rng: random.Random, n: int) -> str:
+    """The text of ``gen.random_tree_case(rng, n)``, without its truth."""
+    labels = gen._labels(rng, n, "t")
+    return gen._newick(gen._random_tree(rng, list(range(n))), None, labels) + ";\n"
+
+
+def caterpillar_text(rng: random.Random, n: int) -> str:
+    """The text of ``gen.caterpillar_case(rng, n)``, without its truth."""
+    labels = gen._labels(rng, n, "c")
+    heights = list(itertools.accumulate(rng.randint(1, 9) for _ in range(n - 1)))
+    parts = ["(" * (n - 1), f"{labels[0]}:{heights[0]},{labels[1]}:{heights[0]})"]
+    for k in range(1, n - 1):
+        parts.append(f":{heights[k] - heights[k - 1]},{labels[k + 1]}:{heights[k]})")
+    return "".join(parts) + ";\n"
+
+
+def _bumped_caterpillar(rng: random.Random, n: int) -> str:
+    """:func:`caterpillar_text` with its first leaf length raised by 10^-12."""
+    head, _, rest = caterpillar_text(rng, n).partition(":")
     length, _, tail = rest.partition(",")
-    return dataclasses.replace(case, text=f"{head}:{decimal.Decimal(length) + decimal.Decimal('1e-12')},{tail}")
+    return f"{head}:{decimal.Decimal(length) + decimal.Decimal('1e-12')},{tail}"
 
 
-NEWICK_SHAPES = {"random-tree": gen.random_tree_case, "caterpillar": gen.caterpillar_case,
+NEWICK_SHAPES = {"random-tree": random_tree_text, "caterpillar": caterpillar_text,
                  "caterpillar-epsilon": _bumped_caterpillar}
+MATRIX_SHAPES = {"caterpillar-epsilon"}  # shapes whose parse builds n x n arrays
 # command-line calls: argv before and after the file, and the expected exit code
 CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["validate"], [], 1),
        "cli_validate_epsilon": (["validate"], ["--epsilon", "0.001"], 1),
        "cli_validate_late_witness": (["validate"], [], 1), "cli_validate_newick": (["validate"], [], 0),
-       "cli_analyze_json": (["analyze"], ["--json"], 0)}
+       "cli_analyze_json": (["analyze"], ["--json"], 0), "cli_analyze_json_newick": (["analyze"], ["--json"], 0)}
 SIZES = (400, 1000, 2000)
 NEWICK_SIZES = (1000, 4000, 20000)
 LEVELS = 8
@@ -137,7 +157,7 @@ def _dissimilarity(n: int) -> gen.Case:
     return gen.dissimilarity_case(random.Random(f"scale:{n}:{SEED}:dissimilarity"), n)
 
 
-def _tree(shape: str, n: int) -> gen.Case:
+def _tree(shape: str, n: int) -> str:
     return NEWICK_SHAPES[shape](random.Random(f"scale:{n}:{SEED}:{shape}"), n)
 
 
@@ -339,8 +359,8 @@ def main(argv=None) -> int:
                  "d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4; partner_partition "
                  f"and cli_analyze_json: bench/gen.py dendrogram_case, {PARTNER_LEVELS} heights",
         "budget": {"wall_s": BUDGET_S, "memory_mb": BUDGET_MB},
-        "newick_input": f"bench/gen.py random-tree and caterpillar cases, seed {SEED}; caterpillar-epsilon: "
-                        "the caterpillar case with its first leaf length raised by 10^-12",
+        "newick_input": f"the texts of bench/gen.py random-tree and caterpillar cases, seed {SEED}; "
+                        "caterpillar-epsilon: the caterpillar with its first leaf length raised by 10^-12",
         "sizes": {},
         "newick_sizes": {},
         "results": {call: {} for call in CALLS + NEWICK_CALLS},
@@ -377,11 +397,11 @@ def main(argv=None) -> int:
             for call in NEWICK_CALLS:
                 report["results"][call][str(n)] = {}
             for shape in NEWICK_SHAPES:
-                if matrix_mb > BUDGET_MB / 2:
+                if shape in MATRIX_SHAPES and matrix_mb > BUDGET_MB / 2:
                     results = dict.fromkeys(NEWICK_CALLS, {"skipped": "budget", "limit": "rank_matrix_mb"})
                 else:
                     path = Path(work) / f"{shape}_{n}.nwk"
-                    path.write_text(_tree(shape, n).text)
+                    path.write_text(_tree(shape, n))
                     report["newick_sizes"][str(n)][f"{shape}_bytes"] = path.stat().st_size
                     results = {call: measure(call, path, [], src) for call in NEWICK_CALLS}
                 for call, result in results.items():

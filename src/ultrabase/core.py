@@ -1,7 +1,9 @@
 """Finite ultrametric spaces with exact, rank-encoded distances.
 
-A space stores its distance matrix as small-integer ranks into a sorted
-table of distinct positive values. Every comparison the theory depends on
+A space stores its distances as small-integer ranks into a sorted table
+of distinct positive values, in gap form: a leaf order of its points and
+the n - 1 ranks between neighbouring leaves, from which the n x n rank
+matrix is built only when something reads it. Every comparison the theory depends on
 (equality of two distances, which of two distances is larger) is an exact
 integer comparison; the actual magnitudes only matter at ingestion and
 serialization time.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -118,24 +120,49 @@ class ValidationReport:
             raise UsageError("a validation report is ok exactly when it has no violations")
 
 
-@dataclass(frozen=True, eq=False)
 class UltrametricSpace:
     """An immutable finite ultrametric space.
 
-    ``ranks[i, j]`` is the rank-encoded distance between ``labels[i]`` and
-    ``labels[j]``, held in a read-only int32 array. Instances are only
-    built through :func:`build_space`, the rank-level constructor it
-    shares with derived spaces, or by restricting a valid space, so the
-    strong triangle inequality holds; all methods are pure reads and safe
-    to call concurrently.
+    A space is held in gap form: its points in a leaf ``order`` (indices
+    into ``labels``) and ``gaps[k]``, the rank-encoded distance between
+    the points at leaf positions k and k + 1. The distance between the
+    points at positions i < j is the largest of ``gaps[i..j-1]``.
+    ``ranks[i, j]``, the rank-encoded distance between ``labels[i]`` and
+    ``labels[j]``, is a read-only int32 matrix: kept as given, or built
+    from the gaps when something first reads it. A space given only its
+    ``ranks`` derives its gap form from them, by Prim's pass, when
+    something first reads that.
+
+    Instances are only built through :func:`build_space`, the rank-level
+    constructor it shares with derived spaces, or by restricting a valid
+    space, so the strong triangle inequality holds; all methods are pure
+    reads and safe to call concurrently.
     """
 
-    labels: tuple[str, ...]
-    table: DistanceTable
-    ranks: np.ndarray
+    def __init__(self, labels: tuple[str, ...], table: DistanceTable, ranks: np.ndarray | None = None,
+                 order: Sequence[int] | None = None, gaps: np.ndarray | None = None):
+        if ranks is None and gaps is None:
+            raise UsageError("a space needs its ranks or its gap form")
+        fields = vars(self)
+        fields.update(labels=labels, table=table, _prim_gaps=gaps is None)
+        if ranks is not None:
+            ranks.setflags(write=False)
+            fields["ranks"] = ranks
+        if gaps is not None:
+            order = np.asarray(order, dtype=np.intp)
+            gaps = np.asarray(gaps, dtype=np.int32)
+            order.setflags(write=False)
+            gaps.setflags(write=False)
+            fields["_gap_form"] = order, gaps
 
-    def __post_init__(self):
-        self.ranks.setflags(write=False)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"UltrametricSpace(labels={self.labels!r}, table={self.table!r})"
 
     def __eq__(self, other):
         if not isinstance(other, UltrametricSpace):
@@ -147,7 +174,45 @@ class UltrametricSpace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.labels, self.table, self.ranks.tobytes()))
+        # each point's nearest distance is a function of the distances, read in O(n)
+        return hash((self.labels, self.table, self._nearest.astype(np.int64).tobytes()))
+
+    @cached_property
+    def ranks(self) -> np.ndarray:
+        ranks = _cophenetic(*self._gap_form)
+        ranks.setflags(write=False)
+        return ranks
+
+    @cached_property
+    def _gap_form(self) -> tuple[np.ndarray, np.ndarray]:
+        order, gaps = _single_linkage(self.ranks)
+        order.setflags(write=False)
+        gaps.setflags(write=False)
+        return order, gaps
+
+    @property
+    def order(self) -> np.ndarray:
+        return self._gap_form[0]
+
+    @property
+    def gaps(self) -> np.ndarray:
+        return self._gap_form[1]
+
+    @cached_property
+    def _leaf(self) -> np.ndarray:
+        """Each point's leaf position."""
+        leaf = np.empty(self.n, dtype=np.intp)
+        leaf[self.order] = np.arange(self.n)
+        return leaf
+
+    @cached_property
+    def _nearest(self) -> np.ndarray:
+        """Each point's distance rank to its nearest other point: the
+        smaller of the gaps on either side of its leaf."""
+        ends = np.concatenate((self.gaps[:1], self.gaps, self.gaps[-1:]))
+        nearest = np.empty(self.n, dtype=ends.dtype)
+        nearest[self.order] = np.minimum(ends[:-1], ends[1:])
+        return nearest
 
     @property
     def n(self) -> int:
@@ -164,7 +229,11 @@ class UltrametricSpace:
             raise UnknownLabelError(label) from None
 
     def rank(self, x: str, y: str) -> int:
-        return int(self.ranks[self.index(x), self.index(y)])
+        i, j = self.index(x), self.index(y)
+        if "ranks" in vars(self):
+            return int(self.ranks[i, j])
+        a, b = sorted(self._leaf[[i, j]].tolist())
+        return int(self.gaps[a:b].max()) if a < b else 0
 
     def d(self, x: str, y: str) -> Fraction:
         return self.table.value(self.rank(x, y))
@@ -181,9 +250,14 @@ class UltrametricSpace:
         idx = sorted(self.index(lab) for lab in set(subset))
         labels = tuple(self.labels[i] for i in idx)
         _check_labels(labels)
-        # a principal submatrix of an ultrametric is ultrametric: no revalidation
-        table, ranks = _compact(self.table.values, self.table.texts, self.ranks[np.ix_(idx, idx)])
-        return UltrametricSpace(labels=labels, table=table, ranks=ranks)
+        # the kept points keep their leaf order; the gap between two kept
+        # neighbours is the largest gap between them, so no revalidation
+        new = np.full(self.n, -1, dtype=np.intp)
+        new[idx] = np.arange(len(idx))
+        kept = np.flatnonzero(new[self.order] >= 0)
+        gaps = np.maximum.reduceat(self.gaps[:kept[-1]], kept[:-1])
+        table, gaps = _compact(self.table.values, self.table.texts, gaps)
+        return UltrametricSpace(labels=labels, table=table, order=new[self.order[kept]], gaps=gaps)
 
 
 def _used_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -210,16 +284,17 @@ def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[Va
     return taken, arr + arr.T
 
 
-def _compact(values, texts, rank_arr: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
-    """The table of the ranks a matrix (diagonal included) uses, with their
-    spellings, and the matrix renumbered; rank r holds ``values[r - 1]``."""
-    kept, ranks = _used_ids(rank_arr, len(values) + 1)
-    kept = kept[1:].tolist()  # the diagonal's zero stays rank 0
+def _compact(values, texts, gaps: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
+    """The table of the ranks a gap form uses, with their spellings, and
+    the gaps renumbered from 1; rank r holds ``values[r - 1]``. Every
+    distance of a gap form is one of its gaps."""
+    kept, position = _used_ids(gaps, len(values) + 1)
+    kept = kept.tolist()
     compact = DistanceTable(
         values=tuple(values[r - 1] for r in kept),
         texts=tuple(texts[r - 1] for r in kept),
     )
-    return compact, ranks
+    return compact, position + 1
 
 
 def _triangle_violations(rank_arr, closure, labels, values, max_violations):
@@ -281,11 +356,11 @@ class _ValueIds:
 
 @dataclass(frozen=True, eq=False)
 class _Gaps:
-    """A dendrogram: its points in leaf ``order``, and ``ids[k]`` (k >= 1)
-    the id of the distance between leaves k - 1 and k among distinct
-    positive ``values``, each of them used. The distance between leaves
-    i < j is the largest value among ids[i + 1..j]. Such a matrix is
-    ultrametric by construction; ``ids[0]`` is unused."""
+    """A dendrogram: its points in leaf ``order``, and ``ids[k]`` the id
+    of the distance between leaves k and k + 1 among distinct positive
+    ``values``, each of them used. The distance between leaves i < j is
+    the largest value among ids[i..j-1]. Such a matrix is ultrametric by
+    construction."""
 
     order: Sequence[int]
     ids: np.ndarray
@@ -310,8 +385,8 @@ def _analyze(
         # only the values the table keeps become exact fractions
         reps, rank = group_values(matrix.values, _epsilon(epsilon))
         table = DistanceTable(values=tuple(map(matrix.values.__getitem__, reps.tolist())))
-        ranks = _cophenetic(matrix.order, rank[matrix.ids])
-        space = UltrametricSpace(labels=tuple(labels), table=table, ranks=ranks)
+        space = UltrametricSpace(labels=tuple(labels), table=table, order=matrix.order,
+                                 gaps=rank[matrix.ids])
         return ValidationReport(ok=True, violations=()), space
     n = len(labels)
     quantized = isinstance(matrix, _ValueIds)
@@ -368,75 +443,98 @@ def _analyze(
         return report, None
 
     kept, rank_arr = _rank_ids(ids, values, eps)
-    report = _triangle_report(labels, kept, rank_arr, max_violations)
+    report, form = _triangle_report(labels, kept, rank_arr, max_violations)
     if not report.ok:
         return report, None
     texts = tuple(kept.cells.tolist()) if quantized and matrix.spelled else ()
     table = DistanceTable(values=tuple(kept), texts=texts)
-    return report, UltrametricSpace(labels=tuple(labels), table=table, ranks=rank_arr)
+    order, gaps = form
+    space = UltrametricSpace(labels=tuple(labels), table=table, ranks=rank_arr, order=order, gaps=gaps)
+    return report, space
 
 
-def _prim(rank_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prim's visiting order from point 0, and each point's rank to the tree so far."""
+_BLOCK_CELLS = 2**18  # cells per block of dendrogram rows: about 1 MB of int32
+
+
+def _cophenetic(order: Sequence[int], gaps: np.ndarray) -> np.ndarray:
+    """The dendrogram matrix of a gap form, in O(n²).
+
+    Between the points at leaf positions i < j it holds the largest of
+    ``gaps[i..j-1]``, the gaps between neighbouring leaves, and the
+    diagonal is 0. Every cluster is a run of consecutive leaves, so this
+    is ultrametric, and every finite ultrametric arises this way. The
+    gaps are nonnegative. The result is filled a block of at most about
+    _BLOCK_CELLS cells at a time, so the temporaries stay small beside it.
+    """
+    order = np.asarray(order)
+    n = len(gaps) + 1
+    leaf = np.empty(n, dtype=np.intp)
+    leaf[order] = np.arange(n)  # each point's leaf position
+    before = np.zeros(n, dtype=gaps.dtype)  # the gap before each leaf
+    before[1:] = gaps
+    out = np.empty((n, n), dtype=gaps.dtype)
+    step = max(1, _BLOCK_CELLS // n)
+    positions = np.arange(n)
+    for start in range(0, n, step):
+        at = positions[start:start + step, None]
+        # right of leaf i: a running maximum of the gaps from i on; left of
+        # it, one from i - 1 down. The two parts meet at the diagonal's 0.
+        rows = np.where(positions > at, before, 0)
+        np.maximum.accumulate(rows, axis=1, out=rows)
+        if step >= n:  # one block: its left part is its right part transposed
+            rows += rows.T
+        else:
+            left = np.where(positions < at, np.roll(before, -1), 0)[:, ::-1]  # the gap after each leaf
+            np.maximum.accumulate(left, axis=1, out=left)
+            np.maximum(rows, left[:, ::-1], out=rows)
+        out[order[start:start + step]] = rows.take(leaf, axis=1)
+    return out
+
+
+def _single_linkage(rank_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gap form of the minimum spanning tree, in O(n²): Prim's
+    visiting order from point 0, and each later point's rank to the tree
+    so far as the gap before it.
+
+    Its dendrogram matrix is the subdominant ultrametric: entry (x, y) is
+    the least, over paths from x to y, of the largest rank on the path.
+    Every single-linkage cluster is a run of consecutive points in Prim's
+    order.
+    """
     n = len(rank_arr)
     order = np.zeros(n, dtype=np.intp)
-    attach = np.zeros(n, dtype=np.int64)
+    gaps = np.zeros(n - 1, dtype=rank_arr.dtype)
     dist = rank_arr[0].astype(np.int64)
     dist[0] = _UNREACHED
     open_ = np.ones(n, dtype=bool)
     open_[0] = False
     for k in range(1, n):
         j = int(dist.argmin())
-        order[k], attach[k] = j, dist[j]
+        order[k], gaps[k - 1] = j, dist[j]
         open_[j] = False
         np.minimum(dist, rank_arr[j], out=dist, where=open_)
         dist[j] = _UNREACHED
-    return order, attach
+    return order, gaps
 
 
-def _cophenetic(order: Sequence[int], gaps: np.ndarray) -> np.ndarray:
-    """The dendrogram matrix of points in leaf ``order``, in O(n²).
-
-    Between the points at leaf positions i < j it holds the largest of
-    ``gaps[i + 1..j]``, the gaps between neighbouring leaves; ``gaps[0]``
-    is ignored and the diagonal is 0. Every cluster is a run of
-    consecutive leaves, so this is ultrametric, and every finite
-    ultrametric arises this way.
-    """
-    n = len(gaps)
-    runs = np.maximum.accumulate(np.triu(np.broadcast_to(gaps, (n, n)), 1), axis=1)
-    leaf = np.argsort(order)  # each point's leaf position
-    return (runs + runs.T).take(leaf, axis=0).take(leaf, axis=1)  # cheaper than a 2-D scatter
-
-
-def _single_linkage(rank_arr: np.ndarray) -> np.ndarray:
-    """The cophenetic matrix of the minimum spanning tree, in O(n²).
-
-    This is the subdominant ultrametric: entry (x, y) is the least, over
-    paths from x to y, of the largest rank on the path. Every
-    single-linkage cluster is a run of consecutive points in Prim's
-    order, with each point's attach rank as the gap before it.
-    """
-    order, attach = _prim(rank_arr)
-    return _cophenetic(order, attach.astype(rank_arr.dtype))
-
-
-def _triangle_report(labels, values, rank_arr, max_violations=DEFAULT_MAX_VIOLATIONS) -> ValidationReport:
+def _triangle_report(labels, values, rank_arr, max_violations=DEFAULT_MAX_VIOLATIONS):
     """Check the triangles of a symmetric rank matrix with a zero diagonal,
-    rank r >= 1 holding ``values[r - 1]``.
+    rank r >= 1 holding ``values[r - 1]``; returns the report and, for a
+    valid matrix, its gap form.
 
     A matrix is an ultrametric exactly when it equals its own single-linkage
     closure, which takes O(n²); only an invalid matrix pays for the
     triangle sweep that names witnesses, O(n) per pair above the closure.
     The n x n closure is freed on return, before the caller builds a space.
     """
-    closure = _single_linkage(rank_arr)
+    order, gaps = _single_linkage(rank_arr)
+    closure = _cophenetic(order, gaps)
     if np.array_equal(closure, rank_arr):
-        return ValidationReport(ok=True, violations=())
+        return ValidationReport(ok=True, violations=()), (order, gaps)
     tri, truncated = _triangle_violations(rank_arr, closure, list(labels), values, max_violations)
     if not tri:
         raise InternalInvariantError("single linkage and the triangle sweep disagree")
-    return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated)
+    return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
 
 
 def validate_ultrametric(

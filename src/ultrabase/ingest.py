@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -39,6 +38,7 @@ from .core import (
 from .errors import ParseError, UltrametricViolationError, UsageError
 from .reconstruct import CoordinateTable
 from .values import (
+    _PLAIN,
     Numeric,
     ValueList,
     _two_five_exponents,
@@ -195,6 +195,17 @@ def _newick_error(text: str, message: str, token: int, extra: int = 0) -> ParseE
     return ParseError(message, position=(len(text) if found is None else found.start()) + extra)
 
 
+def _branch_length(tok: str) -> tuple[int, int] | Fraction:
+    """A length spelling's value: (mantissa, fraction digits) with no
+    trailing fraction zeros when it is plain ``digits[.digits]``, else the
+    exact value :func:`parse_decimal` reads."""
+    if _PLAIN.fullmatch(tok):
+        whole, _, frac = tok.partition(".")
+        frac = frac.rstrip("0")
+        return int(whole + frac), len(frac)
+    return parse_decimal(tok)
+
+
 def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
     """Scan the equidistant-tree subset of Newick into leaves and path sums.
 
@@ -207,45 +218,44 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
     only, as open parentheses live on a list. The first fault in the text
     raises, syntax and lengths alike, with its offset.
 
-    Each distinct length spelling is parsed once, where it first occurs.
-    Lengths are counted in units of 1 / (10**k r), the largest such unit
-    that makes every length an int: r is 1 when every length terminates.
-    k and r come from the lcm of the distinct denominators. Returns the
-    leaf labels in document order, each leaf's root path sum in units, per
-    boundary j between leaves j - 1 and j (j >= 1) the path sum of the
-    node where those two leaves meet, k and r.
+    Each distinct length spelling is read once, where it first occurs: a
+    plain one to its integer mantissa and fraction digits, any other one
+    by :func:`parse_decimal`. Lengths are counted in units of 1 / (10**k
+    r), the largest such unit that makes every length an int: r is 1 when
+    every length terminates. k is the most fraction digits of a plain
+    spelling or of the lcm of the other denominators, and r the rest of
+    that lcm. Returns the leaf labels in document order, each leaf's root
+    path sum in units, per boundary j between leaves j - 1 and j (j >= 1)
+    the path sum of the node where those two leaves meet, k and r.
     """
     tokens = _NEWICK_TOKEN.findall(text)
     tokens.append("")
     spelling_ids: dict[str, int] = {}
-    lengths: list[Fraction] = []  # by spelling id
+    plain: list[tuple[int, int]] = []  # by spelling id: mantissa and fraction digits; (0, 0) if other
+    other: dict[int, Fraction] = {}  # the other spellings' values, by spelling id
 
-    def length(i: int, required: bool) -> tuple[int, int]:
-        """The spelling id of the length at token i (-1: none) and the next token."""
-        if tokens[i] != ":":
-            if required:
-                raise _newick_error(text, "missing branch length", i)
-            return -1, i
-        tok = tokens[i + 1]
+    def read(i: int) -> int:
+        """The spelling id of the length at token i, seen for the first time."""
+        tok = tokens[i]
         if tok in _STOPS:
             tok = ""
-        s = spelling_ids.get(tok)
-        if s is None:
-            try:
-                value = parse_decimal(tok)
-            except ParseError:
-                raise _newick_error(text, f"invalid branch length {tok!r}", i + 1, len(tok)) from None
+        try:
+            value = _branch_length(tok)
+        except ParseError:
+            raise _newick_error(text, f"invalid branch length {tok!r}", i, len(tok)) from None
+        s = spelling_ids[tok] = len(plain)
+        if isinstance(value, Fraction):
             if value.numerator < 0:
-                raise _newick_error(text, f"negative branch length {tok!r}", i + 1, len(tok))
-            s = spelling_ids[tok] = len(lengths)
-            lengths.append(value)
-        return s, i + 1 + bool(tok)
+                raise _newick_error(text, f"negative branch length {tok!r}", i, len(tok))
+            other[s], value = value, (0, 0)
+        plain.append(value)
+        return s
 
     labels: list[str] = []
     leaf_parents: list[int] = []
-    leaf_lengths: list[int] = []
+    leaf_lengths: list[int] = []  # per leaf, its spelling id
     parents: list[int] = []  # per internal node, in pre-order; -1: the root
-    node_lengths: list[int] = []
+    node_lengths: list[int] = []  # per internal node, its spelling id; -1: none
     open_nodes: list[list[int]] = []  # per open "(": [node, children]
     meets: list[int] = []  # per boundary between leaves, the node where they meet
     i = 0
@@ -262,8 +272,15 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
             raise _newick_error(text, "expected a leaf label or '('", i)
         labels.append(tok)
         leaf_parents.append(up)
-        s, i = length(i + 1, bool(open_nodes))
-        leaf_lengths.append(s)
+        i += 1
+        if tokens[i] == ":":
+            s = spelling_ids.get(tokens[i + 1])
+            leaf_lengths.append(read(i + 1) if s is None else s)
+            i += 2
+        elif open_nodes:
+            raise _newick_error(text, "missing branch length", i)
+        else:
+            leaf_lengths.append(-1)
         while open_nodes:
             node = open_nodes[-1]
             tok = tokens[i]
@@ -279,7 +296,12 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
             open_nodes.pop()
             if tokens[i] not in _STOPS:
                 i += 1  # internal label
-            node_lengths[node[0]], i = length(i, bool(open_nodes))
+            if tokens[i] == ":":
+                s = spelling_ids.get(tokens[i + 1])
+                node_lengths[node[0]] = read(i + 1) if s is None else s
+                i += 2
+            elif open_nodes:
+                raise _newick_error(text, "missing branch length", i)
         else:
             break
     if tokens[i] != ";":
@@ -287,13 +309,13 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
     if i + 2 != len(tokens):
         raise _newick_error(text, "trailing content after ';'", i + 1)
 
-    denominators = set(map(operator.attrgetter("denominator"), lengths))
-    lcm = math.lcm(*denominators)
+    lcm = math.lcm(*(v.denominator for v in other.values()))
     twos, fives = _two_five_exponents(lcm)
-    digits, rest = max(twos, fives), (lcm >> twos) // 5**fives
-    scale = 10**digits * rest
-    times = {den: scale // den for den in denominators}
-    scaled = [v.numerator * times[v.denominator] for v in lengths]
+    digits = max(twos, fives, *(d for _, d in plain))
+    rest = (lcm >> twos) // 5**fives
+    scaled = [m * 10**(digits - d) * rest for m, d in plain]
+    for s, v in other.items():
+        scaled[s] = v.numerator * (10**digits * rest // v.denominator)
     scaled.append(0)  # spelling id -1: no length
     depths = [0] * (len(parents) + 1)  # the extra entry serves the root's parent, -1
     for u, (up, s) in enumerate(zip(parents, node_lengths)):
@@ -355,17 +377,16 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     n = len(labels)
     if low == high:
         gap_ids: dict[int, int] = {}
-        ids = np.zeros(n, dtype=np.int32)
-        ids[1:] = [gap_ids.setdefault(meet, len(gap_ids)) for meet in meets]
+        ids = np.array([gap_ids.setdefault(meet, len(gap_ids)) for meet in meets], dtype=np.int32)
         if high not in gap_ids:  # else a zero distance, which the full checks report
             gaps = _unit_values([2 * (high - meet) for meet in gap_ids], digits, rest)
             return build_space(labels, _Gaps(range(n), ids, gaps), eps)
 
-    units = _unit_array([0, *(2 * (high - meet) for meet in meets), *(depth - high for depth in depths)])
+    units = _unit_array([*(2 * (high - meet) for meet in meets), *(depth - high for depth in depths)])
     # a leaf is no shallower than the nodes where it meets its neighbours, so
     # 2 |off[i]| <= a gap and no sum below leaves the range of the gaps' int64
-    matrix = _cophenetic(range(n), units[:n])
-    off = units[n:]
+    matrix = _cophenetic(range(n), units[:n - 1])
+    off = units[n - 1:]
     matrix += off[:, None]
     matrix += off
     np.fill_diagonal(matrix, 0)
@@ -418,12 +439,12 @@ def subdominant_ultrametric(
     # Work on ranks: the closure only compares values, so the quantized
     # integer picture is exact.
     reps, arr = _rank_ids(ids, values, eps)  # each built only if the closure keeps it
-    closed = _single_linkage(arr)
+    order, gaps = _single_linkage(arr)
     if not reps[0]:  # built anyway: the closure keeps rank 1
         # Zero dissimilarities glue distinct points; report each such pair.
         # Rank r holds reps[r - 1], and reps[0] = 0 also serves the diagonal.
-        return build_space(labels, _ValueIds(np.maximum(closed - 1, 0), reps))
-    # the closure is ultrametric and keeps at most n - 1 ranks: the table holds only those
+        return build_space(labels, _ValueIds(np.maximum(_cophenetic(order, gaps) - 1, 0), reps))
+    # the closure's gap form is its space, and keeps at most n - 1 ranks: the table holds only those
     _check_labels(labels)
-    table, ranks = _compact(reps, [None] * len(reps), closed)
-    return UltrametricSpace(labels=tuple(labels), table=table, ranks=ranks)
+    table, gaps = _compact(reps, [None] * len(reps), gaps)
+    return UltrametricSpace(labels=tuple(labels), table=table, order=order, gaps=gaps)

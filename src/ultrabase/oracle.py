@@ -131,7 +131,7 @@ def random_dendrogram_space(n: int, seed: int, value_count: int = 3) -> Ultramet
 
     used = sorted(set(levels[1:]), reverse=True)  # increasing height
     slot = {level: i for i, level in enumerate(used)}
-    ids = np.array([0] + [slot[level] for level in levels[1:]], dtype=np.int32)
+    ids = np.array([slot[level] for level in levels[1:]], dtype=np.int32)
     return build_space(labels, _Gaps(order, ids, ValueList.of_units([heights[level] for level in used], 0)))
 
 

@@ -15,7 +15,6 @@ spaces.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,41 +77,52 @@ def _partners(space: UltrametricSpace) -> _Partners:
     """The space's partner record, computed once and kept on the (immutable) space."""
     cached = vars(space).get("_partners")
     if cached is None:
-        cached = vars(space)["_partners"] = _mate_classes(space)
+        cached = vars(space)["_partners"] = _gap_classes(space)
     return cached
 
 
-def _mate_classes(space: UltrametricSpace) -> _Partners:
-    """Read the classes off the mate mask in one O(n²) pass.
+def _gap_classes(space: UltrametricSpace) -> _Partners:
+    """Read the classes off the space's gap form in O(n), plus a sort of
+    the labels.
 
-    Points i != j are mates when d(i, j) is the minimum of both. On an
-    ultrametric that is transitive: if i~j and j~k at minimum m, then
-    m <= d(i, k) <= max(d(i, j), d(j, k)) = m. So a point's class is the
-    point and its mates, and each row of the mask with the diagonal set
-    equals the row of its first member, which is re-checked here.
+    A point's minimum m is the smaller of the gaps on either side of its
+    leaf. The points within m of it are the run of leaves around it that
+    no gap above m cuts, and each of them with minimum m is at distance
+    exactly m: its partner. So a class is the points of one minimum m in
+    one such run, named by the run's first leaf. That is the point's own
+    leaf when the gap on its left exceeds m, else the leaf after the last
+    gap above m before it, which one pass with a stack of the gaps not yet
+    exceeded finds for every gap.
     """
-    labels, ranks = space.labels, space.ranks
-    # rank 0 sits only on the diagonal, so no point is its own nearest or mate
-    mins = ranks.min(axis=1, where=ranks > 0, initial=len(space.table) + 1)
-    rows = ranks == mins[:, None]
-    rows &= mins == mins[:, None]
-    np.fill_diagonal(rows, True)  # a row: the point's class, or the point alone
-    first = rows.argmax(axis=1)
-    bad = np.flatnonzero((rows != rows[first]).any(axis=1))
-    if bad.size:
-        # a bad row and its first member's row differ, so their union is no clique
-        members = sorted(itertools.compress(labels, rows[rows[bad[0]]].any(axis=0).tolist()))
-        raise InternalInvariantError(f"partner class {members} has unequal internal distances")
-    first = first.tolist()
-    groups: dict[int, list[str]] = {}  # opened in label order: sorted by first label
-    for i in sorted(range(space.n), key=labels.__getitem__):
-        groups.setdefault(first[i], []).append(labels[i])
-    classes = {r: tuple(members) for r, members in groups.items() if len(members) > 1}
+    labels, n = space.labels, space.n
+    points, values = space.order.tolist(), space.gaps.tolist()
+    keys: list[tuple[int, int]] = [(0, 0)] * n  # per point: its minimum and its run's first leaf
+    keys[points[0]] = values[0], 0
+    high: list[int] = []  # earlier gaps above every later one, increasing to the left
+    for k, g in enumerate(values):  # gap k joins leaves k and k + 1
+        while high and values[high[-1]] <= g:
+            high.pop()
+        right = values[k + 1] if k + 2 < n else g
+        keys[points[k + 1]] = (g, high[-1] + 1 if high else 0) if g <= right else (right, k + 1)
+        high.append(k)
+    groups: dict[tuple[int, int], list[str]] = {}  # opened in label order: sorted by first label
+    for i in sorted(range(n), key=labels.__getitem__):
+        groups.setdefault(keys[i], []).append(labels[i])
+    classes = {k: tuple(members) for k, members in groups.items() if len(members) > 1}
     if not classes:
         raise InternalInvariantError("finite space without partner points")
+    mins = np.array([m for m, _ in keys], dtype=space.gaps.dtype)
+    if space._prim_gaps:
+        # built from ranks alone and never validated: the gap form fits
+        # them only if they are ultrametric, so each class is re-checked
+        for members in classes.values():
+            idx = [space.index(lab) for lab in members]
+            within = space.ranks[np.ix_(idx, idx)]
+            if (within != mins[idx[0]]).sum() != len(idx):  # only the diagonal differs
+                raise InternalInvariantError(f"partner class {list(members)} has unequal internal distances")
     pseudo = tuple(members[0] for members in groups.values() if len(members) == 1)
     partition = PartnerPartition(classes=tuple(classes.values()), pseudopartnered=pseudo)
-    return _Partners(mins, list(map(classes.get, first)), partition)
+    return _Partners(mins, list(map(classes.get, keys)), partition)
 
 
 def nearest_set(space: UltrametricSpace, x: str) -> tuple[tuple[str, ...], Fraction]:
@@ -134,7 +144,7 @@ def classify_point(space: UltrametricSpace, x: str) -> PointClass:
 
 
 def partner_partition(space: UltrametricSpace) -> PartnerPartition:
-    """Split X into partner classes (see :func:`_mate_classes`) and
+    """Split X into partner classes (see :func:`_gap_classes`) and
     pseudopartnered points."""
     return _partners(space).partition
 

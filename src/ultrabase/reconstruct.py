@@ -27,6 +27,7 @@ from .core import (
     DistanceTable,
     UltrametricSpace,
     _check_labels,
+    _cophenetic,
     _single_linkage,
     _triangle_report,
     _used_ids,
@@ -200,9 +201,9 @@ def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int]]:
     return index, at
 
 
-def _star_closure(ranks: np.ndarray, at: list[int]) -> np.ndarray | None:
-    """The single-linkage closure of the landmark star, or None when its
-    landmark columns differ from the table.
+def _star_closure(ranks: np.ndarray, at: list[int]) -> tuple[np.ndarray, tuple] | None:
+    """The single-linkage closure of the landmark star and its gap form,
+    or None when its landmark columns differ from the table.
 
     The star joins every point to every landmark by the table's distance;
     every other pair gets a rank above all of them. When some ultrametric
@@ -217,8 +218,9 @@ def _star_closure(ranks: np.ndarray, at: list[int]) -> np.ndarray | None:
     star[:, at] = ranks
     star[at, :] = ranks.T
     np.fill_diagonal(star, 0)
-    closed = _single_linkage(star)
-    return closed if np.array_equal(closed[:, at], ranks) else None
+    form = _single_linkage(star)
+    closed = _cophenetic(*form)
+    return (closed, form) if np.array_equal(closed[:, at], ranks) else None
 
 
 def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
@@ -235,7 +237,7 @@ def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
         d = np.maximum(ranks[i, first], rest[np.arange(len(rest)), first])
         rank_arr[i, i + 1:] = rank_arr[i + 1:, i] = d
 
-    report = _triangle_report(pts, dtable.values, rank_arr)
+    report, form = _triangle_report(pts, dtable.values, rank_arr)
     if not report.ok:
         raise CoordinateTableError(f"inconsistent coordinates: {report.violations[0].detail}")
     mismatch = np.argwhere(rank_arr[:, at] != ranks)
@@ -246,7 +248,8 @@ def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
             f"{dtable.value(int(rank_arr[i, at[c]]))} "
             f"but the table says {table.encoding[0][ranks[i, c]]}"
         )
-    return UltrametricSpace(labels=tuple(pts), table=dtable, ranks=rank_arr)
+    order, gaps = form
+    return UltrametricSpace(labels=tuple(pts), table=dtable, ranks=rank_arr, order=order, gaps=gaps)
 
 
 def reconstruct(table: CoordinateTable) -> UltrametricSpace:
@@ -261,10 +264,11 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     ranks, at = _table_ranks(table)
     _check_labels(table.points)
     dtable = DistanceTable(table.encoding[0][1:], table.texts[1:])
-    closed = _star_closure(ranks, at)
-    if closed is None:
+    closure = _star_closure(ranks, at)
+    if closure is None:
         return _rebuild_pairwise(table, dtable, ranks, at)
-    return UltrametricSpace(labels=tuple(table.points), table=dtable, ranks=closed)
+    closed, (order, gaps) = closure
+    return UltrametricSpace(labels=tuple(table.points), table=dtable, ranks=closed, order=order, gaps=gaps)
 
 
 def verify_roundtrip(space: UltrametricSpace, landmarks: Sequence[str]) -> bool:

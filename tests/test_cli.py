@@ -432,9 +432,10 @@ def test_module_entry_point(recmin_csv):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="address-space limits are Linux's")
 def test_out_of_memory_exits_2(tmp_path):
     resource = pytest.importorskip("resource")
-    n = 8000  # its int32 rank matrix alone is 244 MiB
+    # equidistant only within epsilon, so its n x n int64 units are built: 488 MiB
+    n = 8000
     path = tmp_path / "caterpillar.nwk"
-    path.write_text("(" * (n - 1) + "A0:1" + "".join(f",A{i}:{i}):1" for i in range(1, n - 1))
+    path.write_text("(" * (n - 1) + "A0:1.000000000001" + "".join(f",A{i}:{i}):1" for i in range(1, n - 1))
                     + f",A{n - 1}:{n - 1});\n")
     limit = 250 * 2**20
     proc = subprocess.run(

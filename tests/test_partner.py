@@ -173,8 +173,8 @@ def test_partner_partition_is_computed_once_per_space(monkeypatch):
     from ultrabase import dimensions, metric_bases, minimal_subspace, two_metric_basis
 
     computed = []
-    compute = partner._mate_classes
-    monkeypatch.setattr(partner, "_mate_classes", lambda space: computed.append(space) or compute(space))
+    compute = partner._gap_classes
+    monkeypatch.setattr(partner, "_gap_classes", lambda space: computed.append(space) or compute(space))
     space = random_dendrogram_space(12, seed=4, value_count=3)
     first = partner_partition(space)
     dimensions(space), metric_bases(space), two_metric_basis(space)

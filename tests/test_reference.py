@@ -7,7 +7,9 @@ equal space (labels, table, ranks) and the same CSV bytes (spellings
 included), or the same validation report. Coordinate tables are checked
 the same way against per-cell `Fraction` loops, `is_k_generator`
 against the n x n x |S| comparison it replaced, the partner classes
-against the component search over mate lists, the landmark-star
+against the component search over mate lists and, read off the gap
+form, against the O(n²) mate mask, the dendrogram kernel against the
+broadcast gap triangle it replaced, the landmark-star
 closure of `reconstruct` against the pair loop, epsilon grouping on
 integer units against the `Fraction` chain, and the CSV row split
 against the version that strips every field. Spellings travel here
@@ -62,6 +64,7 @@ from ultrabase.core import (
     ValidationReport,
     Violation,
     _check_labels,
+    _cophenetic,
     _single_linkage,
     _triangle_violations,
 )
@@ -1036,7 +1039,7 @@ def test_single_linkage_verdict_matches_triangle_sweep(arr):
     labels = [f"x{i}" for i in range(len(arr))]
     table = DistanceTable(values=tuple(F(v) for v in range(1, int(arr.max()) + 1)))
     witnesses, truncated = triangle_violations_reference(arr, labels, table, 16)
-    closed = _single_linkage(arr)
+    closed = _cophenetic(*_single_linkage(arr))
     assert np.array_equal(closed, closure_reference(arr))
     assert np.array_equal(closed, arr) == (not witnesses and not truncated)
 
@@ -1047,10 +1050,10 @@ def test_triangle_witnesses_from_pairs_above_the_closure_match_the_sweep(arr, ma
     labels = [f"x{i}" for i in range(len(arr))]
     table = DistanceTable(values=tuple(F(v) for v in range(1, int(arr.max()) + 1)))
     expected = triangle_violations_reference(arr, labels, table, max_violations)
-    assert _triangle_violations(arr, _single_linkage(arr), labels, table.values, max_violations) == expected
+    closed = _cophenetic(*_single_linkage(arr))
+    assert _triangle_violations(arr, closed, labels, table.values, max_violations) == expected
     # a witness never reads rank 0: index -1 raises KeyError here
-    assert _triangle_violations(arr, _single_linkage(arr), labels, dict(enumerate(table.values)),
-                                max_violations) == expected
+    assert _triangle_violations(arr, closed, labels, dict(enumerate(table.values)), max_violations) == expected
 
 
 def group_values_by_value(values, epsilon):
@@ -2066,3 +2069,136 @@ def test_coordinate_tables_have_one_canonical_encoding(space, data):
         assert other == table and hash(other) == hash(table)
         assert other.encoding[0] == values and np.array_equal(other.encoding[1], index)
         assert write_coordinate_csv(other) == text
+
+
+def mate_classes_reference(space):
+    """The partner record read off the mate mask in one O(n²) pass over
+    the rank matrix, as `partner` once computed it.
+
+    Points i != j are mates when d(i, j) is the minimum of both. On an
+    ultrametric that is transitive, so a point's class is the point and
+    its mates, and each row of the mask with the diagonal set equals the
+    row of its first member, which is re-checked here.
+    """
+    labels, ranks = space.labels, space.ranks
+    # rank 0 sits only on the diagonal, so no point is its own nearest or mate
+    mins = ranks.min(axis=1, where=ranks > 0, initial=len(space.table) + 1)
+    rows = ranks == mins[:, None]
+    rows &= mins == mins[:, None]
+    np.fill_diagonal(rows, True)  # a row: the point's class, or the point alone
+    first = rows.argmax(axis=1)
+    bad = np.flatnonzero((rows != rows[first]).any(axis=1))
+    if bad.size:
+        members = sorted(itertools.compress(labels, rows[rows[bad[0]]].any(axis=0).tolist()))
+        raise InternalInvariantError(f"partner class {members} has unequal internal distances")
+    first = first.tolist()
+    groups: dict[int, list[str]] = {}  # opened in label order: sorted by first label
+    for i in sorted(range(space.n), key=labels.__getitem__):
+        groups.setdefault(first[i], []).append(labels[i])
+    classes = {r: tuple(members) for r, members in groups.items() if len(members) > 1}
+    pseudo = tuple(members[0] for members in groups.values() if len(members) == 1)
+    partition = PartnerPartition(classes=tuple(classes.values()), pseudopartnered=pseudo)
+    return mins, list(map(classes.get, first)), partition
+
+
+def cophenetic_reference(order, gaps):
+    """The dendrogram matrix of a gap form from the running maxima of the
+    whole broadcast gap triangle, as `core._cophenetic` once built it."""
+    n = len(gaps) + 1
+    runs = np.maximum.accumulate(np.triu(np.broadcast_to(np.insert(gaps, 0, 0), (n, n)), 1), axis=1)
+    leaf = np.argsort(order)
+    return (runs + runs.T).take(leaf, axis=0).take(leaf, axis=1)
+
+
+@st.composite
+def gap_trees(draw):
+    """Exactly equidistant multifurcating Newick trees whose heights come
+    from a few integers, so many gaps are equal."""
+    nodes = [(f"L{i}", 0) for i in range(draw(st.integers(2, 16)))]
+    while len(nodes) > 1:
+        k = draw(st.integers(2, len(nodes)))
+        start = draw(st.integers(0, len(nodes) - k))
+        group = nodes[start:start + k]
+        height = max(h for _, h in group) + draw(st.integers(1, 2))
+        merged = ",".join(f"{t}:{height - h}" for t, h in group)
+        nodes[start:start + k] = [(f"({merged})", height)]
+    return nodes[0][0] + ";"
+
+
+@st.composite
+def built_spaces(draw):
+    """A space built one of the ways the library builds them, from a
+    Newick tree or a random dendrogram."""
+    source = draw(st.one_of(gap_trees().map(parse_newick), dendrograms))
+    way = draw(st.sampled_from(["source", "csv", "restrict", "reconstruct", "subdominant", "ranks"]))
+    if way == "csv":
+        return parse_distance_csv(write_distance_csv(source))
+    if way == "restrict":
+        return source.restrict(draw(st.lists(st.sampled_from(source.labels), min_size=2, unique=True)))
+    if way == "reconstruct":
+        return reconstruct(coordinates(source, next(metric_bases(source).bases(cap=1))))
+    if way == "subdominant":
+        matrix = source.value_matrix()
+        for _ in range(draw(st.integers(0, 3))):  # raise a few distances: the closure repairs them
+            i, j = draw(st.integers(0, source.n - 1)), draw(st.integers(0, source.n - 1))
+            if i != j:
+                matrix[i][j] = matrix[j][i] = matrix[i][j] + 1
+        return subdominant_ultrametric(matrix, source.labels)
+    if way == "ranks":
+        return UltrametricSpace(labels=source.labels, table=source.table, ranks=source.ranks.copy())
+    return source
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_spaces())
+@example(parse_newick("((A:2.5,(B:0.5,C:0.5):2):0,D:2.5);"))  # gaps 5, 1, 5: A and D are partners
+def test_gap_form_partners_and_ranks_match_the_matrix(space):
+    import ultrabase.partner as partner
+
+    order, gaps = space.order, space.gaps
+    assert sorted(order.tolist()) == list(range(space.n)) and len(gaps) == space.n - 1
+    gap_built = UltrametricSpace(labels=space.labels, table=space.table, order=order, gaps=gaps)
+    matrix_built = UltrametricSpace(labels=space.labels, table=space.table,
+                                    ranks=cophenetic_reference(order, gaps))
+    # the lazy ranks are the matrix the gap form always stood for
+    assert "ranks" not in vars(gap_built)
+    assert np.array_equal(gap_built.ranks, matrix_built.ranks) and not gap_built.ranks.flags.writeable
+    assert np.array_equal(space.ranks, matrix_built.ranks)
+    for other in (space, matrix_built, build_space(space.labels, space.value_matrix())):
+        assert gap_built == other and hash(gap_built) == hash(other)
+    for built in (UltrametricSpace(labels=space.labels, table=space.table, order=order, gaps=gaps),
+                  matrix_built):
+        mins, class_at, partition = mate_classes_reference(built)
+        record = partner._partners(built)
+        assert record.partition == partition and record.class_at == class_at
+        assert np.array_equal(record.mins, mins)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
+def test_cophenetic_blocks_match_the_broadcast_triangle(monkeypatch, dtype):
+    import ultrabase.core as core
+
+    rng = np.random.default_rng(5)
+    for n in (2, 3, 17, 40):
+        order = rng.permutation(n)
+        gaps = rng.integers(0, 9, n - 1).astype(dtype)
+        expected = cophenetic_reference(order, gaps)
+        for cells in (1, 64, 2**18):  # a row per block, a few rows, one block
+            monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
+            assert np.array_equal(_cophenetic(order, gaps), expected)
+
+
+def test_cophenetic_fills_one_array_at_size():
+    import tracemalloc
+
+    rng = np.random.default_rng(7)
+    n = 2000
+    order, gaps = rng.permutation(n), rng.integers(1, 60, n - 1).astype(np.int32)
+    tracemalloc.start()
+    try:
+        matrix = _cophenetic(order, gaps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * matrix.nbytes  # the broadcast triangle took about three times the result
+    assert np.array_equal(matrix, cophenetic_reference(order, gaps))

@@ -43,8 +43,9 @@ def test_cli_validate_epsilon_runs_on_a_small_dissimilarity(tmp_path):
 def test_newick_calls_run_on_a_small_tree(tmp_path):
     for shape in ("random-tree", "caterpillar-epsilon"):  # exactly equidistant, and within epsilon
         path = tmp_path / f"{shape}.nwk"
-        path.write_text(scale._tree(shape, 24).text)
+        path.write_text(scale._tree(shape, 24))
         assert scale.child("cli_validate_newick", str(path), [], "time") == {"exit": 0}
+        assert scale.child("cli_analyze_json_newick", str(path), [], "time") == {"exit": 0}
         assert set(scale.child("parse_newick", str(path), [], "time")) == {"wall_s"}
         result = scale.measure("parse_newick", path, [], ROOT / "src")
         assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
@@ -65,3 +66,12 @@ def test_partner_calls_run_on_a_small_dendrogram(tmp_path):
     assert scale.child("cli_analyze_json", str(path), [], "time") == {"exit": 0}
     result = scale.measure("partner_partition", path, [], ROOT / "src")
     assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+
+
+def test_tree_texts_match_the_benchmark_cases():
+    for n in (2, 3, 24, 200):
+        for seed in range(3):
+            assert scale.random_tree_text(random.Random(seed), n) == \
+                scale.gen.random_tree_case(random.Random(seed), n).text
+            assert scale.caterpillar_text(random.Random(seed), n) == \
+                scale.gen.caterpillar_case(random.Random(seed), n).text
