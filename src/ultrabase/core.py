@@ -3,10 +3,10 @@
 A space stores its distances as small-integer ranks into a sorted table
 of distinct positive values, in gap form: a leaf order of its points and
 the n - 1 ranks between neighbouring leaves, from which the n x n rank
-matrix is built only when something reads it. Every comparison the theory depends on
-(equality of two distances, which of two distances is larger) is an exact
-integer comparison; the actual magnitudes only matter at ingestion and
-serialization time.
+matrix is built only when something reads it. Every comparison the
+theory depends on (equality of two distances, which of two distances is
+larger) is an exact integer comparison; the actual magnitudes only
+matter at ingestion and serialization time.
 
 Rank 0 is reserved for distance zero (the diagonal); rank ``i >= 1``
 denotes ``table.values[i - 1]``.

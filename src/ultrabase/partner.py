@@ -111,7 +111,7 @@ def _gap_classes(space: UltrametricSpace) -> _Partners:
     classes = {k: tuple(members) for k, members in groups.items() if len(members) > 1}
     if not classes:
         raise InternalInvariantError("finite space without partner points")
-    mins = np.array([m for m, _ in keys], dtype=space.gaps.dtype)
+    mins = space._nearest
     if space._prim_gaps:
         # built from ranks alone and never validated: the gap form fits
         # them only if they are ultrametric, so each class is re-checked
