@@ -128,7 +128,8 @@ MATRIX_SHAPES = {"caterpillar-epsilon"}  # shapes whose parse builds n x n array
 CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["validate"], [], 1),
        "cli_validate_epsilon": (["validate"], ["--epsilon", "0.001"], 1),
        "cli_validate_late_witness": (["validate"], [], 1), "cli_validate_newick": (["validate"], [], 0),
-       "cli_analyze_json": (["analyze"], ["--json"], 0), "cli_analyze_json_newick": (["analyze"], ["--json"], 0)}
+       "cli_analyze_json": (["analyze"], ["--json"], 0),
+       "cli_analyze_json_newick": (["analyze"], ["--json"], 0)}
 SIZES = (400, 1000, 2000)
 NEWICK_SIZES = (1000, 4000, 20000)
 LEVELS = 8
