@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -38,7 +39,6 @@ from .core import (
 from .errors import ParseError, UltrametricViolationError, UsageError
 from .reconstruct import CoordinateTable
 from .values import (
-    _PLAIN,
     Numeric,
     ValueList,
     _two_five_exponents,
@@ -195,17 +195,6 @@ def _newick_error(text: str, message: str, token: int, extra: int = 0) -> ParseE
     return ParseError(message, position=(len(text) if found is None else found.start()) + extra)
 
 
-def _branch_length(tok: str) -> tuple[int, int] | Fraction:
-    """A length spelling's value: (mantissa, fraction digits) with no
-    trailing fraction zeros when it is plain ``digits[.digits]``, else the
-    exact value :func:`parse_decimal` reads."""
-    if _PLAIN.fullmatch(tok):
-        whole, _, frac = tok.partition(".")
-        frac = frac.rstrip("0")
-        return int(whole + frac), len(frac)
-    return parse_decimal(tok)
-
-
 def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
     """Scan the equidistant-tree subset of Newick into leaves and path sums.
 
@@ -218,21 +207,18 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
     only, as open parentheses live on a list. The first fault in the text
     raises, syntax and lengths alike, with its offset.
 
-    Each distinct length spelling is read once, where it first occurs: a
-    plain one to its integer mantissa and fraction digits, any other one
-    by :func:`parse_decimal`. Lengths are counted in units of 1 / (10**k
-    r), the largest such unit that makes every length an int: r is 1 when
-    every length terminates. k is the most fraction digits of a plain
-    spelling or of the lcm of the other denominators, and r the rest of
-    that lcm. Returns the leaf labels in document order, each leaf's root
-    path sum in units, per boundary j between leaves j - 1 and j (j >= 1)
-    the path sum of the node where those two leaves meet, k and r.
+    Each distinct length spelling is parsed once, where it first occurs.
+    Lengths are counted in units of 1 / (10**k r), the largest such unit
+    that makes every length an int: r is 1 when every length terminates.
+    k and r come from the lcm of the distinct denominators. Returns the
+    leaf labels in document order, each leaf's root path sum in units, per
+    boundary j between leaves j - 1 and j (j >= 1) the path sum of the
+    node where those two leaves meet, k and r.
     """
     tokens = _NEWICK_TOKEN.findall(text)
     tokens.append("")
     spelling_ids: dict[str, int] = {}
-    plain: list[tuple[int, int]] = []  # by spelling id: mantissa and fraction digits; (0, 0) if other
-    other: dict[int, Fraction] = {}  # the other spellings' values, by spelling id
+    lengths: list[Fraction] = []  # by spelling id
 
     def read(i: int) -> int:
         """The spelling id of the length at token i, seen for the first time."""
@@ -240,15 +226,13 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
         if tok in _STOPS:
             tok = ""
         try:
-            value = _branch_length(tok)
+            value = parse_decimal(tok)
         except ParseError:
             raise _newick_error(text, f"invalid branch length {tok!r}", i, len(tok)) from None
-        s = spelling_ids[tok] = len(plain)
-        if isinstance(value, Fraction):
-            if value.numerator < 0:
-                raise _newick_error(text, f"negative branch length {tok!r}", i, len(tok))
-            other[s], value = value, (0, 0)
-        plain.append(value)
+        if value.numerator < 0:
+            raise _newick_error(text, f"negative branch length {tok!r}", i, len(tok))
+        s = spelling_ids[tok] = len(lengths)
+        lengths.append(value)
         return s
 
     labels: list[str] = []
@@ -309,13 +293,13 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
     if i + 2 != len(tokens):
         raise _newick_error(text, "trailing content after ';'", i + 1)
 
-    lcm = math.lcm(*(v.denominator for v in other.values()))
+    denominators = set(map(operator.attrgetter("denominator"), lengths))
+    lcm = math.lcm(*denominators)
     twos, fives = _two_five_exponents(lcm)
-    digits = max(twos, fives, *(d for _, d in plain))
-    rest = (lcm >> twos) // 5**fives
-    scaled = [m * 10**(digits - d) * rest for m, d in plain]
-    for s, v in other.items():
-        scaled[s] = v.numerator * (10**digits * rest // v.denominator)
+    digits, rest = max(twos, fives), (lcm >> twos) // 5**fives
+    scale = 10**digits * rest
+    times = {den: scale // den for den in denominators}
+    scaled = [v.numerator * times[v.denominator] for v in lengths]
     scaled.append(0)  # spelling id -1: no length
     depths = [0] * (len(parents) + 1)  # the extra entry serves the root's parent, -1
     for u, (up, s) in enumerate(zip(parents, node_lengths)):

@@ -276,8 +276,7 @@ def test_newick_parses_each_length_spelling_once(monkeypatch):
     import ultrabase.ingest as ingest
 
     calls = []
-    read = ingest._branch_length
-    monkeypatch.setattr(ingest, "_branch_length", lambda token: calls.append(token) or read(token))
+    monkeypatch.setattr(ingest, "parse_decimal", lambda token: calls.append(token) or parse_decimal(token))
     texts = [
         "((A:1,B:1.0):1,(C:1,D:2/2):1.00):5;",  # equal values in four spellings, and a root length
         "((A:0.5,B:1/2):1/3,C:5/6);",  # a length that does not terminate
