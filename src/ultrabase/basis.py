@@ -36,7 +36,7 @@ def distinguishers(space: UltrametricSpace, x: str, y: str) -> tuple[str, ...]:
     """All points telling x and y apart; always contains x and y themselves."""
     if x == y:
         raise UsageError("distinguishers needs two distinct points")
-    differ = (space.ranks[space.index(x)] != space.ranks[space.index(y)]).tolist()
+    differ = np.not_equal(*space._rows([space.index(x), space.index(y)])).tolist()
     return tuple(lab for lab in sorted(space.labels) if differ[space.index(lab)])
 
 
@@ -86,7 +86,7 @@ def _first_short_pair(space: UltrametricSpace, cols: list[int], k: int) -> Gener
     among the columns, or None. Each point is compared with the later
     ones in label order, so memory is O(n * |cols|)."""
     labels = sorted(space.labels)
-    sub = space.ranks[np.ix_([space.index(lab) for lab in labels], cols)]
+    sub = space._rows(cols).T[[space.index(lab) for lab in labels]]
     for i in range(len(labels) - 1):
         counts = (sub[i + 1:] != sub[i]).sum(axis=1)
         short = np.flatnonzero(counts < k)

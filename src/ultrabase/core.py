@@ -2,8 +2,9 @@
 
 A space stores its distances as small-integer ranks into a sorted table
 of distinct positive values, in gap form: a leaf order of its points and
-the n - 1 ranks between neighbouring leaves, from which the n x n rank
-matrix is built only when something reads it. Every comparison the
+the n - 1 ranks between neighbouring leaves. One dendrogram kernel reads
+rows of distances off it, and builds the n x n rank matrix only when
+something reads it whole. Every comparison the
 theory depends on (equality of two distances, which of two distances is
 larger) is an exact integer comparison; the actual magnitudes only
 matter at ingestion and serialization time.
@@ -126,34 +127,30 @@ class UltrametricSpace:
     A space is held in gap form: its points in a leaf ``order`` (indices
     into ``labels``) and ``gaps[k]``, the rank-encoded distance between
     the points at leaf positions k and k + 1. The distance between the
-    points at positions i < j is the largest of ``gaps[i..j-1]``.
-    ``ranks[i, j]``, the rank-encoded distance between ``labels[i]`` and
-    ``labels[j]``, is a read-only int32 matrix: kept as given, or built
-    from the gaps when something first reads it. A space given only its
-    ``ranks`` derives its gap form from them, by Prim's pass, when
-    something first reads that.
+    points at positions i < j is the largest of ``gaps[i..j-1]``, so a
+    gap form is ultrametric by construction (Sibson's pointer
+    representation). Rows of distances are read off the gaps in O(n)
+    each. ``ranks[i, j]``, the rank-encoded distance between
+    ``labels[i]`` and ``labels[j]``, is a read-only int32 matrix built
+    from the gaps when something first reads it; a caller that already
+    holds that matrix of the same gap form may pass it as ``ranks``.
 
-    Instances are only built through :func:`build_space`, the rank-level
-    constructor it shares with derived spaces, or by restricting a valid
-    space, so the strong triangle inequality holds; all methods are pure
-    reads and safe to call concurrently.
+    Instances are only built through :func:`build_space`, the gap form
+    of a derived space, or by restricting a valid space; all methods are
+    pure reads and safe to call concurrently.
     """
 
-    def __init__(self, labels: tuple[str, ...], table: DistanceTable, ranks: np.ndarray | None = None,
-                 order: Sequence[int] | None = None, gaps: np.ndarray | None = None):
-        if ranks is None and gaps is None:
-            raise UsageError("a space needs its ranks or its gap form")
+    def __init__(self, labels: tuple[str, ...], table: DistanceTable, order: Sequence[int],
+                 gaps: np.ndarray, ranks: np.ndarray | None = None):
+        order = np.asarray(order, dtype=np.intp)
+        gaps = np.asarray(gaps, dtype=np.int32)
+        order.setflags(write=False)
+        gaps.setflags(write=False)
         fields = vars(self)
-        fields.update(labels=labels, table=table, _prim_gaps=gaps is None)
+        fields.update(labels=labels, table=table, order=order, gaps=gaps)
         if ranks is not None:
             ranks.setflags(write=False)
             fields["ranks"] = ranks
-        if gaps is not None:
-            order = np.asarray(order, dtype=np.intp)
-            gaps = np.asarray(gaps, dtype=np.int32)
-            order.setflags(write=False)
-            gaps.setflags(write=False)
-            fields["_gap_form"] = order, gaps
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -179,24 +176,13 @@ class UltrametricSpace:
 
     @cached_property
     def ranks(self) -> np.ndarray:
-        ranks = _cophenetic(*self._gap_form)
+        ranks = _cophenetic(self.order, self.gaps)
         ranks.setflags(write=False)
         return ranks
 
-    @cached_property
-    def _gap_form(self) -> tuple[np.ndarray, np.ndarray]:
-        order, gaps = _single_linkage(self.ranks)
-        order.setflags(write=False)
-        gaps.setflags(write=False)
-        return order, gaps
-
-    @property
-    def order(self) -> np.ndarray:
-        return self._gap_form[0]
-
-    @property
-    def gaps(self) -> np.ndarray:
-        return self._gap_form[1]
+    def _rows(self, points: Sequence[int]) -> np.ndarray:
+        """The rank rows of the given points, |points| x n, off the gaps."""
+        return _cophenetic(self.order, self.gaps, points)
 
     @cached_property
     def _leaf(self) -> np.ndarray:
@@ -229,10 +215,7 @@ class UltrametricSpace:
             raise UnknownLabelError(label) from None
 
     def rank(self, x: str, y: str) -> int:
-        i, j = self.index(x), self.index(y)
-        if "ranks" in vars(self):
-            return int(self.ranks[i, j])
-        a, b = sorted(self._leaf[[i, j]].tolist())
+        a, b = sorted(self._leaf[[self.index(x), self.index(y)]].tolist())
         return int(self.gaps[a:b].max()) if a < b else 0
 
     def d(self, x: str, y: str) -> Fraction:
@@ -257,7 +240,7 @@ class UltrametricSpace:
         kept = np.flatnonzero(new[self.order] >= 0)
         gaps = np.maximum.reduceat(self.gaps[:kept[-1]], kept[:-1])
         table, gaps = _compact(self.table.values, self.table.texts, gaps)
-        return UltrametricSpace(labels=labels, table=table, order=new[self.order[kept]], gaps=gaps)
+        return UltrametricSpace(labels, table, new[self.order[kept]], gaps)
 
 
 def _used_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,8 +368,7 @@ def _analyze(
         # only the values the table keeps become exact fractions
         reps, rank = group_values(matrix.values, _epsilon(epsilon))
         table = DistanceTable(values=tuple(map(matrix.values.__getitem__, reps.tolist())))
-        space = UltrametricSpace(labels=tuple(labels), table=table, order=matrix.order,
-                                 gaps=rank[matrix.ids])
+        space = UltrametricSpace(tuple(labels), table, matrix.order, rank[matrix.ids])
         return ValidationReport(ok=True, violations=()), space
     n = len(labels)
     quantized = isinstance(matrix, _ValueIds)
@@ -448,16 +430,15 @@ def _analyze(
         return report, None
     texts = tuple(kept.cells.tolist()) if quantized and matrix.spelled else ()
     table = DistanceTable(values=tuple(kept), texts=texts)
-    order, gaps = form
-    space = UltrametricSpace(labels=tuple(labels), table=table, ranks=rank_arr, order=order, gaps=gaps)
-    return report, space
+    return report, UltrametricSpace(tuple(labels), table, *form)
 
 
 _BLOCK_CELLS = 2**18  # cells per block of dendrogram rows: about 1 MB of int32
 
 
-def _cophenetic(order: Sequence[int], gaps: np.ndarray) -> np.ndarray:
-    """The dendrogram matrix of a gap form, in O(n²).
+def _cophenetic(order: Sequence[int], gaps: np.ndarray, points: Sequence[int] | None = None) -> np.ndarray:
+    """The dendrogram matrix of a gap form in O(n²), or only the rows of
+    ``points`` in O(n) each.
 
     Between the points at leaf positions i < j it holds the largest of
     ``gaps[i..j-1]``, the gaps between neighbouring leaves, and the
@@ -472,22 +453,29 @@ def _cophenetic(order: Sequence[int], gaps: np.ndarray) -> np.ndarray:
     leaf[order] = np.arange(n)  # each point's leaf position
     before = np.zeros(n, dtype=gaps.dtype)  # the gap before each leaf
     before[1:] = gaps
-    out = np.empty((n, n), dtype=gaps.dtype)
-    step = max(1, _BLOCK_CELLS // n)
+    after = np.zeros(n, dtype=gaps.dtype)  # the gap after each leaf
+    after[:-1] = gaps
     positions = np.arange(n)
-    for start in range(0, n, step):
-        at = positions[start:start + step, None]
+    if points is None:  # the whole matrix, filled in leaf order: row order[k] at leaf k
+        at_leaf, target = positions, order
+    else:
+        at_leaf = leaf[np.asarray(points, dtype=np.intp)]
+        target = np.arange(len(at_leaf))
+    out = np.empty((len(at_leaf), n), dtype=gaps.dtype)
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, len(at_leaf), step):
+        at = at_leaf[start:start + step, None]
         # right of leaf i: a running maximum of the gaps from i on; left of
         # it, one from i - 1 down. The two parts meet at the diagonal's 0.
         rows = np.where(positions > at, before, 0)
         np.maximum.accumulate(rows, axis=1, out=rows)
-        if step >= n:  # one block: its left part is its right part transposed
+        if points is None and step >= n:  # one block: its left part is its right part transposed
             rows += rows.T
         else:
-            left = np.where(positions < at, np.roll(before, -1), 0)[:, ::-1]  # the gap after each leaf
+            left = np.where(positions < at, after, 0)[:, ::-1]
             np.maximum.accumulate(left, axis=1, out=left)
             np.maximum(rows, left[:, ::-1], out=rows)
-        out[order[start:start + step]] = rows.take(leaf, axis=1)
+        out[target[start:start + step]] = rows.take(leaf, axis=1)
     return out
 
 
@@ -591,7 +579,7 @@ def ball(space: UltrametricSpace, x: str, radius: Numeric, closed: bool = False)
     i = space.index(x)
     members = frozenset(
         lab
-        for lab, rank in zip(space.labels, space.ranks[i].tolist())
+        for lab, rank in zip(space.labels, space._rows([i])[0].tolist())
         if (v := space.table.value(rank)) < r or (closed and v == r)
     )
     return Ball(center=x, radius=r, closed=closed, members=members)

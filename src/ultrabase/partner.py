@@ -92,7 +92,8 @@ def _gap_classes(space: UltrametricSpace) -> _Partners:
     one such run, named by the run's first leaf. That is the point's own
     leaf when the gap on its left exceeds m, else the leaf after the last
     gap above m before it, which one pass with a stack of the gaps not yet
-    exceeded finds for every gap.
+    exceeded finds for every gap. A gap form is ultrametric by
+    construction, so no class needs checking against the distances.
     """
     labels, n = space.labels, space.n
     points, values = space.order.tolist(), space.gaps.tolist()
@@ -111,26 +112,18 @@ def _gap_classes(space: UltrametricSpace) -> _Partners:
     classes = {k: tuple(members) for k, members in groups.items() if len(members) > 1}
     if not classes:
         raise InternalInvariantError("finite space without partner points")
-    mins = space._nearest
-    if space._prim_gaps:
-        # built from ranks alone and never validated: the gap form fits
-        # them only if they are ultrametric, so each class is re-checked
-        for members in classes.values():
-            idx = [space.index(lab) for lab in members]
-            within = space.ranks[np.ix_(idx, idx)]
-            if (within != mins[idx[0]]).sum() != len(idx):  # only the diagonal differs
-                raise InternalInvariantError(f"partner class {list(members)} has unequal internal distances")
     pseudo = tuple(members[0] for members in groups.values() if len(members) == 1)
     partition = PartnerPartition(classes=tuple(classes.values()), pseudopartnered=pseudo)
-    return _Partners(mins, list(map(classes.get, keys)), partition)
+    return _Partners(space._nearest, list(map(classes.get, keys)), partition)
 
 
 def nearest_set(space: UltrametricSpace, x: str) -> tuple[tuple[str, ...], Fraction]:
-    """All points realizing min_{z != x} d(x, z), with that minimum."""
+    """All points realizing min_{z != x} d(x, z), with that minimum: the
+    cached minimum, then x's one row of distances, in O(n)."""
     i = space.index(x)
     m = int(_partners(space).mins[i])
     # m >= 1, and rank 0 sits only on the diagonal, so x is not among the hits
-    hits = np.flatnonzero(space.ranks[i] == m).tolist()
+    hits = np.flatnonzero(space._rows([i])[0] == m).tolist()
     return tuple(sorted(map(space.labels.__getitem__, hits))), space.table.value(m)
 
 
@@ -180,19 +173,20 @@ def pseudopartnering_trace(space: UltrametricSpace, x: str) -> PseudopartneringT
 
     Each move goes to the nearest point strictly inside the current ball,
     so the entry distances strictly decrease and (the space being finite)
-    the walk visits at most n points.
+    the walk visits at most n points. A move reads one row of distances,
+    in O(n); the stop reads none.
     """
     cur = space.index(x)
     radius = len(space.table) + 1  # sentinel rank above every real distance
     steps = [TraceStep(point=x, dist=INFINITY)]
 
+    mins = _partners(space).mins
     for _ in range(space.n):
-        row = space.ranks[cur]
-        inside = row[(row > 0) & (row < radius)]  # rank 0 only on the diagonal
-        if not inside.size:
+        # the nearest point inside the ball is at the point's own minimum
+        best = int(mins[cur])
+        if best >= radius:
             break
-        best = int(inside.min())
-        nxt = min(np.flatnonzero(row == best).tolist(), key=space.labels.__getitem__)
+        nxt = min(np.flatnonzero(space._rows([cur])[0] == best).tolist(), key=space.labels.__getitem__)
         steps.append(TraceStep(point=space.labels[nxt], dist=space.table.value(best)))
         cur, radius = nxt, best
     else:

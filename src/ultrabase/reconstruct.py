@@ -136,7 +136,8 @@ def _check_table_labels(landmarks, points) -> None:
 
 
 def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> CoordinateTable:
-    """Project the distance matrix onto the landmark columns.
+    """The distances from every point to each landmark: the landmarks'
+    rows, read off the gap form in O(n) each, as columns.
 
     Landmark order is the caller's; rows follow the space's label order.
     """
@@ -148,7 +149,7 @@ def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> Coordinate
     return CoordinateTable._encoded(
         landmarks,
         space.labels,
-        space.ranks[:, cols],
+        space._rows(cols).T,
         (ZERO, *space.table.values),
         (None, *space.table.texts),
     )
@@ -248,8 +249,7 @@ def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
             f"{dtable.value(int(rank_arr[i, at[c]]))} "
             f"but the table says {table.encoding[0][ranks[i, c]]}"
         )
-    order, gaps = form
-    return UltrametricSpace(labels=tuple(pts), table=dtable, ranks=rank_arr, order=order, gaps=gaps)
+    return UltrametricSpace(tuple(pts), dtable, *form, ranks=rank_arr)
 
 
 def reconstruct(table: CoordinateTable) -> UltrametricSpace:
@@ -267,8 +267,8 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     closure = _star_closure(ranks, at)
     if closure is None:
         return _rebuild_pairwise(table, dtable, ranks, at)
-    closed, (order, gaps) = closure
-    return UltrametricSpace(labels=tuple(table.points), table=dtable, ranks=closed, order=order, gaps=gaps)
+    closed, form = closure
+    return UltrametricSpace(tuple(table.points), dtable, *form, ranks=closed)
 
 
 def verify_roundtrip(space: UltrametricSpace, landmarks: Sequence[str]) -> bool:

@@ -21,12 +21,14 @@ import math
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ultrabase import (
+    Ball,
     CoordinateTable,
     CoordinateTableError,
     NotGeneratorError,
@@ -35,9 +37,11 @@ from ultrabase import (
     Pseudopartnered,
     UltrametricViolationError,
     UsageError,
+    ball,
     build_space,
     classify_point,
     coordinates,
+    distinguishers,
     is_k_generator,
     landmark_independence_witness,
     metric_bases,
@@ -84,6 +88,7 @@ from ultrabase.values import (
 )
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def analyze_reference(labels, matrix, epsilon, max_violations, value_texts):
@@ -164,7 +169,7 @@ def analyze_reference(labels, matrix, epsilon, max_violations, value_texts):
     tri, truncated = triangle_violations_reference(arr, list(labels), table, max_violations)
     if tri:
         return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
-    space = UltrametricSpace(labels=tuple(labels), table=table, ranks=arr)
+    space = UltrametricSpace(tuple(labels), table, *_single_linkage(arr))
     return ValidationReport(ok=True, violations=()), space
 
 
@@ -2145,7 +2150,7 @@ def built_spaces(draw):
                 matrix[i][j] = matrix[j][i] = matrix[i][j] + 1
         return subdominant_ultrametric(matrix, source.labels)
     if way == "ranks":
-        return UltrametricSpace(labels=source.labels, table=source.table, ranks=source.ranks.copy())
+        return UltrametricSpace(source.labels, source.table, *_single_linkage(source.ranks))
     return source
 
 
@@ -2157,21 +2162,66 @@ def test_gap_form_partners_and_ranks_match_the_matrix(space):
 
     order, gaps = space.order, space.gaps
     assert sorted(order.tolist()) == list(range(space.n)) and len(gaps) == space.n - 1
-    gap_built = UltrametricSpace(labels=space.labels, table=space.table, order=order, gaps=gaps)
-    matrix_built = UltrametricSpace(labels=space.labels, table=space.table,
-                                    ranks=cophenetic_reference(order, gaps))
+    gap_built = UltrametricSpace(space.labels, space.table, order, gaps)
+    matrix_built = UltrametricSpace(space.labels, space.table, *_single_linkage(cophenetic_reference(order, gaps)))
     # the lazy ranks are the matrix the gap form always stood for
     assert "ranks" not in vars(gap_built)
     assert np.array_equal(gap_built.ranks, matrix_built.ranks) and not gap_built.ranks.flags.writeable
     assert np.array_equal(space.ranks, matrix_built.ranks)
     for other in (space, matrix_built, build_space(space.labels, space.value_matrix())):
         assert gap_built == other and hash(gap_built) == hash(other)
-    for built in (UltrametricSpace(labels=space.labels, table=space.table, order=order, gaps=gaps),
-                  matrix_built):
+    for built in (UltrametricSpace(space.labels, space.table, order, gaps), matrix_built):
         mins, class_at, partition = mate_classes_reference(built)
         record = partner._partners(built)
         assert record.partition == partition and record.class_at == class_at
         assert np.array_equal(record.mins, mins)
+
+
+def first_short_pair_reference(space, landmarks, k):
+    """The lexicographically first pair with fewer than k distinguishers
+    among the landmarks, counted cell by cell in the rank matrix."""
+    cols = [space.index(s) for s in landmarks]
+    for x, y in space.pairs():
+        row_x, row_y = space.ranks[space.index(x)], space.ranks[space.index(y)]
+        count = sum(int(row_x[c] != row_y[c]) for c in cols)
+        if count < k:
+            return GeneratorCheck(ok=False, k=k, witness=(x, y), witness_count=count)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(built_spaces(), st.data())
+def test_row_readers_match_the_rank_matrix_without_building_it(space, data):
+    gap = UltrametricSpace(space.labels, space.table, space.order, space.gaps)
+    labels, ranks, table = space.labels, space.ranks, space.table
+    x, y = data.draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
+    i, j = space.index(x), space.index(y)
+    landmarks = data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    cols = [space.index(s) for s in landmarks]
+    radius = data.draw(st.sampled_from([*table.values, table.values[-1] + 1]))
+    closed = data.draw(st.booleans())
+    k = data.draw(st.integers(1, 3))
+
+    expected_table = CoordinateTable._encoded(landmarks, labels, ranks[:, cols],
+                                              (F(0), *table.values), (None, *table.texts))
+    m = ranks[i][ranks[i] > 0].min()
+    nearest = tuple(sorted(labels[p] for p in np.flatnonzero(ranks[i] == m).tolist()))
+    mates = tuple(sorted(labels[p] for p in np.flatnonzero(ranks[i] == m).tolist()
+                         if ranks[p][ranks[p] > 0].min() == m))
+    members = frozenset(lab for lab, r in zip(labels, ranks[i].tolist())
+                        if table.value(r) < radius or (closed and table.value(r) == radius))
+    short = first_short_pair_reference(space, landmarks, k)
+
+    assert coordinates(gap, landmarks) == expected_table
+    assert nearest_set(gap, x) == (nearest, table.value(int(m)))
+    assert classify_point(gap, x) == (Partnered(partners=mates, min_dist=table.value(int(m))) if mates
+                                      else Pseudopartnered(nearest=nearest, min_dist=table.value(int(m))))
+    assert pseudopartnering_trace(gap, x) == pseudopartnering_trace_reference(space, x)
+    assert ball(gap, x, radius, closed) == Ball(center=x, radius=radius, closed=closed, members=members)
+    assert distinguishers(gap, x, y) == tuple(sorted(labels[p] for p in np.flatnonzero(ranks[i] != ranks[j])))
+    assert is_k_generator(gap, landmarks, k) == (GeneratorCheck(ok=True, k=k) if short is None else short)
+    assert is_k_generator(gap, [], 1) == first_short_pair_reference(space, [], 1)
+    assert "ranks" not in vars(gap)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
@@ -2183,9 +2233,11 @@ def test_cophenetic_blocks_match_the_broadcast_triangle(monkeypatch, dtype):
         order = rng.permutation(n)
         gaps = rng.integers(0, 9, n - 1).astype(dtype)
         expected = cophenetic_reference(order, gaps)
+        points = rng.choice(n, rng.integers(0, n + 1))  # repeats and any order
         for cells in (1, 64, 2**18):  # a row per block, a few rows, one block
             monkeypatch.setattr(core, "_BLOCK_CELLS", cells)
             assert np.array_equal(_cophenetic(order, gaps), expected)
+            assert np.array_equal(_cophenetic(order, gaps, points), expected[points])
 
 
 def test_cophenetic_fills_one_array_at_size():
@@ -2202,3 +2254,22 @@ def test_cophenetic_fills_one_array_at_size():
         tracemalloc.stop()
     assert peak <= 2 * matrix.nbytes  # the broadcast triangle took about three times the result
     assert np.array_equal(matrix, cophenetic_reference(order, gaps))
+
+
+def test_coordinates_read_rows_without_the_matrix():
+    import tracemalloc
+
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import scale
+
+    space = parse_newick(scale.random_tree_text(random.Random("rows"), 2000))
+    landmarks = next(metric_bases(space).bases(cap=1))
+    tracemalloc.start()
+    try:
+        table = coordinates(space, landmarks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "ranks" not in vars(space)
+    assert peak <= 2.5 * space.n * len(landmarks) * 4  # the n x |S| int32 table it returns
+    assert table.encoding[1].shape == (space.n, len(landmarks))
