@@ -61,6 +61,12 @@ def _respelled(rows: list[list[str]], spell) -> list[list[str]]:
     return rows
 
 
+def _ratio(token: str) -> str:
+    """The n/d spelling of a plain decimal token."""
+    whole, _, frac = token.partition(".")
+    return f"{whole}{frac}/1{'0' * len(frac)}"
+
+
 def _inputs() -> dict[str, str]:
     """Every input document by file name."""
     small = gen.dendrogram_case(random.Random("golden:8"), 8, 4)
@@ -85,7 +91,7 @@ def _inputs() -> dict[str, str]:
         "trailing_zeros.csv": _join(_respelled(rows, lambda t: t + ("0" if "." in t else ".000"))),
         "digits15.csv": _join(_respelled(rows, lambda t: (t if "." in t else t + ".").ljust(15, "0"))),
         "digits16.csv": _join(_respelled(rows, lambda t: (t if "." in t else t + ".").ljust(16, "0"))),
-        "ratio.csv": _join(_respelled(rows, lambda t: t.replace(".", "") + "/" + str(10 ** len(t.partition(".")[2])))),
+        "ratio.csv": _join(_respelled(rows, _ratio)),
         "exponent.csv": _join(_respelled(rows, lambda t: "1e3")),
         "trailing_dot.csv": _join(_respelled(rows, lambda t: "1.")),
         "leading_dot.csv": _join(_respelled(rows, lambda t: ".5")),

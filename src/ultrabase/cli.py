@@ -46,7 +46,9 @@ def _epsilon_arg(text: str) -> Fraction:
     return eps
 
 
-def _read_text(path: str) -> tuple[str, dict]:
+def _read_text(path: str, digest: bool = False) -> tuple[str, dict]:
+    """The text, without a BOM, and its ``input`` report: its path, and
+    with ``digest`` the sha256 of the text as read."""
     shown = "<stdin>" if path == "-" else path
     try:
         if path == "-":
@@ -56,10 +58,9 @@ def _read_text(path: str) -> tuple[str, dict]:
                 text = fh.read()
     except UnicodeDecodeError:
         raise UsageError(f"cannot read {shown}: not valid UTF-8") from None
-    info = {
-        "path": shown,
-        "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-    }
+    info = {"path": shown}
+    if digest:
+        info["sha256"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return text.removeprefix("\ufeff"), info
 
 
@@ -79,7 +80,7 @@ def _infer_format(path: str, flag: str | None) -> str:
 def _load_space(args) -> tuple[UltrametricSpace, dict]:
     """The input space and its ``input`` report; an invalid space raises
     :class:`UltrametricViolationError` with that report as ``exc.input``."""
-    text, info = _read_text(args.input)
+    text, info = _read_text(args.input, digest=getattr(args, "json", False))  # only a JSON report shows it
     fmt = info["format"] = _infer_format(args.input, args.format)
     eps = args.epsilon
     try:

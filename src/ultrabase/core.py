@@ -328,9 +328,11 @@ def _epsilon(epsilon: Numeric) -> Fraction:
 @dataclass(frozen=True, eq=False)
 class _ValueIds:
     """A square matrix a parser has already quantized: int32 ids (-1: not
-    a finite number) into distinct ``values`` in increasing value, as
-    :func:`quantize` numbers them. When ``spelled``, ``values.cells`` are
-    source text, read only for the values of an accepted table."""
+    a finite number) into distinct ``values`` in increasing value, each
+    held by some cell, as :func:`quantize` numbers them (only a matrix
+    that fails the cell checks may leave a value unused). When
+    ``spelled``, ``values.cells`` are source text, read only for the
+    values of an accepted table."""
 
     ids: np.ndarray
     values: ValueList
@@ -424,7 +426,14 @@ def _analyze(
         )
         return report, None
 
-    kept, rank_arr = _rank_ids(ids, values, eps)
+    # Every cell passed: id 0 is the zero diagonal and every other id is a
+    # positive value some pair uses, so where grouping merges nothing the
+    # ids are the ranks.
+    kept = values.take(np.arange(1, len(values)))
+    if len(group_values(kept, eps)[0]) == len(kept):
+        rank_arr = ids
+    else:
+        kept, rank_arr = _rank_ids(ids, values, eps)
     report, form = _triangle_report(labels, kept, rank_arr, max_violations)
     if not report.ok:
         return report, None

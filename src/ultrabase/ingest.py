@@ -43,6 +43,8 @@ from .values import (
     ValueList,
     _two_five_exponents,
     _unit_array,
+    _plain_floats,
+    _quantize_spellings,
     format_value,
     parse_decimal,
     quantize,
@@ -50,6 +52,8 @@ from .values import (
 )
 
 NEWICK_EPSILON = Fraction(1, 10**9)
+_PLAIN_MIN_BYTES = 8192  # below this much text after the header, the general path is faster
+_SHIFTS = np.array([64 - 8 * k for k in range(9)], dtype=np.uint8)  # keep a word's first k bytes
 
 
 def _csv_rows(text: str) -> list[list[str]]:
@@ -62,6 +66,107 @@ def _csv_rows(text: str) -> list[list[str]]:
     if not rows:
         raise ParseError("empty document")
     return rows
+
+
+def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray, ValueList] | None:
+    """Read a CSV of plain decimals at C speed, as :func:`_csv_rows` and
+    :func:`_token_ids` would; None for any other document, which is left
+    to them, so they alone raise parse errors.
+
+    The document is ASCII text with at least _PLAIN_MIN_BYTES after its
+    header line, which holds ``width`` fields and no whitespace. Every
+    line after it, ``width`` of them without labels, ends in a newline and
+    holds exactly ``width`` fields: ``skip`` (0 or 1) labels, nonempty and
+    unique, then tokens of 1 to 15 characters, whose distinct spellings
+    are plain ``digits[.digits]`` (checked by :func:`_plain_floats`). So
+    no field has a space to strip, and no line is blank. Returns the header fields, each row's label
+    (none with ``skip`` 0), the rows x (width - skip) value ids and the
+    values, numbered by :func:`_quantize_spellings` as :func:`quantize`
+    numbers the same tokens.
+
+    A token is told by its bytes, read as one little-endian word (two past
+    8 characters) and shifted up so the bytes after it drop out. Only the
+    distinct tokens become strings. A table of a space holds at most one
+    value per row, met in runs, so few distinct words are looked up in
+    their sorted list; many are numbered by one sort. Positions are int32
+    and the text is copied once, as bytes, freed once the words are read.
+    """
+    start = text.find("\n") + 1  # where the body starts
+    head, size = text[:start - 1], len(text) - start
+    if (not start or size < _PLAIN_MIN_BYTES or text[-1] != "\n" or not text.isascii()
+            or head.split() != [head]):
+        return None
+    header = head.split(",")
+    width = len(header)
+    buf = text.encode() + bytes(16)  # a token's words are read up to 16 bytes past its start
+    rows = buf.count(b"\n", start)
+    if (not rows or width <= skip or (not skip and rows != width)
+            or buf.count(b",", start) != rows * (width - 1)):
+        return None
+    raw = np.frombuffer(buf, dtype=np.uint8, count=size, offset=start)
+    # the commas and newlines, and any other byte up to "," (44), such as whitespace
+    ends = np.flatnonzero(raw <= 44).astype(np.int32)
+    if len(ends) != rows * width or (raw[ends[width - 1::width]] != 10).any():
+        return None
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    lengths = ends - starts
+
+    def fields(at) -> list[str]:
+        bounds = map(slice, (starts[at] + start).tolist(), (ends[at] + start).tolist())
+        return list(map(text.__getitem__, bounds))
+
+    labels: list[str] = []
+    if skip:
+        labels = fields(slice(None, None, width))
+        if not all(labels) or len(set(labels)) != rows:
+            return None
+        starts, ends, lengths = (a.reshape(rows, width)[:, 1:].ravel() for a in (starts, ends, lengths))
+    if lengths.min() < 1 or lengths.max() > 15:
+        return None
+
+    cells = len(starts)
+    words = np.ndarray((size + 8,), dtype="<u8", buffer=buf, offset=start, strides=(1,))
+    long = lengths.max() > 8
+    low = words[starts]
+    np.left_shift(low, _SHIFTS[np.minimum(lengths, 8) if long else lengths], out=low)
+    keys = (low,)
+    if long:
+        high = words[starts + 8]
+        np.left_shift(high, _SHIFTS[np.maximum(lengths - 8, 0)], out=high)
+        keys = (low, high)
+    del words, raw, buf, lengths
+    if not long:
+        ordered = np.sort(low)
+        distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+        del ordered
+    if not long and len(distinct) <= rows:
+        spelling = np.searchsorted(distinct, low).astype(np.int32)
+        first = np.full(len(distinct), cells, dtype=np.int32)
+        np.minimum.at(first, spelling, np.arange(cells, dtype=np.int32))
+    else:
+        order = (np.lexsort(keys) if long else np.argsort(low)).astype(np.int32)
+        new = np.zeros(cells, dtype=bool)  # where a spelling starts, in sorted order
+        new[0] = True
+        for key in keys:
+            ordered = key[order]
+            new[1:] |= ordered[1:] != ordered[:-1]
+        del keys, low, ordered
+        spelling = np.empty(cells, dtype=np.int32)
+        spelling[order] = np.cumsum(new, dtype=np.int32) - 1
+        first = np.minimum.reduceat(order, np.flatnonzero(new))
+    # spellings numbered in order of first occurrence, as quantize numbers them
+    by_first = np.argsort(first)
+    renumber = np.empty(len(first), dtype=np.int32)
+    renumber[by_first] = np.arange(len(first), dtype=np.int32)
+    spellings = fields(first[by_first])
+    floats = _plain_floats(spellings)
+    if floats is None:
+        return None
+    del starts, ends
+    ids, values = _quantize_spellings(renumber[spelling], spellings, floats)
+    return header, labels, ids.reshape(rows, width - skip), values
 
 
 def _token_ids(body: list[list[str]], width: int, skip: int = 0) -> tuple[np.ndarray, ValueList]:
@@ -90,18 +195,22 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
     `Fraction` only when it is read: a valid space builds the values its
     table keeps, an invalid one those its witnesses name.
     """
-    rows = _csv_rows(text)
-    labels = rows[0]
-    n = len(labels)
-    if len(rows) != n + 1:
-        raise ParseError(f"expected {n} data rows after the header, found {len(rows) - 1}")
+    plain = _plain_rows(text, skip=0)
+    if plain is not None:
+        labels, _, ids, values = plain
+    else:
+        rows = _csv_rows(text)
+        labels = rows[0]
+        n = len(labels)
+        if len(rows) != n + 1:
+            raise ParseError(f"expected {n} data rows after the header, found {len(rows) - 1}")
 
-    # A row's field count is checked before its tokens, so a bad token
-    # only wins when it sits in an earlier row.
-    good = next((r for r, fields in enumerate(rows[1:]) if len(fields) != n), n)
-    ids, values = _token_ids(rows[1:good + 1], n)
-    if good < n:
-        raise ParseError(f"expected {n} fields, found {len(rows[good + 1])}", line=good + 2)
+        # A row's field count is checked before its tokens, so a bad token
+        # only wins when it sits in an earlier row.
+        good = next((r for r, fields in enumerate(rows[1:]) if len(fields) != n), n)
+        ids, values = _token_ids(rows[1:good + 1], n)
+        if good < n:
+            raise ParseError(f"expected {n} fields, found {len(rows[good + 1])}", line=good + 2)
     # Spellings are gathered only for the values of an accepted table, all
     # of them positive and so never on the diagonal.
     return build_space(labels, _ValueIds(ids, values, spelled=True), epsilon)
@@ -132,41 +241,43 @@ def write_distance_csv(space: UltrametricSpace) -> str:
     """Inverse of :func:`parse_distance_csv`: the rank structure survives
     the round trip exactly, and the output is byte-stable under further
     parse/write cycles."""
-    cells = ["0", *_distinct_texts(space.table.values, space.table.texts)]
-    lines = [",".join(space.labels)]
-    for row in space.ranks.tolist():
-        lines.append(",".join(map(cells.__getitem__, row)))
+    cells = np.array(["0", *_distinct_texts(space.table.values, space.table.texts)], dtype=object)
+    lines = [",".join(space.labels), *map(",".join, cells[space.ranks].tolist())]
     return "\n".join(lines) + "\n"
 
 
 def parse_coordinate_csv(text: str) -> CoordinateTable:
     """Read a ``label,s1,...,sk`` table of landmark distances."""
-    rows = _csv_rows(text)
-    header = rows[0]
+    plain = _plain_rows(text, skip=1)
+    rows = _csv_rows(text) if plain is None else None
+    header = rows[0] if plain is None else plain[0]
     if len(header) < 2 or header[0] != "label":
         raise ParseError('coordinate header must be "label,s1,...,sk"', line=1)
     landmarks = tuple(header[1:])
     if len(set(landmarks)) != len(landmarks):
         raise ParseError("duplicate landmark column", line=1)
 
-    # As in parse_distance_csv, row-level errors come before the row's tokens.
-    error = None
-    points: list[str] = []
-    seen: set[str] = set()
-    for r, fields in enumerate(rows[1:], start=2):
-        if len(fields) != len(landmarks) + 1:
-            error = ParseError(f"expected {len(landmarks) + 1} fields, found {len(fields)}", line=r)
-        elif not fields[0]:
-            error = ParseError("empty point label", line=r)
-        elif fields[0] in seen:
-            error = ParseError(f"duplicate point label {fields[0]!r}", line=r)
+    if plain is not None:
+        _, points, ids, values = plain
+    else:
+        # As in parse_distance_csv, row-level errors come before the row's tokens.
+        error = None
+        points = []
+        seen: set[str] = set()
+        for r, fields in enumerate(rows[1:], start=2):
+            if len(fields) != len(landmarks) + 1:
+                error = ParseError(f"expected {len(landmarks) + 1} fields, found {len(fields)}", line=r)
+            elif not fields[0]:
+                error = ParseError("empty point label", line=r)
+            elif fields[0] in seen:
+                error = ParseError(f"duplicate point label {fields[0]!r}", line=r)
+            if error:
+                break
+            points.append(fields[0])
+            seen.add(fields[0])
+        ids, values = _token_ids(rows[1:len(points) + 1], len(landmarks), skip=1)
         if error:
-            break
-        points.append(fields[0])
-        seen.add(fields[0])
-    ids, values = _token_ids(rows[1:len(points) + 1], len(landmarks), skip=1)
-    if error:
-        raise error
+            raise error
 
     texts = np.where(values.signs() > 0, values.cells, None).tolist()
     return CoordinateTable._encoded(landmarks, points, ids, values, texts)
@@ -175,10 +286,11 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
 def write_coordinate_csv(table: CoordinateTable) -> str:
     """Inverse of :func:`parse_coordinate_csv`; each value is rendered once."""
     values, index = table.encoding
-    cells = _distinct_texts(values, table.texts)
-    lines = ["label," + ",".join(table.landmarks)]
-    for lab, row in zip(table.points, index.tolist()):
-        lines.append(lab + "," + ",".join(map(cells.__getitem__, row)))
+    cells = np.array(_distinct_texts(values, table.texts), dtype=object)
+    grid = np.empty((len(table.points), len(table.landmarks) + 1), dtype=object)
+    grid[:, 0] = table.points
+    grid[:, 1:] = cells[index]
+    lines = ["label," + ",".join(table.landmarks), *map(",".join, grid.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -173,8 +173,9 @@ def pseudopartnering_trace(space: UltrametricSpace, x: str) -> PseudopartneringT
 
     Each move goes to the nearest point strictly inside the current ball,
     so the entry distances strictly decrease and (the space being finite)
-    the walk visits at most n points. A move reads one row of distances,
-    in O(n); the stop reads none.
+    the walk visits at most n points. The points at a point's minimum m
+    are the other leaves of the run around its leaf that no gap above m
+    cuts, found in O(n) on the gaps; the stop reads none.
     """
     cur = space.index(x)
     radius = len(space.table) + 1  # sentinel rank above every real distance
@@ -186,7 +187,14 @@ def pseudopartnering_trace(space: UltrametricSpace, x: str) -> PseudopartneringT
         best = int(mins[cur])
         if best >= radius:
             break
-        nxt = min(np.flatnonzero(space._rows([cur])[0] == best).tolist(), key=space.labels.__getitem__)
+        leaf = int(space._leaf[cur])
+        cuts = np.flatnonzero(space.gaps[:leaf] > best)  # gap k lies between leaves k and k + 1
+        lo = int(cuts[-1]) + 1 if len(cuts) else 0
+        cuts = np.flatnonzero(space.gaps[leaf:] > best)
+        hi = leaf + int(cuts[0]) + 1 if len(cuts) else space.n
+        run = space.order[lo:hi].tolist()
+        run.remove(cur)
+        nxt = min(run, key=space.labels.__getitem__)
         steps.append(TraceStep(point=space.labels[nxt], dist=space.table.value(best)))
         cur, radius = nxt, best
     else:

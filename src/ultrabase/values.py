@@ -472,8 +472,19 @@ def quantize(cells: Sequence,
     if kinds == {str} and not all(map(isinstance, spellings, itertools.repeat(str))):
         kinds = set(map(type, cells))
         dense, spellings = _spellings(cells, kinds)
-    k = len(spellings)
     floats = _plain_floats(spellings) if kinds == {str} else None
+    return _quantize_spellings(dense, spellings, floats, kinds, bad)
+
+
+def _quantize_spellings(dense: np.ndarray, spellings: list, floats: np.ndarray | None,
+                        kinds: set[type] = frozenset({str}),
+                        bad: Callable[[int, Exception], None] = lambda p, exc: None,
+                        ) -> tuple[np.ndarray, ValueList]:
+    """:func:`quantize` from its cells' spellings: ``dense`` holds each
+    cell's spelling id, numbered in order of first occurrence, and
+    ``floats`` the spellings' floats where :func:`_plain_floats` accepts
+    them all, else None."""
+    k = len(spellings)
     plain = floats is not None
     if not plain:
         readable = map(_PLAIN.fullmatch if kinds == {str} else _readable, spellings)  # text: no Python call

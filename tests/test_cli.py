@@ -61,6 +61,30 @@ def test_validate_json_report(bad_csv, capsys):
     assert len(report["input"]["sha256"]) == 64
 
 
+def test_input_is_hashed_only_for_a_json_report(recmin_csv, tmp_path, monkeypatch, capsys):
+    import hashlib
+
+    text = "\ufeff" + recmin_csv.read_text()
+    recmin_csv.write_text(text)  # the hash is of the text as read, BOM included
+    hashed = []
+    real = hashlib.sha256
+    monkeypatch.setattr(cli.hashlib, "sha256", lambda data: hashed.append(data) or real(data))
+    for argv in (["validate", str(recmin_csv)], ["analyze", str(recmin_csv)]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["coords", str(recmin_csv), "--auto"]) == 0
+    coords = tmp_path / "coords.csv"
+    coords.write_text(capsys.readouterr().out)
+    assert main(["reconstruct", str(coords)]) == 0
+    assert hashed == []
+    for command in ("validate", "analyze"):
+        capsys.readouterr()
+        assert main([command, str(recmin_csv), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["input"]["sha256"] == real(text.encode()).hexdigest()
+    assert len(hashed) == 2
+
+
 def test_validate_missing_file_exits_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.csv")]) == 2
     assert "error:" in capsys.readouterr().err

@@ -97,6 +97,22 @@ def test_epsilon_merges_near_values():
     assert space.d("b", "c") == F(2)  # merged down to the group representative
 
 
+def test_ids_are_the_ranks_unless_epsilon_merges(monkeypatch):
+    import ultrabase.core as core
+
+    ranked, grouped = [], []
+    rank_ids, group_values = core._rank_ids, core.group_values
+    monkeypatch.setattr(core, "_rank_ids", lambda *args: ranked.append(args) or rank_ids(*args))
+    monkeypatch.setattr(core, "group_values", lambda *args: grouped.append(args) or group_values(*args))
+    matrix = [[0, "1.5", 3], ["1.50", 0, 3], [3, 3, 0]]
+    space = build_space("abc", matrix)
+    assert (ranked, len(grouped)) == ([], 1)
+    assert space.table.values == (F(3, 2), 3) and space.rank("a", "c") == 2
+    assert build_space("abc", matrix, epsilon=1) == space  # 1.5 and 3 stay apart
+    assert build_space("abc", matrix, epsilon=2).table.values == (F(3, 2),)
+    assert len(ranked) == 1
+
+
 def test_build_space_raises_with_report():
     with pytest.raises(UltrametricViolationError) as exc:
         build_space(["x", "y", "z"], [[0, 1, 3], [1, 0, 1], [3, 1, 0]])

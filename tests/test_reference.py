@@ -22,6 +22,7 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -74,6 +75,7 @@ from ultrabase.core import (
 )
 from ultrabase.errors import InternalInvariantError
 from ultrabase.partner import INFINITY, PartnerPartition, PseudopartneringTrace, TraceStep
+import ultrabase.ingest as ingest_module
 import ultrabase.values as values_module
 from ultrabase.ingest import _csv_rows
 from ultrabase.values import (
@@ -2273,3 +2275,248 @@ def test_coordinates_read_rows_without_the_matrix():
     assert "ranks" not in vars(space)
     assert peak <= 2.5 * space.n * len(landmarks) * 4  # the n x |S| int32 table it returns
     assert table.encoding[1].shape == (space.n, len(landmarks))
+
+
+def pseudopartnering_trace_rows_reference(space, x):
+    """The descent reading each move's row of distances off the gaps."""
+    cur = space.index(x)
+    radius = len(space.table) + 1
+    steps = [TraceStep(point=x, dist=INFINITY)]
+    for _ in range(space.n):
+        row = space._rows([cur])[0]
+        best = int(row[row > 0].min())
+        if best >= radius:
+            break
+        nxt = min(np.flatnonzero(row == best).tolist(), key=space.labels.__getitem__)
+        steps.append(TraceStep(point=space.labels[nxt], dist=space.table.value(best)))
+        cur, radius = nxt, best
+    else:
+        raise InternalInvariantError("pseudopartnering trace exceeded the point count")
+    terminal = space.labels[cur]
+    return PseudopartneringTrace(start=x, steps=tuple(steps), terminal=terminal,
+                                 terminal_class=classify_point(space, terminal))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(built_spaces(), partner_spaces), st.data())
+def test_pseudopartnering_trace_on_the_gaps_matches_the_row_reader(space, data):
+    labels = data.draw(st.permutations(space.labels))
+    space = data.draw(st.sampled_from([space, build_space(labels, space.value_matrix())]))
+    for x in space.labels:
+        assert pseudopartnering_trace(space, x) == pseudopartnering_trace_rows_reference(space, x)
+
+
+def write_distance_csv_reference(space):
+    """The writer joining a rank row at a time through a list lookup."""
+    cells = ["0", *ingest_module._distinct_texts(space.table.values, space.table.texts)]
+    lines = [",".join(space.labels)]
+    lines += [",".join(map(cells.__getitem__, row)) for row in space.ranks.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def write_coordinate_csv_rows_reference(table):
+    """The writer joining a row of the encoding at a time through a list lookup."""
+    values, index = table.encoding
+    cells = ingest_module._distinct_texts(values, table.texts)
+    lines = ["label," + ",".join(table.landmarks)]
+    lines += [lab + "," + ",".join(map(cells.__getitem__, row))
+              for lab, row in zip(table.points, index.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(built_spaces(), dendrograms.map(spelled)), st.data())
+def test_writers_match_the_row_joins(space, data):
+    landmarks = data.draw(st.lists(st.sampled_from(space.labels), min_size=1, unique=True))
+    table = coordinates(space, landmarks)
+    assert write_distance_csv(space) == write_distance_csv_reference(space)
+    assert write_coordinate_csv(table) == write_coordinate_csv_rows_reference(table)
+
+
+# The plain-document CSV reader against the general path: `_csv_rows`
+# splits the rows and `quantize` numbers their tokens.
+
+def general_rows(text, skip):
+    rows = _csv_rows(text)
+    ids, values = ingest_module._token_ids(rows[1:], len(rows[0]) - skip, skip)
+    return rows[0], [fields[0] for fields in rows[1:]] if skip else [], ids, values
+
+
+def plain_rows(text, skip):
+    """`_plain_rows` on a document of any size."""
+    with patch.object(ingest_module, "_PLAIN_MIN_BYTES", 0):
+        return ingest_module._plain_rows(text, skip)
+
+
+def reader_outcomes(fn, *args):
+    """``fn`` with the plain reader on documents of any size, and without it."""
+    with patch.object(ingest_module, "_PLAIN_MIN_BYTES", 0):
+        plain = outcome(fn, *args)
+    with patch.object(ingest_module, "_plain_rows", lambda text, skip: None):
+        return plain, outcome(fn, *args)
+
+
+def assert_same_rows(text, skip):
+    header, labels, ids, values = plain_rows(text, skip)
+    expected = general_rows(text, skip)
+    assert (header, labels) == expected[:2]
+    assert ids.dtype == np.int32 and np.array_equal(ids, expected[2])
+    cells = values.cells.tolist()
+    assert cells == expected[3].cells.tolist() and values._plain and expected[3]._plain
+    floats = np.array(list(map(float, cells)))  # bit for bit
+    assert values.floats.tobytes() == expected[3].floats.tobytes() == floats.tobytes()
+
+
+@st.composite
+def plain_decimals(draw, count):
+    """``count`` distinct positive terminating decimals of at most 12 characters, increasing."""
+    digits = draw(st.integers(0, 4))
+    units = draw(st.lists(st.integers(1, 10**7), min_size=count, max_size=count, unique=True))
+    return sorted(F(u, 10**digits) for u in units)
+
+
+def plain_spelling(draw, v):
+    """A plain spelling of v in at most 15 characters: canonical, with leading
+    or trailing zeros, or padded with zeros to exactly 15 characters."""
+    base = format_value(v)
+    dotted = base if "." in base else base + "."
+    return draw(st.sampled_from([
+        base,
+        "0" * draw(st.integers(1, 2)) + base,
+        dotted + "0" * draw(st.integers(1, 2)),
+        dotted.ljust(15, "0"),
+    ]))
+
+
+@st.composite
+def plain_tables(draw):
+    """A symmetric CSV of plain decimals, mostly a dendrogram, each cell
+    spelled on its own; sometimes one pair is changed, breaking it."""
+    n = draw(st.integers(2, 10))
+    space = random_dendrogram_space(n, seed=draw(st.integers(0, 10_000)), value_count=draw(st.integers(1, 5)))
+    ranks = space.ranks.copy()
+    if n > 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        ranks[i, j] = ranks[j, i] = draw(st.integers(1, int(ranks.max())))
+    values = [F(0), *draw(plain_decimals(int(ranks.max())))]
+    rows = [[draw(st.sampled_from(["0", "00", "0.0"])) if r == 0 else plain_spelling(draw, values[r])
+             for r in row] for row in ranks.tolist()]
+    return "\n".join([",".join(space.labels), *map(",".join, rows)]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_tables(), st.sampled_from([F(0), F(1, 1000), F(1, 2)]))
+@example("a,b\n0,1.5\n1.50,0\n", F(0))  # one value spelled twice: the first spelling wins
+@example("a,b\n00,123456789012.5\n0123456789012.5,0\n", F(0))
+def test_plain_reader_matches_the_general_path(text, epsilon):
+    assert_same_rows(text, 0)
+    plain, general = reader_outcomes(parse_distance_csv, text, epsilon)
+    assert_same_outcome(plain, general)
+    if plain[0] == "space":
+        assert np.array_equal(plain[1].order, general[1].order)
+        assert np.array_equal(plain[1].gaps, general[1].gaps)
+
+
+@st.composite
+def plain_coordinate_texts(draw):
+    space = draw(dendrograms)
+    landmarks = draw(st.lists(st.sampled_from(space.labels), min_size=1, unique=True))
+    values = [F(0), *draw(plain_decimals(len(space.table)))]
+    cols = [space.index(s) for s in landmarks]
+    lines = ["label," + ",".join(landmarks)]
+    for lab, row in zip(space.labels, space.ranks[:, cols].tolist()):
+        lines.append(lab + "," + ",".join("0" if r == 0 else plain_spelling(draw, values[r]) for r in row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(plain_coordinate_texts())
+def test_plain_reader_matches_the_general_path_on_coordinates(text):
+    assert_same_rows(text, 1)
+    plain, general = reader_outcomes(parse_coordinate_csv, text)
+    assert plain == general and plain[1].texts == general[1].texts
+
+
+PLAIN_TABLE = "a,b,c\n0,2.5,4\n2.5,0,4\n4,4,0\n"
+NEAR_PLAIN_TABLES = [
+    "\ufeff" + PLAIN_TABLE,  # BOM
+    PLAIN_TABLE.replace("\n", "\r\n"),  # CRLF
+    PLAIN_TABLE.replace("2.5,0", " 2.5 ,0"),  # spaces
+    PLAIN_TABLE.replace("0,2.5", "0,2.5 "),  # a trailing space
+    PLAIN_TABLE.replace(",4\n2.5", ",4\n\n2.5"),  # a blank line
+    PLAIN_TABLE + "\n",  # a blank last line
+    PLAIN_TABLE[:-1],  # no final newline
+    PLAIN_TABLE.replace("4,4,0", "4.,4,0"),  # 1.
+    PLAIN_TABLE.replace("0,2.5,4", "0,.5,4"),  # .5
+    PLAIN_TABLE.replace("0,2.5,4", "0,2.5.0,4"),  # 1.2.3
+    PLAIN_TABLE.replace("4,4,0", "4e0,4,0"),  # 1e3
+    PLAIN_TABLE.replace("4,4,0", "8/2,4,0"),  # n/d
+    PLAIN_TABLE.replace("4,4,0", "4.00000000000000,4,0"),  # 16 characters
+    PLAIN_TABLE.replace("4,4,0", "0004.00000000000,4,0"),  # 16 characters, leading zeros
+    PLAIN_TABLE.replace("4,4,0", ",4,0"),  # an empty field
+    PLAIN_TABLE.replace("4,4,0", "4,,0"),
+    PLAIN_TABLE.replace("4,4,0", "4,4,0,"),  # a trailing comma
+    PLAIN_TABLE.replace("4,4,0", "4,4"),  # a short row
+    PLAIN_TABLE.replace("4,4,0", "4,4,0,4"),  # a long row
+    PLAIN_TABLE.replace("0,2.5,4\n", ""),  # a missing row
+    PLAIN_TABLE + "1,2,3\n",  # an extra row
+    PLAIN_TABLE.replace("4,4,0", "-4,4,0"),
+    PLAIN_TABLE.replace("4,4,0", "+4,4,0"),
+    PLAIN_TABLE.replace("4,4,0", "n/d,4,0"),
+    PLAIN_TABLE.replace("4,4,0", "4\x00,4,0"),
+    PLAIN_TABLE.replace("4,4,0", "4\t,4,0"),
+    PLAIN_TABLE.replace("4,4,0", "\u0664,4,0"),  # a non-ASCII digit
+    PLAIN_TABLE.replace("a,b,c", "a,b c,d"),  # whitespace in the header
+]
+
+
+@pytest.mark.parametrize("text", NEAR_PLAIN_TABLES)
+def test_near_plain_tables_fall_back_to_the_general_path(text):
+    assert plain_rows(text, 0) is None
+    plain, general = reader_outcomes(parse_distance_csv, text)
+    assert_same_outcome(plain, general)
+
+
+PLAIN_COORDINATES = "label,a,c\na,0,4\nb,2.5,4\nc,4,0\nd,4,2.5\n"
+NEAR_PLAIN_COORDINATES = [
+    "\ufeff" + PLAIN_COORDINATES,
+    PLAIN_COORDINATES.replace("\n", "\r\n"),
+    PLAIN_COORDINATES.replace("\nb,", "\n,"),  # an empty point label
+    PLAIN_COORDINATES.replace("\nb,", "\na,"),  # a duplicate point label
+    PLAIN_COORDINATES.replace("\nb,", "\n b ,"),  # a padded point label
+    PLAIN_COORDINATES.replace("\nb,", "\nb b,"),  # whitespace inside a label
+    PLAIN_COORDINATES.replace("\nb,", "\n\u00e9,"),  # a non-ASCII label
+    PLAIN_COORDINATES.replace("b,2.5,4", "b,2.5,4,"),
+    PLAIN_COORDINATES.replace("b,2.5,4", "b,2.5"),
+    PLAIN_COORDINATES.replace("b,2.5,4", "b,2.50000000000000"),
+    PLAIN_COORDINATES.replace("b,2.5,4", "b,5/2,4"),
+    PLAIN_COORDINATES[:-1],
+    PLAIN_COORDINATES.replace("label,a,c", "label"),
+    "label,a,c\n",
+]
+
+
+@pytest.mark.parametrize("text", NEAR_PLAIN_COORDINATES)
+def test_near_plain_coordinate_tables_fall_back_to_the_general_path(text):
+    assert plain_rows(text, 1) is None
+    plain, general = reader_outcomes(parse_coordinate_csv, text)
+    assert plain == general
+
+
+@pytest.mark.parametrize("fn, text", [
+    (parse_distance_csv, PLAIN_TABLE.replace("a,b,c", "a,,c")),
+    (parse_distance_csv, PLAIN_TABLE.replace("a,b,c", "a,b,a")),
+    (parse_coordinate_csv, PLAIN_COORDINATES.replace("label,", "point,")),
+    (parse_coordinate_csv, PLAIN_COORDINATES.replace("label,a,c", "label,a,a")),
+])
+def test_plain_reader_leaves_header_faults_to_the_shared_checks(fn, text):
+    plain, general = reader_outcomes(fn, text)
+    assert plain == general
+    assert plain[0] == ("ParseError" if fn is parse_coordinate_csv else "UsageError")
+
+
+def test_plain_reader_skips_small_documents():
+    assert ingest_module._plain_rows(PLAIN_TABLE, 0) is None
+    assert plain_rows(PLAIN_TABLE, 0) is not None
+    assert ingest_module._plain_rows(PLAIN_COORDINATES, 1) is None
+    assert plain_rows(PLAIN_COORDINATES, 1) is not None
