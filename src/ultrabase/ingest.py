@@ -26,6 +26,7 @@ from .core import (
     UltrametricSpace,
     ValidationReport,
     Violation,
+    _BLOCK_CELLS,
     _Gaps,
     _ValueIds,
     _check_labels,
@@ -111,20 +112,25 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     starts = np.empty_like(ends)
     starts[0] = 0
     np.add(ends[:-1], 1, out=starts[1:])
-    lengths = ends - starts
 
-    def fields(at) -> list[str]:
-        bounds = map(slice, (starts[at] + start).tolist(), (ends[at] + start).tolist())
+    def fields(at, stops) -> list[str]:
+        bounds = map(slice, (starts[at] + start).tolist(), (stops + start).tolist())
         return list(map(text.__getitem__, bounds))
 
     labels: list[str] = []
     if skip:
-        labels = fields(slice(None, None, width))
+        labels = fields(slice(None, None, width), ends[::width])
         if not all(labels) or len(set(labels)) != rows:
             return None
-        starts, ends, lengths = (a.reshape(rows, width)[:, 1:].ravel() for a in (starts, ends, lengths))
+    lengths = ends  # in place: each array is freed as soon as its successor exists
+    lengths -= starts
+    del ends
+    if skip:
+        starts = starts.reshape(rows, width)[:, 1:].ravel()
+        lengths = lengths.reshape(rows, width)[:, 1:].ravel()
     if lengths.min() < 1 or lengths.max() > 15:
         return None
+    lengths = lengths.astype(np.uint8)
 
     cells = len(starts)
     words = np.ndarray((size + 8,), dtype="<u8", buffer=buf, offset=start, strides=(1,))
@@ -134,15 +140,18 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     keys = (low,)
     if long:
         high = words[starts + 8]
-        np.left_shift(high, _SHIFTS[np.maximum(lengths - 8, 0)], out=high)
+        np.left_shift(high, _SHIFTS[np.maximum(lengths, 8) - 8], out=high)
         keys = (low, high)
-    del words, raw, buf, lengths
+    del words, raw, buf
     if not long:
         ordered = np.sort(low)
         distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
         del ordered
     if not long and len(distinct) <= rows:
-        spelling = np.searchsorted(distinct, low).astype(np.int32)
+        spelling = np.empty(cells, dtype=np.int32)
+        for block in range(0, cells, _BLOCK_CELLS):  # int64 positions a block at a time
+            spelling[block:block + _BLOCK_CELLS] = np.searchsorted(distinct, low[block:block + _BLOCK_CELLS])
+        del keys, low
         first = np.full(len(distinct), cells, dtype=np.int32)
         np.minimum.at(first, spelling, np.arange(cells, dtype=np.int32))
     else:
@@ -160,11 +169,12 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     by_first = np.argsort(first)
     renumber = np.empty(len(first), dtype=np.int32)
     renumber[by_first] = np.arange(len(first), dtype=np.int32)
-    spellings = fields(first[by_first])
+    at = first[by_first]
+    spellings = fields(at, starts[at] + lengths[at])
     floats = _plain_floats(spellings)
     if floats is None:
         return None
-    del starts, ends
+    del starts, lengths
     ids, values = _quantize_spellings(renumber[spelling], spellings, floats)
     return header, labels, ids.reshape(rows, width - skip), values
 
