@@ -128,11 +128,14 @@ def nearest_set(space: UltrametricSpace, x: str) -> tuple[tuple[str, ...], Fract
 
 
 def classify_point(space: UltrametricSpace, x: str) -> PointClass:
-    """Partnered with its full reciprocating set, else pseudopartnered."""
-    nearest, min_dist = nearest_set(space, x)
-    cls = _partners(space).class_at[space.index(x)]
+    """Partnered with its full reciprocating set, else pseudopartnered;
+    only a pseudopartnered point reads its row, for its nearest set."""
+    partners, i = _partners(space), space.index(x)
+    cls = partners.class_at[i]
     if cls is not None:
+        min_dist = space.table.value(int(partners.mins[i]))
         return Partnered(partners=tuple(lab for lab in cls if lab != x), min_dist=min_dist)
+    nearest, min_dist = nearest_set(space, x)
     return Pseudopartnered(nearest=nearest, min_dist=min_dist)
 
 

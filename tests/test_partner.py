@@ -173,3 +173,12 @@ def test_partner_partition_is_computed_once_per_space(monkeypatch):
     sub = minimal_subspace(space, next(metric_bases(space).bases(cap=1)))
     assert partner_partition(space) is first
     assert computed == [space] and sub.labels == first.partnered
+
+
+def test_trace_reads_no_row(monkeypatch):
+    from ultrabase.core import UltrametricSpace
+
+    space = random_dendrogram_space(30, seed=3, value_count=4)
+    monkeypatch.setattr(UltrametricSpace, "_rows", lambda self, points: pytest.fail("read a row"))
+    for x in space.labels:
+        assert isinstance(pseudopartnering_trace(space, x).terminal_class, Partnered)
