@@ -426,14 +426,14 @@ def _analyze(
         )
         return report, None
 
-    # Every cell passed: id 0 is the zero diagonal and every other id is a
-    # positive value some pair uses, so where grouping merges nothing the
-    # ids are the ranks.
-    kept = values.take(np.arange(1, len(values)))
-    if len(group_values(kept, eps)[0]) == len(kept):
-        rank_arr = ids
-    else:
+    if eps:
         kept, rank_arr = _rank_ids(ids, values, eps)
+    else:
+        # Every cell passed: id 0 is the zero diagonal and every other id is
+        # a positive value some pair uses. At epsilon 0 no values merge, so
+        # the ids are the ranks.
+        positive = values.take(np.arange(1, len(values)))
+        kept, rank_arr = positive.take(group_values(positive, eps)[0]), ids
     report, form = _triangle_report(labels, kept, rank_arr, max_violations)
     if not report.ok:
         return report, None

@@ -42,10 +42,10 @@ from .reconstruct import CoordinateTable
 from .values import (
     Numeric,
     ValueList,
-    _two_five_exponents,
-    _unit_array,
     _plain_floats,
     _quantize_spellings,
+    _two_five_exponents,
+    _unit_array,
     format_value,
     parse_decimal,
     quantize,
@@ -80,21 +80,23 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     holds exactly ``width`` fields: ``skip`` (0 or 1) labels, nonempty and
     unique, then tokens of 1 to 15 characters, whose distinct spellings
     are plain ``digits[.digits]`` (checked by :func:`_plain_floats`). So
-    no field has a space to strip, and no line is blank. Returns the header fields, each row's label
-    (none with ``skip`` 0), the rows x (width - skip) value ids and the
-    values, numbered by :func:`_quantize_spellings` as :func:`quantize`
-    numbers the same tokens.
+    no field has a space to strip, and no line is blank. Returns the
+    header fields, each row's label (none with ``skip`` 0), the rows x
+    (width - skip) value ids and the values, numbered by
+    :func:`_quantize_spellings` as :func:`quantize` numbers the same
+    tokens.
 
     A token is told by its bytes, read as one little-endian word (two past
     8 characters) and shifted up so the bytes after it drop out. Only the
     distinct tokens become strings. A table of a space holds at most one
     value per row, met in runs, so few distinct words are looked up in
-    their sorted list; many are numbered by one sort. Positions are int32
-    and the text is copied once, as bytes, freed once the words are read.
+    their sorted list; many are numbered by one sort. Positions are int32,
+    so a body of 2 GB or more is left to the general path, and the text is
+    copied once, as bytes, freed once the words are read.
     """
     start = text.find("\n") + 1  # where the body starts
     head, size = text[:start - 1], len(text) - start
-    if (not start or size < _PLAIN_MIN_BYTES or text[-1] != "\n" or not text.isascii()
+    if (not start or not _PLAIN_MIN_BYTES <= size < 2**31 - 16 or text[-1] != "\n" or not text.isascii()
             or head.split() != [head]):
         return None
     header = head.split(",")

@@ -97,7 +97,7 @@ def test_epsilon_merges_near_values():
     assert space.d("b", "c") == F(2)  # merged down to the group representative
 
 
-def test_ids_are_the_ranks_unless_epsilon_merges(monkeypatch):
+def test_ids_are_the_ranks_at_epsilon_zero(monkeypatch):
     import ultrabase.core as core
 
     ranked, grouped = [], []
@@ -110,7 +110,7 @@ def test_ids_are_the_ranks_unless_epsilon_merges(monkeypatch):
     assert space.table.values == (F(3, 2), 3) and space.rank("a", "c") == 2
     assert build_space("abc", matrix, epsilon=1) == space  # 1.5 and 3 stay apart
     assert build_space("abc", matrix, epsilon=2).table.values == (F(3, 2),)
-    assert len(ranked) == 1
+    assert len(ranked) == 2
 
 
 def test_build_space_raises_with_report():
