@@ -3,16 +3,21 @@
 Each case runs one command through ``ultrabase.cli.main`` in the
 directory ``tests/data/golden/inputs``, so reports name their input by a
 fixed relative path. The corpus holds the inputs, ``cases.json`` (each
-case's name, argv, exit code and the files under ``expected/`` that hold
-its stdout and stderr, where non-empty; cases with equal output share
-one file). ``tests/test_golden.py`` reruns every case and compares bytes.
+case's name, argv, exit code, the input a case reads as stdin if any,
+and the files under ``expected/`` that hold its stdout and stderr, where
+non-empty; cases with equal output share one file).
+``tests/test_golden.py`` reruns every case and compares bytes.
 
 Inputs are seeded ``bench/gen.py`` dendrograms of 8 and 36 points, a
 36-point random dissimilarity, coordinate tables cut from the dendrograms'
 own cells, and copies of the 36-point documents with one odd feature
 each: a BOM, CRLF line ends, spaces, blank lines, other spellings of the
 same values, bad tokens, ragged rows and bad point labels. The 36-point
-documents are above the size where the CSV readers try their
+dendrogram also gives the tables of a landmark generator that is not a
+basis and of a set that is not a generator; the generator's table with
+a landmark's row dropped and, twice, with one cell changed; and a copy of its CSV
+with one cell and its mirror raised, so that one triangle breaks. The
+36-point documents are above the size where the CSV readers try their
 plain-document path, the 8-point ones below it.
 
 Usage, from the repository root::
@@ -36,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "golden"
 sys.path.insert(0, str(ROOT / "bench"))
 import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
+import numpy as np  # noqa: E402
 
 
 def _cells(text: str) -> list[list[str]]:
@@ -53,11 +59,41 @@ def _coordinates(case: gen.Case, landmarks: list[str]) -> str:
     return _join([["label", *landmarks], *([lab, *(row[c] for c in cols)] for lab, row in zip(header, body))])
 
 
+def _generator(case: gen.Case) -> list[str]:
+    """A metric generator that is not a basis: the first basis and three
+    more points, in a shuffled order."""
+    rest = [lab for lab in case.labels if lab not in case.first_basis]
+    landmarks = case.first_basis + rest[:3]
+    random.Random("golden:generator").shuffle(landmarks)
+    return landmarks
+
+
 def _respelled(rows: list[list[str]], spell) -> list[list[str]]:
     """A copy of distance rows with cell (1, 2) of the body and its mirror spelled ``spell(token)``."""
     rows = [list(r) for r in rows]
     for i, j in ((2, 2), (3, 1)):  # body rows start at row 1; cell (i - 1, j)
         rows[i][j] = spell(rows[i][j])
+    return rows
+
+
+def _raised(case: gen.Case) -> str:
+    """The case's CSV with the first pair (i, j), row-major, raised to the
+    next larger height that leaves exactly one third point z below it;
+    the triangle (i, j, z) is then the only one broken."""
+    codes = case.codes
+    for i, j in zip(*np.triu_indices(case.n, 1)):
+        for higher in range(codes[i, j] + 1, len(case.values)):
+            if ((codes[i] < higher) & (codes[j] < higher)).sum() == 3:  # i, j and z
+                raised = codes.copy()
+                raised[i, j] = raised[j, i] = higher
+                return gen._csv(case.labels, [gen._spell(v) for v in case.values], raised)
+    raise AssertionError("no pair of the case has a single witness")
+
+
+def _changed(rows: list[list[str]], i: int, j: int, token: str) -> list[list[str]]:
+    """A copy of table rows with cell (i, j) spelled ``token``."""
+    rows = [list(r) for r in rows]
+    rows[i][j] = token
     return rows
 
 
@@ -79,7 +115,19 @@ def _inputs() -> dict[str, str]:
         "dendro8_basis.csv": _coordinates(small, small.first_basis),
         "dendro36_basis.csv": _coordinates(large, large.first_basis),
         "dendro36_all.csv": _coordinates(large, large.labels),
+        "dendro36_generator.csv": _coordinates(large, _generator(large)),
+        "dendro36_nongenerator.csv": _coordinates(large, large.first_basis[:-1]),
+        "dendro36_raised.csv": _raised(large),
     }
+    generator = _cells(docs["dendro36_generator.csv"])
+    landmark_row = next(k for k, row in enumerate(generator) if row[0] == generator[0][1])
+    smallest = min((cell for row in generator[1:] for cell in row[1:] if cell != "0"), key=float)
+    docs.update({
+        "dendro36_missing_row.csv": _join(generator[:landmark_row] + generator[landmark_row + 1:]),
+        # the pair rule breaks a triangle; the pair rule gives a space whose landmark columns differ
+        "dendro36_inconsistent.csv": _join(_changed(generator, 1, 3, generator[2][3])),
+        "dendro36_mismatch.csv": _join(_changed(generator, 1, 1, smallest)),
+    })
     rows = _cells(large.text)
     docs.update({
         "bom.csv": "\ufeff" + large.text,
@@ -109,8 +157,8 @@ def _inputs() -> dict[str, str]:
     return docs
 
 
-def _cases(docs: dict[str, str]) -> list[tuple[str, list[str]]]:
-    """Each case's name and argv."""
+def _cases(docs: dict[str, str]) -> list[tuple]:
+    """Each case's name, argv and, for a case that reads stdin, the input fed to it."""
     cases = []
     for stem in ("dendro8", "dendro36"):
         name = f"{stem}.csv"
@@ -130,6 +178,18 @@ def _cases(docs: dict[str, str]) -> list[tuple[str, list[str]]]:
         ("dissimilarity36.validate_json", ["validate", "dissimilarity36.csv", "--json"]),
         ("dissimilarity36.validate_epsilon", ["validate", "dissimilarity36.csv", "--epsilon", "0.001"]),
     ]
+    generator = _cells(docs["dendro36_generator.csv"])[0][1:]
+    nongenerator = _cells(docs["dendro36_nongenerator.csv"])[0][1:]
+    cases += [
+        ("dendro36.coords_generator", ["coords", "dendro36.csv", "--landmarks", ",".join(generator)]),
+        ("dendro36.coords_nongenerator", ["coords", "dendro36.csv", "--landmarks", ",".join(nongenerator)]),
+        ("dendro36_generator.reconstruct_stdin", ["reconstruct", "-"], "dendro36_generator.csv"),
+        ("dendro8.validate_json_stdin", ["validate", "-", "--format", "csv", "--json"], "dendro8.csv"),
+    ]
+    cases += [(f"dendro36_{kind}.reconstruct", ["reconstruct", f"dendro36_{kind}.csv"])
+              for kind in ("generator", "nongenerator", "missing_row", "inconsistent", "mismatch")]
+    cases += [("dendro36_raised.validate", ["validate", "dendro36_raised.csv"]),
+              ("dendro36_raised.validate_json", ["validate", "dendro36_raised.csv", "--json"])]
     for name in docs:
         stem = name.removesuffix(".csv")
         if name.startswith("coords_"):
@@ -140,13 +200,25 @@ def _cases(docs: dict[str, str]) -> list[tuple[str, list[str]]]:
     return cases
 
 
-def run_case(argv: list[str]) -> tuple[int, str, str]:
-    """Exit code, stdout and stderr of one command run in the current directory."""
+def stdin_of(path: Path) -> io.TextIOWrapper:
+    """A text stream over a file's bytes, decoded as a console's stdin is."""
+    return io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+
+
+def run_case(argv: list[str], stdin: str | None = None) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one command run in the current
+    directory, with the file ``stdin`` there as its standard input."""
     from ultrabase import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    saved = sys.stdin
+    try:
+        if stdin is not None:
+            sys.stdin = stdin_of(Path(stdin))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
 
 
@@ -160,9 +232,11 @@ def build() -> dict[str, bytes]:
     saved = os.environ.pop("ULTRABASE_MAX_BASES", None)
     try:
         os.chdir(CORPUS / "inputs")
-        for name, argv in _cases(docs):
-            code, out, err = run_case(argv)
+        for name, argv, *stdin in _cases(docs):
+            code, out, err = run_case(argv, *stdin)
             case = {"name": name, "argv": argv, "exit": code}
+            if stdin:
+                case["stdin"] = f"inputs/{stdin[0]}"
             for key, suffix, text in (("stdout", ".out", out), ("stderr", ".err", err)):
                 if text:  # cases with equal output share its file
                     case[key] = shared.setdefault(text, f"expected/{name}{suffix}")

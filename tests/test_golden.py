@@ -13,6 +13,9 @@ import pytest
 from ultrabase import cli
 
 CORPUS = Path(__file__).resolve().parent / "data" / "golden"
+sys.path.insert(0, str(CORPUS.parents[2] / "scripts"))
+import golden  # noqa: E402
+
 CASES = json.loads((CORPUS / "cases.json").read_text())
 
 
@@ -24,6 +27,8 @@ def _expected(case, key):
 def test_golden_case(case, monkeypatch, capsys):
     monkeypatch.chdir(CORPUS / "inputs")
     monkeypatch.delenv("ULTRABASE_MAX_BASES", raising=False)
+    if "stdin" in case:
+        monkeypatch.setattr(sys, "stdin", golden.stdin_of(CORPUS / case["stdin"]))
     code = cli.main(case["argv"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (case["exit"], _expected(case, "stdout"), _expected(case, "stderr"))
@@ -31,14 +36,11 @@ def test_golden_case(case, monkeypatch, capsys):
 
 def test_corpus_has_no_stray_files():
     used = {"cases.json"} | {c[key] for c in CASES for key in ("stdout", "stderr") if key in c}
-    inputs = {arg for c in CASES for arg in c["argv"] if (CORPUS / "inputs" / arg).is_file()}
+    inputs = {f"inputs/{arg}" for c in CASES for arg in c["argv"] if (CORPUS / "inputs" / arg).is_file()}
     files = {p.relative_to(CORPUS).as_posix() for p in CORPUS.rglob("*") if p.is_file()}
-    assert files == used | {f"inputs/{name}" for name in inputs}
+    assert files == used | inputs | {c["stdin"] for c in CASES if "stdin" in c}
 
 
 def test_corpus_inputs_match_the_script():
-    sys.path.insert(0, str(CORPUS.parents[2] / "scripts"))
-    import golden
-
     stored = {p.name: p.read_bytes() for p in (CORPUS / "inputs").iterdir()}
     assert stored == {name: text.encode() for name, text in golden._inputs().items()}
