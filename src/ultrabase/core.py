@@ -41,6 +41,7 @@ from .values import (
 )
 
 DEFAULT_MAX_VIOLATIONS = 16
+_BLOCK_CELLS = 2**18  # cells per block of rows: about 1 MB of int32
 _UNREACHED = np.iinfo(np.int64).max
 
 ZERO = Fraction(0)
@@ -132,8 +133,7 @@ class UltrametricSpace:
     representation). Rows of distances are read off the gaps in O(n)
     each. ``ranks[i, j]``, the rank-encoded distance between
     ``labels[i]`` and ``labels[j]``, is a read-only int32 matrix built
-    from the gaps when something first reads it; a caller that already
-    holds that matrix of the same gap form may pass it as ``ranks``.
+    from the gaps when something first reads it.
 
     Instances are only built through :func:`build_space`, the gap form
     of a derived space, or by restricting a valid space; all methods are
@@ -141,16 +141,12 @@ class UltrametricSpace:
     """
 
     def __init__(self, labels: tuple[str, ...], table: DistanceTable, order: Sequence[int],
-                 gaps: np.ndarray, ranks: np.ndarray | None = None):
+                 gaps: np.ndarray):
         order = np.asarray(order, dtype=np.intp)
         gaps = np.asarray(gaps, dtype=np.int32)
         order.setflags(write=False)
         gaps.setflags(write=False)
-        fields = vars(self)
-        fields.update(labels=labels, table=table, order=order, gaps=gaps)
-        if ranks is not None:
-            ranks.setflags(write=False)
-            fields["ranks"] = ranks
+        vars(self).update(labels=labels, table=table, order=order, gaps=gaps)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -287,34 +283,28 @@ def _triangle_violations(rank_arr, closure, labels, values, max_violations):
 
     The long side of a witness exceeds the single-linkage ``closure`` C:
     C(x,y) <= max(C(x,z), C(z,y)) <= max(d(x,z), d(z,y)) < d(x,y). So only
-    the pairs above C are tested against each z, in O(n) per pair.
+    the pairs above C are tested, against blocks of third points that
+    double from one z, as witnesses often come early, to _BLOCK_CELLS cells.
     """
     found: list[Violation] = []
     rows, cols = np.nonzero(np.triu(rank_arr > closure, 1))
     long = rank_arr[rows, cols]
-    for k in range(len(labels)):
-        bad = np.flatnonzero(long > np.maximum(rank_arr[rows, k], rank_arr[k, cols]))
+    most = max(1, _BLOCK_CELLS // max(1, len(long)))
+    start, step = 0, 1
+    while start < len(labels):
+        z = np.arange(start, min(start + step, len(labels)))[:, None]
+        bad = np.flatnonzero(long > np.maximum(rank_arr[rows, z], rank_arr[z, cols]))
         bad = bad[:max_violations + 1 - len(found)]  # one past the cap tells truncation
-        for i, j in zip(rows[bad].tolist(), cols[bad].tolist()):
+        pairs = bad % len(long)
+        for i, j, k in zip(rows[pairs].tolist(), cols[pairs].tolist(), (start + bad // len(long)).tolist()):
             if len(found) >= max_violations:
                 return found, True
-            dij, dik, dkj = (
-                values[rank_arr[i, j] - 1],
-                values[rank_arr[i, k] - 1],
-                values[rank_arr[k, j] - 1],
-            )
-            found.append(
-                Violation(
-                    kind="triangle",
-                    labels=(labels[i], labels[j], labels[k]),
-                    values=(dij, dik, dkj),
-                    detail=(
-                        f"d({labels[i]},{labels[j]})={format_value(dij)} > "
-                        f"max(d({labels[i]},{labels[k]})={format_value(dik)}, "
-                        f"d({labels[k]},{labels[j]})={format_value(dkj)})"
-                    ),
-                )
-            )
+            x, y, z = labels[i], labels[j], labels[k]
+            dxy, dxz, dzy = (values[rank_arr[a, b] - 1] for a, b in ((i, j), (i, k), (k, j)))
+            found.append(Violation("triangle", (x, y, z), (dxy, dxz, dzy), (
+                f"d({x},{y})={format_value(dxy)} > "
+                f"max(d({x},{z})={format_value(dxz)}, d({z},{y})={format_value(dzy)})")))
+        start, step = start + step, min(2 * step, most)
     return found, False
 
 
@@ -442,9 +432,6 @@ def _analyze(
     return report, UltrametricSpace(tuple(labels), table, *form)
 
 
-_BLOCK_CELLS = 2**18  # cells per block of dendrogram rows: about 1 MB of int32
-
-
 def _cophenetic(order: Sequence[int], gaps: np.ndarray, points: Sequence[int] | None = None) -> np.ndarray:
     """The dendrogram matrix of a gap form in O(n²), or only the rows of
     ``points`` in O(n) each.
@@ -488,6 +475,53 @@ def _cophenetic(order: Sequence[int], gaps: np.ndarray, points: Sequence[int] | 
     return out
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of nonnegative integers as one record, a big-endian unsigned
+    copy, so records compare as their rows do lexicographically."""
+    keys = rows.astype(">u2" if rows.max(initial=0) < 2**16 else ">u4", order="C")
+    return keys.view(np.dtype((np.void, keys.itemsize * rows.shape[1]))).ravel()
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The row indices, stably sorted by row in lexicographic order.
+
+    So sorted, the distinct rows of distances to a metric generator of an
+    ultrametric are a leaf order: for x, y in a ball B, z outside it and s
+    the first coordinate where the three rows are not all equal, d(x,s) =
+    d(y,s) if s is outside B, else d(z,s) > diam B >= d(x,s), d(y,s)."""
+    return np.argsort(_row_keys(rows), kind="stable")
+
+
+def _leaf_gaps(matrix: np.ndarray, order: np.ndarray, own: Sequence[int],
+               gaps: np.ndarray | None = None) -> np.ndarray | None:
+    """The gaps of the gap form in leaf ``order`` whose dendrogram has the
+    columns of ``matrix``, column c being 0 at row ``own[c]``, or None.
+    Without ``gaps``, neighbouring rows are apart by the max rule at the
+    first column where they differ.
+
+    Past the gap g between leaves q and q + 1, a column whose own leaf is
+    at most q grows to max(its value at q, g), and a later one falls from
+    max(its value at q + 1, g). From the 0, that fixes each column: one
+    pass over neighbouring rows, a block at a time, to the first misfit.
+    """
+    n, k = matrix.shape
+    own_leaf = np.argsort(order)[own]
+    out = np.empty(n - 1, dtype=np.int32) if gaps is None else gaps
+    step = max(1, _BLOCK_CELLS // k)
+    for start in range(0, n - 1, step):
+        stop = min(start + step, n - 1)
+        rows = matrix[order[start:stop + 1]]
+        this, after = rows[:-1], rows[1:]
+        if gaps is None:
+            pick = np.arange(stop - start), (this != after).argmax(axis=1)
+            out[start:stop] = np.maximum(this[pick], after[pick])
+        passed = own_leaf <= np.arange(start, stop)[:, None]
+        if not np.array_equal(np.where(passed, after, this),
+                              np.maximum(np.where(passed, this, after), out[start:stop, None])):
+            return None
+    return out
+
+
 def _single_linkage(rank_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The gap form of the minimum spanning tree, in O(n²): Prim's
     visiting order from point 0, and each later point's rank to the tree
@@ -519,18 +553,18 @@ def _triangle_report(labels, values, rank_arr, max_violations=DEFAULT_MAX_VIOLAT
     rank r >= 1 holding ``values[r - 1]``; returns the report and, for a
     valid matrix, its gap form.
 
-    A matrix is an ultrametric exactly when it equals its own single-linkage
-    closure, which takes O(n²); only an invalid matrix pays for the
-    triangle sweep that names witnesses, O(n) per pair above the closure.
-    The n x n closure is freed on return, before the caller builds a space.
+    A matrix is ultrametric exactly when its sorted rows and the ranks
+    between them are a gap form with its columns, in O(n²). Only one that
+    is not pays for its single-linkage closure and the witness sweep.
     """
-    order, gaps = _single_linkage(rank_arr)
-    closure = _cophenetic(order, gaps)
-    if np.array_equal(closure, rank_arr):
+    order = _sorted_rows(rank_arr)
+    gaps = _leaf_gaps(rank_arr, order, np.arange(len(rank_arr)), rank_arr[order[:-1], order[1:]])
+    if gaps is not None:
         return ValidationReport(ok=True, violations=()), (order, gaps)
+    closure = _cophenetic(*_single_linkage(rank_arr))
     tri, truncated = _triangle_violations(rank_arr, closure, list(labels), values, max_violations)
     if not tri:
-        raise InternalInvariantError("single linkage and the triangle sweep disagree")
+        raise InternalInvariantError("the sorted rows and the triangle sweep disagree")
     return ValidationReport(ok=False, violations=tuple(tri), truncated=truncated), None
 
 

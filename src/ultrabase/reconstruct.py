@@ -4,11 +4,9 @@ Knowing the distances from every point to a landmark set that
 distinguishes all pairs is enough to recover the whole ultrametric: for
 any pair pick one landmark s telling them apart and take
 d(x,y) = max(d(x,s), d(y,s)). Which landmark is picked does not matter.
-Reconstruction reads the rule as a minimax path: the space is the
-single-linkage closure of the star joining every point to every
-landmark, which takes O(n²). Only a table no ultrametric fits falls back
-to the max rule at each pair's first distinguishing column, to name the
-inconsistency.
+Sorted, the coordinate rows are a leaf order of the space, and the rule
+between neighbouring rows gives its gap form, with no n x n array. Only
+a table no ultrametric fits falls back to the rule at every pair.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -27,13 +25,14 @@ from .core import (
     DistanceTable,
     UltrametricSpace,
     _check_labels,
-    _cophenetic,
-    _single_linkage,
+    _leaf_gaps,
+    _row_keys,
     _triangle_report,
     _used_ids,
 )
 from .errors import (
     CoordinateTableError,
+    InternalInvariantError,
     NotGeneratorError,
     UsageError,
 )
@@ -155,79 +154,51 @@ def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> Coordinate
     )
 
 
-def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int]]:
-    """Run the input checks of :func:`reconstruct`, in order.
-
-    Returns the table's cells as ranks (rank 0 is the zero distance) and
-    the row of each landmark. Once the checks pass, the encoding's
-    values start at zero, so its index is those ranks.
-    """
+def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """Run the input checks of :func:`reconstruct`, in order; return the
+    cells as ranks (the encoding's index, whose values then start at
+    zero), each landmark's row and the rows' lexicographic order."""
     pts, landmarks = table.points, table.landmarks
     values, index = table.encoding
-    n, k = index.shape
+    k = index.shape[1]
 
     below = bisect.bisect_left(values, ZERO)  # the values increase: negatives come first
-    negative = index < below
-    zero = index == below if values[below:below + 1] == (ZERO,) else np.zeros_like(negative)
+    zero = below if values[below:below + 1] == (ZERO,) else -1
+    bad = index < max(below, zero + 1)  # negative or zero cells
     column = {s: c for c, s in enumerate(landmarks)}
-    own = np.zeros((n, k), dtype=bool)  # cells where a landmark meets its own row
     own_rows = [i for i, lab in enumerate(pts) if lab in column]
-    own[own_rows, [column[pts[i]] for i in own_rows]] = True
-    bad = negative | (zero & ~own)
+    own = own_rows, [column[pts[i]] for i in own_rows]  # where a landmark meets its own row
+    bad[own] = index[own] < below
     if bad.any():
         i, c = divmod(int(bad.argmax()), k)
-        if negative[i, c]:
-            raise CoordinateTableError(
-                f"negative distance {values[index[i, c]]} at ({pts[i]}, {landmarks[c]})"
-            )
-        raise CoordinateTableError(
-            f"zero distance between distinct points {pts[i]} and {landmarks[c]}"
-        )
+        if index[i, c] < below:
+            raise CoordinateTableError(f"negative distance {values[index[i, c]]} at ({pts[i]}, {landmarks[c]})")
+        raise CoordinateTableError(f"zero distance between distinct points {pts[i]} and {landmarks[c]}")
     at = [table._position.get(s, -1) for s in landmarks]
     for c, s in enumerate(landmarks):
         if at[c] < 0:
             raise CoordinateTableError(f"landmark {s} has no coordinate row")
-        if not zero[at[c], c]:
+        if index[at[c], c] != zero:
             raise CoordinateTableError(f"landmark {s} is not at distance 0 from itself")
 
-    # The first repeated row in sorted-label order, with the first row equal to it.
-    first: dict[bytes, str] = {}
-    for lab in sorted(pts):
-        a = first.setdefault(index[table._position[lab]].tobytes(), lab)
-        if a != lab:
-            raise NotGeneratorError(
-                f"not a metric generator: points {a} and {lab} have identical coordinates",
-                witness=(a, lab),
-            )
-    return index, at
-
-
-def _star_closure(ranks: np.ndarray, at: list[int]) -> tuple[np.ndarray, tuple] | None:
-    """The single-linkage closure of the landmark star and its gap form,
-    or None when its landmark columns differ from the table.
-
-    The star joins every point to every landmark by the table's distance;
-    every other pair gets a rank above all of them. When some ultrametric
-    has these coordinates and distinct rows, each star edge is one of its
-    distances, so no path undercuts d(x,y) (strong triangle inequality),
-    and the path x-s-y through a landmark s telling x and y apart attains
-    it: the closure is that ultrametric. Conversely a closure whose
-    landmark columns equal the table is such an ultrametric.
-    """
-    n = len(ranks)
-    star = np.full((n, n), int(ranks.max()) + 1, dtype=np.int32)
-    star[:, at] = ranks
-    star[at, :] = ranks.T
-    np.fill_diagonal(star, 0)
-    form = _single_linkage(star)
-    closed = _cophenetic(*form)
-    return (closed, form) if np.array_equal(closed[:, at], ranks) else None
+    keys = _row_keys(index)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    if (keys[1:] == keys[:-1]).any():  # equal rows are neighbours once sorted
+        # The first repeated row in sorted-label order, with the first row equal to it.
+        first: dict[bytes, str] = {}
+        for lab in sorted(pts):
+            a = first.setdefault(index[table._position[lab]].tobytes(), lab)
+            if a != lab:
+                raise NotGeneratorError(f"not a metric generator: points {a} and {lab} have identical "
+                                        "coordinates", witness=(a, lab))
+    return index, at, order
 
 
 def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
-                      ranks: np.ndarray, at: list[int]) -> UltrametricSpace:
-    """Rebuild by the max rule at each pair's first distinguishing landmark,
-    then validate, naming why an inconsistent table fails."""
+                      ranks: np.ndarray, at: list[int]) -> NoReturn:
+    """Rebuild by the max rule at each pair's first distinguishing
+    landmark, then validate, to name why an inconsistent table fails."""
     pts, landmarks = table.points, table.landmarks
     n = len(pts)
     rank_arr = np.zeros((n, n), dtype=np.int32)
@@ -238,7 +209,7 @@ def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
         d = np.maximum(ranks[i, first], rest[np.arange(len(rest)), first])
         rank_arr[i, i + 1:] = rank_arr[i + 1:, i] = d
 
-    report, form = _triangle_report(pts, dtable.values, rank_arr)
+    report, _ = _triangle_report(pts, dtable.values, rank_arr)
     if not report.ok:
         raise CoordinateTableError(f"inconsistent coordinates: {report.violations[0].detail}")
     mismatch = np.argwhere(rank_arr[:, at] != ranks)
@@ -249,26 +220,24 @@ def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
             f"{dtable.value(int(rank_arr[i, at[c]]))} "
             f"but the table says {table.encoding[0][ranks[i, c]]}"
         )
-    return UltrametricSpace(tuple(pts), dtable, *form, ranks=rank_arr)
+    # an ultrametric with the table's coordinates: its sorted rows fit
+    raise InternalInvariantError("the pair rule fits a table its sorted rows do not")
 
 
 def reconstruct(table: CoordinateTable) -> UltrametricSpace:
-    """Rebuild the unique ultrametric space consistent with the table.
-
-    The space is the single-linkage closure of the landmark star (see
-    :func:`_star_closure`), in O(n²). Raises :class:`NotGeneratorError`
-    when two rows coincide (the landmarks cannot tell those points apart)
-    and :class:`CoordinateTableError` when no ultrametric space at all
-    has these coordinates.
+    """Rebuild the unique ultrametric space consistent with the table: its
+    sorted rows and the max rule between neighbours (:func:`_leaf_gaps`),
+    in one sort and O(n * k). Raises :class:`NotGeneratorError` when two
+    rows coincide (the landmarks cannot tell those points apart) and
+    :class:`CoordinateTableError` when no ultrametric space has them.
     """
-    ranks, at = _table_ranks(table)
+    ranks, at, order = _table_ranks(table)
     _check_labels(table.points)
     dtable = DistanceTable(table.encoding[0][1:], table.texts[1:])
-    closure = _star_closure(ranks, at)
-    if closure is None:
-        return _rebuild_pairwise(table, dtable, ranks, at)
-    closed, form = closure
-    return UltrametricSpace(tuple(table.points), dtable, *form, ranks=closed)
+    gaps = _leaf_gaps(ranks, order, at)
+    if gaps is None:
+        _rebuild_pairwise(table, dtable, ranks, at)
+    return UltrametricSpace(tuple(table.points), dtable, order, gaps)
 
 
 def verify_roundtrip(space: UltrametricSpace, landmarks: Sequence[str]) -> bool:
@@ -291,18 +260,15 @@ def landmark_independence_witness(
     Returns (x, y, s, s') with both landmarks distinguishing x,y but
     max(d(x,s), d(y,s)) != max(d(x,s'), d(y,s')), or None when the max
     rule is single-valued everywhere (as it must be for a table that came
-    from a real space). A table that passes the input checks of
-    :func:`reconstruct` and whose star closure fits it is such a table,
-    by the strong triangle inequality, so it is not searched. Any other
-    table pays for those checks and the closure before the search; on
-    tables of a dozen points they cost more than the search itself.
+    from a real space). A table that passes the input checks and whose
+    sorted rows fit it is one, by the strong triangle inequality.
     """
     try:
-        ranks, at = _table_ranks(table)
+        ranks, at, order = _table_ranks(table)
     except (CoordinateTableError, NotGeneratorError):
         pass
     else:
-        if _star_closure(ranks, at) is not None:
+        if _leaf_gaps(ranks, order, at) is not None:
             return None
     _, arr = table.encoding
     for i in range(len(arr) - 1):

@@ -9,8 +9,9 @@ the same way against per-cell `Fraction` loops, `is_k_generator`
 against the n x n x |S| comparison it replaced, the partner classes
 against the component search over mate lists and, read off the gap
 form, against the O(n²) mate mask, the dendrogram kernel against the
-broadcast gap triangle it replaced, the landmark-star
-closure of `reconstruct` against the pair loop, epsilon grouping on
+broadcast gap triangle it replaced, the sorted rows against Prim's
+order, `reconstruct` against the landmark-star closure it replaced and
+the pair loop, epsilon grouping on
 integer units against the `Fraction` chain, and the CSV row split
 against the version that strips every field. Spellings travel here
 the way they once did, in dicts keyed by `Fraction`.
@@ -70,7 +71,9 @@ from ultrabase.core import (
     Violation,
     _check_labels,
     _cophenetic,
+    _leaf_gaps,
     _single_linkage,
+    _sorted_rows,
     _triangle_violations,
 )
 from ultrabase.errors import InternalInvariantError
@@ -1040,6 +1043,75 @@ def late_witness_matrices(draw):
     return arr.astype(np.int32)
 
 
+def gap_forms(most):
+    """Rank matrices of ultrametrics with 2 to ``most`` points, relabelled
+    by a random leaf order: random gaps (random trees), increasing gaps
+    (caterpillars) and few distinct gaps (dendrograms of few heights)."""
+    def matrix(n, seed, shape):
+        rng = np.random.default_rng(seed)
+        gaps = {"tree": lambda: rng.integers(1, n, n - 1),
+                "caterpillar": lambda: np.cumsum(rng.integers(1, 3, n - 1)),
+                "dendrogram": lambda: rng.integers(1, 4, n - 1)}[shape]()
+        return cophenetic_reference(rng.permutation(n), gaps).astype(np.int32)
+
+    return st.builds(matrix, st.integers(2, most), st.integers(0, 2**32 - 1),
+                     st.sampled_from(["tree", "caterpillar", "dendrogram"]))
+
+
+@st.composite
+def valid_rank_matrices(draw):
+    """Rank matrices of ultrametrics with 2-120 points: random dendrogram
+    spaces relabelled, the gap forms above, and either with ranks merged
+    in pairs, as epsilon merges neighbouring values."""
+    arr = draw(st.one_of(gap_forms(120), st.builds(
+        lambda n, seed, count: random_dendrogram_space(n, seed=seed, value_count=count).ranks,
+        st.integers(2, 120), st.integers(0, 10_000), st.integers(1, 6))))
+    perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(arr))
+    arr = arr[np.ix_(perm, perm)]
+    return (arr + 1) // 2 if draw(st.booleans()) else arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_rank_matrices())
+def test_sorted_rows_are_prims_order_on_valid_matrices(arr):
+    order, gaps = _single_linkage(arr)
+    assert np.array_equal(_sorted_rows(arr), order)
+    assert np.array_equal(arr[order[:-1], order[1:]], gaps)
+    everyone = np.arange(len(arr))
+    assert np.array_equal(_leaf_gaps(arr, order, everyone, arr[order[:-1], order[1:]]), gaps)
+    assert np.array_equal(_leaf_gaps(arr, order, everyone), gaps)  # the max rule at the first difference
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rank_matrices(), late_witness_matrices()), st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 7]))
+def test_leaf_gaps_accept_exactly_the_ultrametrics(arr, seed, cells):
+    import ultrabase.core as core
+
+    ultrametric = np.array_equal(closure_reference(arr), arr)
+    everyone = np.arange(len(arr))
+    with patch.object(core, "_BLOCK_CELLS", cells or core._BLOCK_CELLS):
+        order = _sorted_rows(arr)
+        assert (_leaf_gaps(arr, order, everyone, arr[order[:-1], order[1:]]) is not None) == ultrametric
+        # in any order, a gap form that passes has the matrix as its dendrogram
+        order = np.random.default_rng(seed).permutation(len(arr))
+        for gaps in (_leaf_gaps(arr, order, everyone), _leaf_gaps(arr, order, everyone, arr[order[:-1], order[1:]])):
+            assert gaps is None or np.array_equal(cophenetic_reference(order, gaps), arr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rank_matrices(), late_witness_matrices()), st.sampled_from([1, 3, 16, 1000]),
+       st.sampled_from([1, 5, 64]))
+def test_triangle_witnesses_in_small_blocks_match_the_sweep(arr, max_violations, cells):
+    import ultrabase.core as core
+
+    labels = [f"x{i}" for i in range(len(arr))]
+    table = DistanceTable(values=tuple(F(v) for v in range(1, int(arr.max()) + 1)))
+    closed = _cophenetic(*_single_linkage(arr))
+    with patch.object(core, "_BLOCK_CELLS", cells):
+        actual = _triangle_violations(arr, closed, labels, table.values, max_violations)
+    assert actual == triangle_violations_reference(arr, labels, table, max_violations)
+
+
 @settings(max_examples=300, deadline=None)
 @given(rank_matrices())
 def test_single_linkage_verdict_matches_triangle_sweep(arr):
@@ -1871,6 +1943,88 @@ def test_star_closure_and_verdicts_match_the_pair_loops(case, k):
         assert actual == expected
     assert landmark_independence_witness(table) == landmark_independence_reference(table)
     assert is_k_generator(space, landmarks, k) == is_k_generator_reference(space, landmarks, k)
+
+
+def star_closure_reference(ranks, at):
+    """The single-linkage closure of the landmark star and its gap form,
+    or None when its landmark columns differ from the table, as
+    `reconstruct` built it before it sorted the rows.
+
+    The star joins every point to every landmark by the table's distance;
+    every other pair gets a rank above all of them. When some ultrametric
+    has these coordinates and distinct rows, each star edge is one of its
+    distances, so no path undercuts d(x,y) (strong triangle inequality),
+    and the path x-s-y through a landmark s telling x and y apart attains
+    it: the closure is that ultrametric. Conversely a closure whose
+    landmark columns equal the table is such an ultrametric.
+    """
+    n = len(ranks)
+    star = np.full((n, n), int(ranks.max()) + 1, dtype=np.int32)
+    star[:, at] = ranks
+    star[at, :] = ranks.T
+    np.fill_diagonal(star, 0)
+    form = _single_linkage(star)
+    closed = _cophenetic(*form)
+    return (closed, form) if np.array_equal(closed[:, at], ranks) else None
+
+
+def reconstruct_star_reference(table):
+    """The input checks, then the star closure; a table it does not fit
+    goes to the pair loop, which names the inconsistency."""
+    check_table_reference(table)
+    values, index = table.encoding
+    closure = star_closure_reference(index, [table.points.index(s) for s in table.landmarks])
+    if closure is None:
+        reconstruct_reference(table)
+        raise AssertionError("the pair loop rebuilt a table the star closure does not fit")
+    _check_labels(table.points)
+    return UltrametricSpace(table.points, DistanceTable(values[1:], table.texts[1:]), *closure[1])
+
+
+@st.composite
+def generator_tables(draw):
+    """Coordinate tables of metric generators, a basis and any other
+    points with the columns shuffled, on dendrograms and on gap forms
+    of up to 40 points: random gaps (random trees) or increasing ones
+    (caterpillars)."""
+    space = draw(st.one_of(dendrograms, gap_forms(40).map(lambda arr: build_space(
+        [f"p{i}" for i in range(len(arr))], arr.tolist()))))
+    basis = draw(st.sampled_from(list(metric_bases(space).bases(cap=20))))
+    extra = draw(st.lists(st.sampled_from(space.labels), unique=True))
+    landmarks = draw(st.permutations(sorted(set(basis) | set(extra))))
+    return space, coordinates(space, landmarks)
+
+
+def assert_sorted_rows_rebuild_like_the_star(table):
+    actual = table_outcome(reconstruct, table)
+    expected = table_outcome(reconstruct_star_reference, table)
+    assert actual[0] == expected[0], (actual, expected)
+    if actual[0] == "space":
+        assert_same(actual[1], expected[1])
+        assert np.array_equal(actual[1].ranks, expected[1].ranks)
+    else:
+        assert actual == expected
+    assert landmark_independence_witness(table) == landmark_independence_reference(table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_tables(), st.sampled_from([None, 1, 7, 64]))
+def test_sorted_rows_rebuild_generator_tables_like_the_star_closure(case, cells):
+    import ultrabase.core as core
+
+    space, table = case
+    with patch.object(core, "_BLOCK_CELLS", cells or core._BLOCK_CELLS):
+        assert_sorted_rows_rebuild_like_the_star(table)
+        assert reconstruct(table) == space
+
+
+@settings(max_examples=200, deadline=None)
+@given(star_tables(), st.sampled_from([None, 1, 7]))
+def test_sorted_rows_fail_star_tables_like_the_star_closure(case, cells):
+    import ultrabase.core as core
+
+    with patch.object(core, "_BLOCK_CELLS", cells or core._BLOCK_CELLS):
+        assert_sorted_rows_rebuild_like_the_star(case[2])
 
 
 def nearest_set_reference(space, x):
