@@ -85,6 +85,23 @@ def test_input_is_hashed_only_for_a_json_report(recmin_csv, tmp_path, monkeypatc
     assert len(hashed) == 2
 
 
+def test_input_hash_reads_universal_newlines_and_keeps_a_bom(recmin_csv, tmp_path, capsys):
+    import hashlib
+
+    lf = recmin_csv.read_bytes()
+    copies = {"lf": lf, "crlf": lf.replace(b"\n", b"\r\n"), "cr": lf.replace(b"\n", b"\r"),
+              "bom": b"\xef\xbb\xbf" + lf}
+    hashes = {}
+    for name, data in copies.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        assert main(["validate", str(path), "--json"]) == 0
+        hashes[name] = json.loads(capsys.readouterr().out)["input"]["sha256"]
+    assert hashes["lf"] == hashes["crlf"] == hashes["cr"] == hashlib.sha256(lf).hexdigest()
+    assert hashes["crlf"] != hashlib.sha256(copies["crlf"]).hexdigest()
+    assert hashes["bom"] == hashlib.sha256(copies["bom"]).hexdigest() != hashes["lf"]
+
+
 def test_validate_missing_file_exits_2(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "nope.csv")]) == 2
     assert "error:" in capsys.readouterr().err
