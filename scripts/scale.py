@@ -28,7 +28,9 @@ fresh Python process:
   d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4, whose only
   witness is the point n - 3; ``cli_analyze_json`` runs
   ``analyze FILE --json`` (exit 0) on the 2-height dendrogram CSV;
-  ``wall_s`` and ``peak_rss_mb`` are those of the whole child process,
+  ``cli_reconstruct`` runs ``reconstruct FILE`` (exit 0) on the
+  dendrogram's coordinate table in its first metric basis, the bytes
+  ``coords FILE --auto`` writes; ``wall_s`` and ``peak_rss_mb`` are those of the whole child process,
   interpreter start and parse included, and ``peak_rss_mb`` is the largest
   of the runs. The child reads its peak from
   its own ``VmHWM``: the ``ru_maxrss`` that ``wait4`` returns starts, on
@@ -94,7 +96,8 @@ import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
 CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
          "minimal_subspace", "validate_ultrametric_floats", "partner_partition",
          "subdominant_ultrametric", "cli_coords_auto",
-         "cli_validate", "cli_validate_epsilon", "cli_validate_late_witness", "cli_analyze_json")
+         "cli_validate", "cli_validate_epsilon", "cli_validate_late_witness", "cli_analyze_json",
+         "cli_reconstruct")
 NEWICK_CALLS = ("parse_newick", "cli_validate_newick", "cli_analyze_json_newick")
 
 
@@ -129,7 +132,7 @@ CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["valida
        "cli_validate_epsilon": (["validate"], ["--epsilon", "0.001"], 1),
        "cli_validate_late_witness": (["validate"], [], 1), "cli_validate_newick": (["validate"], [], 0),
        "cli_analyze_json": (["analyze"], ["--json"], 0),
-       "cli_analyze_json_newick": (["analyze"], ["--json"], 0)}
+       "cli_analyze_json_newick": (["analyze"], ["--json"], 0), "cli_reconstruct": (["reconstruct"], [], 0)}
 SIZES = (400, 1000, 2000)
 NEWICK_SIZES = (1000, 4000, 20000)
 LEVELS = 8
@@ -169,6 +172,16 @@ def _late_witness(n: int) -> str:
     d[n - 2, n - 1] = d[n - 1, n - 2] = 4
     np.fill_diagonal(d, 0)
     lines = [",".join(f"p{i}" for i in range(n))] + [",".join(map(str, row)) for row in d.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def _coordinates(case: gen.Case) -> str:
+    """The case's ``label,s1,...`` table in its first basis: its own cells,
+    as ``coords --auto`` writes them."""
+    header, *body = (line.split(",") for line in case.text.splitlines())
+    cols = [header.index(s) for s in case.first_basis]
+    lines = [",".join(["label", *case.first_basis])]
+    lines += [",".join([lab, *(row[c] for c in cols)]) for lab, row in zip(header, body)]
     return "\n".join(lines) + "\n"
 
 
@@ -358,7 +371,8 @@ def main(argv=None) -> int:
                  "landmarks: the first metric basis; cli_validate, cli_validate_epsilon and subdominant_ultrametric: "
                  f"bench/gen.py dissimilarity_case, seed {SEED}; cli_validate_late_witness: "
                  "d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4; partner_partition "
-                 f"and cli_analyze_json: bench/gen.py dendrogram_case, {PARTNER_LEVELS} heights",
+                 f"and cli_analyze_json: bench/gen.py dendrogram_case, {PARTNER_LEVELS} heights; "
+                 "cli_reconstruct: the dendrogram's coords --auto table",
         "budget": {"wall_s": BUDGET_S, "memory_mb": BUDGET_MB},
         "newick_input": f"the texts of bench/gen.py random-tree and caterpillar cases, seed {SEED}; "
                         "caterpillar-epsilon: the caterpillar with its first leaf length raised by 10^-12",
@@ -378,13 +392,16 @@ def main(argv=None) -> int:
             late.write_text(_late_witness(n))
             few = Path(work) / f"dendrogram_{PARTNER_LEVELS}_{n}.csv"
             few.write_text(_partner_case(n).text)
+            table = Path(work) / f"coordinates_{n}.csv"
+            table.write_text(_coordinates(case))
             report["sizes"][str(n)] = {"landmarks": len(landmarks), "csv_bytes": len(case.text),
                                        "dissimilarity_csv_bytes": noisy.stat().st_size,
                                        "late_witness_csv_bytes": late.stat().st_size,
-                                       "partner_csv_bytes": few.stat().st_size}
+                                       "partner_csv_bytes": few.stat().st_size,
+                                       "coordinates_csv_bytes": table.stat().st_size}
             inputs = {"cli_validate": noisy, "cli_validate_epsilon": noisy, "subdominant_ultrametric": noisy,
                       "cli_validate_late_witness": late,
-                      "partner_partition": few, "cli_analyze_json": few}
+                      "partner_partition": few, "cli_analyze_json": few, "cli_reconstruct": table}
             for call in CALLS:
                 if call in inputs:
                     result = measure(call, inputs[call], [], src)

@@ -60,6 +60,18 @@ def test_validate_cases_run_on_small_inputs(tmp_path):
     assert set(scale.child("validate_ultrametric_floats", str(path), [], "time")) == {"wall_s"}
 
 
+def test_cli_reconstruct_rebuilds_the_coords_auto_table(tmp_path, capsys):
+    from ultrabase import cli
+
+    case = scale._case(24)
+    path, table = tmp_path / "dendrogram.csv", tmp_path / "coordinates.csv"
+    path.write_text(case.text)
+    table.write_text(scale._coordinates(case))
+    assert cli.main(["coords", str(path), "--auto"]) == 0
+    assert capsys.readouterr().out == table.read_text()
+    assert scale.child("cli_reconstruct", str(table), [], "time") == {"exit": 0}
+
+
 def test_partner_calls_run_on_a_small_dendrogram(tmp_path):
     path = tmp_path / "dendrogram.csv"
     path.write_text(scale._partner_case(24).text)
