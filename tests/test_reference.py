@@ -1099,20 +1099,6 @@ def test_leaf_gaps_accept_exactly_the_ultrametrics(arr, seed, cells):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(rank_matrices(), late_witness_matrices()), st.sampled_from([1, 3, 16, 1000]),
-       st.sampled_from([1, 5, 64]))
-def test_triangle_witnesses_in_small_blocks_match_the_sweep(arr, max_violations, cells):
-    import ultrabase.core as core
-
-    labels = [f"x{i}" for i in range(len(arr))]
-    table = DistanceTable(values=tuple(F(v) for v in range(1, int(arr.max()) + 1)))
-    closed = _cophenetic(*_single_linkage(arr))
-    with patch.object(core, "_BLOCK_CELLS", cells):
-        actual = _triangle_violations(arr, closed, labels, table.values, max_violations)
-    assert actual == triangle_violations_reference(arr, labels, table, max_violations)
-
-
-@settings(max_examples=300, deadline=None)
 @given(rank_matrices())
 def test_single_linkage_verdict_matches_triangle_sweep(arr):
     labels = [f"x{i}" for i in range(len(arr))]
@@ -1124,15 +1110,19 @@ def test_single_linkage_verdict_matches_triangle_sweep(arr):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(rank_matrices(), late_witness_matrices()), st.sampled_from([1, 3, 16, 1000]))
-def test_triangle_witnesses_from_pairs_above_the_closure_match_the_sweep(arr, max_violations):
+@given(st.one_of(rank_matrices(), late_witness_matrices()), st.sampled_from([1, 3, 16, 1000]),
+       st.sampled_from([None, 1, 5, 64]))
+def test_triangle_witnesses_from_pairs_above_the_closure_match_the_sweep(arr, max_violations, cells):
+    import ultrabase.core as core
+
     labels = [f"x{i}" for i in range(len(arr))]
     table = DistanceTable(values=tuple(F(v) for v in range(1, int(arr.max()) + 1)))
     expected = triangle_violations_reference(arr, labels, table, max_violations)
     closed = _cophenetic(*_single_linkage(arr))
-    assert _triangle_violations(arr, closed, labels, table.values, max_violations) == expected
-    # a witness never reads rank 0: index -1 raises KeyError here
-    assert _triangle_violations(arr, closed, labels, dict(enumerate(table.values)), max_violations) == expected
+    with patch.object(core, "_BLOCK_CELLS", cells or core._BLOCK_CELLS):  # blocks of third points
+        assert _triangle_violations(arr, closed, labels, table.values, max_violations) == expected
+        # a witness never reads rank 0: index -1 raises KeyError here
+        assert _triangle_violations(arr, closed, labels, dict(enumerate(table.values)), max_violations) == expected
 
 
 def group_values_by_value(values, epsilon):
@@ -1893,6 +1883,78 @@ def test_landmark_independence_matches_pair_loop(n, k, data):
     assert landmark_independence_witness(table) == landmark_independence_reference(table)
 
 
+def star_closure_reference(ranks, at):
+    """The single-linkage closure of the landmark star and its gap form,
+    or None when its landmark columns differ from the table, as
+    `reconstruct` built it before it sorted the rows.
+
+    The star joins every point to every landmark by the table's distance;
+    every other pair gets a rank above all of them. When some ultrametric
+    has these coordinates and distinct rows, each star edge is one of its
+    distances, so no path undercuts d(x,y) (strong triangle inequality),
+    and the path x-s-y through a landmark s telling x and y apart attains
+    it: the closure is that ultrametric. Conversely a closure whose
+    landmark columns equal the table is such an ultrametric.
+    """
+    n = len(ranks)
+    star = np.full((n, n), int(ranks.max()) + 1, dtype=np.int32)
+    star[:, at] = ranks
+    star[at, :] = ranks.T
+    np.fill_diagonal(star, 0)
+    form = _single_linkage(star)
+    closed = _cophenetic(*form)
+    return (closed, form) if np.array_equal(closed[:, at], ranks) else None
+
+
+def reconstruct_star_reference(table):
+    """The input checks, then the star closure; a table it does not fit
+    goes to the pair loop, which names the inconsistency."""
+    check_table_reference(table)
+    _check_labels(table.points)
+    values, index = table.encoding
+    closure = star_closure_reference(index, [table.points.index(s) for s in table.landmarks])
+    if closure is None:
+        reconstruct_reference(table)
+        raise AssertionError("the pair loop rebuilt a table the star closure does not fit")
+    return UltrametricSpace(table.points, DistanceTable(values[1:], table.texts[1:]), *closure[1])
+
+
+@st.composite
+def generator_tables(draw):
+    """Coordinate tables of metric generators, a basis and any other
+    points with the columns shuffled, on dendrograms and on gap forms
+    of up to 40 points: random gaps (random trees) or increasing ones
+    (caterpillars)."""
+    space = draw(st.one_of(dendrograms, gap_forms(40).map(lambda arr: build_space(
+        [f"p{i}" for i in range(len(arr))], arr.tolist()))))
+    basis = draw(st.sampled_from(list(metric_bases(space).bases(cap=20))))
+    extra = draw(st.lists(st.sampled_from(space.labels), unique=True))
+    landmarks = draw(st.permutations(sorted(set(basis) | set(extra))))
+    return space, coordinates(space, landmarks)
+
+
+def assert_sorted_rows_rebuild_like_the_star(table):
+    actual = table_outcome(reconstruct, table)
+    expected = table_outcome(reconstruct_star_reference, table)
+    assert actual[0] == expected[0], (actual, expected)
+    if actual[0] == "space":
+        assert_same(actual[1], expected[1])
+    else:
+        assert actual == expected
+    assert landmark_independence_witness(table) == landmark_independence_reference(table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_tables(), st.sampled_from([None, 1, 7, 64]))
+def test_sorted_rows_rebuild_generator_tables_like_the_star_closure(case, cells):
+    import ultrabase.core as core
+
+    space, table = case
+    with patch.object(core, "_BLOCK_CELLS", cells or core._BLOCK_CELLS):
+        assert_sorted_rows_rebuild_like_the_star(table)
+        assert reconstruct(table) == space
+
+
 @st.composite
 def star_tables(draw):
     """A dendrogram, a landmark list and a `CoordinateTable` over it:
@@ -1931,9 +1993,13 @@ def star_tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(star_tables(), st.sampled_from([1, 2, 3]))
-def test_star_closure_and_verdicts_match_the_pair_loops(case, k):
+@given(star_tables(), st.sampled_from([1, 2, 3]), st.sampled_from([None, 1, 7]))
+def test_star_closure_and_verdicts_match_the_pair_loops(case, k, cells):
+    import ultrabase.core as core
+
     space, landmarks, table = case
+    with patch.object(core, "_BLOCK_CELLS", cells or core._BLOCK_CELLS):
+        assert_sorted_rows_rebuild_like_the_star(table)
     actual = table_outcome(reconstruct, table)
     expected = table_outcome(reconstruct_full_reference, table)
     assert actual[0] == expected[0], (actual, expected)
@@ -1943,88 +2009,6 @@ def test_star_closure_and_verdicts_match_the_pair_loops(case, k):
         assert actual == expected
     assert landmark_independence_witness(table) == landmark_independence_reference(table)
     assert is_k_generator(space, landmarks, k) == is_k_generator_reference(space, landmarks, k)
-
-
-def star_closure_reference(ranks, at):
-    """The single-linkage closure of the landmark star and its gap form,
-    or None when its landmark columns differ from the table, as
-    `reconstruct` built it before it sorted the rows.
-
-    The star joins every point to every landmark by the table's distance;
-    every other pair gets a rank above all of them. When some ultrametric
-    has these coordinates and distinct rows, each star edge is one of its
-    distances, so no path undercuts d(x,y) (strong triangle inequality),
-    and the path x-s-y through a landmark s telling x and y apart attains
-    it: the closure is that ultrametric. Conversely a closure whose
-    landmark columns equal the table is such an ultrametric.
-    """
-    n = len(ranks)
-    star = np.full((n, n), int(ranks.max()) + 1, dtype=np.int32)
-    star[:, at] = ranks
-    star[at, :] = ranks.T
-    np.fill_diagonal(star, 0)
-    form = _single_linkage(star)
-    closed = _cophenetic(*form)
-    return (closed, form) if np.array_equal(closed[:, at], ranks) else None
-
-
-def reconstruct_star_reference(table):
-    """The input checks, then the star closure; a table it does not fit
-    goes to the pair loop, which names the inconsistency."""
-    check_table_reference(table)
-    values, index = table.encoding
-    closure = star_closure_reference(index, [table.points.index(s) for s in table.landmarks])
-    if closure is None:
-        reconstruct_reference(table)
-        raise AssertionError("the pair loop rebuilt a table the star closure does not fit")
-    _check_labels(table.points)
-    return UltrametricSpace(table.points, DistanceTable(values[1:], table.texts[1:]), *closure[1])
-
-
-@st.composite
-def generator_tables(draw):
-    """Coordinate tables of metric generators, a basis and any other
-    points with the columns shuffled, on dendrograms and on gap forms
-    of up to 40 points: random gaps (random trees) or increasing ones
-    (caterpillars)."""
-    space = draw(st.one_of(dendrograms, gap_forms(40).map(lambda arr: build_space(
-        [f"p{i}" for i in range(len(arr))], arr.tolist()))))
-    basis = draw(st.sampled_from(list(metric_bases(space).bases(cap=20))))
-    extra = draw(st.lists(st.sampled_from(space.labels), unique=True))
-    landmarks = draw(st.permutations(sorted(set(basis) | set(extra))))
-    return space, coordinates(space, landmarks)
-
-
-def assert_sorted_rows_rebuild_like_the_star(table):
-    actual = table_outcome(reconstruct, table)
-    expected = table_outcome(reconstruct_star_reference, table)
-    assert actual[0] == expected[0], (actual, expected)
-    if actual[0] == "space":
-        assert_same(actual[1], expected[1])
-        assert np.array_equal(actual[1].ranks, expected[1].ranks)
-    else:
-        assert actual == expected
-    assert landmark_independence_witness(table) == landmark_independence_reference(table)
-
-
-@settings(max_examples=150, deadline=None)
-@given(generator_tables(), st.sampled_from([None, 1, 7, 64]))
-def test_sorted_rows_rebuild_generator_tables_like_the_star_closure(case, cells):
-    import ultrabase.core as core
-
-    space, table = case
-    with patch.object(core, "_BLOCK_CELLS", cells or core._BLOCK_CELLS):
-        assert_sorted_rows_rebuild_like_the_star(table)
-        assert reconstruct(table) == space
-
-
-@settings(max_examples=200, deadline=None)
-@given(star_tables(), st.sampled_from([None, 1, 7]))
-def test_sorted_rows_fail_star_tables_like_the_star_closure(case, cells):
-    import ultrabase.core as core
-
-    with patch.object(core, "_BLOCK_CELLS", cells or core._BLOCK_CELLS):
-        assert_sorted_rows_rebuild_like_the_star(case[2])
 
 
 def nearest_set_reference(space, x):
