@@ -40,6 +40,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "tests" / "data" / "golden"
 sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "src"))  # the corpus is this checkout's output
 import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
 import numpy as np  # noqa: E402
 
