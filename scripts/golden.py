@@ -16,7 +16,13 @@ same values, bad tokens, ragged rows and bad point labels. The 36-point
 dendrogram also gives the tables of a landmark generator that is not a
 basis and of a set that is not a generator; the generator's table with
 a landmark's row dropped and, twice, with one cell changed; and a copy of its CSV
-with one cell and its mirror raised, so that one triangle breaks. The
+with one cell and its mirror raised, so that one triangle breaks. Eight
+more copies of that CSV are read by ``validate`` and ``--json``: four the
+plain-document reader rejects by their separators (a tab inside a field, a
+``+`` sign, quotes, one comma moved to the next row) and four that fail
+the cell checks (a nonzero diagonal, a zero pair, an asymmetric pair, and
+a pair asymmetric only within the ``--epsilon`` it is also validated
+with). A coordinate table with a trailing comma is reconstructed. The
 36-point documents are above the size where the CSV readers try their
 plain-document path, the 8-point ones below it.
 
@@ -147,6 +153,17 @@ def _inputs() -> dict[str, str]:
         "two_dots.csv": _join(_respelled(rows, lambda t: "1.2.3")),
         "empty_field.csv": _join(_respelled(rows, lambda t: "")),
         "ragged.csv": _join([*rows[:5], rows[5][:-1], *rows[6:]]),
+        # near-plain documents the plain reader rejects by their separators
+        "dendro36_tab.csv": _join(_changed(rows, 2, 3, rows[2][3][:2] + "\t" + rows[2][3][2:])),
+        "dendro36_plus.csv": _join(_respelled(rows, lambda t: "+" + t)),
+        "dendro36_quote.csv": _join(_respelled(rows, lambda t: f'"{t}"')),
+        "dendro36_comma_moved.csv": _join([*rows[:5], [*rows[5][:-2], rows[5][-2] + rows[5][-1]],
+                                           [rows[6][0][:2], rows[6][0][2:], *rows[6][1:]], *rows[7:]]),
+        # plain documents that fail the cell checks: a diagonal, a zero pair, asymmetry
+        "dendro36_diagonal.csv": _join(_changed(rows, 4, 3, "1")),
+        "dendro36_zero_pair.csv": _join(_changed(_changed(rows, 2, 2, "0"), 3, 1, "0")),
+        "dendro36_asymmetric.csv": _join(_changed(rows, 2, 2, rows[2][4])),
+        "dendro36_within_epsilon.csv": _join(_changed(rows, 2, 2, rows[2][2] + "5")),
     })
     table = _cells(docs["dendro36_all.csv"])
     docs.update({
@@ -154,6 +171,7 @@ def _inputs() -> dict[str, str]:
         "coords_padded_label.csv": _join([*table[:3], [f" {table[3][0]} ", *table[3][1:]], *table[4:]]),
         "coords_empty_label.csv": _join([*table[:3], ["", *table[3][1:]], *table[4:]]),
         "coords_duplicate_label.csv": _join([*table[:3], [table[2][0], *table[3][1:]], *table[4:]]),
+        "coords_trailing_comma.csv": _join([*table[:3], [*table[3], ""], *table[4:]]),
     })
     return docs
 
@@ -198,6 +216,11 @@ def _cases(docs: dict[str, str]) -> list[tuple]:
         elif not name.startswith(("dendro", "dissimilarity")):
             cases += [(f"{stem}.validate_json", ["validate", name, "--json"]),
                       (f"{stem}.coords_auto", ["coords", name, "--auto"])]
+    for kind in ("tab", "plus", "quote", "comma_moved", "diagonal", "zero_pair", "asymmetric", "within_epsilon"):
+        cases += [(f"dendro36_{kind}.validate", ["validate", f"dendro36_{kind}.csv"]),
+                  (f"dendro36_{kind}.validate_json", ["validate", f"dendro36_{kind}.csv", "--json"])]
+    cases.append(("dendro36_within_epsilon.validate_epsilon",
+                  ["validate", "dendro36_within_epsilon.csv", "--epsilon", "0.001"]))
     return cases
 
 

@@ -11,13 +11,17 @@ fresh Python process:
   and ``minimal_subspace``: the child parses the CSV and builds what the
   call needs (the coordinate table for the reconstruct calls), then runs
   the call alone. ``partner_partition`` runs the same way on a dendrogram
-  CSV with 2 heights (seed SEED), whose partner classes are large. ``validate_ultrametric_floats`` reads the CSV's cells as
+  CSV with 2 heights (seed SEED), whose partner classes are large.
+  ``parse_distance_csv`` reads the dendrogram CSV's text and
+  ``parse_distance_csv_dissimilarity`` that of the random dissimilarity
+  CSV described below, which it rejects with its witnesses; reading the
+  file is outside the call. ``validate_ultrametric_floats`` reads the CSV's cells as
   Python floats and runs ``validate_ultrametric`` on them. ``subdominant_ultrametric`` runs on the
   text cells of the random dissimilarity CSV described below, split into rows
   outside the call. Each timing child times it once (``wall_s``); one more
   child runs it under ``tracemalloc`` and records ``call_peak_mb``, the
   peak of the Python and numpy memory the call itself holds. Parsing is in
-  none of them.
+  none of them but the two ``parse_distance_csv`` calls.
 - ``cli_coords_auto`` (``coords FILE --auto`` on the dendrogram CSV) and
   ``cli_validate`` (``validate FILE`` on a random dissimilarity CSV from
   ``gen.dissimilarity_case``, which exits 1 with its witnesses): the child
@@ -95,7 +99,7 @@ import gen  # noqa: E402  (stdlib + numpy only; it does not import ultrabase)
 
 CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
          "minimal_subspace", "validate_ultrametric_floats", "partner_partition",
-         "subdominant_ultrametric", "cli_coords_auto",
+         "subdominant_ultrametric", "parse_distance_csv", "parse_distance_csv_dissimilarity", "cli_coords_auto",
          "cli_validate", "cli_validate_epsilon", "cli_validate_late_witness", "cli_analyze_json",
          "cli_reconstruct")
 NEWICK_CALLS = ("parse_newick", "cli_validate_newick", "cli_analyze_json_newick")
@@ -185,6 +189,15 @@ def _coordinates(case: gen.Case) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rejected(ub, text: str) -> None:
+    """Parse a CSV that is no ultrametric, as the library rejects it."""
+    try:
+        ub.parse_distance_csv(text)
+    except ub.UltrametricViolationError:
+        return
+    raise RuntimeError("the dissimilarity was accepted as an ultrametric")
+
+
 def _rank_matrix_mb(n: int) -> float:
     return 4 * n * n / 2**20
 
@@ -205,10 +218,15 @@ def child(call: str, path: str, landmarks: list[str], mode: str) -> dict:
     import ultrabase as ub
 
     text = Path(path).read_text()
-    text_only = ("parse_newick", "validate_ultrametric_floats", "subdominant_ultrametric")
+    text_only = ("parse_newick", "validate_ultrametric_floats", "subdominant_ultrametric",
+                 "parse_distance_csv", "parse_distance_csv_dissimilarity")
     space = None if call in text_only else ub.parse_distance_csv(text)
     if call == "parse_newick":
         run = lambda: ub.parse_newick(text)  # noqa: E731
+    elif call == "parse_distance_csv":
+        run = lambda: ub.parse_distance_csv(text)  # noqa: E731
+    elif call == "parse_distance_csv_dissimilarity":
+        run = lambda: _rejected(ub, text)  # noqa: E731
     elif call == "subdominant_ultrametric":
         labels, *rows = (line.split(",") for line in text.splitlines())
         run = lambda: ub.subdominant_ultrametric(rows, labels)  # noqa: E731
@@ -368,7 +386,8 @@ def main(argv=None) -> int:
         "commit": commit,
         "machine": machine(),
         "input": f"bench/gen.py dendrogram_case, {LEVELS} heights, seed {SEED}; "
-                 "landmarks: the first metric basis; cli_validate, cli_validate_epsilon and subdominant_ultrametric: "
+                 "landmarks: the first metric basis; cli_validate, cli_validate_epsilon, subdominant_ultrametric "
+                 "and parse_distance_csv_dissimilarity: "
                  f"bench/gen.py dissimilarity_case, seed {SEED}; cli_validate_late_witness: "
                  "d(a, b) = n - min(a, b) with d(n-2, n-1) raised from 2 to 4; partner_partition "
                  f"and cli_analyze_json: bench/gen.py dendrogram_case, {PARTNER_LEVELS} heights; "
@@ -400,6 +419,7 @@ def main(argv=None) -> int:
                                        "partner_csv_bytes": few.stat().st_size,
                                        "coordinates_csv_bytes": table.stat().st_size}
             inputs = {"cli_validate": noisy, "cli_validate_epsilon": noisy, "subdominant_ultrametric": noisy,
+                      "parse_distance_csv_dissimilarity": noisy,
                       "cli_validate_late_witness": late,
                       "partner_partition": few, "cli_analyze_json": few, "cli_reconstruct": table}
             for call in CALLS:

@@ -6,6 +6,10 @@ import statistics
 import sys
 from pathlib import Path
 
+import pytest
+
+from ultrabase import UltrametricViolationError
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 
@@ -78,6 +82,22 @@ def test_partner_calls_run_on_a_small_dendrogram(tmp_path):
     assert scale.child("cli_analyze_json", str(path), [], "time") == {"exit": 0}
     result = scale.measure("partner_partition", path, [], ROOT / "src")
     assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+
+
+def test_parse_distance_csv_calls_run_on_small_inputs(tmp_path):
+    valid, noisy = tmp_path / "dendrogram.csv", tmp_path / "dissimilarity.csv"
+    valid.write_text(scale._case(24).text)
+    noisy.write_text(scale._dissimilarity(24).text)
+    for call, path in (("parse_distance_csv", valid), ("parse_distance_csv_dissimilarity", noisy)):
+        assert set(scale.child(call, str(path), [], "time")) == {"wall_s"}
+        result = scale.measure(call, path, [], ROOT / "src")
+        assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+        assert_median_of_repeats(result)
+    # each call reads the input it is named for: the dissimilarity is rejected, the dendrogram is not
+    with pytest.raises(UltrametricViolationError):
+        scale.child("parse_distance_csv", str(noisy), [], "time")
+    with pytest.raises(RuntimeError, match="accepted"):
+        scale.child("parse_distance_csv_dissimilarity", str(valid), [], "time")
 
 
 def test_tree_texts_match_the_benchmark_cases():
