@@ -342,6 +342,16 @@ class _Gaps:
     values: ValueList
 
 
+def _accepts(ids: np.ndarray, signs: np.ndarray) -> bool:
+    """Whether a matrix of ids into values of these ``signs``, numbered in
+    increasing value, passes every cell check and is exactly symmetric, in
+    a few whole-array passes: the ``low`` ids of values <= 0 (and id -1, no
+    number) are held by the diagonal alone, all of it the zero, id low - 1."""
+    low = int(np.count_nonzero(signs <= 0))
+    return bool(low and not signs[low - 1] and (ids.diagonal() == low - 1).all()
+                and np.count_nonzero(ids < low) == len(ids) and np.array_equal(ids, ids.T))
+
+
 def _analyze(
     labels: Sequence[str],
     matrix: Sequence[Sequence[Numeric]] | _ValueIds | _Gaps,
@@ -374,47 +384,49 @@ def _analyze(
         ids, values = quantize(cells)
         ids = ids.reshape(n, n)
 
-    # values are distinct, so two ids differ exactly when their values do
-    finite = ids >= 0
-    sign = np.append(values.signs(), np.int8(1))[ids]  # id -1 reads the appended 1
-    neg, zero = sign < 0, sign == 0
-    diagonal = np.eye(n, dtype=bool)
-    upper = np.triu(~diagonal)
-    cell_bad = ~finite | (diagonal & finite & ~zero) | (upper & (neg | zero))
-    asym = upper & finite & finite.T & (ids != ids.T)
-    if eps > 0 and asym.any():
-        pairs, inverse = np.unique(
-            np.stack([ids[asym], ids.T[asym]], axis=1), axis=0, return_inverse=True
-        )
-        asym[asym] = values.apart(pairs[:, 0], pairs[:, 1], eps)[inverse.ravel()]
-    first, second = np.flatnonzero(cell_bad), np.flatnonzero(asym)
+    signs = values.signs()
+    if not _accepts(ids, signs):  # the per-cell masks only name the faults
+        # values are distinct, so two ids differ exactly when their values do
+        finite = ids >= 0
+        sign = np.append(signs, np.int8(1))[ids]  # id -1 reads the appended 1
+        neg, zero = sign < 0, sign == 0
+        diagonal = np.eye(n, dtype=bool)
+        upper = np.triu(~diagonal)
+        cell_bad = ~finite | (diagonal & finite & ~zero) | (upper & (neg | zero))
+        asym = upper & finite & finite.T & (ids != ids.T)
+        if eps > 0 and asym.any():
+            pairs, inverse = np.unique(
+                np.stack([ids[asym], ids.T[asym]], axis=1), axis=0, return_inverse=True
+            )
+            asym[asym] = values.apart(pairs[:, 0], pairs[:, 1], eps)[inverse.ravel()]
+        first, second = np.flatnonzero(cell_bad), np.flatnonzero(asym)
 
-    if len(first) or len(second):
-        total = len(first) + len(second)
-        violations = []
-        for k, p in enumerate(np.concatenate([first, second])[:max_violations].tolist()):
-            i, j = divmod(p, n)
-            x, y = labels[i], labels[j]
-            v = values[ids[i, j]] if finite[i, j] else None
-            if k >= len(first):
-                w = values[ids[j, i]]
-                found = ("asymmetry", (x, y), (v, w),
-                         f"d({x},{y})={format_value(v)} differs from d({y},{x})={format_value(w)}")
-            elif v is None:
-                found = ("nonfinite", (x, y), (),
-                         f"entry ({x},{y}) is not a finite number: {cells[p]!r}")
-            elif i == j:
-                found = ("diagonal", (x,), (v,),
-                         f"diagonal entry for {x} is {format_value(v)}, expected 0")
-            elif neg[i, j]:
-                found = ("negative", (x, y), (v,), f"d({x},{y})={format_value(v)} is negative")
-            else:
-                found = ("positivity", (x, y), (v,), f"d({x},{y})=0 for distinct points")
-            violations.append(Violation(*found))
-        report = ValidationReport(
-            ok=False, violations=tuple(violations), truncated=total > max_violations
-        )
-        return report, None
+        if len(first) or len(second):
+            total = len(first) + len(second)
+            violations = []
+            for k, p in enumerate(np.concatenate([first, second])[:max_violations].tolist()):
+                i, j = divmod(p, n)
+                x, y = labels[i], labels[j]
+                v = values[ids[i, j]] if finite[i, j] else None
+                if k >= len(first):
+                    w = values[ids[j, i]]
+                    found = ("asymmetry", (x, y), (v, w),
+                             f"d({x},{y})={format_value(v)} differs from d({y},{x})={format_value(w)}")
+                elif v is None:
+                    found = ("nonfinite", (x, y), (),
+                             f"entry ({x},{y}) is not a finite number: {cells[p]!r}")
+                elif i == j:
+                    found = ("diagonal", (x,), (v,),
+                             f"diagonal entry for {x} is {format_value(v)}, expected 0")
+                elif neg[i, j]:
+                    found = ("negative", (x, y), (v,), f"d({x},{y})={format_value(v)} is negative")
+                else:
+                    found = ("positivity", (x, y), (v,), f"d({x},{y})=0 for distinct points")
+                violations.append(Violation(*found))
+            report = ValidationReport(
+                ok=False, violations=tuple(violations), truncated=total > max_violations
+            )
+            return report, None
 
     if eps:
         kept, rank_arr = _rank_ids(ids, values, eps)

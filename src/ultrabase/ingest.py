@@ -102,14 +102,14 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     header = head.split(",")
     width = len(header)
     buf = text.encode() + bytes(16)  # a token's words are read up to 16 bytes past its start
-    rows = buf.count(b"\n", start)
-    if (not rows or width <= skip or (not skip and rows != width)
-            or buf.count(b",", start) != rows * (width - 1)):
-        return None
     raw = np.frombuffer(buf, dtype=np.uint8, count=size, offset=start)
     # the commas and newlines, and any other byte up to "," (44), such as whitespace
     ends = np.flatnonzero(raw <= 44).astype(np.int32)
-    if len(ends) != rows * width or (raw[ends[width - 1::width]] != 10).any():
+    rows = len(ends) // width
+    if not rows or width <= skip or len(ends) != rows * width or (not skip and rows != width):
+        return None
+    # each line: width - 1 commas, then its newline, and no other separator
+    if (raw[ends].reshape(rows, width) != np.append(np.full(width - 1, 44, np.uint8), np.uint8(10))).any():
         return None
     starts = np.empty_like(ends)
     starts[0] = 0

@@ -361,11 +361,13 @@ def _tie_runs(ordered: np.ndarray) -> list[tuple[int, int]]:
 
 def _order(values: ValueList) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Positions of ``values`` sorted by float, runs of equal floats sorted
-    exactly (reading only their values), and the runs ``[start, stop)``."""
-    order = np.argsort(values.floats, kind="stable")
+    exactly (reading only their values), and the runs ``[start, stop)``.
+    Equal values stay in increasing position: a run is put in position
+    order before the stable exact sort."""
+    order = np.argsort(values.floats)
     ties = _tie_runs(values.floats[order])
     for start, stop in ties:
-        order[start:stop] = sorted(order[start:stop].tolist(), key=values.__getitem__)
+        order[start:stop] = sorted(sorted(order[start:stop].tolist()), key=values.__getitem__)
     return order, ties
 
 

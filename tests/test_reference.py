@@ -12,8 +12,10 @@ form, against the O(n²) mate mask, the dendrogram kernel against the
 broadcast gap triangle it replaced, the sorted rows against Prim's
 order, `reconstruct` against the landmark-star closure it replaced and
 the pair loop, epsilon grouping on
-integer units against the `Fraction` chain, and the CSV row split
-against the version that strips every field. Spellings travel here
+integer units against the `Fraction` chain, the CSV row split
+against the version that strips every field, the accept test against
+the per-cell masks, the value sort against numpy's stable sort and the
+separator gather against the newline and comma counts. Spellings travel here
 the way they once did, in dicts keyed by `Fraction`.
 """
 
@@ -2658,3 +2660,157 @@ def test_plain_reader_skips_small_documents():
     assert plain_rows(PLAIN_TABLE, 0) is not None
     assert ingest_module._plain_rows(PLAIN_COORDINATES, 1) is None
     assert plain_rows(PLAIN_COORDINATES, 1) is not None
+
+
+# The accept test, the unstable value sort and the separator gather,
+# each against the code it replaced.
+
+def cell_checks_reference(ids, values, epsilon):
+    """The per-cell masks every matrix once ran: each cell that fails a
+    cell check (no number, a nonzero diagonal, a negative or zero upper
+    cell) or is asymmetric beyond ``epsilon``."""
+    n = len(ids)
+    finite = ids >= 0
+    sign = np.append(values.signs(), np.int8(1))[ids]
+    neg, zero = sign < 0, sign == 0
+    diagonal = np.eye(n, dtype=bool)
+    upper = np.triu(~diagonal)
+    cell_bad = ~finite | (diagonal & finite & ~zero) | (upper & (neg | zero))
+    asym = upper & finite & finite.T & (ids != ids.T)
+    if epsilon > 0 and asym.any():
+        pairs, inverse = np.unique(np.stack([ids[asym], ids.T[asym]], axis=1), axis=0, return_inverse=True)
+        asym[asym] = values.apart(pairs[:, 0], pairs[:, 1], epsilon)[inverse.ravel()]
+    return cell_bad | asym
+
+
+@st.composite
+def id_matrices(draw):
+    """A dendrogram's value ids, values in eighths increasing from up to two
+    negatives, usually with a zero, and some cells overwritten on one side
+    of their pair or both: by another id (a nonzero diagonal, a zero or
+    negative off-diagonal cell, asymmetry), a neighbouring id (asymmetry
+    within epsilon) or -1 (no number)."""
+    n = draw(st.integers(2, 40))
+    space = random_dendrogram_space(n, seed=draw(st.integers(0, 10_000)), value_count=draw(st.integers(1, 5)))
+    ranks = space.ranks
+    negatives = [F(-k, 8) for k in range(draw(st.integers(0, 2)), 0, -1)]
+    zero = [F(0)] if draw(st.sampled_from([True, True, True, False])) else []
+    values = ValueList.of(negatives + zero + [F(r + 4, 8) for r in range(1, int(ranks.max()) + 2)])
+    base = len(negatives) + len(zero) - 1  # rank r >= 1 is id base + r
+    ids = np.where(ranks > 0, ranks + base, max(base, 0)).astype(np.int32)
+    for _ in range(draw(st.integers(0, 3)) if draw(st.booleans()) else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        v = draw(st.one_of(st.integers(-1, len(values) - 1),
+                           st.integers(-1, 1).map(lambda d: int(np.clip(ids[j, i] + d, 0, len(values) - 1)))))
+        ids[i, j] = v
+        if draw(st.booleans()):
+            ids[j, i] = v
+    return ids, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_matrices(), st.sampled_from([F(0), F(1, 8), F(1, 2)]))
+def test_accept_test_passes_exactly_when_the_cell_checks_find_nothing(case, epsilon):
+    import ultrabase.core as core
+
+    ids, values = case
+    accepted = core._accepts(ids, values.signs())
+    assert accepted == (not cell_checks_reference(ids, values, F(0)).any())
+    if accepted:  # at a positive epsilon only asymmetry within it passes the masks and not the test
+        assert not cell_checks_reference(ids, values, epsilon).any()
+
+
+# Spellings of a few values, and of distinct values that share one float.
+TIED_SPELLINGS = ["5", "5.0", "05", "5.00", "005", "05.0", "5e0", "10/2",
+                  "2.5", "2.50", "02.5", "5/2", "1", "1.0", "01", "1/1",
+                  "1.00000000000000000001", "1.000000000000000000010", "1.00000000000000000002",
+                  "0", "0.0", "00", "0/1", "7.25", "7.250", "29/4"]
+
+
+def order_reference(values):
+    """`values._order` with numpy's stable argsort."""
+    order = np.argsort(values.floats, kind="stable")
+    ties = values_module._tie_runs(values.floats[order])
+    for start, stop in ties:
+        order[start:stop] = sorted(order[start:stop].tolist(), key=values.__getitem__)
+    return order, ties
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(TIED_SPELLINGS), st.integers(17, len(TIED_SPELLINGS)))
+def test_order_matches_a_stable_sort_on_tied_spellings(spellings, count):
+    spellings = spellings[:count]  # more than 16, so numpy's unstable sort runs
+    exact = [to_fraction(s) for s in spellings]
+    floats = np.array([values_module._float(v) for v in exact])
+    cells = np.array(spellings, dtype=object)
+    order, ties = values_module._order(ValueList(floats, cells, np.empty(count, dtype=object)))
+    expected = order_reference(ValueList(floats, cells, np.empty(count, dtype=object)))
+    assert np.array_equal(order, expected[0]) and ties == expected[1]
+    with patch.object(values_module, "_order", order_reference):
+        ids, kept = quantize(spellings)
+    got, values = quantize(spellings)
+    assert np.array_equal(got, ids) and values.cells.tolist() == kept.cells.tolist()
+
+
+def separator_rule_reference(text, skip):
+    """The separator rule `_plain_rows` had: newlines and commas counted with
+    `bytes.count`, then a newline at every ``width``-th byte up to ","."""
+    start = text.find("\n") + 1
+    width = len(text[:start - 1].split(","))
+    buf = text.encode()
+    rows = buf.count(b"\n", start)
+    if not rows or width <= skip or (not skip and rows != width) or buf.count(b",", start) != rows * (width - 1):
+        return False
+    raw = np.frombuffer(buf, dtype=np.uint8)[start:]
+    ends = np.flatnonzero(raw <= 44)
+    return len(ends) == rows * width and bool((raw[ends[width - 1::width]] == 10).all())
+
+
+@st.composite
+def separator_documents(draw):
+    """A plain dendrogram CSV of 8 KB or more, as a distance table (skip 0)
+    or a coordinate table in every point (skip 1), maybe with one byte
+    from 0 to 44 inserted or in place of a comma, one comma moved to the
+    next row, or a trailing comma."""
+    n = draw(st.integers(36, 44))
+    space = random_dendrogram_space(n, seed=draw(st.integers(0, 10_000)), value_count=draw(st.integers(1, 5)))
+    units = draw(st.lists(st.integers(10_000, 99_999), min_size=len(space.table), max_size=len(space.table),
+                          unique=True))
+    cells = ["0", *(f"{u // 1000}.{u % 1000:03}" for u in sorted(units))]  # six characters each
+    skip = draw(st.integers(0, 1))
+    lines = [[*(["label"] if skip else []), *space.labels]]
+    lines += [[*([lab] if skip else []), *(cells[r] for r in row)] for lab, row in zip(space.labels, space.ranks.tolist())]
+    text = "\n".join(map(",".join, lines)) + "\n"
+    start = text.find("\n") + 1
+    assert len(text) - start >= ingest_module._PLAIN_MIN_BYTES
+    kind = draw(st.sampled_from(["none", "byte", "replace", "comma", "trailing"]))
+    if kind == "byte":
+        at = draw(st.integers(start, len(text)))
+        text = text[:at] + chr(draw(st.integers(0, 44))) + text[at:]
+    elif kind == "replace":
+        at = text.index(",", draw(st.integers(start, len(text) - 8)))
+        text = text[:at] + chr(draw(st.integers(0, 44))) + text[at + 1:]
+    elif kind == "comma":
+        r = draw(st.integers(1, n - 1))
+        line, after = text.splitlines()[r:r + 2]
+        commas = [k for k, c in enumerate(line) if c == ","]
+        k = draw(st.sampled_from(commas))
+        at = draw(st.integers(0, len(after)))
+        moved = line[:k] + line[k + 1:] + "\n" + after[:at] + "," + after[at:]
+        text = text.replace(line + "\n" + after, moved, 1)
+    elif kind == "trailing":
+        r = draw(st.integers(1, n))
+        rows = text.splitlines()
+        rows[r] += ","
+        text = "\n".join(rows) + "\n"
+    return text, skip
+
+
+@settings(max_examples=100, deadline=None)
+@given(separator_documents())
+def test_separator_gather_matches_the_count_rule(case):
+    text, skip = case
+    if separator_rule_reference(text, skip):
+        assert_same_rows(text, skip)
+    else:
+        assert ingest_module._plain_rows(text, skip) is None
