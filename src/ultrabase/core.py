@@ -385,7 +385,7 @@ def _analyze(
         ids = ids.reshape(n, n)
 
     signs = values.signs()
-    if not _accepts(ids, signs):  # the per-cell masks only name the faults
+    if not _accepts(ids, signs):  # the per-cell masks name faults, or let asymmetry within eps through
         # values are distinct, so two ids differ exactly when their values do
         finite = ids >= 0
         sign = np.append(signs, np.int8(1))[ids]  # id -1 reads the appended 1

@@ -199,3 +199,17 @@ def test_equality_is_structural():
 def test_math_inf_comparisons_work_with_fractions():
     # the trace sentinel relies on this ordering
     assert math.inf > F(10**9)
+
+
+def test_only_a_matrix_that_fails_the_accept_test_builds_the_cell_masks(monkeypatch):
+    import numpy as np
+
+    built = []
+    eye = np.eye
+    monkeypatch.setattr(np, "eye", lambda *a, **k: built.append(a) or eye(*a, **k))
+    valid = [[0, 2, 3], [2, 0, 3], [3, 3, 0]]
+    assert validate_ultrametric(valid).ok and build_space(["a", "b", "c"], valid, epsilon=1)
+    assert built == []
+    within = [[0, 2, 3], [2.5, 0, 3], [3, 3, 0]]  # asymmetric within epsilon: the masks let it through
+    assert build_space(["a", "b", "c"], within, epsilon=1) and built == [(3,)]
+    assert not validate_ultrametric([[0, 2], [0, 0]]).ok and built == [(3,), (2,)]

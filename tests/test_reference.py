@@ -2779,7 +2779,8 @@ def separator_documents(draw):
     cells = ["0", *(f"{u // 1000}.{u % 1000:03}" for u in sorted(units))]  # six characters each
     skip = draw(st.integers(0, 1))
     lines = [[*(["label"] if skip else []), *space.labels]]
-    lines += [[*([lab] if skip else []), *(cells[r] for r in row)] for lab, row in zip(space.labels, space.ranks.tolist())]
+    lines += [[*([lab] if skip else []), *(cells[r] for r in row)]
+              for lab, row in zip(space.labels, space.ranks.tolist())]
     text = "\n".join(map(",".join, lines)) + "\n"
     start = text.find("\n") + 1
     assert len(text) - start >= ingest_module._PLAIN_MIN_BYTES
