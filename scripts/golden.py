@@ -40,6 +40,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -173,6 +174,28 @@ def _inputs() -> dict[str, str]:
         "coords_duplicate_label.csv": _join([*table[:3], [table[2][0], *table[3][1:]], *table[4:]]),
         "coords_trailing_comma.csv": _join([*table[:3], [*table[3], ""], *table[4:]]),
     })
+    docs.update(_trees())
+    return docs
+
+
+def _trees() -> dict[str, str]:
+    """The Newick inputs by file name."""
+    docs = {}
+    for kind, make in (("tree", gen.random_tree_case), ("caterpillar", gen.caterpillar_case)):
+        for n in (8, 36):
+            docs[f"{kind}{n}.nwk"] = make(random.Random(f"golden:{kind}{n}"), n).text
+    # one leaf's length 0.0005 longer: equidistant within --epsilon 0.001 only
+    docs["tree8_within_epsilon.nwk"] = re.sub(r"(t\d+:\d+)", r"\g<1>.0005", docs["tree8.nwk"], count=1)
+    c = "2000000000000000000000000000003/6000000000000000000000000000000"  # 2c and 2/3 share a float
+    e = "3999999999999999999999999999997/6000000000000000000000000000000"  # 1 - c
+    docs.update({
+        "leaf_height.nwk": "((A:0,B:0):1,C:1);\n",
+        "newick_missing_length.nwk": "((A:1,B):1,C:2);\n",
+        "newick_unbalanced.nwk": "((A:1,B:1):1,C:2;\n",
+        "newick_trailing.nwk": "((A:1,B:1):1,C:2);x\n",
+        "newick_negative.nwk": "((A:1,B:-1):1,C:2);\n",
+        "float_collision.nwk": f"((A:1/3,B:1/3):2/3,(C:{c},D:{c}):{e});\n",
+    })
     return docs
 
 
@@ -213,7 +236,7 @@ def _cases(docs: dict[str, str]) -> list[tuple]:
         stem = name.removesuffix(".csv")
         if name.startswith("coords_"):
             cases.append((f"{stem}.reconstruct", ["reconstruct", name]))
-        elif not name.startswith(("dendro", "dissimilarity")):
+        elif name.endswith(".csv") and not name.startswith(("dendro", "dissimilarity")):
             cases += [(f"{stem}.validate_json", ["validate", name, "--json"]),
                       (f"{stem}.coords_auto", ["coords", name, "--auto"])]
     for kind in ("tab", "plus", "quote", "comma_moved", "diagonal", "zero_pair", "asymmetric", "within_epsilon"):
@@ -221,24 +244,49 @@ def _cases(docs: dict[str, str]) -> list[tuple]:
                   (f"dendro36_{kind}.validate_json", ["validate", f"dendro36_{kind}.csv", "--json"])]
     cases.append(("dendro36_within_epsilon.validate_epsilon",
                   ["validate", "dendro36_within_epsilon.csv", "--epsilon", "0.001"]))
+    for stem in ("tree8", "tree36", "caterpillar8", "caterpillar36"):
+        name = f"{stem}.nwk"
+        cases += [
+            (f"{stem}.validate", ["validate", name]),
+            (f"{stem}.validate_json", ["validate", name, "--json"]),
+            (f"{stem}.analyze", ["analyze", name]),
+            (f"{stem}.analyze_json", ["analyze", name, "--json"]),
+            (f"{stem}.coords_auto", ["coords", name, "--auto"]),
+            (f"{stem}.coords_auto_reconstruct", ["reconstruct", "-"], f"{stem}.coords_auto"),
+        ]
+    cases += [
+        ("tree8_within_epsilon.validate", ["validate", "tree8_within_epsilon.nwk"]),
+        ("tree8_within_epsilon.validate_epsilon", ["validate", "tree8_within_epsilon.nwk", "--epsilon", "0.001"]),
+        ("tree8_within_epsilon.analyze_json_epsilon",
+         ["analyze", "tree8_within_epsilon.nwk", "--json", "--epsilon", "0.001"]),
+        ("leaf_height.validate", ["validate", "leaf_height.nwk"]),
+        ("tree36.analyze_max_bases_0", ["analyze", "tree36.nwk", "--max-bases", "0"]),
+        ("tree36.analyze_max_bases_3", ["analyze", "tree36.nwk", "--max-bases", "3"]),
+        ("tree36.analyze_json_max_bases_3", ["analyze", "tree36.nwk", "--json", "--max-bases", "3"]),
+        ("oracle_check", ["oracle-check", "--n", "6", "--seeds", "3"]),
+        ("oracle_check_json", ["oracle-check", "--n", "6", "--seeds", "3", "--json"]),
+        ("float_collision.coords_auto_epsilon_0", ["coords", "float_collision.nwk", "--auto", "--epsilon", "0"]),
+    ]
+    cases += [(f"newick_{kind}.validate", ["validate", f"newick_{kind}.nwk"])
+              for kind in ("missing_length", "unbalanced", "trailing", "negative")]
     return cases
 
 
-def stdin_of(path: Path) -> io.TextIOWrapper:
-    """A text stream over a file's bytes, decoded as a console's stdin is."""
-    return io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8")
+def stdin_of(data: bytes) -> io.TextIOWrapper:
+    """A text stream over bytes, decoded as a console's stdin is."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
-def run_case(argv: list[str], stdin: str | None = None) -> tuple[int, str, str]:
+def run_case(argv: list[str], stdin: bytes | None = None) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one command run in the current
-    directory, with the file ``stdin`` there as its standard input."""
+    directory, with ``stdin`` as its standard input."""
     from ultrabase import cli
 
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     try:
         if stdin is not None:
-            sys.stdin = stdin_of(Path(stdin))
+            sys.stdin = stdin_of(stdin)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     finally:
@@ -252,19 +300,24 @@ def build() -> dict[str, bytes]:
     files = {f"inputs/{name}": text.encode() for name, text in docs.items()}
     manifest = []
     shared: dict[str, str] = {}  # output text -> its file
+    stdout_of: dict[str, str] = {}  # case name -> its stdout file
     cwd = os.getcwd()
     saved = os.environ.pop("ULTRABASE_MAX_BASES", None)
     try:
         os.chdir(CORPUS / "inputs")
         for name, argv, *stdin in _cases(docs):
-            code, out, err = run_case(argv, *stdin)
+            # stdin names an input, or an earlier case whose stdout it reads
+            source = stdin and (f"inputs/{stdin[0]}" if stdin[0] in docs else stdout_of[stdin[0]])
+            code, out, err = run_case(argv, files[source] if source else None)
             case = {"name": name, "argv": argv, "exit": code}
-            if stdin:
-                case["stdin"] = f"inputs/{stdin[0]}"
+            if source:
+                case["stdin"] = source
             for key, suffix, text in (("stdout", ".out", out), ("stderr", ".err", err)):
                 if text:  # cases with equal output share its file
                     case[key] = shared.setdefault(text, f"expected/{name}{suffix}")
                     files[case[key]] = text.encode()
+            if out:
+                stdout_of[name] = case["stdout"]
             manifest.append(case)
     finally:
         os.chdir(cwd)

@@ -28,7 +28,7 @@ def test_golden_case(case, monkeypatch, capsys):
     monkeypatch.chdir(CORPUS / "inputs")
     monkeypatch.delenv("ULTRABASE_MAX_BASES", raising=False)
     if "stdin" in case:
-        monkeypatch.setattr(sys, "stdin", golden.stdin_of(CORPUS / case["stdin"]))
+        monkeypatch.setattr(sys, "stdin", golden.stdin_of((CORPUS / case["stdin"]).read_bytes()))
     code = cli.main(case["argv"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (case["exit"], _expected(case, "stdout"), _expected(case, "stderr"))
