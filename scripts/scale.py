@@ -57,6 +57,12 @@ fill half of BUDGET_MB is recorded as ``"skipped": "budget"`` without
 being generated or run: that tree's units are built as an n x n int64
 matrix and checked like a CSV.
 
+``verify_roundtrip`` runs on the random tree at ROUNDTRIP_SIZES leaves: the
+child parses the tree and finds its first metric basis, and the call
+rebuilds the space from its coordinates in that basis and compares the
+two; a space that differs from its rebuild stops the run. It is timed and
+traced like the library calls above.
+
 Budgets: BUDGET_S wall seconds per call and BUDGET_MB of memory. A child is
 killed as soon as its resident set passes BUDGET_MB (polled while it runs),
 a call is stopped at BUDGET_S, and either is recorded as
@@ -103,6 +109,7 @@ CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
          "cli_validate", "cli_validate_epsilon", "cli_validate_late_witness", "cli_analyze_json",
          "cli_reconstruct")
 NEWICK_CALLS = ("parse_newick", "cli_validate_newick", "cli_analyze_json_newick")
+ROUNDTRIP_CALL = "verify_roundtrip"
 
 
 def random_tree_text(rng: random.Random, n: int) -> str:
@@ -139,6 +146,7 @@ CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["valida
        "cli_analyze_json_newick": (["analyze"], ["--json"], 0), "cli_reconstruct": (["reconstruct"], [], 0)}
 SIZES = (400, 1000, 2000)
 NEWICK_SIZES = (1000, 4000, 20000)
+ROUNDTRIP_SIZES = (400, 1000, 2000, 4000)
 LEVELS = 8
 REPEATS = 3  # runs per call, each in a new child
 PARTNER_LEVELS = 2  # the partner calls' dendrogram: few heights, large classes
@@ -198,6 +206,12 @@ def _rejected(ub, text: str) -> None:
     raise RuntimeError("the dissimilarity was accepted as an ultrametric")
 
 
+def _roundtrip(ub, space, landmarks) -> None:
+    """Compare a space with its rebuild from the landmarks' coordinates."""
+    if not ub.verify_roundtrip(space, landmarks):
+        raise RuntimeError("the space differs from its reconstruction")
+
+
 def _rank_matrix_mb(n: int) -> float:
     return 4 * n * n / 2**20
 
@@ -219,9 +233,13 @@ def child(call: str, path: str, landmarks: list[str], mode: str) -> dict:
 
     text = Path(path).read_text()
     text_only = ("parse_newick", "validate_ultrametric_floats", "subdominant_ultrametric",
-                 "parse_distance_csv", "parse_distance_csv_dissimilarity")
+                 "parse_distance_csv", "parse_distance_csv_dissimilarity", ROUNDTRIP_CALL)
     space = None if call in text_only else ub.parse_distance_csv(text)
-    if call == "parse_newick":
+    if call == ROUNDTRIP_CALL:
+        space = ub.parse_newick(text)
+        basis = next(ub.metric_bases(space).bases(cap=1))
+        run = lambda: _roundtrip(ub, space, basis)  # noqa: E731
+    elif call == "parse_newick":
         run = lambda: ub.parse_newick(text)  # noqa: E731
     elif call == "parse_distance_csv":
         run = lambda: ub.parse_distance_csv(text)  # noqa: E731
@@ -397,7 +415,9 @@ def main(argv=None) -> int:
                         "caterpillar-epsilon: the caterpillar with its first leaf length raised by 10^-12",
         "sizes": {},
         "newick_sizes": {},
-        "results": {call: {} for call in CALLS + NEWICK_CALLS},
+        "roundtrip_input": f"the text of a bench/gen.py random-tree case, seed {SEED}; "
+                           "landmarks: its first metric basis",
+        "results": {call: {} for call in (*CALLS, *NEWICK_CALLS, ROUNDTRIP_CALL)},
     }
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:
@@ -445,6 +465,11 @@ def main(argv=None) -> int:
                 for call, result in results.items():
                     report["results"][call][str(n)][shape] = result
                     print(f"n={n} {shape} {call}: {result}", file=sys.stderr)
+        for n in ROUNDTRIP_SIZES:
+            path = Path(work) / f"roundtrip_{n}.nwk"
+            path.write_text(_tree("random-tree", n))
+            result = report["results"][ROUNDTRIP_CALL][str(n)] = measure(ROUNDTRIP_CALL, path, [], src)
+            print(f"n={n} {ROUNDTRIP_CALL}: {result}", file=sys.stderr)
     out = ROOT / f"BENCH_scale_{commit}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(out)

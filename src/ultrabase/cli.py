@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain failure (invalid space, not a basis,
 failed cross-check), 2 usage or I/O error, or not enough memory. Reports are deterministic:
-the same input bytes and flags produce byte-identical output.
+the same input bytes, flags and ULTRABASE_MAX_BASES (``analyze``'s cap on listed
+bases where ``--max-bases`` is not given) produce byte-identical output.
 """
 
 from __future__ import annotations

@@ -2,10 +2,10 @@
 
 A space stores its distances as small-integer ranks into a sorted table
 of distinct positive values, in gap form: a leaf order of its points and
-the n - 1 ranks between neighbouring leaves. One dendrogram kernel reads
-rows of distances off it, and builds the n x n rank matrix only when
-something reads it whole. Every comparison the
-theory depends on (equality of two distances, which of two distances is
+the n - 1 ranks between neighbouring leaves, and nothing else. One
+dendrogram kernel reads rows of distances off it, or the whole n x n
+picture for a caller that writes it out, and keeps none of them. Every
+comparison the theory depends on (equality of two distances, which of two distances is
 larger) is an exact integer comparison; the actual magnitudes only
 matter at ingestion and serialization time.
 
@@ -131,9 +131,7 @@ class UltrametricSpace:
     points at positions i < j is the largest of ``gaps[i..j-1]``, so a
     gap form is ultrametric by construction (Sibson's pointer
     representation). Rows of distances are read off the gaps in O(n)
-    each. ``ranks[i, j]``, the rank-encoded distance between
-    ``labels[i]`` and ``labels[j]``, is a read-only int32 matrix built
-    from the gaps when something first reads it.
+    each, and no matrix of them is kept.
 
     Instances are only built through :func:`build_space`, the gap form
     of a derived space, or by restricting a valid space; all methods are
@@ -158,43 +156,45 @@ class UltrametricSpace:
         return f"UltrametricSpace(labels={self.labels!r}, table={self.table!r})"
 
     def __eq__(self, other):
+        """Same labels, table and distances: B's ranks between A's
+        neighbouring leaves are A's gaps, and vice versa. Along A's chain
+        of leaves the ultrametric inequality makes the first d_B <= d_A,
+        and the second gives d_A <= d_B; so the gap forms decide it."""
         if not isinstance(other, UltrametricSpace):
             return NotImplemented
         return (
             self.labels == other.labels
             and self.table == other.table
-            and np.array_equal(self.ranks, other.ranks)
+            and np.array_equal(other._between(other._leaf[self.order]), self.gaps)
+            and np.array_equal(self._between(self._leaf[other.order]), other.gaps)
         )
 
     def __hash__(self) -> int:
         # each point's nearest distance is a function of the distances, read in O(n)
         return hash((self.labels, self.table, self._nearest.astype(np.int64).tobytes()))
 
-    @cached_property
-    def ranks(self) -> np.ndarray:
-        ranks = _cophenetic(self.order, self.gaps)
-        ranks.setflags(write=False)
-        return ranks
-
-    def _rows(self, points: Sequence[int]) -> np.ndarray:
-        """The rank rows of the given points, |points| x n, off the gaps."""
+    def _rows(self, points: Sequence[int] | None = None) -> np.ndarray:
+        """The rank rows of the given points, |points| x n, off the gaps;
+        without ``points``, the whole n x n matrix, row i for ``labels[i]``."""
         return _cophenetic(self.order, self.gaps, points)
+
+    def _between(self, leaves: np.ndarray) -> np.ndarray:
+        """The largest gap between each two neighbours in ``leaves``, leaf positions."""
+        pairs = np.sort(np.stack((leaves[:-1], leaves[1:]), axis=1), axis=1)
+        # reduceat reads gaps[lo:hi] at each even index; the 0 lets hi be n - 1
+        return np.maximum.reduceat(np.append(self.gaps, 0), pairs.ravel())[::2]
 
     @cached_property
     def _leaf(self) -> np.ndarray:
         """Each point's leaf position."""
-        leaf = np.empty(self.n, dtype=np.intp)
-        leaf[self.order] = np.arange(self.n)
-        return leaf
+        return np.argsort(self.order)
 
     @cached_property
     def _nearest(self) -> np.ndarray:
         """Each point's distance rank to its nearest other point: the
         smaller of the gaps on either side of its leaf."""
         ends = np.concatenate((self.gaps[:1], self.gaps, self.gaps[-1:]))
-        nearest = np.empty(self.n, dtype=ends.dtype)
-        nearest[self.order] = np.minimum(ends[:-1], ends[1:])
-        return nearest
+        return np.minimum(ends[:-1], ends[1:])[self._leaf]
 
     @property
     def n(self) -> int:
@@ -222,7 +222,7 @@ class UltrametricSpace:
         return itertools.combinations(sorted(self.labels), 2)
 
     def value_matrix(self) -> list[list[Fraction]]:
-        return [[self.table.value(r) for r in row] for row in self.ranks.tolist()]
+        return [[self.table.value(r) for r in row] for row in self._rows().tolist()]
 
     def restrict(self, subset: Iterable[str]) -> "UltrametricSpace":
         """The induced subspace on ``subset``, in this space's label order."""
@@ -234,8 +234,7 @@ class UltrametricSpace:
         new = np.full(self.n, -1, dtype=np.intp)
         new[idx] = np.arange(len(idx))
         kept = np.flatnonzero(new[self.order] >= 0)
-        gaps = np.maximum.reduceat(self.gaps[:kept[-1]], kept[:-1])
-        table, gaps = _compact(self.table.values, self.table.texts, gaps)
+        table, gaps = _compact(self.table.values, self.table.texts, self._between(kept))
         return UltrametricSpace(labels, table, new[self.order[kept]], gaps)
 
 

@@ -254,7 +254,7 @@ def write_distance_csv(space: UltrametricSpace) -> str:
     the round trip exactly, and the output is byte-stable under further
     parse/write cycles."""
     cells = np.array(["0", *_distinct_texts(space.table.values, space.table.texts)], dtype=object)
-    lines = [",".join(space.labels), *map(",".join, cells[space.ranks].tolist())]
+    lines = [",".join(space.labels), *map(",".join, cells[space._rows()].tolist())]
     return "\n".join(lines) + "\n"
 
 

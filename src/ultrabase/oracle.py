@@ -49,7 +49,7 @@ def brute_force_dim(space: UltrametricSpace, k: int) -> OracleResult:
     n = space.n
 
     # differs[z, p]: does point z tell pair p apart (pairs in combinations order)
-    sub = space.ranks[np.ix_(idx, idx)]
+    sub = space._rows()[np.ix_(idx, idx)]
     first, second = np.triu_indices(n, 1)
     differs = (sub[first] != sub[second]).T.astype(np.int8)
 

@@ -195,19 +195,23 @@ def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int], np.ndar
     return index, at, order
 
 
+def _max_rule(rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row i against each later row: where they differ, the max rule at
+    every landmark, and the max rule at their first distinguishing one."""
+    rest = rows[i + 1:]
+    diff = rest != rows[i]
+    maxima = np.maximum(rest, rows[i])
+    return diff, maxima, maxima[np.arange(len(rest)), diff.argmax(axis=1)]
+
+
 def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
                       ranks: np.ndarray, at: list[int]) -> NoReturn:
     """Rebuild by the max rule at each pair's first distinguishing
     landmark, then validate, to name why an inconsistent table fails."""
     pts, landmarks = table.points, table.landmarks
-    n = len(pts)
-    rank_arr = np.zeros((n, n), dtype=np.int32)
-    for i in range(n - 1):
-        rest = ranks[i + 1:]
-        # first landmark telling i apart from each later row (rows are distinct)
-        first = (rest != ranks[i]).argmax(axis=1)
-        d = np.maximum(ranks[i, first], rest[np.arange(len(rest)), first])
-        rank_arr[i, i + 1:] = rank_arr[i + 1:, i] = d
+    rank_arr = np.zeros((len(pts),) * 2, dtype=np.int32)
+    for i in range(len(pts) - 1):  # rows are distinct, so each later row has a first distinguishing landmark
+        rank_arr[i, i + 1:] = rank_arr[i + 1:, i] = _max_rule(ranks, i)[2]
 
     report, _ = _triangle_report(pts, dtable.values, rank_arr)
     if not report.ok:
@@ -272,11 +276,7 @@ def landmark_independence_witness(
             return None
     _, arr = table.encoding
     for i in range(len(arr) - 1):
-        rest = arr[i + 1:]
-        diff = rest != arr[i]
-        maxima = np.maximum(rest, arr[i])
-        # per later row: the max rule at its first distinguishing landmark
-        at_first = maxima[np.arange(len(rest)), diff.argmax(axis=1)]
+        diff, maxima, at_first = _max_rule(arr, i)
         disagree = diff & (maxima != at_first[:, None])
         hits = np.flatnonzero(disagree.any(axis=1))
         if hits.size:

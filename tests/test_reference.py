@@ -482,7 +482,7 @@ def spelled(space):
     """The same space parsed from a CSV whose every value has its own spelling."""
     cells = ["0"] + [f"{v}.{'0' * r}" for r, v in enumerate(space.table.values, start=1)]
     lines = [",".join(space.labels)]
-    lines += [",".join(cells[r] for r in row) for row in space.ranks.tolist()]
+    lines += [",".join(cells[r] for r in row) for row in space._rows().tolist()]
     return parse_distance_csv("\n".join(lines) + "\n")
 
 
@@ -1025,7 +1025,7 @@ def rank_matrices(draw):
             st.integers(1, 6), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
         return arr + arr.T
     arr = random_dendrogram_space(n, seed=draw(st.integers(0, 10_000)),
-                                  value_count=draw(st.integers(1, 5))).ranks.copy()
+                                  value_count=draw(st.integers(1, 5)))._rows().copy()
     if kind == "perturbed":
         for _ in range(draw(st.integers(1, 3))):
             i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
@@ -1066,7 +1066,7 @@ def valid_rank_matrices(draw):
     spaces relabelled, the gap forms above, and either with ranks merged
     in pairs, as epsilon merges neighbouring values."""
     arr = draw(st.one_of(gap_forms(120), st.builds(
-        lambda n, seed, count: random_dendrogram_space(n, seed=seed, value_count=count).ranks,
+        lambda n, seed, count: random_dendrogram_space(n, seed=seed, value_count=count)._rows(),
         st.integers(2, 120), st.integers(0, 10_000), st.integers(1, 6))))
     perm = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(len(arr))
     arr = arr[np.ix_(perm, perm)]
@@ -1715,7 +1715,7 @@ def is_k_generator_reference(space, landmarks, k):
     cols = sorted({space.index(s) for s in landmarks})
     counts = np.zeros((space.n, space.n), dtype=int)
     if cols:
-        sub = space.ranks[:, cols]
+        sub = space._rows()[:, cols]
         counts = (sub[:, None, :] != sub[None, :, :]).sum(axis=2)
     for x, y in space.pairs():
         count = int(counts[space.index(x), space.index(y)])
@@ -2016,7 +2016,7 @@ def test_star_closure_and_verdicts_match_the_pair_loops(case, k, cells):
 def nearest_set_reference(space, x):
     """The nearest points from a whole rank row filtered in Python."""
     i = space.index(x)
-    row = space.ranks[i].tolist()
+    row = space._rows()[i].tolist()
     m = min(r for j, r in enumerate(row) if j != i)
     members = tuple(sorted(space.labels[j] for j, r in enumerate(row) if j != i and r == m))
     return members, space.table.value(m)
@@ -2034,7 +2034,7 @@ def test_nearest_set_matches_row_filter(space, data):
 
 def classify_point_reference(space, x):
     """The per-point minima from a copy of the whole rank matrix, on every call."""
-    arr = space.ranks.copy()
+    arr = space._rows().copy()
     np.fill_diagonal(arr, len(space.table) + 1)
     mins = arr.min(axis=1)
     nearest, min_dist = nearest_set(space, x)
@@ -2055,11 +2055,11 @@ def test_classify_point_matches_copy_per_call(space):
 def partner_partition_reference(space):
     """Classes as connected components of per-point mate lists, found by a
     depth-first search and re-checked by a pair loop over each class."""
-    arr = space.ranks.copy()
+    arr = space._rows().copy()
     np.fill_diagonal(arr, len(space.table) + 1)
     mins = arr.min(axis=1)
     n = space.n
-    ranks = space.ranks
+    ranks = space._rows()
 
     partners_of: dict[int, list[int]] = {}
     for i in range(n):
@@ -2168,8 +2168,9 @@ def pseudopartnering_trace_reference(space, x):
     cur = space.index(x)
     radius = len(space.table) + 1
     steps = [TraceStep(point=x, dist=INFINITY)]
+    ranks = space._rows()
     for _ in range(space.n):
-        row = space.ranks[cur].tolist()
+        row = ranks[cur].tolist()
         inside = [j for j in range(space.n) if j != cur and row[j] < radius]
         if not inside:
             break
@@ -2227,7 +2228,7 @@ def mate_classes_reference(space):
     its mates, and each row of the mask with the diagonal set equals the
     row of its first member, which is re-checked here.
     """
-    labels, ranks = space.labels, space.ranks
+    labels, ranks = space.labels, space._rows()
     # rank 0 sits only on the diagonal, so no point is its own nearest or mate
     mins = ranks.min(axis=1, where=ranks > 0, initial=len(space.table) + 1)
     rows = ranks == mins[:, None]
@@ -2292,8 +2293,23 @@ def built_spaces(draw):
                 matrix[i][j] = matrix[j][i] = matrix[i][j] + 1
         return subdominant_ultrametric(matrix, source.labels)
     if way == "ranks":
-        return UltrametricSpace(source.labels, source.table, *_single_linkage(source.ranks))
+        return UltrametricSpace(source.labels, source.table, *_single_linkage(source._rows()))
     return source
+
+
+def whole_matrices():
+    """A patch of the dendrogram kernel, and the list of the sizes of the
+    whole matrices it is asked for while the patch is on."""
+    import ultrabase.core as core
+
+    calls, kernel = [], core._cophenetic
+
+    def counted(order, gaps, points=None):
+        if points is None:
+            calls.append(len(gaps) + 1)
+        return kernel(order, gaps, points)
+
+    return patch.object(core, "_cophenetic", counted), calls
 
 
 @settings(max_examples=300, deadline=None)
@@ -2306,12 +2322,15 @@ def test_gap_form_partners_and_ranks_match_the_matrix(space):
     assert sorted(order.tolist()) == list(range(space.n)) and len(gaps) == space.n - 1
     gap_built = UltrametricSpace(space.labels, space.table, order, gaps)
     matrix_built = UltrametricSpace(space.labels, space.table, *_single_linkage(cophenetic_reference(order, gaps)))
-    # the lazy ranks are the matrix the gap form always stood for
-    assert "ranks" not in vars(gap_built)
-    assert np.array_equal(gap_built.ranks, matrix_built.ranks) and not gap_built.ranks.flags.writeable
-    assert np.array_equal(space.ranks, matrix_built.ranks)
-    for other in (space, matrix_built, build_space(space.labels, space.value_matrix())):
-        assert gap_built == other and hash(gap_built) == hash(other)
+    # the rows read whole are the matrix the gap form always stood for
+    assert np.array_equal(gap_built._rows(), matrix_built._rows())
+    assert np.array_equal(space._rows(), matrix_built._rows())
+    others = (space, matrix_built, build_space(space.labels, space.value_matrix()))
+    patched, calls = whole_matrices()
+    with patched:
+        for other in others:
+            assert gap_built == other and hash(gap_built) == hash(other)
+    assert calls == []
     for built in (UltrametricSpace(space.labels, space.table, order, gaps), matrix_built):
         mins, class_at, partition = mate_classes_reference(built)
         record = partner._partners(built)
@@ -2319,12 +2338,85 @@ def test_gap_form_partners_and_ranks_match_the_matrix(space):
         assert np.array_equal(record.mins, mins)
 
 
+@st.composite
+def space_pairs(draw):
+    """Two spaces: a built space and the same space in another leaf order,
+    or with one gap, one label or one table value changed, in either order."""
+    a = draw(built_spaces())
+    b = a
+    change = draw(st.sampled_from(["none", "gap", "label", "value"]))
+    if change == "gap":
+        assume(len(a.table) > 1)
+        k = draw(st.integers(0, a.n - 2))
+        gaps = a.gaps.copy()
+        gaps[k] = draw(st.sampled_from([r for r in range(1, len(a.table) + 1) if r != gaps[k]]))
+        b = UltrametricSpace(a.labels, a.table, a.order, gaps)
+    elif change == "label":
+        k = draw(st.integers(0, a.n - 1))
+        b = UltrametricSpace((*a.labels[:k], "renamed", *a.labels[k + 1:]), a.table, a.order, a.gaps)
+    elif change == "value":
+        values = list(a.table.values)
+        values[-1] += 1
+        b = UltrametricSpace(a.labels, DistanceTable(values=tuple(values)), a.order, a.gaps)
+    reorder = draw(st.sampled_from(["same", "reversed", "prim", "csv"]))
+    if reorder == "reversed":  # the same dendrogram read from its other end
+        b = UltrametricSpace(b.labels, b.table, b.order[::-1], b.gaps[::-1])
+    elif reorder == "prim":
+        b = UltrametricSpace(b.labels, b.table, *_single_linkage(b._rows()))
+    elif reorder == "csv" and change == "none":
+        b = parse_distance_csv(write_distance_csv(b))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(space_pairs())
+def test_equality_matches_the_whole_rank_matrices(pair):
+    a, b = pair
+    same = a.labels == b.labels and a.table == b.table and np.array_equal(a._rows(), b._rows())
+    patched, calls = whole_matrices()
+    with patched:
+        assert (a == b) == same and (b == a) == same
+        assert not same or hash(a) == hash(b)
+    assert calls == []
+
+
+def test_equality_of_a_large_tree_and_its_reconstruction_reads_only_the_gaps():
+    import tracemalloc
+
+    sys.path.insert(0, str(ROOT / "scripts"))
+    import scale
+
+    space = parse_newick(scale.random_tree_text(random.Random("equality"), 4000))
+    rebuilt = reconstruct(coordinates(space, next(metric_bases(space).bases(cap=1))))
+    assert not np.array_equal(space.order, rebuilt.order)
+    tracemalloc.start()
+    try:
+        equal = space == rebuilt
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert equal and peak <= 2**20  # the two rank matrices took 137 MB
+    gaps = rebuilt.gaps.copy()
+    gaps[len(gaps) // 2] = 1 if gaps[len(gaps) // 2] > 1 else 2
+    assert space != UltrametricSpace(rebuilt.labels, rebuilt.table, rebuilt.order, gaps)
+
+
+def test_readers_of_the_whole_picture_keep_no_matrix():
+    space = random_dendrogram_space(40, seed=3, value_count=5)
+    other = parse_distance_csv(write_distance_csv(space))
+    assert space == other and hash(space) == hash(other)
+    space.value_matrix()
+    for held in (space, other):
+        assert all(np.size(v) < held.n ** 2 for v in vars(held).values())
+
+
 def first_short_pair_reference(space, landmarks, k):
     """The lexicographically first pair with fewer than k distinguishers
     among the landmarks, counted cell by cell in the rank matrix."""
     cols = [space.index(s) for s in landmarks]
+    ranks = space._rows()
     for x, y in space.pairs():
-        row_x, row_y = space.ranks[space.index(x)], space.ranks[space.index(y)]
+        row_x, row_y = ranks[space.index(x)], ranks[space.index(y)]
         count = sum(int(row_x[c] != row_y[c]) for c in cols)
         if count < k:
             return GeneratorCheck(ok=False, k=k, witness=(x, y), witness_count=count)
@@ -2335,7 +2427,7 @@ def first_short_pair_reference(space, landmarks, k):
 @given(built_spaces(), st.data())
 def test_row_readers_match_the_rank_matrix_without_building_it(space, data):
     gap = UltrametricSpace(space.labels, space.table, space.order, space.gaps)
-    labels, ranks, table = space.labels, space.ranks, space.table
+    labels, ranks, table = space.labels, space._rows(), space.table
     x, y = data.draw(st.lists(st.sampled_from(labels), min_size=2, max_size=2, unique=True))
     i, j = space.index(x), space.index(y)
     landmarks = data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
@@ -2353,17 +2445,20 @@ def test_row_readers_match_the_rank_matrix_without_building_it(space, data):
     members = frozenset(lab for lab, r in zip(labels, ranks[i].tolist())
                         if table.value(r) < radius or (closed and table.value(r) == radius))
     short = first_short_pair_reference(space, landmarks, k)
+    trace, unshort = pseudopartnering_trace_reference(space, x), first_short_pair_reference(space, [], 1)
 
-    assert coordinates(gap, landmarks) == expected_table
-    assert nearest_set(gap, x) == (nearest, table.value(int(m)))
-    assert classify_point(gap, x) == (Partnered(partners=mates, min_dist=table.value(int(m))) if mates
-                                      else Pseudopartnered(nearest=nearest, min_dist=table.value(int(m))))
-    assert pseudopartnering_trace(gap, x) == pseudopartnering_trace_reference(space, x)
-    assert ball(gap, x, radius, closed) == Ball(center=x, radius=radius, closed=closed, members=members)
-    assert distinguishers(gap, x, y) == tuple(sorted(labels[p] for p in np.flatnonzero(ranks[i] != ranks[j])))
-    assert is_k_generator(gap, landmarks, k) == (GeneratorCheck(ok=True, k=k) if short is None else short)
-    assert is_k_generator(gap, [], 1) == first_short_pair_reference(space, [], 1)
-    assert "ranks" not in vars(gap)
+    patched, calls = whole_matrices()
+    with patched:
+        assert coordinates(gap, landmarks) == expected_table
+        assert nearest_set(gap, x) == (nearest, table.value(int(m)))
+        assert classify_point(gap, x) == (Partnered(partners=mates, min_dist=table.value(int(m))) if mates
+                                          else Pseudopartnered(nearest=nearest, min_dist=table.value(int(m))))
+        assert pseudopartnering_trace(gap, x) == trace
+        assert ball(gap, x, radius, closed) == Ball(center=x, radius=radius, closed=closed, members=members)
+        assert distinguishers(gap, x, y) == tuple(sorted(labels[p] for p in np.flatnonzero(ranks[i] != ranks[j])))
+        assert is_k_generator(gap, landmarks, k) == (GeneratorCheck(ok=True, k=k) if short is None else short)
+        assert is_k_generator(gap, [], 1) == unshort
+    assert calls == []
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64, object])
@@ -2406,13 +2501,15 @@ def test_coordinates_read_rows_without_the_matrix():
 
     space = parse_newick(scale.random_tree_text(random.Random("rows"), 2000))
     landmarks = next(metric_bases(space).bases(cap=1))
+    patched, calls = whole_matrices()
     tracemalloc.start()
     try:
-        table = coordinates(space, landmarks)
+        with patched:
+            table = coordinates(space, landmarks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "ranks" not in vars(space)
+    assert calls == []
     assert peak <= 2.5 * space.n * len(landmarks) * 4  # the n x |S| int32 table it returns
     assert table.encoding[1].shape == (space.n, len(landmarks))
 
@@ -2450,7 +2547,7 @@ def write_distance_csv_reference(space):
     """The writer joining a rank row at a time through a list lookup."""
     cells = ["0", *ingest_module._distinct_texts(space.table.values, space.table.texts)]
     lines = [",".join(space.labels)]
-    lines += [",".join(map(cells.__getitem__, row)) for row in space.ranks.tolist()]
+    lines += [",".join(map(cells.__getitem__, row)) for row in space._rows().tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -2534,7 +2631,7 @@ def plain_tables(draw):
     spelled on its own; sometimes one pair is changed, breaking it."""
     n = draw(st.integers(2, 10))
     space = random_dendrogram_space(n, seed=draw(st.integers(0, 10_000)), value_count=draw(st.integers(1, 5)))
-    ranks = space.ranks.copy()
+    ranks = space._rows().copy()
     if n > 2 and draw(st.booleans()):
         i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         ranks[i, j] = ranks[j, i] = draw(st.integers(1, int(ranks.max())))
@@ -2564,7 +2661,7 @@ def plain_coordinate_texts(draw):
     values = [F(0), *draw(plain_decimals(len(space.table)))]
     cols = [space.index(s) for s in landmarks]
     lines = ["label," + ",".join(landmarks)]
-    for lab, row in zip(space.labels, space.ranks[:, cols].tolist()):
+    for lab, row in zip(space.labels, space._rows()[:, cols].tolist()):
         lines.append(lab + "," + ",".join("0" if r == 0 else plain_spelling(draw, values[r]) for r in row))
     return "\n".join(lines) + "\n"
 
@@ -2692,7 +2789,7 @@ def id_matrices(draw):
     within epsilon) or -1 (no number)."""
     n = draw(st.integers(2, 40))
     space = random_dendrogram_space(n, seed=draw(st.integers(0, 10_000)), value_count=draw(st.integers(1, 5)))
-    ranks = space.ranks
+    ranks = space._rows()
     negatives = [F(-k, 8) for k in range(draw(st.integers(0, 2)), 0, -1)]
     zero = [F(0)] if draw(st.sampled_from([True, True, True, False])) else []
     values = ValueList.of(negatives + zero + [F(r + 4, 8) for r in range(1, int(ranks.max()) + 2)])
@@ -2780,7 +2877,7 @@ def separator_documents(draw):
     skip = draw(st.integers(0, 1))
     lines = [[*(["label"] if skip else []), *space.labels]]
     lines += [[*([lab] if skip else []), *(cells[r] for r in row)]
-              for lab, row in zip(space.labels, space.ranks.tolist())]
+              for lab, row in zip(space.labels, space._rows().tolist())]
     text = "\n".join(map(",".join, lines)) + "\n"
     start = text.find("\n") + 1
     assert len(text) - start >= ingest_module._PLAIN_MIN_BYTES

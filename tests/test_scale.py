@@ -55,6 +55,15 @@ def test_newick_calls_run_on_a_small_tree(tmp_path):
         assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
 
 
+def test_verify_roundtrip_runs_on_a_small_tree(tmp_path):
+    path = tmp_path / "tree.nwk"
+    path.write_text(scale._tree("random-tree", 24))
+    assert set(scale.child(scale.ROUNDTRIP_CALL, str(path), [], "time")) == {"wall_s"}
+    result = scale.measure(scale.ROUNDTRIP_CALL, path, [], ROOT / "src")
+    assert set(result) == {"wall_s", "wall_s_runs", "call_peak_mb"} and 0 < result["wall_s"] < scale.BUDGET_S
+    assert_median_of_repeats(result)
+
+
 def test_validate_cases_run_on_small_inputs(tmp_path):
     late = tmp_path / "late_witness.csv"
     late.write_text(scale._late_witness(12))
