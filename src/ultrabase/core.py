@@ -4,8 +4,8 @@ A space stores its distances as small-integer ranks into a sorted table
 of distinct positive values, in gap form: a leaf order of its points and
 the n - 1 ranks between neighbouring leaves, and nothing else. One
 dendrogram kernel reads rows of distances off it, or the whole n x n
-picture for a caller that writes it out, and keeps none of them. Every
-comparison the theory depends on (equality of two distances, which of two distances is
+picture for a caller that writes it out, and keeps none. Every comparison
+the theory depends on (equality of two distances, which of two distances is
 larger) is an exact integer comparison; the actual magnitudes only
 matter at ingestion and serialization time.
 

@@ -209,8 +209,8 @@ def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
     """Rebuild by the max rule at each pair's first distinguishing
     landmark, then validate, to name why an inconsistent table fails."""
     pts, landmarks = table.points, table.landmarks
-    rank_arr = np.zeros((len(pts),) * 2, dtype=np.int32)
-    for i in range(len(pts) - 1):  # rows are distinct, so each later row has a first distinguishing landmark
+    rank_arr = np.zeros((len(pts), len(pts)), dtype=np.int32)
+    for i in range(len(pts) - 1):  # the rows are distinct: each pair has a first distinguishing landmark
         rank_arr[i, i + 1:] = rank_arr[i + 1:, i] = _max_rule(ranks, i)[2]
 
     report, _ = _triangle_report(pts, dtable.values, rank_arr)
