@@ -3,9 +3,10 @@
 Each case runs one command through ``ultrabase.cli.main`` in the
 directory ``tests/data/golden/inputs``, so reports name their input by a
 fixed relative path. The corpus holds the inputs, ``cases.json`` (each
-case's name, argv, exit code, the input a case reads as stdin if any,
-and the files under ``expected/`` that hold its stdout and stderr, where
-non-empty; cases with equal output share one file).
+case's name, argv, exit code, the file a case reads as stdin if any (an
+input, or an earlier case's stdout), and the files under ``expected/``
+that hold its stdout and stderr, where non-empty; cases with equal output
+share one file).
 ``tests/test_golden.py`` reruns every case and compares bytes.
 
 Inputs are seeded ``bench/gen.py`` dendrograms of 8 and 36 points, a
