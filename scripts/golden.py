@@ -23,7 +23,10 @@ plain-document reader rejects by their separators (a tab inside a field, a
 ``+`` sign, quotes, one comma moved to the next row) and four that fail
 the cell checks (a nonzero diagonal, a zero pair, an asymmetric pair, and
 a pair asymmetric only within the ``--epsilon`` it is also validated
-with). A coordinate table with a trailing comma is reconstructed. The
+with). Five copies of the dissimilarity are read by ``validate`` and
+``--json``: one spells a mirrored pair ``x.5`` and ``x.50``, and the others
+spell it with a leading dot, a trailing dot, two dots or 16 characters.
+A coordinate table with a trailing comma is reconstructed. The
 36-point documents are above the size where the CSV readers try their
 plain-document path, the 8-point ones below it.
 
@@ -167,6 +170,16 @@ def _inputs() -> dict[str, str]:
         "dendro36_asymmetric.csv": _join(_changed(rows, 2, 2, rows[2][4])),
         "dendro36_within_epsilon.csv": _join(_changed(rows, 2, 2, rows[2][2] + "5")),
     })
+    rows = _cells(noisy.text)
+    whole = rows[2][2].partition(".")[0]
+    docs.update({
+        # near-plain copies of the dissimilarity: one value spelled two ways, and four bad spellings
+        "dissimilarity36_respelled.csv": _join(_changed(_changed(rows, 2, 2, whole + ".5"), 3, 1, whole + ".50")),
+        "dissimilarity36_leading_dot.csv": _join(_respelled(rows, lambda t: "." + t.partition(".")[2])),
+        "dissimilarity36_trailing_dot.csv": _join(_respelled(rows, lambda t: t.partition(".")[0] + ".")),
+        "dissimilarity36_two_dots.csv": _join(_respelled(rows, lambda t: t + ".5")),
+        "dissimilarity36_digits16.csv": _join(_respelled(rows, lambda t: t.ljust(16, "0"))),
+    })
     table = _cells(docs["dendro36_all.csv"])
     docs.update({
         "coords_crlf.csv": _join(table, "\r\n"),
@@ -243,6 +256,9 @@ def _cases(docs: dict[str, str]) -> list[tuple]:
     for kind in ("tab", "plus", "quote", "comma_moved", "diagonal", "zero_pair", "asymmetric", "within_epsilon"):
         cases += [(f"dendro36_{kind}.validate", ["validate", f"dendro36_{kind}.csv"]),
                   (f"dendro36_{kind}.validate_json", ["validate", f"dendro36_{kind}.csv", "--json"])]
+    for kind in ("respelled", "leading_dot", "trailing_dot", "two_dots", "digits16"):
+        cases += [(f"dissimilarity36_{kind}.validate", ["validate", f"dissimilarity36_{kind}.csv"]),
+                  (f"dissimilarity36_{kind}.validate_json", ["validate", f"dissimilarity36_{kind}.csv", "--json"])]
     cases.append(("dendro36_within_epsilon.validate_epsilon",
                   ["validate", "dendro36_within_epsilon.csv", "--epsilon", "0.001"]))
     for stem in ("tree8", "tree36", "caterpillar8", "caterpillar36"):
