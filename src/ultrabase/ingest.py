@@ -87,12 +87,14 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     tokens.
 
     A token is told by its bytes, read as one little-endian word (two past
-    8 characters) and shifted up so the bytes after it drop out. Only the
-    distinct tokens become strings. A table of a space holds at most one
-    value per row, met in runs, so few distinct words are looked up in
-    their sorted list; many are numbered by one sort. Positions are int32,
-    so a body of 2 GB or more is left to the general path, and the text is
-    copied once, as bytes, freed once the words are read.
+    8 characters) and shifted up so the bytes after it drop out. A table
+    of a space holds at most one value per row, met in runs, so few
+    distinct words are looked up in their sorted list; many are numbered
+    by one sort. Only the distinct tokens become strings, all at once: the
+    bytes of their words, each NULs then its part of the token, and a
+    newline after each token lose the NULs and are split. Positions are
+    int32, so a body of 2 GB or more is left to the general path, and the
+    text is copied once, as bytes, freed once the words are read.
     """
     start = text.find("\n") + 1  # where the body starts
     head, size = text[:start - 1], len(text) - start
@@ -115,13 +117,10 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     starts[0] = 0
     np.add(ends[:-1], 1, out=starts[1:])
 
-    def fields(at, stops) -> list[str]:
-        bounds = map(slice, (starts[at] + start).tolist(), (stops + start).tolist())
-        return list(map(text.__getitem__, bounds))
-
     labels: list[str] = []
     if skip:
-        labels = fields(slice(None, None, width), ends[::width])
+        bounds = map(slice, (starts[::width] + start).tolist(), (ends[::width] + start).tolist())
+        labels = list(map(text.__getitem__, bounds))
         if not all(labels) or len(set(labels)) != rows:
             return None
     lengths = ends  # in place: each array is freed as soon as its successor exists
@@ -144,7 +143,7 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
         high = words[starts + 8]
         np.left_shift(high, _SHIFTS[np.maximum(lengths, 8) - 8], out=high)
         keys = (low, high)
-    del words, raw, buf
+    del words, raw, buf, starts, lengths
     if not long:
         ordered = np.sort(low)
         distinct = ordered[np.append(True, ordered[1:] != ordered[:-1])]
@@ -156,6 +155,7 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
         del keys, low
         first = np.full(len(distinct), cells, dtype=np.int32)
         np.minimum.at(first, spelling, np.arange(cells, dtype=np.int32))
+        keys = (distinct,)
     else:
         order = (np.lexsort(keys) if long else np.argsort(low)).astype(np.int32)
         new = np.zeros(cells, dtype=bool)  # where a spelling starts, in sorted order
@@ -163,7 +163,8 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
         for key in keys:
             ordered = key[order]
             new[1:] |= ordered[1:] != ordered[:-1]
-        del keys, low, ordered
+        del low, ordered
+        keys = tuple(key[order[new]] for key in keys)  # each spelling's key words, by spelling id
         spelling = np.empty(cells, dtype=np.int32)
         spelling[order] = np.cumsum(new, dtype=np.int32) - 1
         first = np.minimum.reduceat(order, np.flatnonzero(new))
@@ -171,12 +172,13 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     by_first = np.argsort(first)
     renumber = np.empty(len(first), dtype=np.int32)
     renumber[by_first] = np.arange(len(first), dtype=np.int32)
-    at = first[by_first]
-    spellings = fields(at, starts[at] + lengths[at])
-    floats = _plain_floats(spellings)
+    grid = np.full((len(first), 8 * len(keys) + 1), 10, dtype=np.uint8)
+    grid[:, :-1] = np.stack(keys, axis=1)[by_first].view(np.uint8)
+    doc = grid.tobytes().translate(None, b"\0")[:-1].decode()
+    spellings = doc.split("\n")
+    floats = _plain_floats(spellings, doc)
     if floats is None:
         return None
-    del starts, lengths
     ids, values = _quantize_spellings(renumber[spelling], spellings, floats)
     return header, labels, ids.reshape(rows, width - skip), values
 
@@ -516,6 +518,10 @@ def subdominant_ultrametric(
     Entry (x,y) becomes the minimum over all paths from x to y of the
     largest edge used. Already-ultrametric input passes through
     unchanged; the operator is idempotent and never exceeds its input.
+    The closure only compares values, so it runs on integer ranks and is
+    exact: at epsilon 0 on the value ids of :func:`quantize`, which number
+    the values in increasing order; :func:`core._rank_ids` groups values
+    into ranks only at a positive epsilon.
     """
     n = len(matrix)
     if labels is None:
@@ -530,7 +536,7 @@ def subdominant_ultrametric(
         i, j = divmod(p, n)
         raise UsageError(f"entry ({labels[i]},{labels[j]}) is not a finite number") from None
 
-    ids, values = quantize([c for row in matrix for c in row], bad)
+    ids, values = quantize(list(itertools.chain.from_iterable(matrix)), bad)
     ids = ids.reshape(n, n)
     signs = values.signs()
     neg, zero = signs[ids] < 0, signs[ids] == 0
@@ -544,13 +550,13 @@ def subdominant_ultrametric(
             raise UsageError(f"asymmetric entries at ({labels[i]},{labels[j]})")
         raise UsageError(f"negative entry at ({labels[i]},{labels[j]})")
 
-    # Work on ranks: the closure only compares values, so the quantized
-    # integer picture is exact.
-    reps, arr = _rank_ids(ids, values, eps)  # each built only if the closure keeps it
+    reps, arr = _rank_ids(ids, values, eps) if eps else (values, ids)  # each built only if the closure keeps it
     order, gaps = _single_linkage(arr)
-    if not reps[0]:  # built anyway: the closure keeps rank 1
+    if not eps:  # no value is negative, so id 0 is the zero, and id i is rank i + 1
+        gaps += 1
+    if gaps.min() == 1 and not reps[0]:  # rank r holds reps[r - 1]; the closure keeps rank 1
         # Zero dissimilarities glue distinct points; report each such pair.
-        # Rank r holds reps[r - 1], and reps[0] = 0 also serves the diagonal.
+        # reps[0] = 0 also serves the diagonal.
         return build_space(labels, _ValueIds(np.maximum(_cophenetic(order, gaps) - 1, 0), reps))
     # the closure's gap form is its space, and keeps at most n - 1 ranks: the table holds only those
     _check_labels(labels)

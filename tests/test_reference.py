@@ -2912,3 +2912,261 @@ def test_separator_gather_matches_the_count_rule(case):
         assert_same_rows(text, skip)
     else:
         assert ingest_module._plain_rows(text, skip) is None
+
+
+# The plain reader's spellings and plainness check, and the subdominant
+# closure at epsilon 0, each against the code it replaced.
+
+def plain_floats_reference(spellings):
+    """`_plain_floats` as it was: the checks on the joined str, and a
+    length taken per spelling."""
+    try:
+        doc = "\n".join(spellings)
+        if (not doc.encode().translate(None, b"0123456789.\n")
+                and not doc.startswith(("\n", ".")) and not doc.endswith(("\n", "."))
+                and not any(map(doc.__contains__, ("\n\n", "\n.", ".\n")))
+                and max(map(len, spellings), default=0) <= MAX_DIGITS):
+            return np.fromiter(map(float, spellings), dtype=float, count=len(spellings))
+    except (TypeError, ValueError):
+        pass
+    return None
+
+
+def plain_spellings_reference(text, skip):
+    """`_plain_rows` as it was: each distinct field sliced out of the text
+    at its first occurrence, then checked by `plain_floats_reference`."""
+    start = text.find("\n") + 1
+    head, size = text[:start - 1], len(text) - start
+    if (not start or not ingest_module._PLAIN_MIN_BYTES <= size < 2**31 - 16 or text[-1] != "\n"
+            or not text.isascii() or head.split() != [head]):
+        return None
+    header = head.split(",")
+    width = len(header)
+    buf = text.encode() + bytes(16)
+    raw = np.frombuffer(buf, dtype=np.uint8, count=size, offset=start)
+    ends = np.flatnonzero(raw <= 44).astype(np.int32)
+    rows = len(ends) // width
+    if not rows or width <= skip or len(ends) != rows * width or (not skip and rows != width):
+        return None
+    if (raw[ends].reshape(rows, width) != np.append(np.full(width - 1, 44, np.uint8), np.uint8(10))).any():
+        return None
+    starts = np.append(0, ends[:-1] + 1).astype(np.int32)
+
+    def fields(at, stops):
+        bounds = map(slice, (starts[at] + start).tolist(), (stops + start).tolist())
+        return list(map(text.__getitem__, bounds))
+
+    labels = []
+    if skip:
+        labels = fields(slice(None, None, width), ends[::width])
+        if not all(labels) or len(set(labels)) != rows:
+            return None
+    lengths = ends - starts
+    if skip:
+        starts = starts.reshape(rows, width)[:, 1:].ravel()
+        lengths = lengths.reshape(rows, width)[:, 1:].ravel()
+    if lengths.min() < 1 or lengths.max() > 15:
+        return None
+    words = np.ndarray((size + 8,), dtype="<u8", buffer=buf, offset=start, strides=(1,))
+    shifts = ingest_module._SHIFTS
+    keys = [words[starts] << shifts[np.minimum(lengths, 8)], words[starts + 8] << shifts[np.maximum(lengths, 8) - 8]]
+    order = np.lexsort(keys)
+    new = np.ones(len(order), dtype=bool)  # where a spelling starts, in sorted order
+    new[1:] = (keys[0][order][1:] != keys[0][order][:-1]) | (keys[1][order][1:] != keys[1][order][:-1])
+    spelling = np.empty(len(order), dtype=np.int32)
+    spelling[order] = np.cumsum(new) - 1
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(first)
+    renumber = np.empty(len(first), dtype=np.int32)
+    renumber[by_first] = np.arange(len(first), dtype=np.int32)
+    at = first[by_first]
+    spellings = fields(at, starts[at] + lengths[at])
+    floats = plain_floats_reference(spellings)
+    if floats is None:
+        return None
+    ids, values = values_module._quantize_spellings(renumber[spelling], spellings, floats)
+    return header, labels, ids.reshape(rows, width - skip), values
+
+
+def odd_plain_token(draw):
+    """A token of 9 to 16 characters, or a spelling the plain check rejects."""
+    return draw(st.sampled_from([
+        "1." + "0" * draw(st.integers(7, 14)),
+        "0" * draw(st.integers(9, 16)),
+        str(draw(st.integers(10**8, 10**15))),
+        ".5", "5.", "1.2.3", ".", "5..0",
+    ]))
+
+
+@st.composite
+def spelling_tables(draw):
+    """An n x n CSV of plain decimals, its diagonal 0, with more distinct
+    spellings than rows (each pair its own value, spelled its own way) or
+    fewer (at most n - 1 values of at most 7 characters, spelled one way);
+    maybe with one mirrored pair spelled ``1.5`` and ``1.50``, or one cell
+    and its mirror spelled by :func:`odd_plain_token`. Returns the text, as
+    a distance table (skip 0) or with a label column (skip 1), and skip."""
+    n = draw(st.integers(2, 12))
+    pairs = n * (n - 1) // 2
+    if draw(st.booleans()):  # many: more spellings than rows
+        pool = draw(plain_decimals(pairs))
+        picks = draw(st.permutations(range(pairs)))
+        cells = [plain_spelling(draw, pool[k]) for k in picks]
+        mirror = [plain_spelling(draw, pool[k]) for k in picks]
+    else:
+        pool = sorted({F(draw(st.integers(1, 10**5)), 10**draw(st.integers(0, 2)))
+                       for _ in range(draw(st.integers(1, max(1, n - 1))))})
+        cells = [format_value(draw(st.sampled_from(pool))) for _ in range(pairs)]
+        mirror = cells
+    grid = [["0"] * n for _ in range(n)]
+    for (i, j), a, b in zip(itertools.combinations(range(n), 2), cells, mirror):
+        grid[i][j], grid[j][i] = a, b
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(["none", "respelled", "odd"]))
+    if kind == "respelled":
+        grid[i][j], grid[j][i] = "1.5", "1.50"
+    elif kind == "odd":
+        grid[i][j] = grid[j][i] = odd_plain_token(draw)
+    labels = [f"p{k}" for k in range(n)]
+    skip = draw(st.integers(0, 1))
+    lines = [["label", *labels] if skip else labels]
+    lines += [[lab, *row] if skip else row for lab, row in zip(labels, grid)]
+    return "\n".join(map(",".join, lines)) + "\n", skip
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelling_tables())
+@example(("a,b\n0,1.5\n1.50,0\n", 0))
+@example(("a,b,c\n0,2,.5\n2,0,2\n.5,2,0\n", 0))
+@example(("a,b,c\n0,2,5.\n2,0,2\n5.,2,0\n", 0))
+@example(("a,b,c\n0,5.,2\n5.,0,2\n2,2,0\n", 0))  # a trailing dot before a newline
+@example(("a,b,c\n0,2,1.2.3\n2,0,2\n1.2.3,2,0\n", 0))
+@example(("label,a,b\na,0,123456789.5\nb,123456789.5,0\n", 1))  # long keys, fewer spellings than rows
+@example(("label,a,b\na,0,1234567890123456\nb,1234567890123456,0\n", 1))  # 16 characters
+def test_plain_reader_spellings_match_the_slicing_reference(case):
+    text, skip = case
+    with patch.object(ingest_module, "_PLAIN_MIN_BYTES", 0):
+        got = ingest_module._plain_rows(text, skip)
+        want = plain_spellings_reference(text, skip)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[:2] == want[:2]
+            assert got[2].dtype == np.int32 and np.array_equal(got[2], want[2])
+            assert got[3].floats.tobytes() == want[3].floats.tobytes()  # bit for bit
+            assert got[3].cells.tolist() == want[3].cells.tolist() and got[3]._plain == want[3]._plain
+        fn = parse_coordinate_csv if skip else parse_distance_csv
+        new = outcome(fn, text)
+        with patch.object(ingest_module, "_plain_rows", plain_spellings_reference):
+            old = outcome(fn, text)
+    if not skip:
+        assert_same_outcome(new, old)
+    else:
+        assert new == old and (new[0] != "space" or new[1].texts == old[1].texts)
+
+
+@pytest.mark.parametrize("spellings", [
+    [],
+    ["1", "2.5", "0.125"],
+    ["1", "", "2"], ["1\n", "2"], ["1", "\n2"], ["1\n2"], [".5"], ["5."], ["5.", "1"], ["1", ".5"], ["1.2.3"], ["1", 2],
+    ["1", "\ud800"], ["1", "٤"],
+    ["1.5"] * 900 + ["0." + "1" * 3998],  # a document of more than MAX_DIGITS characters
+    ["1.5"] * 900 + ["0." + "1" * 3999],  # one spelling of MAX_DIGITS + 1 characters
+    ["0." + "1" * 3999],
+    ["1" * 4001, "2"],
+    ["2", "1" * 4001],
+])
+def test_plain_floats_match_the_str_checks(spellings):
+    got, want = values_module._plain_floats(spellings), plain_floats_reference(spellings)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_quantize_reads_a_long_document_with_one_long_spelling_exactly():
+    cells = ["0.5", "1", "0." + "1" * 3999, "1.5"] * 3 + [str(k) for k in range(2, 1000)]
+    assert len("\n".join(cells)) > MAX_DIGITS
+    ids, values = quantize(cells)
+    assert not values._plain  # the long spelling took the exact path
+    assert [values[i] for i in ids[:4].tolist()] == [F(1, 2), F(1), parse_decimal(cells[2]), F(3, 2)]
+    with patch.object(values_module, "_plain_floats", plain_floats_reference):
+        expected, kept = quantize(cells)
+    assert np.array_equal(ids, expected) and values.cells.tolist() == kept.cells.tolist()
+
+
+def subdominant_rank_ids_reference(matrix, labels, epsilon=0):
+    """`subdominant_ultrametric` as it ran at every epsilon: the closure on
+    the ranks `_rank_ids` renumbers from the value ids."""
+    from ultrabase.core import _ValueIds, _compact, _epsilon, _rank_ids
+
+    n = len(matrix)
+    if len(labels) != n or any(len(row) != n for row in matrix):
+        raise UsageError("dissimilarity matrix must be square and match the labels")
+    if n < 2:
+        raise UsageError("need at least two points")
+    eps = _epsilon(epsilon)
+
+    def bad(p, exc):
+        i, j = divmod(p, n)
+        raise UsageError(f"entry ({labels[i]},{labels[j]}) is not a finite number") from None
+
+    ids, values = quantize([c for row in matrix for c in row], bad)
+    ids = ids.reshape(n, n)
+    signs = values.signs()
+    neg, zero = signs[ids] < 0, signs[ids] == 0
+    diagonal = np.eye(n, dtype=bool)
+    bad = (diagonal & ~zero) | (np.triu(~diagonal) & ((ids != ids.T) | neg))
+    if bad.any():
+        i, j = divmod(int(np.flatnonzero(bad)[0]), n)
+        if i == j:
+            raise UsageError(f"nonzero diagonal at {labels[i]}")
+        if ids[i, j] != ids[j, i]:
+            raise UsageError(f"asymmetric entries at ({labels[i]},{labels[j]})")
+        raise UsageError(f"negative entry at ({labels[i]},{labels[j]})")
+    reps, arr = _rank_ids(ids, values, eps)
+    order, gaps = _single_linkage(arr)
+    if not reps[0]:
+        return build_space(labels, _ValueIds(np.maximum(_cophenetic(order, gaps) - 1, 0), reps))
+    _check_labels(labels)
+    table, gaps = _compact(reps, [None] * len(reps), gaps)
+    return UltrametricSpace(labels=tuple(labels), table=table, order=order, gaps=gaps)
+
+
+def typed_cell(draw, v):
+    """The value v as an int, a float, a `Fraction` or text, spelled one of several ways."""
+    kinds = [v, str(v) if v.denominator == 1 else format_value(v), format_value(v) + ("0" if "." in
+             format_value(v) else ".0"), float(v)]
+    if v.denominator == 1:
+        kinds.append(int(v))
+    return draw(st.sampled_from(kinds))
+
+
+@st.composite
+def typed_dissimilarities(draw):
+    """A symmetric matrix of quarters from 0 to 3, maybe with zero pairs,
+    each cell and its mirror an int, float, `Fraction` or text of the same
+    value, drawn on their own; sometimes one cell is changed, so the matrix
+    is asymmetric, negative or has a nonzero diagonal."""
+    n = draw(st.integers(2, 8))
+    matrix = [[typed_cell(draw, F(0)) for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        v = F(draw(st.integers(0 if draw(st.booleans()) else 1, 12)), 4)
+        matrix[i][j], matrix[j][i] = typed_cell(draw, v), typed_cell(draw, v)
+    if draw(st.integers(0, 5)) == 0:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        matrix[i][j] = draw(st.sampled_from([F(-1, 4), F(13, 4), "x"]))
+    return matrix
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_dissimilarities())
+@example([[0, 0], [0.0, "0"]])  # two points glued
+@example([[0, "1.5", 2], ["1.50", 0, F(3, 2)], [2.0, 1.5, "0.0"]])
+def test_subdominant_on_value_ids_matches_the_rank_ids_closure(matrix):
+    labels = [f"x{i}" for i in range(len(matrix))]
+    got = outcome(subdominant_ultrametric, matrix, labels)
+    want = outcome(subdominant_rank_ids_reference, matrix, labels)
+    assert_same_outcome(got, want)
+    if got[0] == "space":
+        assert np.array_equal(got[1].order, want[1].order) and np.array_equal(got[1].gaps, want[1].gaps)
+    with patch.object(ingest_module, "_rank_ids", side_effect=AssertionError("ranked at epsilon 0")):
+        assert_same_outcome(outcome(subdominant_ultrametric, matrix, labels), want)
