@@ -90,11 +90,11 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     8 characters) and shifted up so the bytes after it drop out. A table
     of a space holds at most one value per row, met in runs, so few
     distinct words are looked up in their sorted list; many are numbered
-    by one sort. Only the distinct tokens become strings, all at once: the
-    bytes of their words, each NULs then its part of the token, and a
-    newline after each token lose the NULs and are split. Positions are
-    int32, so a body of 2 GB or more is left to the general path, and the
-    text is copied once, as bytes, freed once the words are read.
+    by one sort. Only the distinct tokens become strings: their words'
+    bytes, NULs then the token, with a newline between tokens, lose the
+    NULs and are split once. Positions are int32, so a body of 2 GB or
+    more is left to the general path, and the text is copied once, as
+    bytes, freed once the words are read.
     """
     start = text.find("\n") + 1  # where the body starts
     head, size = text[:start - 1], len(text) - start
@@ -174,9 +174,12 @@ def _plain_rows(text: str, skip: int) -> tuple[list[str], list[str], np.ndarray,
     renumber[by_first] = np.arange(len(first), dtype=np.int32)
     grid = np.full((len(first), 8 * len(keys) + 1), 10, dtype=np.uint8)
     grid[:, :-1] = np.stack(keys, axis=1)[by_first].view(np.uint8)
-    doc = grid.tobytes().translate(None, b"\0")[:-1].decode()
+    grid[-1, -1] = 0  # no newline after the last spelling
+    doc = grid.tobytes().translate(None, b"\0").decode()
+    del keys, first, by_first, grid
     spellings = doc.split("\n")
     floats = _plain_floats(spellings, doc)
+    del doc
     if floats is None:
         return None
     ids, values = _quantize_spellings(renumber[spelling], spellings, floats)

@@ -436,26 +436,23 @@ def _spellings(cells: Sequence, kinds: set[type]) -> tuple[np.ndarray, list]:
 
 
 def _plain_floats(spellings: list, doc: str | None = None) -> np.ndarray | None:
-    """The floats of spellings that are all plain text, ASCII
-    ``digits[.digits]`` of at most MAX_DIGITS characters, checked at C
-    speed over ``doc``, them joined by newlines (built here where not
-    given); None otherwise."""
+    """The floats of spellings that are all plain text, ASCII ``digits[.digits]``
+    of at most MAX_DIGITS characters, checked at C speed over ``doc``, them
+    joined by newlines (built here where not given); None otherwise."""
     try:
         doc = "\n".join(spellings) if doc is None else doc  # TypeError: a spelling that is not text
         data = doc.encode()  # ValueError: a lone surrogate
         if data.translate(None, b"0123456789.\n") or doc.startswith(("\n", ".")) or doc.endswith(("\n", ".")):
             return None
         if len(data) <= MAX_DIGITS:  # and so is every spelling
-            if any(map(doc.__contains__, ("\n\n", "\n.", ".\n"))):
-                return None
+            bad = any(map(doc.__contains__, ("\n\n", "\n.", ".\n")))
         else:  # a digit on each side of every newline, and no line too long
             raw = np.frombuffer(data, dtype=np.uint8)
             ends = np.flatnonzero(raw == 10)
-            if ((raw[ends + 1] < 48).any() or (raw[ends - 1] == 46).any()
-                    or np.diff(ends, prepend=-1, append=len(data)).max() > MAX_DIGITS + 1):
-                return None
+            bad = ((raw[ends + 1] < 48).any() or (raw[ends - 1] == 46).any()
+                   or np.diff(ends, prepend=-1, append=len(data)).max() > MAX_DIGITS + 1)
         # a spelling left with two dots, or a newline inside, fails `float`
-        return np.fromiter(map(float, spellings), dtype=float, count=len(spellings))
+        return None if bad else np.fromiter(map(float, spellings), dtype=float, count=len(spellings))
     except (TypeError, ValueError):
         return None
 
