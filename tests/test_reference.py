@@ -15,8 +15,11 @@ the pair loop, epsilon grouping on
 integer units against the `Fraction` chain, the CSV row split
 against the version that strips every field, the accept test against
 the per-cell masks, the value sort against numpy's stable sort and the
-separator gather against the newline and comma counts. Spellings travel here
-the way they once did, in dicts keyed by `Fraction`.
+separator gather against the newline and comma counts, the plain
+reader's spellings from its key words against slicing each out of the
+text, and the subdominant closure on value ids against the ranks
+`_rank_ids` gave. Spellings travel here the way they once did, in dicts
+keyed by `Fraction`.
 """
 
 import itertools
@@ -3070,6 +3073,7 @@ def test_plain_reader_spellings_match_the_slicing_reference(case):
     ["1", "", "2"], ["1\n", "2"], ["1", "\n2"], ["1\n2"], [".5"], ["5."], ["5.", "1"], ["1", ".5"], ["1.2.3"], ["1", 2],
     ["1", "\ud800"], ["1", "٤"],
     ["1.5"] * 900 + ["0." + "1" * 3998],  # a document of more than MAX_DIGITS characters
+    *(["1.5"] * 1100 + [bad, "2"] for bad in ("5.", ".5", "", "1.2.3", "1 ")),
     ["1.5"] * 900 + ["0." + "1" * 3999],  # one spelling of MAX_DIGITS + 1 characters
     ["0." + "1" * 3999],
     ["1" * 4001, "2"],
