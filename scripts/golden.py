@@ -26,7 +26,11 @@ a pair asymmetric only within the ``--epsilon`` it is also validated
 with). Five copies of the dissimilarity are read by ``validate`` and
 ``--json``: one spells a mirrored pair ``x.5`` and ``x.50``, and the others
 spell it with a leading dot, a trailing dot, two dots or 16 characters.
-A coordinate table with a trailing comma is reconstructed. The
+A coordinate table with a trailing comma is reconstructed. ``coords
+--auto --epsilon 0.001`` runs on the dendrogram copy and the tree that
+are valid only within that epsilon, the first one's table is
+reconstructed from stdin, and so is the ``coords --auto`` table of the
+copy spelled in ratios. The
 36-point documents are above the size where the CSV readers try their
 plain-document path, the 8-point ones below it.
 
@@ -259,8 +263,15 @@ def _cases(docs: dict[str, str]) -> list[tuple]:
     for kind in ("respelled", "leading_dot", "trailing_dot", "two_dots", "digits16"):
         cases += [(f"dissimilarity36_{kind}.validate", ["validate", f"dissimilarity36_{kind}.csv"]),
                   (f"dissimilarity36_{kind}.validate_json", ["validate", f"dissimilarity36_{kind}.csv", "--json"])]
-    cases.append(("dendro36_within_epsilon.validate_epsilon",
-                  ["validate", "dendro36_within_epsilon.csv", "--epsilon", "0.001"]))
+    cases += [
+        ("dendro36_within_epsilon.validate_epsilon",
+         ["validate", "dendro36_within_epsilon.csv", "--epsilon", "0.001"]),
+        ("dendro36_within_epsilon.coords_auto_epsilon",
+         ["coords", "dendro36_within_epsilon.csv", "--auto", "--epsilon", "0.001"]),
+        ("dendro36_within_epsilon.coords_auto_epsilon_reconstruct", ["reconstruct", "-"],
+         "dendro36_within_epsilon.coords_auto_epsilon"),
+        ("ratio.coords_auto_reconstruct", ["reconstruct", "-"], "ratio.coords_auto"),
+    ]
     for stem in ("tree8", "tree36", "caterpillar8", "caterpillar36"):
         name = f"{stem}.nwk"
         cases += [
@@ -276,6 +287,8 @@ def _cases(docs: dict[str, str]) -> list[tuple]:
         ("tree8_within_epsilon.validate_epsilon", ["validate", "tree8_within_epsilon.nwk", "--epsilon", "0.001"]),
         ("tree8_within_epsilon.analyze_json_epsilon",
          ["analyze", "tree8_within_epsilon.nwk", "--json", "--epsilon", "0.001"]),
+        ("tree8_within_epsilon.coords_auto_epsilon",
+         ["coords", "tree8_within_epsilon.nwk", "--auto", "--epsilon", "0.001"]),
         ("leaf_height.validate", ["validate", "leaf_height.nwk"]),
         ("tree36.analyze_max_bases_0", ["analyze", "tree36.nwk", "--max-bases", "0"]),
         ("tree36.analyze_max_bases_3", ["analyze", "tree36.nwk", "--max-bases", "3"]),
