@@ -57,6 +57,12 @@ fill half of BUDGET_MB is recorded as ``"skipped": "budget"`` without
 being generated or run: that tree's units are built as an n x n int64
 matrix and checked like a CSV.
 
+``cli_coords_auto_newick`` runs ``coords FILE --auto`` (exit 0) on the
+random tree at TREE_TABLE_SIZES leaves, and ``cli_reconstruct_newick``
+runs ``reconstruct FILE`` (exit 0) on the table that command writes, made
+by one more child of the measured checkout before the runs; both are
+measured like the other command-line calls.
+
 ``verify_roundtrip`` runs on the random tree at ROUNDTRIP_SIZES leaves: the
 child parses the tree and finds its first metric basis, and the call
 rebuilds the space from its coordinates in that basis and compares the
@@ -109,6 +115,7 @@ CALLS = ("is_k_generator", "reconstruct", "landmark_independence_witness",
          "cli_validate", "cli_validate_epsilon", "cli_validate_late_witness", "cli_analyze_json",
          "cli_reconstruct")
 NEWICK_CALLS = ("parse_newick", "cli_validate_newick", "cli_analyze_json_newick")
+TREE_TABLE_CALLS = ("cli_coords_auto_newick", "cli_reconstruct_newick")
 ROUNDTRIP_CALL = "verify_roundtrip"
 
 
@@ -143,9 +150,11 @@ CLI = {"cli_coords_auto": (["coords"], ["--auto"], 0), "cli_validate": (["valida
        "cli_validate_epsilon": (["validate"], ["--epsilon", "0.001"], 1),
        "cli_validate_late_witness": (["validate"], [], 1), "cli_validate_newick": (["validate"], [], 0),
        "cli_analyze_json": (["analyze"], ["--json"], 0),
-       "cli_analyze_json_newick": (["analyze"], ["--json"], 0), "cli_reconstruct": (["reconstruct"], [], 0)}
+       "cli_analyze_json_newick": (["analyze"], ["--json"], 0), "cli_reconstruct": (["reconstruct"], [], 0),
+       "cli_coords_auto_newick": (["coords"], ["--auto"], 0), "cli_reconstruct_newick": (["reconstruct"], [], 0)}
 SIZES = (400, 1000, 2000)
 NEWICK_SIZES = (1000, 4000, 20000)
+TREE_TABLE_SIZES = (1000, 4000)
 ROUNDTRIP_SIZES = (400, 1000, 2000, 4000)
 LEVELS = 8
 REPEATS = 3  # runs per call, each in a new child
@@ -415,9 +424,12 @@ def main(argv=None) -> int:
                         "caterpillar-epsilon: the caterpillar with its first leaf length raised by 10^-12",
         "sizes": {},
         "newick_sizes": {},
+        "tree_table_input": f"cli_coords_auto_newick: the random-tree text, seed {SEED}; "
+                            "cli_reconstruct_newick: the table coords --auto writes for it",
+        "tree_table_sizes": {},
         "roundtrip_input": f"the text of a bench/gen.py random-tree case, seed {SEED}; "
                            "landmarks: its first metric basis",
-        "results": {call: {} for call in (*CALLS, *NEWICK_CALLS, ROUNDTRIP_CALL)},
+        "results": {call: {} for call in (*CALLS, *NEWICK_CALLS, *TREE_TABLE_CALLS, ROUNDTRIP_CALL)},
     }
     with tempfile.TemporaryDirectory() as work:
         for n in SIZES:
@@ -465,6 +477,19 @@ def main(argv=None) -> int:
                 for call, result in results.items():
                     report["results"][call][str(n)][shape] = result
                     print(f"n={n} {shape} {call}: {result}", file=sys.stderr)
+        for n in TREE_TABLE_SIZES:
+            tree = Path(work) / f"tree_{n}.nwk"
+            tree.write_text(_tree("random-tree", n))
+            table = Path(work) / f"tree_{n}_coordinates.csv"
+            done = _run([sys.executable, "-m", "ultrabase", "coords", str(tree), "--auto"], src, SETUP_S)
+            if isinstance(done, dict):
+                raise RuntimeError(f"coords --auto on the {n}-leaf tree ran past the budget: {done}")
+            table.write_bytes(done[0])
+            report["tree_table_sizes"][str(n)] = {"tree_bytes": tree.stat().st_size,
+                                                  "coordinates_csv_bytes": table.stat().st_size}
+            for call, path in zip(TREE_TABLE_CALLS, (tree, table)):
+                result = report["results"][call][str(n)] = measure(call, path, [], src)
+                print(f"n={n} {call}: {result}", file=sys.stderr)
         for n in ROUNDTRIP_SIZES:
             path = Path(work) / f"roundtrip_{n}.nwk"
             path.write_text(_tree("random-tree", n))

@@ -10,14 +10,16 @@ larger) is an exact integer comparison; the actual magnitudes only
 matter at ingestion and serialization time.
 
 Rank 0 is reserved for distance zero (the diagonal); rank ``i >= 1``
-denotes ``table.values[i - 1]``.
+denotes ``table.values[i - 1]``. A table holds its values as one
+:class:`ValueList`, the zero at position 0, so rank r is position r; the
+same list, taken at the ranks in use, is a coordinate table's.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -33,7 +35,6 @@ from .errors import (
 from .values import (
     Numeric,
     ValueList,
-    _float,
     format_value,
     group_values,
     quantize,
@@ -70,37 +71,55 @@ def _check_labels(labels: Sequence[str]) -> None:
         seen.add(lab)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DistanceTable:
     """The strictly increasing tuple of distinct positive distance values.
 
     ``texts`` optionally remembers the decimal spelling each value had in
-    its source document, so reports and CSV output can reproduce it.
+    its source document, so reports and CSV output can reproduce it. Both
+    are read-only views, built when first read, of one :class:`ValueList`:
+    the zero, then the values. Equality and hashing go by values.
     """
 
-    values: tuple[Fraction, ...]
-    texts: tuple[str | None, ...] = field(default=(), compare=False)
+    values: tuple[Fraction, ...] = cached_property(lambda self: tuple(self._list)[1:])
+    texts: tuple[str | None, ...] = field(
+        default=cached_property(lambda self: tuple(_texts(self._list, self._spelled)[1:])), compare=False)
 
-    def __post_init__(self):
-        if not self.texts:
-            object.__setattr__(self, "texts", (None,) * len(self.values))
-        if len(self.texts) != len(self.values):
+    def __init__(self, values: Sequence[Fraction], texts: Sequence[str | None] = ()):
+        if texts and len(texts) != len(values):
             raise UsageError("distance table texts must align with values")
+        listed = ValueList.of((ZERO, *values), (None, *texts) if texts else None)
         # rounding is monotone: only neighbours with equal floats need exact comparison
-        floats = np.array([_float(v) for v in self.values])
+        floats = listed.floats[1:]
         if (floats[1:] < floats[:-1]).any() or any(
-            not self.values[k] < self.values[k + 1]
-            for k in np.flatnonzero(floats[1:] == floats[:-1]).tolist()
+            not values[k] < values[k + 1] for k in np.flatnonzero(floats[1:] == floats[:-1]).tolist()
         ):
             raise UsageError("distance table values must be strictly increasing")
-        if self.values and self.values[0] <= 0:
+        if values and values[0] <= 0:
             raise UsageError("distance table values must be positive")
+        vars(self).update(_list=listed, _spelled=bool(texts))
+
+    @classmethod
+    def _of(cls, values: ValueList, spelled: bool = False) -> "DistanceTable":
+        """The table of ``values``, the zero then increasing positive values,
+        unchecked; with ``spelled``, text cells are source spellings."""
+        table = cls.__new__(cls)
+        vars(table).update(_list=values, _spelled=spelled)
+        return table
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self._list) - 1
 
     def value(self, rank: int) -> Fraction:
-        return ZERO if rank == 0 else self.values[rank - 1]
+        return self._list[rank]
+
+
+def _texts(values: ValueList, spelled: bool) -> list[str | None]:
+    """Each value's source spelling: with ``spelled``, a positive value's text cell; else None."""
+    if not spelled:
+        return [None] * len(values)
+    signs = values.signs().tolist()
+    return [c if s > 0 and isinstance(c, str) else None for c, s in zip(values.cells.tolist(), signs)]
 
 
 @dataclass(frozen=True)
@@ -122,6 +141,7 @@ class ValidationReport:
             raise UsageError("a validation report is ok exactly when it has no violations")
 
 
+@dataclass(frozen=True, init=False, eq=False)
 class UltrametricSpace:
     """An immutable finite ultrametric space.
 
@@ -145,12 +165,6 @@ class UltrametricSpace:
         order.setflags(write=False)
         gaps.setflags(write=False)
         vars(self).update(labels=labels, table=table, order=order, gaps=gaps)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
         return f"UltrametricSpace(labels={self.labels!r}, table={self.table!r})"
@@ -234,7 +248,7 @@ class UltrametricSpace:
         new = np.full(self.n, -1, dtype=np.intp)
         new[idx] = np.arange(len(idx))
         kept = np.flatnonzero(new[self.order] >= 0)
-        table, gaps = _compact(self.table.values, self.table.texts, self._between(kept))
+        table, gaps = _compact(self.table, self._between(kept))
         return UltrametricSpace(labels, table, new[self.order[kept]], gaps)
 
 
@@ -247,38 +261,34 @@ def _used_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[ValueList, np.ndarray]:
-    """The representatives, in increasing value, taken from ``values``, and
-    the symmetric int32 ranks of a value-id matrix's upper triangle, rank r
-    holding representative r - 1; ``values`` are numbered in increasing
-    value, so at epsilon 0 the ranks number the used ids in order."""
+    """The values of a value-id matrix with the zero on its diagonal,
+    grouped: the zero, then the representatives of its upper triangle's
+    values in increasing value, taken from ``values``; and the symmetric
+    int32 ranks, rank r holding position r. A group that holds the zero,
+    which only zero cells off the diagonal bring, is the zero's rank 0."""
     n = len(ids)
     upper = np.triu(np.ones((n, n), dtype=bool), 1)  # a mask: n² bytes, not n² int64 indices
     used, position = _used_ids(ids[upper], len(values))
-    taken = values.take(used)
-    reps, rank = group_values(taken, epsilon)
-    taken = taken.take(reps)  # the grouped list goes before the n x n arrays come
+    reps, rank = group_values(values.take(used), epsilon)
+    glued = used[reps[0]] == ids[0, 0]  # the zero is the least value, so its group's representative
+    taken = values.take(used[reps] if glued else np.append(ids[0, 0], used[reps]))  # before the n x n arrays
     arr = np.zeros((n, n), dtype=np.int32)
-    arr[upper] = rank[position]
+    arr[upper] = rank[position] - glued
     return taken, arr + arr.T
 
 
-def _compact(values, texts, gaps: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
-    """The table of the ranks a gap form uses, with their spellings, and
-    the gaps renumbered from 1; rank r holds ``values[r - 1]``. Every
-    distance of a gap form is one of its gaps."""
-    kept, position = _used_ids(gaps, len(values) + 1)
-    kept = kept.tolist()
-    compact = DistanceTable(
-        values=tuple(values[r - 1] for r in kept),
-        texts=tuple(texts[r - 1] for r in kept),
-    )
-    return compact, position + 1
+def _compact(table: DistanceTable, gaps: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
+    """The table of the zero and the ranks a gap form uses, with their
+    spellings, and the gaps renumbered from 1. Every distance of a gap
+    form is one of its gaps."""
+    kept, position = _used_ids(gaps, len(table) + 1)
+    return DistanceTable._of(table._list.take(np.append(0, kept)), table._spelled), position + 1
 
 
 def _triangle_violations(rank_arr, closure, labels, values, max_violations):
     """Witness triples (x, y, z) with d(x,y) > max(d(x,z), d(z,y)), by z,
-    then row-major by (x, y); rank r >= 1 holds ``values[r - 1]``, and a
-    witness reads no zero.
+    then row-major by (x, y); rank r holds ``values[r]``, and a witness
+    reads no zero.
 
     The long side of a witness exceeds the single-linkage ``closure`` C:
     C(x,y) <= max(C(x,z), C(z,y)) <= max(d(x,z), d(z,y)) < d(x,y). So only
@@ -299,7 +309,7 @@ def _triangle_violations(rank_arr, closure, labels, values, max_violations):
             if len(found) >= max_violations:
                 return found, True
             x, y, z = labels[i], labels[j], labels[k]
-            dxy, dxz, dzy = (values[rank_arr[a, b] - 1] for a, b in ((i, j), (i, k), (k, j)))
+            dxy, dxz, dzy = (values[rank_arr[a, b]] for a, b in ((i, j), (i, k), (k, j)))
             found.append(Violation("triangle", (x, y, z), (dxy, dxz, dzy), (
                 f"d({x},{y})={format_value(dxy)} > "
                 f"max(d({x},{z})={format_value(dxz)}, d({z},{y})={format_value(dzy)})")))
@@ -320,8 +330,8 @@ class _ValueIds:
     a finite number) into distinct ``values`` in increasing value, each
     held by some cell, as :func:`quantize` numbers them (only a matrix
     that fails the cell checks may leave a value unused). When
-    ``spelled``, ``values.cells`` are source text, read only for the
-    values of an accepted table."""
+    ``spelled``, ``values.cells`` are source text, and the table of an
+    accepted matrix says so."""
 
     ids: np.ndarray
     values: ValueList
@@ -330,11 +340,11 @@ class _ValueIds:
 
 @dataclass(frozen=True, eq=False)
 class _Gaps:
-    """A dendrogram: its points in leaf ``order``, and ``ids[k]`` the id
-    of the distance between leaves k and k + 1 among distinct positive
-    ``values``, each of them used. The distance between leaves i < j is
-    the largest value among ids[i..j-1]. Such a matrix is ultrametric by
-    construction."""
+    """A dendrogram: its points in leaf ``order``, and ``ids[k]`` the
+    position in ``values``, the zero and then distinct positive values,
+    each of them used, of the distance between leaves k and k + 1. The
+    distance between leaves i < j is the largest value among ids[i..j-1].
+    Such a matrix is ultrametric by construction."""
 
     order: Sequence[int]
     ids: np.ndarray
@@ -365,11 +375,10 @@ def _analyze(
     """
     _check_labels(labels)
     if isinstance(matrix, _Gaps):
-        # ranking is monotone, so the ranks are the maxima of the ranked gaps;
-        # only the values the table keeps become exact fractions
-        reps, rank = group_values(matrix.values, _epsilon(epsilon))
-        table = DistanceTable(values=tuple(map(matrix.values.__getitem__, reps.tolist())))
-        space = UltrametricSpace(tuple(labels), table, matrix.order, rank[matrix.ids])
+        # ranking is monotone, so the ranks are the maxima of the ranked gaps
+        reps, rank = group_values(matrix.values.take(slice(1, None)), _epsilon(epsilon))
+        table = DistanceTable._of(matrix.values.take(np.append(0, reps + 1)))
+        space = UltrametricSpace(tuple(labels), table, matrix.order, np.append(0, rank)[matrix.ids])
         return ValidationReport(ok=True, violations=()), space
     n = len(labels)
     quantized = isinstance(matrix, _ValueIds)
@@ -428,18 +437,17 @@ def _analyze(
             return report, None
 
     if eps:
-        kept, rank_arr = _rank_ids(ids, values, eps)
+        values, rank_arr = _rank_ids(ids, values, eps)
     else:
         # Every cell passed: id 0 is the zero diagonal and every other id is
         # a positive value some pair uses. At epsilon 0 no values merge, so
         # the ids are the ranks.
-        positive = values.take(np.arange(1, len(values)))
-        kept, rank_arr = positive.take(group_values(positive, eps)[0]), ids
-    report, form = _triangle_report(labels, kept, rank_arr, max_violations)
+        reps, _ = group_values(values.take(slice(1, None)), eps)
+        values, rank_arr = values.take(np.append(0, reps + 1)), ids
+    report, form = _triangle_report(labels, values, rank_arr, max_violations)
     if not report.ok:
         return report, None
-    texts = tuple(kept.cells.tolist()) if quantized and matrix.spelled else ()
-    table = DistanceTable(values=tuple(kept), texts=texts)
+    table = DistanceTable._of(values, quantized and matrix.spelled)
     return report, UltrametricSpace(tuple(labels), table, *form)
 
 
@@ -561,8 +569,8 @@ def _single_linkage(rank_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _triangle_report(labels, values, rank_arr, max_violations=DEFAULT_MAX_VIOLATIONS):
     """Check the triangles of a symmetric rank matrix with a zero diagonal,
-    rank r >= 1 holding ``values[r - 1]``; returns the report and, for a
-    valid matrix, its gap form.
+    rank r holding ``values[r]``; returns the report and, for a valid
+    matrix, its gap form.
 
     A matrix is ultrametric exactly when its sorted rows and the ranks
     between them are a gap form with its columns, in O(n²). Only one that

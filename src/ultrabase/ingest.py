@@ -13,6 +13,7 @@ out reproduces them.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -23,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    DistanceTable,
     UltrametricSpace,
     ValidationReport,
     Violation,
@@ -35,6 +37,7 @@ from .core import (
     _epsilon,
     _rank_ids,
     _single_linkage,
+    _texts,
     build_space,
 )
 from .errors import ParseError, UltrametricViolationError, UsageError
@@ -209,8 +212,8 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
     Values closer than ``epsilon`` collapse into one distance rank; the
     default 0 keeps values apart unless they denote the same number.
     Distinct spellings are ordered by float, and a value becomes an exact
-    `Fraction` only when it is read: a valid space builds the values its
-    table keeps, an invalid one those its witnesses name.
+    `Fraction` only when it is read: a valid space's table builds a value
+    when it is first read, an invalid one those its witnesses name.
     """
     plain = _plain_rows(text, skip=0)
     if plain is not None:
@@ -233,32 +236,28 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
     return build_space(labels, _ValueIds(ids, values, spelled=True), epsilon)
 
 
-def _distinct_texts(values, texts) -> list[str]:
+def _distinct_texts(values: ValueList, spelled: bool) -> list[str]:
     """Each of the distinct ``values`` rendered: "0" for zero, else its
-    aligned source spelling in ``texts``, or the canonical form where that
-    is None; nonzero values whose renderings collide get exact n/d.
-
-    Shortest-float rendering could in principle map two distinct exact
-    values to one string, which would corrupt the rank structure on the
-    next parse; the fraction form always round-trips.
+    source spelling (see :func:`core._texts`), which no other value has,
+    or else its canonical form. Shortest-float rendering could map two
+    distinct values to one text, which would corrupt the rank structure
+    on the next parse; every value with a text that a rendered nonzero
+    value has gets exact n/d, which always round-trips.
     """
-    cells = ["0" if not v else (format_value(v) if t is None else t) for v, t in zip(values, texts)]
-    by_text: dict[str, list[int]] = {}
-    for i, v in enumerate(values):
-        if v:
-            by_text.setdefault(cells[i], []).append(i)
-    for clashing in by_text.values():
-        if len(clashing) > 1:
-            for i in clashing:
-                cells[i] = ratio_text(values[i])
-    return cells
+    cells, signs = _texts(values, spelled), values.signs()
+    rendered = [i for i, cell in enumerate(cells) if cell is None]
+    for i in rendered:
+        cells[i] = format_value(values[i]) if signs[i] else "0"
+    counts = collections.Counter(cells)
+    clashing = {cells[i] for i in rendered if signs[i] and counts[cells[i]] > 1}
+    return [ratio_text(values[i]) if cell in clashing else cell for i, cell in enumerate(cells)]
 
 
 def write_distance_csv(space: UltrametricSpace) -> str:
     """Inverse of :func:`parse_distance_csv`: the rank structure survives
     the round trip exactly, and the output is byte-stable under further
     parse/write cycles."""
-    cells = np.array(["0", *_distinct_texts(space.table.values, space.table.texts)], dtype=object)
+    cells = np.array(_distinct_texts(space.table._list, space.table._spelled), dtype=object)
     lines = [",".join(space.labels), *map(",".join, cells[space._rows()].tolist())]
     return "\n".join(lines) + "\n"
 
@@ -296,17 +295,15 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
         if error:
             raise error
 
-    texts = np.where(values.signs() > 0, values.cells, None).tolist()
-    return CoordinateTable._encoded(landmarks, points, ids, values, texts)
+    return CoordinateTable._encoded(landmarks, points, ids, values, True)
 
 
 def write_coordinate_csv(table: CoordinateTable) -> str:
     """Inverse of :func:`parse_coordinate_csv`; each value is rendered once."""
-    values, index = table.encoding
-    cells = np.array(_distinct_texts(values, table.texts), dtype=object)
+    cells = np.array(_distinct_texts(table._list, table._spelled), dtype=object)
     grid = np.empty((len(table.points), len(table.landmarks) + 1), dtype=object)
     grid[:, 0] = table.points
-    grid[:, 1:] = cells[index]
+    grid[:, 1:] = cells[table._index]
     lines = ["label," + ",".join(table.landmarks), *map(",".join, grid.tolist())]
     return "\n".join(lines) + "\n"
 
@@ -489,10 +486,10 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
 
     n = len(labels)
     if low == high:
-        gap_ids: dict[int, int] = {}
-        ids = np.array([gap_ids.setdefault(meet, len(gap_ids)) for meet in meets], dtype=np.int32)
+        gap_ids: dict[int, int] = {}  # position 0 is the zero's
+        ids = np.array([gap_ids.setdefault(meet, len(gap_ids) + 1) for meet in meets], dtype=np.int32)
         if high not in gap_ids:  # else a zero distance, which the full checks report
-            gaps = _unit_values([2 * (high - meet) for meet in gap_ids], digits, rest)
+            gaps = _unit_values([0, *(2 * (high - meet) for meet in gap_ids)], digits, rest)
             return build_space(labels, _Gaps(range(n), ids, gaps), eps)
 
     units = _unit_array([*(2 * (high - meet) for meet in meets), *(depth - high for depth in depths)])
@@ -553,15 +550,12 @@ def subdominant_ultrametric(
             raise UsageError(f"asymmetric entries at ({labels[i]},{labels[j]})")
         raise UsageError(f"negative entry at ({labels[i]},{labels[j]})")
 
-    reps, arr = _rank_ids(ids, values, eps) if eps else (values, ids)  # each built only if the closure keeps it
+    # no value is negative, so id 0 is the zero, and rank r holds values[r]
+    values, arr = _rank_ids(ids, values, eps) if eps else (values, ids)
     order, gaps = _single_linkage(arr)
-    if not eps:  # no value is negative, so id 0 is the zero, and id i is rank i + 1
-        gaps += 1
-    if gaps.min() == 1 and not reps[0]:  # rank r holds reps[r - 1]; the closure keeps rank 1
-        # Zero dissimilarities glue distinct points; report each such pair.
-        # reps[0] = 0 also serves the diagonal.
-        return build_space(labels, _ValueIds(np.maximum(_cophenetic(order, gaps) - 1, 0), reps))
+    if not gaps.min():  # zero dissimilarities glue distinct points; report each such pair
+        return build_space(labels, _ValueIds(_cophenetic(order, gaps), values))
     # the closure's gap form is its space, and keeps at most n - 1 ranks: the table holds only those
     _check_labels(labels)
-    table, gaps = _compact(reps, [None] * len(reps), gaps)
+    table, gaps = _compact(DistanceTable._of(values), gaps)
     return UltrametricSpace(labels=tuple(labels), table=table, order=order, gaps=gaps)

@@ -11,8 +11,7 @@ a table no ultrametric fits falls back to the rule at every pair.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import NoReturn, Sequence
@@ -21,12 +20,12 @@ import numpy as np
 
 from .basis import is_k_generator
 from .core import (
-    ZERO,
     DistanceTable,
     UltrametricSpace,
     _check_labels,
     _leaf_gaps,
     _row_keys,
+    _texts,
     _triangle_report,
     _used_ids,
 )
@@ -36,7 +35,7 @@ from .errors import (
     NotGeneratorError,
     UsageError,
 )
-from .values import quantize
+from .values import ValueList, quantize
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -44,23 +43,35 @@ class CoordinateTable:
     """Distances from every point (rows) to an ordered landmark set (columns).
 
     The table is held in one canonical encoding, like a space's distances:
-    the increasing tuple of its distinct values, each of them used, and a
-    read-only int32 points x landmarks array of positions in that tuple
-    (see :attr:`encoding`). ``texts`` holds each value's source spelling,
-    aligned with the values (None where unknown). A table built from
-    ``rows`` orders its cells by float (see :func:`ultrabase.values.quantize`)
-    and looks its spellings up in ``value_texts`` once per value. Equality and hashing go by
-    landmarks, points and encoding; ``rows`` is decoded only when read.
-    Point labels, like landmarks, are distinct.
+    a :class:`ValueList` of its distinct values, increasing and each used,
+    and a read-only int32 points x landmarks array of positions in it.
+    :attr:`encoding` (the values as a tuple, and that array), ``texts``
+    (each positive value's source spelling, else None) and ``rows`` are
+    read-only views, built when first read. A table built from ``rows``
+    orders its cells by float (see :func:`ultrabase.values.quantize`) and
+    looks its spellings up in ``value_texts`` once per value. Equality and
+    hashing go by landmarks, points and encoding. Point labels, like
+    landmarks, are distinct.
     """
 
     landmarks: tuple[str, ...]
     points: tuple[str, ...]
-    encoding: tuple[tuple[Fraction, ...], np.ndarray]
-    texts: tuple[str | None, ...]
+    encoding: tuple[tuple[Fraction, ...], np.ndarray] = field(
+        default=cached_property(lambda self: (tuple(self._list), self._index)), repr=False)
+    rows: tuple[tuple[Fraction, ...], ...] = cached_property(
+        lambda self: tuple(tuple(map(self.encoding[0].__getitem__, row)) for row in self._index.tolist()))
+    texts: tuple[str | None, ...] = cached_property(lambda self: tuple(_texts(self._list, self._spelled)))
 
     def __init__(self, landmarks, points, rows, value_texts=None):
-        _check_table_labels(landmarks, points)
+        if not landmarks:
+            raise UsageError("a coordinate table needs at least one landmark")
+        if len(set(landmarks)) != len(landmarks):
+            raise UsageError("duplicate landmark column")
+        seen: set[str] = set()
+        for lab in points:
+            if lab in seen:
+                raise UsageError(f"duplicate point label {lab!r}")
+            seen.add(lab)
         if len(rows) != len(points):
             raise UsageError("coordinate rows must align with point labels")
         for lab, row in zip(points, rows):
@@ -73,33 +84,26 @@ class CoordinateTable:
             raise UsageError(f"coordinate ({points[i]}, {landmarks[c]}) is not a finite number") from None
 
         ids, values = quantize([c for row in rows for c in row], bad)
-        spelled = value_texts or {}
-        self._set(landmarks, points, ids.reshape(len(points), len(landmarks)),
-                  values, [spelled.get(v) or None for v in values])
+        if value_texts:
+            values = ValueList.of(list(values), [value_texts.get(v) or None for v in values])
+        self._set(landmarks, points, ids.reshape(len(points), len(landmarks)), values, bool(value_texts))
 
     @classmethod
-    def _encoded(cls, landmarks, points, ids, values, texts) -> "CoordinateTable":
-        """The table whose cells hold ``values[ids]``, spelled ``texts[ids]``."""
-        _check_table_labels(landmarks, points)
+    def _encoded(cls, landmarks, points, ids, values: ValueList, spelled: bool) -> "CoordinateTable":
+        """The table whose cells hold ``values[ids]``, ``values`` being
+        increasing, and its labels, unchecked; with ``spelled``, text cells are
+        source spellings."""
         table = cls.__new__(cls)
-        table._set(landmarks, points, ids, values, texts)
+        table._set(landmarks, points, ids, values, spelled)
         return table
 
-    def _set(self, landmarks, points, ids, values, texts) -> None:
-        """Store the canonical encoding of ``values[ids]``, ``values`` being
-        increasing: the values in use, and the cells renumbered to match."""
+    def _set(self, landmarks, points, ids, values: ValueList, spelled: bool) -> None:
+        """Store the canonical encoding of ``values[ids]``: the values in
+        use, and the cells renumbered to match."""
         kept, index = _used_ids(ids, len(values))
-        kept = kept.tolist()
         index.setflags(write=False)
-        object.__setattr__(self, "landmarks", tuple(landmarks))
-        object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "encoding", (tuple(values[i] for i in kept), index))
-        object.__setattr__(self, "texts", tuple(texts[i] for i in kept))
-
-    @cached_property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        values, index = self.encoding
-        return tuple(tuple(map(values.__getitem__, row)) for row in index.tolist())
+        vars(self).update(landmarks=tuple(landmarks), points=tuple(points),
+                          _list=values.take(kept), _index=index, _spelled=spelled)
 
     @cached_property
     def _position(self) -> dict[str, int]:
@@ -117,22 +121,6 @@ class CoordinateTable:
         values, index = self.encoding
         return self.landmarks, self.points, values, index.tobytes()
 
-    def __repr__(self) -> str:
-        return (f"CoordinateTable(landmarks={self.landmarks!r}, points={self.points!r}, "
-                f"rows={self.rows!r}, texts={self.texts!r})")
-
-
-def _check_table_labels(landmarks, points) -> None:
-    if not landmarks:
-        raise UsageError("a coordinate table needs at least one landmark")
-    if len(set(landmarks)) != len(landmarks):
-        raise UsageError("duplicate landmark column")
-    seen: set[str] = set()
-    for lab in points:
-        if lab in seen:
-            raise UsageError(f"duplicate point label {lab!r}")
-        seen.add(lab)
-
 
 def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> CoordinateTable:
     """The distances from every point to each landmark: the landmarks'
@@ -145,13 +133,8 @@ def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> Coordinate
     if len(set(landmarks)) != len(landmarks):
         raise UsageError("duplicate landmark in list")
     cols = [space.index(s) for s in landmarks]
-    return CoordinateTable._encoded(
-        landmarks,
-        space.labels,
-        space._rows(cols).T,
-        (ZERO, *space.table.values),
-        (None, *space.table.texts),
-    )
+    return CoordinateTable._encoded(landmarks, space.labels, space._rows(cols).T,
+                                    space.table._list, space.table._spelled)
 
 
 def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -159,11 +142,12 @@ def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int], np.ndar
     cells as ranks (the encoding's index, whose values then start at
     zero), each landmark's row and the rows' lexicographic order."""
     pts, landmarks = table.points, table.landmarks
-    values, index = table.encoding
+    values, index = table._list, table._index
     k = index.shape[1]
 
-    below = bisect.bisect_left(values, ZERO)  # the values increase: negatives come first
-    zero = below if values[below:below + 1] == (ZERO,) else -1
+    signs = values.signs()
+    below = int(np.count_nonzero(signs < 0))  # the values increase: negatives come first
+    zero = below if below < len(signs) and signs[below] == 0 else -1
     bad = index < max(below, zero + 1)  # negative or zero cells
     column = {s: c for c, s in enumerate(landmarks)}
     own_rows = [i for i, lab in enumerate(pts) if lab in column]
@@ -204,16 +188,15 @@ def _max_rule(rows: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return diff, maxima, maxima[np.arange(len(rest)), diff.argmax(axis=1)]
 
 
-def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
-                      ranks: np.ndarray, at: list[int]) -> NoReturn:
+def _rebuild_pairwise(table: CoordinateTable, ranks: np.ndarray, at: list[int]) -> NoReturn:
     """Rebuild by the max rule at each pair's first distinguishing
     landmark, then validate, to name why an inconsistent table fails."""
-    pts, landmarks = table.points, table.landmarks
+    pts, landmarks, values = table.points, table.landmarks, table._list
     rank_arr = np.zeros((len(pts), len(pts)), dtype=np.int32)
     for i in range(len(pts) - 1):  # the rows are distinct: each pair has a first distinguishing landmark
         rank_arr[i, i + 1:] = rank_arr[i + 1:, i] = _max_rule(ranks, i)[2]
 
-    report, _ = _triangle_report(pts, dtable.values, rank_arr)
+    report, _ = _triangle_report(pts, values, rank_arr)
     if not report.ok:
         raise CoordinateTableError(f"inconsistent coordinates: {report.violations[0].detail}")
     mismatch = np.argwhere(rank_arr[:, at] != ranks)
@@ -221,8 +204,7 @@ def _rebuild_pairwise(table: CoordinateTable, dtable: DistanceTable,
         i, c = mismatch[0].tolist()
         raise CoordinateTableError(
             f"inconsistent coordinates: rebuilt d({pts[i]},{landmarks[c]}) = "
-            f"{dtable.value(int(rank_arr[i, at[c]]))} "
-            f"but the table says {table.encoding[0][ranks[i, c]]}"
+            f"{values[rank_arr[i, at[c]]]} but the table says {values[ranks[i, c]]}"
         )
     # an ultrametric with the table's coordinates: its sorted rows fit
     raise InternalInvariantError("the pair rule fits a table its sorted rows do not")
@@ -237,11 +219,11 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     """
     ranks, at, order = _table_ranks(table)
     _check_labels(table.points)
-    dtable = DistanceTable(table.encoding[0][1:], table.texts[1:])
     gaps = _leaf_gaps(ranks, order, at)
     if gaps is None:
-        _rebuild_pairwise(table, dtable, ranks, at)
-    return UltrametricSpace(tuple(table.points), dtable, order, gaps)
+        _rebuild_pairwise(table, ranks, at)
+    # the checks leave the zero first and every value in use: the table's list is the space's
+    return UltrametricSpace(tuple(table.points), DistanceTable._of(table._list, table._spelled), order, gaps)
 
 
 def verify_roundtrip(space: UltrametricSpace, landmarks: Sequence[str]) -> bool:
@@ -274,7 +256,7 @@ def landmark_independence_witness(
     else:
         if _leaf_gaps(ranks, order, at) is not None:
             return None
-    _, arr = table.encoding
+    arr = table._index
     for i in range(len(arr) - 1):
         diff, maxima, at_first = _max_rule(arr, i)
         disagree = diff & (maxima != at_first[:, None])

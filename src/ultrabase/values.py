@@ -231,7 +231,9 @@ class ValueList:
     value i, and value i is ``to_fraction(cells[i])``: built when first
     read, then kept among the values built so far (None elsewhere).
 
-    A list may also know its values as integer units (see :meth:`units`):
+    A list made :meth:`of` built values holds them, and a cell is then
+    the value or its source spelling. A list may also know its values as
+    integer units (see :meth:`units`):
     value i is ``units[i] * 10**-digits``. A list made :meth:`of_units`
     holds them and has no cells; its values are built from them. A list
     whose cells are all plain decimal text (``plain``) reads them from its
@@ -249,10 +251,14 @@ class ValueList:
         self._plain = plain
 
     @classmethod
-    def of(cls, values: Sequence[Fraction | int]) -> "ValueList":
-        """The list of values already built, each its own cell."""
-        built = np.fromiter(values, dtype=object, count=len(values))
-        return cls(np.fromiter(map(_float, values), dtype=float, count=len(values)), built, built)
+    def of(cls, values: Sequence[Fraction | int], texts: Sequence[str | None] | None = None) -> "ValueList":
+        """The list of values already built, each its own cell, or its
+        spelling in ``texts`` where that is not None."""
+        k = len(values)
+        built = np.fromiter(values, dtype=object, count=k)
+        cells = built if texts is None else np.fromiter(
+            (v if t is None else t for v, t in zip(values, texts)), dtype=object, count=k)
+        return cls(np.fromiter(map(_float, values), dtype=float, count=k), cells, built)
 
     @classmethod
     def of_units(cls, units: Sequence[int] | np.ndarray, digits: int) -> "ValueList":
@@ -283,8 +289,9 @@ class ValueList:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def take(self, ids: np.ndarray) -> "ValueList":
-        """The values at ``ids``, in that order, with the ones built so far."""
+    def take(self, ids: np.ndarray | slice) -> "ValueList":
+        """The values at ``ids``, in that order, with the ones built so far;
+        a slice shares them, so a value built in either list is built in both."""
         units = None if self._units is None else (self._units[0][ids], self._units[1])
         cells = None if self.cells is None else self.cells[ids]
         return ValueList(self.floats[ids], cells, self._exact[ids], units, self._plain)

@@ -3,6 +3,8 @@ import contextlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -20,9 +22,11 @@ from ultrabase import (
 )
 from ultrabase import cli
 from ultrabase.cli import main
-from ultrabase.values import ratio_text
+from ultrabase.values import format_value, ratio_text
 
 DATA = Path(__file__).parent / "data"
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import gen  # noqa: E402  (stdlib + numpy only)
 
 
 @pytest.fixture
@@ -589,3 +593,62 @@ def test_any_input_exits_0_1_or_2_without_a_traceback(fuzz_path, case):
         code = main([command, str(fuzz_path), *flags])  # an uncaught exception fails the test
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+def exact_reads(monkeypatch):
+    """The values `ValueList.__getitem__` returns from now on, each built
+    or read exactly."""
+    from ultrabase.values import ValueList
+
+    reads, getitem = [], ValueList.__getitem__
+
+    def spy(self, i):
+        reads.append(getitem(self, i))
+        return reads[-1]
+
+    monkeypatch.setattr(ValueList, "__getitem__", spy)
+    return reads
+
+
+def test_an_equidistant_tree_is_validated_and_analyzed_without_an_exact_value(tmp_path, capsys, monkeypatch):
+    text = gen.random_tree_case(random.Random("exact reads"), 200).text
+    path = tmp_path / "tree.nwk"  # the lengths in hundredths: integer units of 10**-2
+    path.write_text(re.sub(r":(\d+)", lambda m: ":" + format_value(F(int(m.group(1)), 100)), text))
+    reads = exact_reads(monkeypatch)
+    assert main(["validate", str(path)]) == 0
+    assert main(["analyze", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert "ultrametric space (200 points" in out and json.loads(out[out.index("{"):])["result"]["n"] == 200
+    assert reads == []
+
+
+def test_a_plain_dendrogram_reads_no_positive_value_exactly(tmp_path, capsys, monkeypatch):
+    csv = DATA / "golden" / "inputs" / "dendro36.csv"
+    table = tmp_path / "coordinates.csv"
+    reads = exact_reads(monkeypatch)
+    assert main(["validate", str(csv)]) == 0
+    assert main(["analyze", str(csv), "--json"]) == 0
+    capsys.readouterr()
+    assert main(["coords", str(csv), "--auto"]) == 0
+    table.write_text(capsys.readouterr().out)
+    assert main(["reconstruct", str(table)]) == 0
+    assert capsys.readouterr().out == csv.read_text()
+    assert reads and not any(reads)  # the zero alone, to tell it from a tiny value
+
+
+def test_the_ci_twin_of_a_dissimilarity_takes_the_general_csv_path(capsys, monkeypatch):
+    """The CI step's twin: a CRLF copy without its last line end, which the
+    plain reader declines and reading with universal newlines keeps."""
+    import ultrabase.ingest as ingest
+
+    lf = gen.dissimilarity_case(random.Random(1), 200).text.encode()
+    twin = lf.replace(b"\n", b"\r\n")[:-2]
+    plain_rows, outcomes, reports = ingest._plain_rows, [], []
+    monkeypatch.setattr(ingest, "_plain_rows", lambda *a, **kw: outcomes.append(plain_rows(*a, **kw)) or outcomes[-1])
+    for data in (lf, twin):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(["validate", "-", "--format", "csv", "--json"]) == 1
+        reports.append(json.loads(capsys.readouterr().out))
+        reports[-1]["input"].pop("sha256")
+    assert outcomes[0] is not None and outcomes[1:] == [None]
+    assert reports[0] == reports[1]

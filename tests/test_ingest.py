@@ -294,16 +294,20 @@ def test_invalid_csv_gathers_no_spellings(monkeypatch):
     import ultrabase.ingest as ingest
 
     quantized, tables = [], []  # each quantized value list; each distance table's texts
-    quantize, table = ingest.quantize, core.DistanceTable
+    quantize, of = ingest.quantize, core.DistanceTable._of
 
     def spy(*args):
         ids, values = quantize(*args)
         quantized.append(values)
         return ids, values
 
+    def table(values, spelled=False):
+        built = of(values, spelled)
+        tables.append(built.texts)
+        return built
+
     monkeypatch.setattr(ingest, "quantize", spy)
-    monkeypatch.setattr(core, "DistanceTable",
-                        lambda values, texts=(): tables.append(texts) or table(values, texts))
+    monkeypatch.setattr(core.DistanceTable, "_of", staticmethod(table))
     with pytest.raises(UltrametricViolationError):
         parse_distance_csv("a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
     assert tables == []

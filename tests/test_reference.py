@@ -17,15 +17,18 @@ against the version that strips every field, the accept test against
 the per-cell masks, the value sort against numpy's stable sort and the
 separator gather against the newline and comma counts, the plain
 reader's spellings from its key words against slicing each out of the
-text, and the subdominant closure on value ids against the ranks
-`_rank_ids` gave. Spellings travel here the way they once did, in dicts
-keyed by `Fraction`.
+text, the subdominant closure on value ids against the ranks
+`_rank_ids` gave, and the tables that hold one value list, built when
+read, against the eager tuples every layer once built. Spellings travel
+here the way they once did, in dicts keyed by `Fraction`.
 """
 
 import itertools
 import math
 import random
+import re
 import sys
+from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
@@ -94,6 +97,7 @@ from ultrabase.values import (
     group_values,
     parse_decimal,
     quantize,
+    ratio_text,
     to_fraction,
 )
 
@@ -481,12 +485,17 @@ def subdominant_reference(matrix, labels, epsilon):
     return build_space_reference(labels, d)
 
 
-def spelled(space):
-    """The same space parsed from a CSV whose every value has its own spelling."""
+def spelled_text(space):
+    """A CSV of the space whose every value has its own spelling."""
     cells = ["0"] + [f"{v}.{'0' * r}" for r, v in enumerate(space.table.values, start=1)]
     lines = [",".join(space.labels)]
     lines += [",".join(cells[r] for r in row) for row in space._rows().tolist()]
-    return parse_distance_csv("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def spelled(space):
+    """The same space parsed from a CSV whose every value has its own spelling."""
+    return parse_distance_csv(spelled_text(space))
 
 
 def assert_same(actual, expected):
@@ -1125,9 +1134,9 @@ def test_triangle_witnesses_from_pairs_above_the_closure_match_the_sweep(arr, ma
     expected = triangle_violations_reference(arr, labels, table, max_violations)
     closed = _cophenetic(*_single_linkage(arr))
     with patch.object(core, "_BLOCK_CELLS", cells or core._BLOCK_CELLS):  # blocks of third points
-        assert _triangle_violations(arr, closed, labels, table.values, max_violations) == expected
-        # a witness never reads rank 0: index -1 raises KeyError here
-        assert _triangle_violations(arr, closed, labels, dict(enumerate(table.values)), max_violations) == expected
+        assert _triangle_violations(arr, closed, labels, table._list, max_violations) == expected
+        # a witness never reads rank 0: it raises KeyError here
+        assert _triangle_violations(arr, closed, labels, dict(enumerate(table.values, 1)), max_violations) == expected
 
 
 def group_values_by_value(values, epsilon):
@@ -2439,8 +2448,7 @@ def test_row_readers_match_the_rank_matrix_without_building_it(space, data):
     closed = data.draw(st.booleans())
     k = data.draw(st.integers(1, 3))
 
-    expected_table = CoordinateTable._encoded(landmarks, labels, ranks[:, cols],
-                                              (F(0), *table.values), (None, *table.texts))
+    expected_table = CoordinateTable(landmarks, labels, [list(map(table.value, row)) for row in ranks[:, cols].tolist()])
     m = ranks[i][ranks[i] > 0].min()
     nearest = tuple(sorted(labels[p] for p in np.flatnonzero(ranks[i] == m).tolist()))
     mates = tuple(sorted(labels[p] for p in np.flatnonzero(ranks[i] == m).tolist()
@@ -2546,9 +2554,25 @@ def test_pseudopartnering_trace_on_the_gaps_matches_the_row_reader(space, data):
         assert pseudopartnering_trace(space, x) == pseudopartnering_trace_rows_reference(space, x)
 
 
+def eager_distinct_texts(values, texts):
+    """`ingest._distinct_texts` as it was: every value read and rendered,
+    "0" for zero, else its aligned spelling in ``texts`` or its canonical
+    form, and every nonzero text checked for collisions."""
+    cells = ["0" if not v else (format_value(v) if t is None else t) for v, t in zip(values, texts)]
+    by_text: dict[str, list[int]] = {}
+    for i, v in enumerate(values):
+        if v:
+            by_text.setdefault(cells[i], []).append(i)
+    for clashing in by_text.values():
+        if len(clashing) > 1:
+            for i in clashing:
+                cells[i] = ratio_text(values[i])
+    return cells
+
+
 def write_distance_csv_reference(space):
     """The writer joining a rank row at a time through a list lookup."""
-    cells = ["0", *ingest_module._distinct_texts(space.table.values, space.table.texts)]
+    cells = ["0", *eager_distinct_texts(space.table.values, space.table.texts)]
     lines = [",".join(space.labels)]
     lines += [",".join(map(cells.__getitem__, row)) for row in space._rows().tolist()]
     return "\n".join(lines) + "\n"
@@ -2557,7 +2581,7 @@ def write_distance_csv_reference(space):
 def write_coordinate_csv_rows_reference(table):
     """The writer joining a row of the encoding at a time through a list lookup."""
     values, index = table.encoding
-    cells = ingest_module._distinct_texts(values, table.texts)
+    cells = eager_distinct_texts(values, table.texts)
     lines = ["label," + ",".join(table.landmarks)]
     lines += [lab + "," + ",".join(map(cells.__getitem__, row))
               for lab, row in zip(table.points, index.tolist())]
@@ -3097,10 +3121,27 @@ def test_quantize_reads_a_long_document_with_one_long_spelling_exactly():
     assert np.array_equal(ids, expected) and values.cells.tolist() == kept.cells.tolist()
 
 
+def rank_ids_reference(ids, values, epsilon):
+    """`core._rank_ids` as it was: the representatives of a value-id
+    matrix's upper triangle, taken from ``values``, and its ranks, rank r
+    holding representative r - 1."""
+    from ultrabase.core import _used_ids
+
+    n = len(ids)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    used, position = _used_ids(ids[upper], len(values))
+    taken = values.take(used)
+    reps, rank = group_values(taken, epsilon)
+    arr = np.zeros((n, n), dtype=np.int32)
+    arr[upper] = rank[position]
+    return taken.take(reps), arr + arr.T
+
+
 def subdominant_rank_ids_reference(matrix, labels, epsilon=0):
     """`subdominant_ultrametric` as it ran at every epsilon: the closure on
-    the ranks `_rank_ids` renumbers from the value ids."""
-    from ultrabase.core import _ValueIds, _compact, _epsilon, _rank_ids
+    the ranks `_rank_ids` renumbered from the value ids, rank r holding
+    representative r - 1, and a table of the ranks the closure keeps."""
+    from ultrabase.core import _ValueIds, _epsilon, _used_ids
 
     n = len(matrix)
     if len(labels) != n or any(len(row) != n for row in matrix):
@@ -3126,13 +3167,14 @@ def subdominant_rank_ids_reference(matrix, labels, epsilon=0):
         if ids[i, j] != ids[j, i]:
             raise UsageError(f"asymmetric entries at ({labels[i]},{labels[j]})")
         raise UsageError(f"negative entry at ({labels[i]},{labels[j]})")
-    reps, arr = _rank_ids(ids, values, eps)
+    reps, arr = rank_ids_reference(ids, values, eps)
     order, gaps = _single_linkage(arr)
     if not reps[0]:
         return build_space(labels, _ValueIds(np.maximum(_cophenetic(order, gaps) - 1, 0), reps))
     _check_labels(labels)
-    table, gaps = _compact(reps, [None] * len(reps), gaps)
-    return UltrametricSpace(labels=tuple(labels), table=table, order=order, gaps=gaps)
+    kept, position = _used_ids(gaps, len(reps) + 1)
+    table = DistanceTable(values=tuple(reps[r - 1] for r in kept.tolist()))
+    return UltrametricSpace(labels=tuple(labels), table=table, order=order, gaps=position + 1)
 
 
 def typed_cell(draw, v):
@@ -3174,3 +3216,207 @@ def test_subdominant_on_value_ids_matches_the_rank_ids_closure(matrix):
         assert np.array_equal(got[1].order, want[1].order) and np.array_equal(got[1].gaps, want[1].gaps)
     with patch.object(ingest_module, "_rank_ids", side_effect=AssertionError("ranked at epsilon 0")):
         assert_same_outcome(outcome(subdominant_ultrametric, matrix, labels), want)
+    for epsilon in (F(1, 4), F(1)):  # values merge, zero pairs with the zero
+        assert_same_outcome(outcome(subdominant_ultrametric, matrix, labels, epsilon),
+                            outcome(subdominant_rank_ids_reference, matrix, labels, epsilon))
+
+
+# The eager tables: a distance table as a tuple of values and a tuple of
+# spellings, and a coordinate table's encoding as tuples, each built when
+# the table is, as every layer built them before a table held one value
+# list. Each step below is the tuple code that step ran.
+
+@dataclass(frozen=True)
+class EagerTable:
+    """`DistanceTable` as it was: values and spellings as tuples, built up
+    front; equality and hashing by values."""
+
+    values: tuple
+    texts: tuple = field(default=(), compare=False)
+
+    def __post_init__(self):
+        if not self.texts:
+            object.__setattr__(self, "texts", (None,) * len(self.values))
+
+    def value(self, rank):
+        return F(0) if rank == 0 else self.values[rank - 1]
+
+
+def eager_table_reference(matrix, epsilon=0, spellings=None):
+    """The eager table of an ultrametric `Fraction` matrix, and its rank
+    matrix: the distinct values above the diagonal grouped within
+    epsilon, each representative with its spelling in ``spellings``."""
+    n = len(matrix)
+    upper = [matrix[i][j] for i in range(n) for j in range(i + 1, n)]
+    reps, rank_of = group_values_by_value(upper, to_fraction(epsilon))
+    spellings = spellings or {}
+    ranks = np.array([[rank_of[v] if i != j else 0 for j, v in enumerate(row)] for i, row in enumerate(matrix)])
+    return EagerTable(reps, tuple(spellings.get(v) for v in reps)), ranks
+
+
+def eager_restrict(table, ranks, idx):
+    """The old `_compact`: the values and spellings the points at ``idx`` use."""
+    sub = ranks[np.ix_(idx, idx)]
+    kept = np.unique(sub).tolist()  # 0 first, from the diagonal
+    return (EagerTable(tuple(table.values[r - 1] for r in kept[1:]), tuple(table.texts[r - 1] for r in kept[1:])),
+            np.searchsorted(kept, sub))
+
+
+def eager_coordinates(table, ranks, cols):
+    """The old `coordinates`: the zero and the values, with None and the
+    spellings, kept where the landmark columns use them; and the index."""
+    cells = ranks[:, cols]
+    kept = np.unique(cells).tolist()
+    values, texts = (F(0), *table.values), (None, *table.texts)
+    return tuple(values[r] for r in kept), np.searchsorted(kept, cells), tuple(texts[r] for r in kept)
+
+
+def eager_reconstruct(table, ranks, cols):
+    """The old `reconstruct` of a basis's coordinates: the table's values
+    and spellings after the zero, and the space's ranks among them."""
+    values, _, texts = eager_coordinates(table, ranks, cols)
+    return EagerTable(values[1:], texts[1:]), np.searchsorted(np.unique(ranks[:, cols]), ranks)
+
+
+def eager_write_distance_csv(labels, table, ranks):
+    cells = ["0", *eager_distinct_texts(table.values, table.texts)]
+    return "\n".join([",".join(labels), *(",".join(cells[r] for r in row) for row in ranks.tolist())]) + "\n"
+
+
+def eager_write_coordinate_csv(landmarks, points, values, index, texts):
+    cells = eager_distinct_texts(values, texts)
+    lines = ["label," + ",".join(landmarks)]
+    lines += [lab + "," + ",".join(cells[r] for r in row) for lab, row in zip(points, index.tolist())]
+    return "\n".join(lines) + "\n"
+
+
+def eager_parse_coordinates(text):
+    """A coordinate CSV read cell by cell: the distinct values, the index
+    and each positive value's first spelling."""
+    cells = [line.split(",")[1:] for line in text.splitlines()[1:]]
+    first = {}
+    for cell in itertools.chain.from_iterable(cells):
+        first.setdefault(to_fraction(cell), cell)
+    values = tuple(sorted(first))
+    index = np.array([[values.index(to_fraction(c)) for c in row] for row in cells])
+    return values, index, tuple(first[v] if v > 0 else None for v in values)
+
+
+def assert_eager_space(space, table, ranks):
+    assert space.table.values == table.values and space.table.texts == table.texts
+    assert space.table == DistanceTable(table.values, table.texts) and hash(space.table) == hash(table)
+    assert space.value_matrix() == [[table.value(r) for r in row] for row in ranks.tolist()]
+    assert write_distance_csv(space) == eager_write_distance_csv(space.labels, table, ranks)
+
+
+def assert_eager_coordinates(coords, values, index, texts):
+    assert coords.encoding[0] == values and np.array_equal(coords.encoding[1], index) and coords.texts == texts
+    assert coords == CoordinateTable(coords.landmarks, coords.points, [[values[r] for r in row] for row in index.tolist()])
+    assert hash(coords) == hash((coords.landmarks, coords.points, values, index.astype(np.int32).tobytes()))
+    assert write_coordinate_csv(coords) == eager_write_coordinate_csv(coords.landmarks, coords.points, *(values, index, texts))
+
+
+# Values whose shortest-float renderings collide: 1/3 and 0.3333333333333333,
+# 2/3 and 0.6666666666666666.
+TABLE_VALUES = (F(1, 3), F(3333333333333333, 10**16), F(1, 2), F(2, 3), F(6666666666666666, 10**16), F(5, 4), F(7))
+
+
+def spellings_of(v):
+    """Texts that denote v: its ratio and, if it terminates, its decimal, also with a zero more."""
+    decimal = format_value(v)
+    texts = [f"{v.numerator}/{v.denominator}"]
+    if parse_decimal(decimal) == v:
+        texts += [decimal, decimal + ("0" if "." in decimal else ".0")]
+    return texts
+
+
+@st.composite
+def eager_sources(draw):
+    """A space as the library builds it, with its eager table and ranks: a
+    drawn dendrogram; one spelled in a CSV, read at an epsilon; an
+    equidistant Newick tree with decimal lengths (integer units) or with
+    lengths in thirds or sevenths (rest != 1), read at an epsilon; or a
+    drawn gap form over a public table with some values spelled, whose
+    renderings may collide."""
+    kind = draw(st.sampled_from(["dendrogram", "spelled", "units", "ratio", "table"]))
+    if kind in ("dendrogram", "spelled"):
+        n, seed, count = draw(st.integers(2, 12)), draw(st.integers(0, 10_000)), draw(st.integers(1, 5))
+        space = random_dendrogram_space(n, seed, count)
+        if kind == "dendrogram":
+            return (space, *eager_table_reference(random_dendrogram_space_reference(n, seed, count).value_matrix()))
+        text = spelled_text(space)
+        cells = [line.split(",") for line in text.splitlines()[1:]]
+        first = {}
+        for cell in itertools.chain.from_iterable(cells):
+            first.setdefault(to_fraction(cell), cell)
+        epsilon = draw(st.sampled_from([0, 1, 5]))
+        matrix = [list(map(to_fraction, row)) for row in cells]
+        return (parse_distance_csv(text, epsilon), *eager_table_reference(matrix, epsilon, first))
+    if kind in ("units", "ratio"):
+        scale = draw(st.sampled_from([F(1, 2), F(1, 4), F(3, 2), F(1, 100)] if kind == "units"
+                                     else [F(1, 3), F(2, 7), F(5, 6)]))
+        length = format_value if kind == "units" else (lambda v: f"{v.numerator}/{v.denominator}")
+        text = re.sub(r":(\d+)", lambda m: ":" + length(int(m.group(1)) * scale), draw(gap_trees()))
+        epsilon = draw(st.sampled_from([F(1, 10**9), F(0), F(1, 2), F(1)]))
+        matrix = parse_newick_reference(text, epsilon).value_matrix()
+        return (parse_newick(text, epsilon), *eager_table_reference(matrix))
+    values = sorted(draw(st.sets(st.sampled_from(TABLE_VALUES), min_size=1, max_size=5)))
+    texts = tuple(draw(st.sampled_from([None, *spellings_of(v)])) for v in values)
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(n)))
+    gaps = np.array(draw(st.lists(st.integers(1, len(values)), min_size=n - 1, max_size=n - 1)))
+    table = EagerTable(tuple(values), texts)
+    space = UltrametricSpace(tuple(f"x{i}" for i in range(n)), DistanceTable(values, texts), order, gaps)
+    return space, table, cophenetic_reference(order, gaps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eager_sources(), st.data())
+def test_lazy_tables_match_the_eager_tables(source, data):
+    space, table, ranks = source
+    assert_eager_space(space, table, ranks)
+
+    idx = sorted(data.draw(st.lists(st.integers(0, space.n - 1), min_size=2, unique=True)))
+    assert_eager_space(space.restrict([space.labels[i] for i in idx]), *eager_restrict(table, ranks, idx))
+
+    landmarks = data.draw(st.lists(st.sampled_from(space.labels), min_size=1, unique=True))
+    assert_eager_coordinates(coordinates(space, landmarks),
+                             *eager_coordinates(table, ranks, [space.index(s) for s in landmarks]))
+
+    basis = next(metric_bases(space).bases(cap=1))
+    cols = [space.index(s) for s in basis]
+    coords = coordinates(space, basis)
+    assert_eager_space(reconstruct(coords), *eager_reconstruct(table, ranks, cols))
+    # through the written table, read back as the general reader reads it
+    text = write_coordinate_csv(coords)
+    parsed = parse_coordinate_csv(text)
+    read = eager_parse_coordinates(text)
+    assert_eager_coordinates(parsed, *read)
+    if len(read[0]) == len(coords.encoding[0]):  # a rendered text can denote another value's (CHANGES.md)
+        assert_eager_space(reconstruct(parsed), EagerTable(read[0][1:], read[2][1:]),
+                           eager_reconstruct(table, ranks, cols)[1])
+
+    matrix = [[table.value(r) for r in row] for row in ranks.tolist()]
+    for _ in range(data.draw(st.integers(0, 3))):  # raise a few distances: the closure repairs them
+        i, j = data.draw(st.integers(0, space.n - 1)), data.draw(st.integers(0, space.n - 1))
+        if i != j:
+            matrix[i][j] = matrix[j][i] = matrix[i][j] + 1
+    if data.draw(st.booleans()):
+        matrix = [[format_value(v) for v in row] for row in matrix]
+    epsilon = data.draw(st.sampled_from([0, F(1, 2), 1, 3]))
+    closed = subdominant_reference(matrix, space.labels, epsilon)
+    assert_eager_space(subdominant_ultrametric(matrix, space.labels, epsilon),
+                       *eager_table_reference(closed.value_matrix()))
+
+
+def test_rendered_values_that_collide_are_written_as_the_eager_tables_write_them():
+    values = tuple(sorted(TABLE_VALUES[:5]))  # 0.3333333333333333 < 1/3 < 1/2 < 0.6666666666666666 < 2/3
+    labels = tuple("abcdef")
+    for texts in ((), (None, "1/3", None, "0.6666666666666666", None), ("0.3333333333333333", None, None, None, None)):
+        space = UltrametricSpace(labels, DistanceTable(values, texts), range(6), [1, 2, 3, 4, 5])
+        table = EagerTable(values, texts)
+        ranks = cophenetic_reference(range(6), np.array([1, 2, 3, 4, 5]))
+        assert_eager_space(space, table, ranks)
+        assert_eager_coordinates(coordinates(space, labels), *eager_coordinates(table, ranks, list(range(6))))
+        if not texts:  # both pairs collide: each value is written as its ratio
+            assert "3333333333333333/10000000000000000,1/3" in write_distance_csv(space)
