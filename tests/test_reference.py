@@ -3392,7 +3392,8 @@ def test_lazy_tables_match_the_eager_tables(source, data):
     parsed = parse_coordinate_csv(text)
     read = eager_parse_coordinates(text)
     assert_eager_coordinates(parsed, *read)
-    if len(read[0]) == len(coords.encoding[0]):  # a rendered text can denote another value's (CHANGES.md)
+    # a rendered text can denote the value another cell spells, and the two values merge
+    if len(read[0]) == len(coords.encoding[0]):
         assert_eager_space(reconstruct(parsed), EagerTable(read[0][1:], read[2][1:]),
                            eager_reconstruct(table, ranks, cols)[1])
 
