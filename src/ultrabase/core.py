@@ -12,7 +12,9 @@ matter at ingestion and serialization time.
 Rank 0 is reserved for distance zero (the diagonal); rank ``i >= 1``
 denotes ``table.values[i - 1]``. A table holds its values as one
 :class:`ValueList`, the zero at position 0, so rank r is position r; the
-same list, taken at the ranks in use, is a coordinate table's.
+same list, taken at the ranks in use, is a coordinate table's. Every
+space is built in one place, :meth:`UltrametricSpace._of`, from a gap
+form whose ids index such a list.
 """
 
 from __future__ import annotations
@@ -153,9 +155,8 @@ class UltrametricSpace:
     representation). Rows of distances are read off the gaps in O(n)
     each, and no matrix of them is kept.
 
-    Instances are only built through :func:`build_space`, the gap form
-    of a derived space, or by restricting a valid space; all methods are
-    pure reads and safe to call concurrently.
+    Every instance is built by :meth:`_of` from a gap form and its value
+    list; all methods are pure reads and safe to call concurrently.
     """
 
     def __init__(self, labels: tuple[str, ...], table: DistanceTable, order: Sequence[int],
@@ -165,6 +166,20 @@ class UltrametricSpace:
         order.setflags(write=False)
         gaps.setflags(write=False)
         vars(self).update(labels=labels, table=table, order=order, gaps=gaps)
+
+    @staticmethod
+    def _of(labels: Sequence[str], order: Sequence[int], ids: np.ndarray, values: ValueList,
+            spelled: bool = False, epsilon: Fraction = ZERO) -> "UltrametricSpace":
+        """The space of a gap form, unchecked: its points in leaf ``order``,
+        and ``ids[k] >= 1`` the position in ``values``, the zero and then
+        increasing positive values, of the distance between leaves k and
+        k + 1. The table keeps the values the ids use, grouped within
+        ``epsilon``; with ``spelled``, text cells are source spellings."""
+        used, position = _used_ids(ids, len(values))
+        # ranking is monotone, so the ranks are the maxima of the ranked gaps
+        reps, rank = group_values(values.take(used), epsilon)
+        table = DistanceTable._of(values.take(np.append(0, used[reps])), spelled)
+        return UltrametricSpace(tuple(labels), table, order, rank[position])
 
     def __repr__(self) -> str:
         return f"UltrametricSpace(labels={self.labels!r}, table={self.table!r})"
@@ -248,8 +263,8 @@ class UltrametricSpace:
         new = np.full(self.n, -1, dtype=np.intp)
         new[idx] = np.arange(len(idx))
         kept = np.flatnonzero(new[self.order] >= 0)
-        table, gaps = _compact(self.table, self._between(kept))
-        return UltrametricSpace(labels, table, new[self.order[kept]], gaps)
+        return UltrametricSpace._of(labels, new[self.order[kept]], self._between(kept),
+                                    self.table._list, self.table._spelled)
 
 
 def _used_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +272,7 @@ def _used_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     renumbered by position among them, as int32."""
     used = np.zeros(size, dtype=bool)
     used[ids] = True
-    return np.flatnonzero(used), (np.cumsum(used, dtype=np.int32) - 1)[ids]
+    return np.flatnonzero(used), (np.add.accumulate(used, dtype=np.int32) - 1)[ids]
 
 
 def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[ValueList, np.ndarray]:
@@ -275,14 +290,6 @@ def _rank_ids(ids: np.ndarray, values: ValueList, epsilon: Fraction) -> tuple[Va
     arr = np.zeros((n, n), dtype=np.int32)
     arr[upper] = rank[position] - glued
     return taken, arr + arr.T
-
-
-def _compact(table: DistanceTable, gaps: np.ndarray) -> tuple[DistanceTable, np.ndarray]:
-    """The table of the zero and the ranks a gap form uses, with their
-    spellings, and the gaps renumbered from 1. Every distance of a gap
-    form is one of its gaps."""
-    kept, position = _used_ids(gaps, len(table) + 1)
-    return DistanceTable._of(table._list.take(np.append(0, kept)), table._spelled), position + 1
 
 
 def _triangle_violations(rank_arr, closure, labels, values, max_violations):
@@ -341,10 +348,11 @@ class _ValueIds:
 @dataclass(frozen=True, eq=False)
 class _Gaps:
     """A dendrogram: its points in leaf ``order``, and ``ids[k]`` the
-    position in ``values``, the zero and then distinct positive values,
-    each of them used, of the distance between leaves k and k + 1. The
+    position in ``values``, the zero and then distinct positive values in
+    increasing value, of the distance between leaves k and k + 1. The
     distance between leaves i < j is the largest value among ids[i..j-1].
-    Such a matrix is ultrametric by construction."""
+    Such a matrix is ultrametric by construction: it is the gap form
+    :meth:`UltrametricSpace._of` builds."""
 
     order: Sequence[int]
     ids: np.ndarray
@@ -375,10 +383,7 @@ def _analyze(
     """
     _check_labels(labels)
     if isinstance(matrix, _Gaps):
-        # ranking is monotone, so the ranks are the maxima of the ranked gaps
-        reps, rank = group_values(matrix.values.take(slice(1, None)), _epsilon(epsilon))
-        table = DistanceTable._of(matrix.values.take(np.append(0, reps + 1)))
-        space = UltrametricSpace(tuple(labels), table, matrix.order, np.append(0, rank)[matrix.ids])
+        space = UltrametricSpace._of(labels, matrix.order, matrix.ids, matrix.values, epsilon=_epsilon(epsilon))
         return ValidationReport(ok=True, violations=()), space
     n = len(labels)
     quantized = isinstance(matrix, _ValueIds)
@@ -436,19 +441,15 @@ def _analyze(
             )
             return report, None
 
+    # Every cell passed: id 0 is the zero diagonal and every other id is
+    # a positive value some pair uses. At epsilon 0 no values merge, so
+    # the ids are the ranks.
     if eps:
-        values, rank_arr = _rank_ids(ids, values, eps)
-    else:
-        # Every cell passed: id 0 is the zero diagonal and every other id is
-        # a positive value some pair uses. At epsilon 0 no values merge, so
-        # the ids are the ranks.
-        reps, _ = group_values(values.take(slice(1, None)), eps)
-        values, rank_arr = values.take(np.append(0, reps + 1)), ids
-    report, form = _triangle_report(labels, values, rank_arr, max_violations)
+        values, ids = _rank_ids(ids, values, eps)
+    report, form = _triangle_report(labels, values, ids, max_violations)
     if not report.ok:
         return report, None
-    table = DistanceTable._of(values, quantized and matrix.spelled)
-    return report, UltrametricSpace(tuple(labels), table, *form)
+    return report, UltrametricSpace._of(labels, *form, values, quantized and matrix.spelled)
 
 
 def _cophenetic(order: Sequence[int], gaps: np.ndarray, points: Sequence[int] | None = None) -> np.ndarray:

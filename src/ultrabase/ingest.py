@@ -13,6 +13,7 @@ out reproduces them.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import itertools
 import math
@@ -24,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    DistanceTable,
     UltrametricSpace,
     ValidationReport,
     Violation,
@@ -33,7 +33,6 @@ from .core import (
     _ValueIds,
     _check_labels,
     _cophenetic,
-    _compact,
     _epsilon,
     _rank_ids,
     _single_linkage,
@@ -240,9 +239,13 @@ def _distinct_texts(values: ValueList, spelled: bool) -> list[str]:
     """Each of the distinct ``values`` rendered: "0" for zero, else its
     source spelling (see :func:`core._texts`), which no other value has,
     or else its canonical form. Shortest-float rendering could map two
-    distinct values to one text, which would corrupt the rank structure
-    on the next parse; every value with a text that a rendered nonzero
-    value has gets exact n/d, which always round-trips.
+    distinct values to one text, or to a text that reads back as another
+    value or past it, which would corrupt the rank structure on the next
+    parse. So every value with a text that a rendered nonzero value has
+    gets exact n/d, which always round-trips, and so does a rendered float
+    text that does not read back strictly between the nearest values
+    whose texts are exact. Rounding to float is monotone, so float texts
+    keep their order among themselves.
     """
     cells, signs = _texts(values, spelled), values.signs()
     rendered = [i for i, cell in enumerate(cells) if cell is None]
@@ -250,7 +253,17 @@ def _distinct_texts(values: ValueList, spelled: bool) -> list[str]:
         cells[i] = format_value(values[i]) if signs[i] else "0"
     counts = collections.Counter(cells)
     clashing = {cells[i] for i in rendered if signs[i] and counts[cells[i]] > 1}
-    return [ratio_text(values[i]) if cell in clashing else cell for i, cell in enumerate(cells)]
+    texts = [ratio_text(values[i]) if cell in clashing else cell for i, cell in enumerate(cells)]
+    decimals = [i for i in rendered if signs[i] and "/" not in texts[i]]
+    if not decimals or values.units() is not None:  # no float text, or every value terminates
+        return texts
+    floated = {i: back for i in decimals if (back := parse_decimal(texts[i])) != values[i]}
+    exact = [i for i in range(len(values)) if i not in floated]
+    for i, back in floated.items():
+        k = bisect.bisect(exact, i)  # exact[k - 1] < i < exact[k]
+        if (k and back <= values[exact[k - 1]]) or (k < len(exact) and back >= values[exact[k]]):
+            texts[i] = ratio_text(values[i])
+    return texts
 
 
 def write_distance_csv(space: UltrametricSpace) -> str:
@@ -557,5 +570,4 @@ def subdominant_ultrametric(
         return build_space(labels, _ValueIds(_cophenetic(order, gaps), values))
     # the closure's gap form is its space, and keeps at most n - 1 ranks: the table holds only those
     _check_labels(labels)
-    table, gaps = _compact(DistanceTable._of(values), gaps)
-    return UltrametricSpace(labels=tuple(labels), table=table, order=order, gaps=gaps)
+    return UltrametricSpace._of(labels, order, gaps, values)

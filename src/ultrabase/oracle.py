@@ -129,10 +129,9 @@ def random_dendrogram_space(n: int, seed: int, value_count: int = 3) -> Ultramet
         stack += [(part, level + 1, level) for part in reversed(parts[1:])]
         stack.append((parts[0], level + 1, gap))
 
-    used = sorted(set(levels[1:]), reverse=True)  # increasing height
-    slot = {level: i for i, level in enumerate(used, 1)}  # position 0 is the zero's
-    ids = np.array([slot[level] for level in levels[1:]], dtype=np.int32)
-    return build_space(labels, _Gaps(order, ids, ValueList.of_units([0, *(heights[level] for level in used)], 0)))
+    # the zero, then the heights increasing: level l's height is at position value_count - l
+    ids = value_count - np.array(levels[1:], dtype=np.int32)
+    return build_space(labels, _Gaps(order, ids, ValueList.of_units([0, *reversed(heights)], 0)))
 
 
 @dataclass(frozen=True)

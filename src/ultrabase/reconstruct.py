@@ -20,7 +20,6 @@ import numpy as np
 
 from .basis import is_k_generator
 from .core import (
-    DistanceTable,
     UltrametricSpace,
     _check_labels,
     _leaf_gaps,
@@ -67,8 +66,13 @@ class CoordinateTable:
             raise UsageError("a coordinate table needs at least one landmark")
         if len(set(landmarks)) != len(landmarks):
             raise UsageError("duplicate landmark column")
+        for lab in (*landmarks, *points):  # each would break the CSV line it is written in
+            if "," in lab or lab.splitlines() not in ([lab], []):
+                raise UsageError(f"invalid label {lab!r}: no commas or line breaks")
         seen: set[str] = set()
         for lab in points:
+            if not lab:
+                raise UsageError("empty point label")
             if lab in seen:
                 raise UsageError(f"duplicate point label {lab!r}")
             seen.add(lab)
@@ -222,8 +226,8 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     gaps = _leaf_gaps(ranks, order, at)
     if gaps is None:
         _rebuild_pairwise(table, ranks, at)
-    # the checks leave the zero first and every value in use: the table's list is the space's
-    return UltrametricSpace(tuple(table.points), DistanceTable._of(table._list, table._spelled), order, gaps)
+    # the checks leave the zero first: the table's list is the space's
+    return UltrametricSpace._of(table.points, order, gaps, table._list, table._spelled)
 
 
 def verify_roundtrip(space: UltrametricSpace, landmarks: Sequence[str]) -> bool:

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ultrabase import (
+    CoordinateTable,
     ParseError,
     UltrametricViolationError,
     UsageError,
@@ -21,8 +23,10 @@ from ultrabase import (
     write_coordinate_csv,
     write_distance_csv,
     coordinates,
+    reconstruct,
 )
-from ultrabase.values import MAX_DIGITS, _scaled_text, parse_decimal
+from ultrabase.core import DistanceTable, UltrametricSpace
+from ultrabase.values import MAX_DIGITS, _scaled_text, format_value, parse_decimal, ratio_text
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -352,6 +356,60 @@ def test_coordinate_csv_roundtrip(recmin4):
     again = parse_coordinate_csv(text)
     assert again.landmarks == t.landmarks and again.points == t.points
     assert write_coordinate_csv(again) == text  # byte stable
+
+
+def near_float_values(v):
+    """v, which does not terminate, a value with the same float, and
+    values about v's float text: the text's own value, one either side and
+    one below that does not terminate."""
+    back = parse_decimal(repr(float(v)))
+    return [v, v + F(1, 3 * 10**20), back, back - F(1, 10**18), back + F(1, 10**18), back - F(1, 3 * 10**18)]
+
+
+MIXED_VALUES = sorted({w for v in (F(1, 3), F(2, 3), F(1, 7)) for w in near_float_values(v)})
+
+
+@st.composite
+def mixed_spaces(draw):
+    """A space whose table mixes spelled values with unspelled ones, among
+    them values that do not terminate, and whose gaps use every value."""
+    values = sorted(draw(st.sets(st.sampled_from(MIXED_VALUES), min_size=1, max_size=6)))
+    texts = []
+    for v in values:
+        decimal = format_value(v)
+        spellings = [None, ratio_text(v), *([decimal] if parse_decimal(decimal) == v else [])]
+        texts.append(draw(st.sampled_from(spellings)))
+    k = len(values)
+    return UltrametricSpace(tuple(f"x{i}" for i in range(k + 1)), DistanceTable(values, texts),
+                            draw(st.permutations(range(k + 1))), np.array(draw(st.permutations(range(1, k + 1)))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_spaces(), st.data())
+def test_written_mixed_tables_read_back_with_their_ranks(space, data):
+    read = parse_distance_csv(write_distance_csv(space))
+    assert len(read.table) == len(space.table) and np.array_equal(read._rows(), space._rows())
+    table = coordinates(space, data.draw(st.lists(st.sampled_from(space.labels), min_size=1, unique=True)))
+    back = parse_coordinate_csv(write_coordinate_csv(table))
+    assert len(back.encoding[0]) == len(table.encoding[0])
+    assert np.array_equal(back.encoding[1], table.encoding[1])
+
+
+def test_a_rendered_value_is_not_written_as_a_value_another_cell_spells():
+    a, b = F("0.66666666666666663"), F(2, 3)  # b's float text 0.6666666666666666 reads back below a
+    t = CoordinateTable(["x", "y", "z"], ["x", "y", "z"], [[0, a, b], [a, 0, b], [b, b, 0]],
+                        {a: "0.66666666666666663"})
+    assert parse_distance_csv(write_distance_csv(reconstruct(t))) == reconstruct(t)
+    assert parse_coordinate_csv(write_coordinate_csv(t)) == t
+    c = F(6666666666666666, 10**16)  # the float text of b, and of d, reads back as c, spelled as a ratio
+    d = c - F(1, 3 * 10**18)
+    for table, row in ((DistanceTable((c, b), ("3333333333333333/5000000000000000", None)),
+                        "0,3333333333333333/5000000000000000,2/3"),
+                       (DistanceTable((d, c), (None, "3333333333333333/5000000000000000")),
+                        "0,1999999999999999799/3000000000000000000,3333333333333333/5000000000000000")):
+        space = UltrametricSpace(("x", "y", "z"), table, [0, 1, 2], np.array([1, 2]))
+        assert write_distance_csv(space).splitlines()[1] == row
+        assert parse_distance_csv(write_distance_csv(space)) == space
 
 
 def test_coordinate_csv_errors():

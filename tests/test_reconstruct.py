@@ -179,3 +179,15 @@ def test_table_from_rows_is_encoded_once():
     for cell in (None, float("nan"), "x"):
         with pytest.raises(UsageError, match=r"coordinate \(b, s\) is not a finite number"):
             CoordinateTable(("s",), ("s", "b"), ((0,), (cell,)))
+
+
+@pytest.mark.parametrize("landmarks, points, message", [
+    (("s,1", "t"), ("s,1", "t"), "invalid label 's,1': no commas or line breaks"),
+    (("s",), ("s", "x\ny"), "invalid label 'x\\ny': no commas or line breaks"),
+    (("s",), ("s", ""), "empty point label"),
+])
+def test_table_refuses_labels_its_writer_cannot_write(landmarks, points, message):
+    rows = [[int(p != s) for s in landmarks] for p in points]
+    with pytest.raises(UsageError) as exc:
+        CoordinateTable(landmarks, points, rows)
+    assert str(exc.value) == message

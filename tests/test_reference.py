@@ -19,8 +19,10 @@ separator gather against the newline and comma counts, the plain
 reader's spellings from its key words against slicing each out of the
 text, the subdominant closure on value ids against the ranks
 `_rank_ids` gave, and the tables that hold one value list, built when
-read, against the eager tuples every layer once built. Spellings travel
-here the way they once did, in dicts keyed by `Fraction`.
+read, against the eager tuples every layer once built, and the one
+gap-form constructor against `_compact`, the `_Gaps` branch and the
+compaction each producer did itself. Spellings travel here the way they
+once did, in dicts keyed by `Fraction`.
 """
 
 import itertools
@@ -2557,7 +2559,9 @@ def test_pseudopartnering_trace_on_the_gaps_matches_the_row_reader(space, data):
 def eager_distinct_texts(values, texts):
     """`ingest._distinct_texts` as it was: every value read and rendered,
     "0" for zero, else its aligned spelling in ``texts`` or its canonical
-    form, and every nonzero text checked for collisions."""
+    form, and every nonzero text checked for collisions. Then each
+    rendered text that reads back as another value, at or past a value
+    whose text is exact, is written as its ratio."""
     cells = ["0" if not v else (format_value(v) if t is None else t) for v, t in zip(values, texts)]
     by_text: dict[str, list[int]] = {}
     for i, v in enumerate(values):
@@ -2567,6 +2571,12 @@ def eager_distinct_texts(values, texts):
         if len(clashing) > 1:
             for i in clashing:
                 cells[i] = ratio_text(values[i])
+    inexact = [i for i, v in enumerate(values) if to_fraction(cells[i]) != v]
+    for i in inexact:
+        back = to_fraction(cells[i])
+        if any(j < i and back <= values[j] or j > i and back >= values[j]
+               for j in range(len(values)) if j not in inexact):
+            cells[i] = ratio_text(values[i])
     return cells
 
 
@@ -3392,10 +3402,8 @@ def test_lazy_tables_match_the_eager_tables(source, data):
     parsed = parse_coordinate_csv(text)
     read = eager_parse_coordinates(text)
     assert_eager_coordinates(parsed, *read)
-    # a rendered text can denote the value another cell spells, and the two values merge
-    if len(read[0]) == len(coords.encoding[0]):
-        assert_eager_space(reconstruct(parsed), EagerTable(read[0][1:], read[2][1:]),
-                           eager_reconstruct(table, ranks, cols)[1])
+    assert_eager_space(reconstruct(parsed), EagerTable(read[0][1:], read[2][1:]),
+                       eager_reconstruct(table, ranks, cols)[1])
 
     matrix = [[table.value(r) for r in row] for row in ranks.tolist()]
     for _ in range(data.draw(st.integers(0, 3))):  # raise a few distances: the closure repairs them
@@ -3421,3 +3429,146 @@ def test_rendered_values_that_collide_are_written_as_the_eager_tables_write_them
         assert_eager_coordinates(coordinates(space, labels), *eager_coordinates(table, ranks, list(range(6))))
         if not texts:  # both pairs collide: each value is written as its ratio
             assert "3333333333333333/10000000000000000,1/3" in write_distance_csv(space)
+
+
+# One gap-form constructor against the builds it replaced: `_compact`
+# behind `restrict` and `subdominant_ultrametric`, the coordinate table's
+# list that `reconstruct` handed on whole, `_analyze`'s `_Gaps` branch and
+# the compaction `random_dendrogram_space` did itself. Each reference is
+# the code that step ran.
+
+def compact_reference(table, gaps):
+    """`core._compact`: the table of the zero and the ranks a gap form
+    uses, with their spellings, and the gaps renumbered from 1."""
+    from ultrabase.core import _used_ids
+
+    kept, position = _used_ids(gaps, len(table) + 1)
+    return DistanceTable._of(table._list.take(np.append(0, kept)), table._spelled), position + 1
+
+
+def restrict_compact_reference(space, subset):
+    """`UltrametricSpace.restrict` through `_compact`."""
+    idx = sorted(space.index(lab) for lab in set(subset))
+    new = np.full(space.n, -1, dtype=np.intp)
+    new[idx] = np.arange(len(idx))
+    kept = np.flatnonzero(new[space.order] >= 0)
+    table, gaps = compact_reference(space.table, space._between(kept))
+    return UltrametricSpace(tuple(space.labels[i] for i in idx), table, new[space.order[kept]], gaps)
+
+
+def subdominant_compact_reference(matrix, labels, epsilon):
+    """`subdominant_ultrametric` of a dissimilarity with no zero off the
+    diagonal: the closure's gap form through `_compact`."""
+    from ultrabase.core import _rank_ids
+
+    n = len(matrix)
+    ids, values = quantize([c for row in matrix for c in row])
+    ids = ids.reshape(n, n)
+    values, arr = _rank_ids(ids, values, epsilon) if epsilon else (values, ids)
+    order, gaps = _single_linkage(arr)
+    table, gaps = compact_reference(DistanceTable._of(values), gaps)
+    return UltrametricSpace(tuple(labels), table, order, gaps)
+
+
+def reconstruct_list_reference(table):
+    """`reconstruct` of a consistent table, its list handed on whole."""
+    from ultrabase.reconstruct import _table_ranks
+
+    ranks, at, order = _table_ranks(table)
+    gaps = _leaf_gaps(ranks, order, at)
+    return UltrametricSpace(tuple(table.points), DistanceTable._of(table._list, table._spelled), order, gaps)
+
+
+def gaps_branch_reference(labels, form, epsilon):
+    """`_analyze`'s `_Gaps` branch: every value after the zero, all of
+    them used, grouped; the ranks are the maxima of the ranked gaps."""
+    reps, rank = group_values(form.values.take(slice(1, None)), epsilon)
+    table = DistanceTable._of(form.values.take(np.append(0, reps + 1)))
+    return UltrametricSpace(tuple(labels), table, form.order, np.append(0, rank)[form.ids])
+
+
+def random_dendrogram_compact_reference(n, seed, value_count):
+    """`random_dendrogram_space` numbering the levels in use by height
+    itself, through the `_Gaps` branch."""
+    from ultrabase.core import _Gaps
+
+    rng = random.Random(f"dendrogram:{n}:{seed}:{value_count}")
+    heights = sorted(rng.sample(range(1, 10 * value_count + 1), value_count), reverse=True)
+    width = len(str(n))
+    labels = [f"p{i + 1:0{width}d}" for i in range(n)]
+    order, levels = [], []
+    stack = [(list(range(n)), 0, 0)]
+    while stack:
+        block, level, gap = stack.pop()
+        if len(block) == 1 or level == value_count - 1:
+            order += block
+            levels += [gap] + [level] * (len(block) - 1)
+            continue
+        shuffled = block[:]
+        rng.shuffle(shuffled)
+        part_count = rng.randint(2, len(block))
+        cuts = sorted(rng.sample(range(1, len(block)), part_count - 1))
+        parts = [shuffled[s:e] for s, e in zip([0, *cuts], [*cuts, len(block)])]
+        stack += [(part, level + 1, level) for part in reversed(parts[1:])]
+        stack.append((parts[0], level + 1, gap))
+    used = sorted(set(levels[1:]), reverse=True)
+    slot = {level: i for i, level in enumerate(used, 1)}
+    ids = np.array([slot[level] for level in levels[1:]], dtype=np.int32)
+    values = ValueList.of_units([0, *(heights[level] for level in used)], 0)
+    return gaps_branch_reference(labels, _Gaps(order, ids, values), F(0))
+
+
+def newick_gaps_reference(text, epsilon):
+    """`parse_newick` of an exactly equidistant tree through the `_Gaps`
+    branch, on the gap form the parser hands to `build_space`."""
+    from ultrabase.core import _Gaps
+
+    forms, build = [], ingest_module.build_space
+    with patch.object(ingest_module, "build_space", lambda *args: forms.append(args) or build(*args)):
+        parse_newick(text, epsilon)
+    (labels, form, eps), = forms
+    assert isinstance(form, _Gaps)
+    return gaps_branch_reference(labels, form, eps)
+
+
+@st.composite
+def gap_form_builds(draw):
+    """A space one of the producers builds, and the space the code it
+    replaced built."""
+    kind = draw(st.sampled_from(["restrict", "subdominant", "reconstruct", "newick", "dendrogram"]))
+    n, seed, count = draw(st.integers(2, 14)), draw(st.integers(0, 10_000)), draw(st.integers(1, 6))
+    if kind == "dendrogram":
+        return random_dendrogram_space(n, seed, count), random_dendrogram_compact_reference(n, seed, count)
+    if kind == "newick":
+        scale = draw(st.sampled_from([1, F(1, 4)]))  # quarters: neighbouring gaps 1/2 apart
+        text = re.sub(r":(\d+)", lambda m: ":" + format_value(int(m.group(1)) * scale), draw(gap_trees()))
+        epsilon = draw(st.sampled_from([F(0), F(1, 2)]))
+        return parse_newick(text, epsilon), newick_gaps_reference(text, epsilon)
+    space = spelled(random_dendrogram_space(n, seed, count))
+    if kind == "restrict":
+        subset = draw(st.lists(st.sampled_from(space.labels), min_size=2, unique=True))
+        return space.restrict(subset), restrict_compact_reference(space, subset)
+    if kind == "reconstruct":
+        table = coordinates(space, next(metric_bases(space).bases(cap=1)))
+        table = draw(st.sampled_from([table, parse_coordinate_csv(write_coordinate_csv(table))]))
+        return reconstruct(table), reconstruct_list_reference(table)
+    matrix = [[v / 5 for v in row] for row in space.value_matrix()]  # heights 1/5 apart
+    for _ in range(draw(st.integers(0, 3))):  # raise a few distances: the closure repairs them
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            matrix[i][j] = matrix[j][i] = matrix[i][j] + 1
+    if draw(st.booleans()):
+        matrix = [[format_value(v) for v in row] for row in matrix]
+    epsilon = draw(st.sampled_from([F(0), F(1, 4)]))
+    return subdominant_ultrametric(matrix, space.labels, epsilon), subdominant_compact_reference(matrix, space.labels, epsilon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap_form_builds())
+def test_the_gap_form_constructor_builds_what_each_producer_built(case):
+    space, expected = case
+    assert space.labels == expected.labels
+    assert np.array_equal(space.order, expected.order) and np.array_equal(space.gaps, expected.gaps)
+    assert space.table.values == expected.table.values and space.table.texts == expected.table.texts
+    # the table holds exactly the ranks the gaps use
+    assert np.array_equal(np.unique(space.gaps), np.arange(1, len(space.table) + 1))
