@@ -12,9 +12,10 @@ matter at ingestion and serialization time.
 Rank 0 is reserved for distance zero (the diagonal); rank ``i >= 1``
 denotes ``table.values[i - 1]``. A table holds its values as one
 :class:`ValueList`, the zero at position 0, so rank r is position r; the
-same list, taken at the ranks in use, is a coordinate table's. Every
-space is built in one place, :meth:`UltrametricSpace._of`, from a gap
-form whose ids index such a list.
+same list, taken at the ranks in use, is a coordinate table's, and the
+list says whether its text cells are source spellings. Every space is
+built in one place, :meth:`UltrametricSpace._of`, from a gap form whose
+ids index such a list.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ class DistanceTable:
 
     values: tuple[Fraction, ...] = cached_property(lambda self: tuple(self._list)[1:])
     texts: tuple[str | None, ...] = field(
-        default=cached_property(lambda self: tuple(_texts(self._list, self._spelled)[1:])), compare=False)
+        default=cached_property(lambda self: tuple(self._list.texts()[1:])), compare=False)
 
     def __init__(self, values: Sequence[Fraction], texts: Sequence[str | None] = ()):
         if texts and len(texts) != len(values):
@@ -99,14 +100,13 @@ class DistanceTable:
             raise UsageError("distance table values must be strictly increasing")
         if values and values[0] <= 0:
             raise UsageError("distance table values must be positive")
-        vars(self).update(_list=listed, _spelled=bool(texts))
+        vars(self).update(_list=listed)
 
     @classmethod
-    def _of(cls, values: ValueList, spelled: bool = False) -> "DistanceTable":
-        """The table of ``values``, the zero then increasing positive values,
-        unchecked; with ``spelled``, text cells are source spellings."""
+    def _of(cls, values: ValueList) -> "DistanceTable":
+        """The table of ``values``, the zero then increasing positive values, unchecked."""
         table = cls.__new__(cls)
-        vars(table).update(_list=values, _spelled=spelled)
+        vars(table).update(_list=values)
         return table
 
     def __len__(self) -> int:
@@ -114,14 +114,6 @@ class DistanceTable:
 
     def value(self, rank: int) -> Fraction:
         return self._list[rank]
-
-
-def _texts(values: ValueList, spelled: bool) -> list[str | None]:
-    """Each value's source spelling: with ``spelled``, a positive value's text cell; else None."""
-    if not spelled:
-        return [None] * len(values)
-    signs = values.signs().tolist()
-    return [c if s > 0 and isinstance(c, str) else None for c, s in zip(values.cells.tolist(), signs)]
 
 
 @dataclass(frozen=True)
@@ -169,16 +161,16 @@ class UltrametricSpace:
 
     @staticmethod
     def _of(labels: Sequence[str], order: Sequence[int], ids: np.ndarray, values: ValueList,
-            spelled: bool = False, epsilon: Fraction = ZERO) -> "UltrametricSpace":
+            epsilon: Fraction = ZERO) -> "UltrametricSpace":
         """The space of a gap form, unchecked: its points in leaf ``order``,
         and ``ids[k] >= 1`` the position in ``values``, the zero and then
         increasing positive values, of the distance between leaves k and
         k + 1. The table keeps the values the ids use, grouped within
-        ``epsilon``; with ``spelled``, text cells are source spellings."""
+        ``epsilon``."""
         used, position = _used_ids(ids, len(values))
         # ranking is monotone, so the ranks are the maxima of the ranked gaps
         reps, rank = group_values(values.take(used), epsilon)
-        table = DistanceTable._of(values.take(np.append(0, used[reps])), spelled)
+        table = DistanceTable._of(values.take(np.append(0, used[reps])))
         return UltrametricSpace(tuple(labels), table, order, rank[position])
 
     def __repr__(self) -> str:
@@ -263,8 +255,7 @@ class UltrametricSpace:
         new = np.full(self.n, -1, dtype=np.intp)
         new[idx] = np.arange(len(idx))
         kept = np.flatnonzero(new[self.order] >= 0)
-        return UltrametricSpace._of(labels, new[self.order[kept]], self._between(kept),
-                                    self.table._list, self.table._spelled)
+        return UltrametricSpace._of(labels, new[self.order[kept]], self._between(kept), self.table._list)
 
 
 def _used_ids(ids: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,13 +327,10 @@ class _ValueIds:
     """A square matrix a parser has already quantized: int32 ids (-1: not
     a finite number) into distinct ``values`` in increasing value, each
     held by some cell, as :func:`quantize` numbers them (only a matrix
-    that fails the cell checks may leave a value unused). When
-    ``spelled``, ``values.cells`` are source text, and the table of an
-    accepted matrix says so."""
+    that fails the cell checks may leave a value unused)."""
 
     ids: np.ndarray
     values: ValueList
-    spelled: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -383,7 +371,7 @@ def _analyze(
     """
     _check_labels(labels)
     if isinstance(matrix, _Gaps):
-        space = UltrametricSpace._of(labels, matrix.order, matrix.ids, matrix.values, epsilon=_epsilon(epsilon))
+        space = UltrametricSpace._of(labels, matrix.order, matrix.ids, matrix.values, _epsilon(epsilon))
         return ValidationReport(ok=True, violations=()), space
     n = len(labels)
     quantized = isinstance(matrix, _ValueIds)
@@ -449,7 +437,7 @@ def _analyze(
     report, form = _triangle_report(labels, values, ids, max_violations)
     if not report.ok:
         return report, None
-    return report, UltrametricSpace._of(labels, *form, values, quantized and matrix.spelled)
+    return report, UltrametricSpace._of(labels, *form, values)
 
 
 def _cophenetic(order: Sequence[int], gaps: np.ndarray, points: Sequence[int] | None = None) -> np.ndarray:

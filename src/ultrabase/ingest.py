@@ -36,7 +36,6 @@ from .core import (
     _epsilon,
     _rank_ids,
     _single_linkage,
-    _texts,
     build_space,
 )
 from .errors import ParseError, UltrametricViolationError, UsageError
@@ -232,12 +231,13 @@ def parse_distance_csv(text: str, epsilon: Numeric = 0) -> UltrametricSpace:
             raise ParseError(f"expected {n} fields, found {len(rows[good + 1])}", line=good + 2)
     # Spellings are gathered only for the values of an accepted table, all
     # of them positive and so never on the diagonal.
-    return build_space(labels, _ValueIds(ids, values, spelled=True), epsilon)
+    values.spelled = True
+    return build_space(labels, _ValueIds(ids, values), epsilon)
 
 
-def _distinct_texts(values: ValueList, spelled: bool) -> list[str]:
+def _distinct_texts(values: ValueList) -> list[str]:
     """Each of the distinct ``values`` rendered: "0" for zero, else its
-    source spelling (see :func:`core._texts`), which no other value has,
+    source spelling (see :meth:`ValueList.texts`), which no other value has,
     or else its canonical form. Shortest-float rendering could map two
     distinct values to one text, or to a text that reads back as another
     value or past it, which would corrupt the rank structure on the next
@@ -247,7 +247,7 @@ def _distinct_texts(values: ValueList, spelled: bool) -> list[str]:
     whose texts are exact. Rounding to float is monotone, so float texts
     keep their order among themselves.
     """
-    cells, signs = _texts(values, spelled), values.signs()
+    cells, signs = values.texts(), values.signs()
     rendered = [i for i, cell in enumerate(cells) if cell is None]
     for i in rendered:
         cells[i] = format_value(values[i]) if signs[i] else "0"
@@ -270,7 +270,7 @@ def write_distance_csv(space: UltrametricSpace) -> str:
     """Inverse of :func:`parse_distance_csv`: the rank structure survives
     the round trip exactly, and the output is byte-stable under further
     parse/write cycles."""
-    cells = np.array(_distinct_texts(space.table._list, space.table._spelled), dtype=object)
+    cells = np.array(_distinct_texts(space.table._list), dtype=object)
     lines = [",".join(space.labels), *map(",".join, cells[space._rows()].tolist())]
     return "\n".join(lines) + "\n"
 
@@ -308,12 +308,13 @@ def parse_coordinate_csv(text: str) -> CoordinateTable:
         if error:
             raise error
 
-    return CoordinateTable._encoded(landmarks, points, ids, values, True)
+    values.spelled = True
+    return CoordinateTable._encoded(landmarks, points, ids, values)
 
 
 def write_coordinate_csv(table: CoordinateTable) -> str:
     """Inverse of :func:`parse_coordinate_csv`; each value is rendered once."""
-    cells = np.array(_distinct_texts(table._list, table._spelled), dtype=object)
+    cells = np.array(_distinct_texts(table._list), dtype=object)
     grid = np.empty((len(table.points), len(table.landmarks) + 1), dtype=object)
     grid[:, 0] = table.points
     grid[:, 1:] = cells[table._index]

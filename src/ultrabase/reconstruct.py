@@ -24,7 +24,6 @@ from .core import (
     _check_labels,
     _leaf_gaps,
     _row_keys,
-    _texts,
     _triangle_report,
     _used_ids,
 )
@@ -59,7 +58,7 @@ class CoordinateTable:
         default=cached_property(lambda self: (tuple(self._list), self._index)), repr=False)
     rows: tuple[tuple[Fraction, ...], ...] = cached_property(
         lambda self: tuple(tuple(map(self.encoding[0].__getitem__, row)) for row in self._index.tolist()))
-    texts: tuple[str | None, ...] = cached_property(lambda self: tuple(_texts(self._list, self._spelled)))
+    texts: tuple[str | None, ...] = cached_property(lambda self: tuple(self._list.texts()))
 
     def __init__(self, landmarks, points, rows, value_texts=None):
         if not landmarks:
@@ -90,24 +89,23 @@ class CoordinateTable:
         ids, values = quantize([c for row in rows for c in row], bad)
         if value_texts:
             values = ValueList.of(list(values), [value_texts.get(v) or None for v in values])
-        self._set(landmarks, points, ids.reshape(len(points), len(landmarks)), values, bool(value_texts))
+        self._set(landmarks, points, ids.reshape(len(points), len(landmarks)), values)
 
     @classmethod
-    def _encoded(cls, landmarks, points, ids, values: ValueList, spelled: bool) -> "CoordinateTable":
+    def _encoded(cls, landmarks, points, ids, values: ValueList) -> "CoordinateTable":
         """The table whose cells hold ``values[ids]``, ``values`` being
-        increasing, and its labels, unchecked; with ``spelled``, text cells are
-        source spellings."""
+        increasing, and its labels, unchecked."""
         table = cls.__new__(cls)
-        table._set(landmarks, points, ids, values, spelled)
+        table._set(landmarks, points, ids, values)
         return table
 
-    def _set(self, landmarks, points, ids, values: ValueList, spelled: bool) -> None:
+    def _set(self, landmarks, points, ids, values: ValueList) -> None:
         """Store the canonical encoding of ``values[ids]``: the values in
         use, and the cells renumbered to match."""
         kept, index = _used_ids(ids, len(values))
         index.setflags(write=False)
         vars(self).update(landmarks=tuple(landmarks), points=tuple(points),
-                          _list=values.take(kept), _index=index, _spelled=spelled)
+                          _list=values.take(kept), _index=index)
 
     @cached_property
     def _position(self) -> dict[str, int]:
@@ -137,8 +135,7 @@ def coordinates(space: UltrametricSpace, landmarks: Sequence[str]) -> Coordinate
     if len(set(landmarks)) != len(landmarks):
         raise UsageError("duplicate landmark in list")
     cols = [space.index(s) for s in landmarks]
-    return CoordinateTable._encoded(landmarks, space.labels, space._rows(cols).T,
-                                    space.table._list, space.table._spelled)
+    return CoordinateTable._encoded(landmarks, space.labels, space._rows(cols).T, space.table._list)
 
 
 def _table_ranks(table: CoordinateTable) -> tuple[np.ndarray, list[int], np.ndarray]:
@@ -227,7 +224,7 @@ def reconstruct(table: CoordinateTable) -> UltrametricSpace:
     if gaps is None:
         _rebuild_pairwise(table, ranks, at)
     # the checks leave the zero first: the table's list is the space's
-    return UltrametricSpace._of(table.points, order, gaps, table._list, table._spelled)
+    return UltrametricSpace._of(table.points, order, gaps, table._list)
 
 
 def verify_roundtrip(space: UltrametricSpace, landmarks: Sequence[str]) -> bool:

@@ -232,23 +232,26 @@ class ValueList:
     read, then kept among the values built so far (None elsewhere).
 
     A list made :meth:`of` built values holds them, and a cell is then
-    the value or its source spelling. A list may also know its values as
-    integer units (see :meth:`units`):
+    the value or its source spelling. ``spelled`` says whether text cells
+    are source spellings (:meth:`texts`): :meth:`of` with texts and the CSV
+    parsers set it, and :meth:`take` keeps it. A list may also know its
+    values as integer units (see :meth:`units`):
     value i is ``units[i] * 10**-digits``. A list made :meth:`of_units`
     holds them and has no cells; its values are built from them. A list
     whose cells are all plain decimal text (``plain``) reads them from its
     floats each time they are asked for.
     """
 
-    __slots__ = ("floats", "cells", "_exact", "_units", "_plain")
+    __slots__ = ("floats", "cells", "_exact", "_units", "_plain", "spelled")
 
     def __init__(self, floats: np.ndarray, cells: np.ndarray | None, exact: np.ndarray,
-                 units: tuple[np.ndarray, int] | None = None, plain: bool = False):
+                 units: tuple[np.ndarray, int] | None = None, plain: bool = False, spelled: bool = False):
         self.floats = floats
         self.cells = cells
         self._exact = exact
         self._units = units
         self._plain = plain
+        self.spelled = spelled
 
     @classmethod
     def of(cls, values: Sequence[Fraction | int], texts: Sequence[str | None] | None = None) -> "ValueList":
@@ -258,7 +261,7 @@ class ValueList:
         built = np.fromiter(values, dtype=object, count=k)
         cells = built if texts is None else np.fromiter(
             (v if t is None else t for v, t in zip(values, texts)), dtype=object, count=k)
-        return cls(np.fromiter(map(_float, values), dtype=float, count=k), cells, built)
+        return cls(np.fromiter(map(_float, values), dtype=float, count=k), cells, built, spelled=texts is not None)
 
     @classmethod
     def of_units(cls, units: Sequence[int] | np.ndarray, digits: int) -> "ValueList":
@@ -294,7 +297,15 @@ class ValueList:
         a slice shares them, so a value built in either list is built in both."""
         units = None if self._units is None else (self._units[0][ids], self._units[1])
         cells = None if self.cells is None else self.cells[ids]
-        return ValueList(self.floats[ids], cells, self._exact[ids], units, self._plain)
+        return ValueList(self.floats[ids], cells, self._exact[ids], units, self._plain, self.spelled)
+
+    def texts(self) -> list[str | None]:
+        """Each value's source spelling: on a ``spelled`` list, a positive
+        value's text cell; else None."""
+        if not self.spelled:
+            return [None] * len(self)
+        signs = self.signs().tolist()
+        return [c if s > 0 and isinstance(c, str) else None for c, s in zip(self.cells.tolist(), signs)]
 
     def units(self) -> tuple[np.ndarray, int] | None:
         """Each value as an integer count of 10**-digits, and digits; None
@@ -509,24 +520,24 @@ def _quantize_spellings(dense: np.ndarray, spellings: list, floats: np.ndarray |
         except OverflowError:  # an int or Fraction beyond the float range: convert it alone
             floats[read] = list(map(_float_or_nan, itertools.compress(spellings, read)))
     # object arrays filled item by item: numpy never reads a sequence cell as a row
-    spelled = ValueList(floats, np.fromiter(spellings, dtype=object, count=k), np.empty(k, dtype=object),
-                        plain=plain)
+    listed = ValueList(floats, np.fromiter(spellings, dtype=object, count=k), np.empty(k, dtype=object),
+                       plain=plain)
     first = np.arange(k)  # each spelling's first spelling of equal value; -1: no number
     if not np.isfinite(floats).all():
         position = _first_positions(dense)
         for s in np.flatnonzero(~np.isfinite(floats)).tolist():
             try:
-                floats[s] = _float(spelled[s])
+                floats[s] = _float(listed[s])
             except (ValueError, TypeError, ParseError) as exc:
                 bad(int(position[s]), exc)
                 first[s], floats[s] = -1, np.nan
-    order, ties = _order(spelled)
+    order, ties = _order(listed)
     # equal values lie in one run of tied floats, in increasing spelling id
     for start, stop in ties:
         for a, b in itertools.pairwise(order[start:stop].tolist()):
-            if spelled[a] == spelled[b]:
+            if listed[a] == listed[b]:
                 first[b] = first[a]
     reps = order[(first == np.arange(k))[order]]  # each value's first spelling, by value
     value_id = np.full(k + 1, -1, dtype=np.int32)  # the extra entry serves first == -1
     value_id[reps] = np.arange(len(reps), dtype=np.int32)
-    return value_id[first][dense], spelled.take(reps)
+    return value_id[first][dense], listed.take(reps)

@@ -305,8 +305,8 @@ def test_invalid_csv_gathers_no_spellings(monkeypatch):
         quantized.append(values)
         return ids, values
 
-    def table(values, spelled=False):
-        built = of(values, spelled)
+    def table(values):
+        built = of(values)
         tables.append(built.texts)
         return built
 

@@ -3443,7 +3443,7 @@ def compact_reference(table, gaps):
     from ultrabase.core import _used_ids
 
     kept, position = _used_ids(gaps, len(table) + 1)
-    return DistanceTable._of(table._list.take(np.append(0, kept)), table._spelled), position + 1
+    return DistanceTable._of(table._list.take(np.append(0, kept))), position + 1
 
 
 def restrict_compact_reference(space, subset):
@@ -3476,7 +3476,7 @@ def reconstruct_list_reference(table):
 
     ranks, at, order = _table_ranks(table)
     gaps = _leaf_gaps(ranks, order, at)
-    return UltrametricSpace(tuple(table.points), DistanceTable._of(table._list, table._spelled), order, gaps)
+    return UltrametricSpace(tuple(table.points), DistanceTable._of(table._list), order, gaps)
 
 
 def gaps_branch_reference(labels, form, epsilon):
