@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
 
 Numeric = Fraction | int | float | str
 
@@ -256,8 +256,12 @@ class ValueList:
     @classmethod
     def of(cls, values: Sequence[Fraction | int], texts: Sequence[str | None] | None = None) -> "ValueList":
         """The list of values already built, each its own cell, or its
-        spelling in ``texts`` where that is not None."""
+        spelling in ``texts`` where that is not None: text that
+        :func:`parse_decimal` reads as that value."""
         k = len(values)
+        for v, t in zip(values, texts or ()):
+            if t is not None and not _denotes(t, v):
+                raise UsageError(f"spelling {t!r} is not decimal text for the value {format_value(v)}")
         built = np.fromiter(values, dtype=object, count=k)
         cells = built if texts is None else np.fromiter(
             (v if t is None else t for v, t in zip(values, texts)), dtype=object, count=k)
@@ -357,6 +361,14 @@ class ValueList:
             num = self[i].numerator
             signs[i] = (num > 0) - (num < 0)
         return signs
+
+
+def _denotes(text, value: Fraction | int) -> bool:
+    """Whether ``text`` is text that :func:`parse_decimal` reads as ``value``."""
+    try:
+        return isinstance(text, str) and parse_decimal(text) == value
+    except ParseError:
+        return False
 
 
 def _unit_array(units: Sequence[int] | np.ndarray) -> np.ndarray:

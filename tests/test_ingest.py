@@ -412,6 +412,21 @@ def test_a_rendered_value_is_not_written_as_a_value_another_cell_spells():
         assert parse_distance_csv(write_distance_csv(space)) == space
 
 
+def test_table_constructors_reject_a_spelling_that_does_not_denote_its_value():
+    # written verbatim, "5" would read back as another value: y,5 gives (2, 5),
+    # and a 3-point space on (1, 2) would write a matrix that is not ultrametric
+    with pytest.raises(UsageError, match="'5'"):
+        CoordinateTable(["x"], ["x", "y", "z"], [[0], [1], [2]], {F(1): "5"})
+    with pytest.raises(UsageError, match="'5'"):
+        DistanceTable((1, 2), ("5", None))
+    for text in (1, F(1), "one", ""):  # not text, or not decimal text
+        with pytest.raises(UsageError):
+            DistanceTable((1, 2), (text, None))
+    table = DistanceTable((F(1, 2), 2), ("0.50", "4/2"))
+    space = UltrametricSpace(("x", "y", "z"), table, [0, 1, 2], np.array([1, 2]))
+    assert parse_distance_csv(write_distance_csv(space)).table.texts == ("0.50", "4/2")
+
+
 def test_coordinate_csv_errors():
     with pytest.raises(ParseError, match='header must be "label'):
         parse_coordinate_csv("point,s\nx,1\n")
