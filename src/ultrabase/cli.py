@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import os
 import sys
@@ -52,8 +53,9 @@ def _read_text(path: str, digest: bool = False) -> tuple[str, dict]:
     with ``digest`` the sha256 of the text as read."""
     shown = "<stdin>" if path == "-" else path
     try:
-        if path == "-":
-            text = sys.stdin.read()
+        if path == "-":  # its bytes decoded as a file's, whatever the locale: strict UTF-8, universal newlines
+            stream = getattr(sys.stdin, "buffer", None)
+            text = (sys.stdin if stream is None else io.TextIOWrapper(io.BytesIO(stream.read()), "utf-8")).read()
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--max-bases", type=int, default=None,
                    help="cap on concrete bases listed (default 10; "
-                        "env ULTRABASE_MAX_BASES overrides)")
+                        "env ULTRABASE_MAX_BASES replaces the default)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("coords", help="write landmark coordinates as CSV")

@@ -89,7 +89,7 @@ def test_input_is_hashed_only_for_a_json_report(recmin_csv, tmp_path, monkeypatc
     assert len(hashed) == 2
 
 
-def test_input_hash_reads_universal_newlines_and_keeps_a_bom(recmin_csv, tmp_path, capsys):
+def test_input_hash_reads_universal_newlines_and_keeps_a_bom(recmin_csv, tmp_path, capsys, monkeypatch):
     import hashlib
 
     lf = recmin_csv.read_bytes()
@@ -104,6 +104,10 @@ def test_input_hash_reads_universal_newlines_and_keeps_a_bom(recmin_csv, tmp_pat
     assert hashes["lf"] == hashes["crlf"] == hashes["cr"] == hashlib.sha256(lf).hexdigest()
     assert hashes["crlf"] != hashlib.sha256(copies["crlf"]).hexdigest()
     assert hashes["bom"] == hashlib.sha256(copies["bom"]).hexdigest() != hashes["lf"]
+    # stdin too, though a POSIX console's stdin splits lines at LF alone
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(copies["crlf"]), encoding="utf-8", newline="\n"))
+    assert main(["validate", "-", "--format", "csv", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"]["sha256"] == hashes["lf"]
 
 
 def test_validate_missing_file_exits_2(tmp_path, capsys):
@@ -147,6 +151,16 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["validate", "-", "--format", "csv"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "<stdin>" in err
+
+    # stdin as Python's UTF-8 mode (a C or POSIX locale) opens it: bad bytes would
+    # decode to lone surrogates, which no hash or report can encode
+    for argv, data in ((["validate", "-", "--format", "csv", "--json"], b"a,b\n0,1\n1,0\xff\n"),
+                       (["analyze", "-", "--format", "csv", "--json"], b"a,b\xff\n0,1\n1,0\n")):
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: cannot read <stdin>: not valid UTF-8\n"
 
 
 def test_leading_bom_is_stripped(tmp_path, capsys):
@@ -301,6 +315,10 @@ def test_analyze_max_bases_env(tmp_path, capsys, monkeypatch):
     assert main(["analyze", str(path), "--json"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]
     assert len(result["bases"]) == 3
+
+    monkeypatch.setenv("ULTRABASE_MAX_BASES", "1")  # the variable replaces the default, not the flag
+    assert main(["analyze", str(path), "--json", "--max-bases", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["result"]["bases"]) == 3
 
     monkeypatch.setenv("ULTRABASE_MAX_BASES", "junk")
     assert main(["analyze", str(path), "--json"]) == 2
