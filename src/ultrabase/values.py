@@ -261,7 +261,7 @@ class ValueList:
         k = len(values)
         for v, t in zip(values, texts or ()):
             if t is not None and not _denotes(t, v):
-                raise UsageError(f"spelling {t!r} is not decimal text for the value {format_value(v)}")
+                raise UsageError(f"spelling {t!r} is not decimal text for the value {v}")
         built = np.fromiter(values, dtype=object, count=k)
         cells = built if texts is None else np.fromiter(
             (v if t is None else t for v, t in zip(values, texts)), dtype=object, count=k)
