@@ -213,6 +213,9 @@ def _trees() -> dict[str, str]:
         "newick_trailing.nwk": "((A:1,B:1):1,C:2);x\n",
         "newick_negative.nwk": "((A:1,B:-1):1,C:2);\n",
         "float_collision.nwk": f"((A:1/3,B:1/3):2/3,(C:{c},D:{c}):{e});\n",
+        # 1/3's float text reads back below its neighbour 0.33333333333333331: it is written 1/3
+        "third_neighbour.nwk": ("((A:1/6,B:1/6):5/6,"
+                                "(C:0.166666666666666655,D:0.166666666666666655):0.833333333333333345);\n"),
     })
     return docs
 
@@ -296,6 +299,7 @@ def _cases(docs: dict[str, str]) -> list[tuple]:
         ("oracle_check", ["oracle-check", "--n", "6", "--seeds", "3"]),
         ("oracle_check_json", ["oracle-check", "--n", "6", "--seeds", "3", "--json"]),
         ("float_collision.coords_auto_epsilon_0", ["coords", "float_collision.nwk", "--auto", "--epsilon", "0"]),
+        ("third_neighbour.coords_auto_epsilon_0", ["coords", "third_neighbour.nwk", "--auto", "--epsilon", "0"]),
     ]
     cases += [(f"newick_{kind}.validate", ["validate", f"newick_{kind}.nwk"])
               for kind in ("missing_length", "unbalanced", "trailing", "negative")]
