@@ -45,7 +45,7 @@ from .values import (
     ValueList,
     _plain_floats,
     _quantize_spellings,
-    _two_five_exponents,
+    _terminates,
     _unit_array,
     format_value,
     parse_decimal,
@@ -255,7 +255,8 @@ def _distinct_texts(values: ValueList) -> list[str]:
     clashing = {cells[i] for i in rendered if signs[i] and counts[cells[i]] > 1}
     texts = [ratio_text(values[i]) if cell in clashing else cell for i, cell in enumerate(cells)]
     decimals = [i for i in rendered if signs[i] and "/" not in texts[i]]
-    if not decimals or values.units() is not None:  # no float text, or every value terminates
+    units = values.units()
+    if not decimals or (units is not None and _terminates(units[1])):  # no float text, or every value terminates
         return texts
     floated = {i: back for i in decimals if (back := parse_decimal(texts[i])) != values[i]}
     exact = [i for i in range(len(values)) if i not in floated]
@@ -335,7 +336,7 @@ def _newick_error(text: str, message: str, token: int, extra: int = 0) -> ParseE
     return ParseError(message, position=(len(text) if found is None else found.start()) + extra)
 
 
-def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
+def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int]:
     """Scan the equidistant-tree subset of Newick into leaves and path sums.
 
     Grammar: tree := subtree ";" ; subtree := leaf ":" length
@@ -348,12 +349,11 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
     raises, syntax and lengths alike, with its offset.
 
     Each distinct length spelling is parsed once, where it first occurs.
-    Lengths are counted in units of 1 / (10**k r), the largest such unit
-    that makes every length an int: r is 1 when every length terminates.
-    k and r come from the lcm of the distinct denominators. Returns the
-    leaf labels in document order, each leaf's root path sum in units, per
-    boundary j between leaves j - 1 and j (j >= 1) the path sum of the
-    node where those two leaves meet, k and r.
+    Lengths are counted in units of 1 / scale, the largest unit that makes
+    every length an int: scale is the lcm of the distinct denominators.
+    Returns the leaf labels in document order, each leaf's root path sum
+    in units, per boundary j between leaves j - 1 and j (j >= 1) the path
+    sum of the node where those two leaves meet, and the scale.
     """
     tokens = _NEWICK_TOKEN.findall(text)
     tokens.append("")
@@ -434,10 +434,7 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
         raise _newick_error(text, "trailing content after ';'", i + 1)
 
     denominators = set(map(operator.attrgetter("denominator"), lengths))
-    lcm = math.lcm(*denominators)
-    twos, fives = _two_five_exponents(lcm)
-    digits, rest = max(twos, fives), (lcm >> twos) // 5**fives
-    scale = 10**digits * rest
+    scale = math.lcm(*denominators)
     times = {den: scale // den for den in denominators}
     scaled = [v.numerator * times[v.denominator] for v in lengths]
     scaled.append(0)  # spelling id -1: no length
@@ -445,16 +442,7 @@ def _read_newick(text: str) -> tuple[list[str], list[int], list[int], int, int]:
     for u, (up, s) in enumerate(zip(parents, node_lengths)):
         depths[u] = depths[up] + scaled[s]
     leaf_depths = [depths[up] + scaled[s] for up, s in zip(leaf_parents, leaf_lengths)]
-    return labels, leaf_depths, list(map(depths.__getitem__, meets)), digits, rest
-
-
-def _unit_values(units: Sequence[int] | np.ndarray, digits: int, rest: int) -> ValueList:
-    """The values ``units / (10**digits rest)``; with rest 1 they are
-    integer units of 10**-digits, none of them built yet."""
-    if rest == 1:
-        return ValueList.of_units(units, digits)
-    scale = 10**digits * rest
-    return ValueList.of([Fraction(int(u), scale) for u in units])
+    return labels, leaf_depths, list(map(depths.__getitem__, meets)), scale
 
 
 def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpace:
@@ -477,8 +465,7 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     units from the dendrogram kernel plus the offsets, numbered by one
     sort, and goes through the full checks.
     """
-    labels, depths, meets, digits, rest = _read_newick(text.removeprefix("\ufeff"))
-    scale = 10**digits * rest
+    labels, depths, meets, scale = _read_newick(text.removeprefix("\ufeff"))
     eps = _epsilon(epsilon)
     if len(labels) < 2:
         raise ParseError("a tree needs at least two leaves")
@@ -503,7 +490,7 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
         gap_ids: dict[int, int] = {}  # position 0 is the zero's
         ids = np.array([gap_ids.setdefault(meet, len(gap_ids) + 1) for meet in meets], dtype=np.int32)
         if high not in gap_ids:  # else a zero distance, which the full checks report
-            gaps = _unit_values([0, *(2 * (high - meet) for meet in gap_ids)], digits, rest)
+            gaps = ValueList.of_units([0, *(2 * (high - meet) for meet in gap_ids)], scale)
             return build_space(labels, _Gaps(range(n), ids, gaps), eps)
 
     units = _unit_array([*(2 * (high - meet) for meet in meets), *(depth - high for depth in depths)])
@@ -519,7 +506,7 @@ def parse_newick(text: str, epsilon: Numeric = NEWICK_EPSILON) -> UltrametricSpa
     del ordered
     ids = np.searchsorted(distinct, matrix).astype(np.int32)
     del matrix
-    return build_space(labels, _ValueIds(ids, _unit_values(distinct, digits, rest)), eps)
+    return build_space(labels, _ValueIds(ids, ValueList.of_units(distinct, scale)), eps)
 
 
 def subdominant_ultrametric(

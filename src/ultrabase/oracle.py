@@ -131,7 +131,7 @@ def random_dendrogram_space(n: int, seed: int, value_count: int = 3) -> Ultramet
 
     # the zero, then the heights increasing: level l's height is at position value_count - l
     ids = value_count - np.array(levels[1:], dtype=np.int32)
-    return build_space(labels, _Gaps(order, ids, ValueList.of_units([0, *reversed(heights)], 0)))
+    return build_space(labels, _Gaps(order, ids, ValueList.of_units([0, *reversed(heights)], 1)))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,13 @@ there on, work is on integer value ids, and comparing two values is
 comparing their ids.
 
 Epsilon grouping compares gaps on exact integer units where it can: value
-i = units[i] * 10**-d. A list of plain decimal text whose values have at
-most 15 digits reads its units off its floats, when an epsilon comparison
-first asks; a Newick tree's gaps come as units. One vectorised comparison
-then tells every gap above epsilon. Any other list, such as text with
-more digits, other spellings or `Fraction` and float cells, compares exact
-`Fraction` differences.
+i = units[i] / scale, for one integer scale. A list of plain decimal text
+whose values have at most 15 digits reads its units off its floats, over
+a scale 10**d, when an epsilon comparison first asks; a Newick tree's
+gaps come as units over the lcm of its length denominators. One
+vectorised comparison then tells every gap above epsilon. Any other list,
+such as text with more digits, other spellings or `Fraction` and float
+cells, compares exact `Fraction` differences.
 """
 
 from __future__ import annotations
@@ -202,6 +203,13 @@ def _two_five_exponents(n: int) -> tuple[int, int]:
     return twos, fives
 
 
+def _terminates(scale: int) -> bool:
+    """Whether every ``n / scale`` is a terminating decimal: ``scale``
+    divides a power of ten."""
+    twos, fives = _two_five_exponents(scale)
+    return scale == 2**twos * 5**fives
+
+
 def _float(value: Fraction | int, scale: int = 1) -> float:
     """The float nearest ``value / scale``, or an infinity beyond the float range.
 
@@ -235,8 +243,8 @@ class ValueList:
     the value or its source spelling. ``spelled`` says whether text cells
     are source spellings (:meth:`texts`): :meth:`of` with texts and the CSV
     parsers set it, and :meth:`take` keeps it. A list may also know its
-    values as integer units (see :meth:`units`):
-    value i is ``units[i] * 10**-digits``. A list made :meth:`of_units`
+    values as integer units over one integer scale (see :meth:`units`):
+    value i is ``units[i] / scale``. A list made :meth:`of_units`
     holds them and has no cells; its values are built from them. A list
     whose cells are all plain decimal text (``plain``) reads them from its
     floats each time they are asked for.
@@ -268,16 +276,17 @@ class ValueList:
         return cls(np.fromiter(map(_float, values), dtype=float, count=k), cells, built, spelled=texts is not None)
 
     @classmethod
-    def of_units(cls, units: Sequence[int] | np.ndarray, digits: int) -> "ValueList":
-        """The values ``units[i] * 10**-digits``, for nonnegative integer
-        ``units``, none of them built yet."""
-        k, scale = len(units), 10**digits
+    def of_units(cls, units: Sequence[int] | np.ndarray, scale: int) -> "ValueList":
+        """The values ``units[i] / scale``, for nonnegative integer ``units``
+        and a positive integer ``scale``, none of them built yet."""
+        k = len(units)
         units = _unit_array(units)
-        if units.dtype == np.int64 and digits <= 22 and (abs(units) < 2**53).all():
+        exact = scale.bit_length() < 1024 and float(scale) == scale  # every 2**a 5**b with b <= 22
+        if exact and units.dtype == np.int64 and (abs(units) < 2**53).all():
             floats = units / float(scale)  # exact operands: one correctly rounded division
         else:
             floats = np.fromiter(map(_float, units.tolist(), itertools.repeat(scale)), dtype=float, count=k)
-        return cls(floats, None, np.empty(k, dtype=object), (units, digits))
+        return cls(floats, None, np.empty(k, dtype=object), (units, scale))
 
     def __len__(self) -> int:
         return len(self.floats)
@@ -286,8 +295,7 @@ class ValueList:
         v = self._exact[i]
         if v is None:
             if self.cells is None:
-                units, digits = self._units
-                v = Fraction(int(units[i]), 10**digits) if digits else Fraction(int(units[i]))  # no gcd
+                v = Fraction(int(self._units[0][i]), self._units[1])
             else:
                 v = to_fraction(self.cells[i])
             self._exact[i] = v
@@ -312,10 +320,10 @@ class ValueList:
         return [c if s > 0 and isinstance(c, str) else None for c, s in zip(self.cells.tolist(), signs)]
 
     def units(self) -> tuple[np.ndarray, int] | None:
-        """Each value as an integer count of 10**-digits, and digits; None
+        """Each value as an integer count of 1 / scale, and the scale; None
         where the list does not know them.
 
-        Plain text ``digits[.digits]`` is N * 10**-d, d the most fraction
+        Plain text ``digits[.digits]`` is N / 10**d, d the most fraction
         digits of any cell. Where d <= 15 and every N < 10**15 < 2**50,
         ``rint(float(text) * 10.0**d)`` is exactly N: `float` rounds
         correctly, and the two roundings err by less than N * 2**-52 < 1/2.
@@ -330,7 +338,7 @@ class ValueList:
         scaled = self.floats * float(10**digits)
         if not (scaled < 1e15).all():  # an infinite float too
             return None
-        return np.rint(scaled).astype(np.int64), digits
+        return np.rint(scaled).astype(np.int64), 10**digits
 
     def apart(self, a: np.ndarray, b: np.ndarray, epsilon: Fraction) -> np.ndarray:
         """Whether values ``a[k]`` and ``b[k]`` differ by more than
@@ -338,17 +346,17 @@ class ValueList:
         :meth:`units` where the list knows them, else exact differences.
 
         A gap of g units exceeds epsilon = p/q exactly when g * q > p *
-        10**digits, that is when g > (p * 10**digits) // q, as g is an
-        integer: int64 units are compared with that bound in int64, and
-        units beyond int64 as Python ints.
+        scale, that is when g > (p * scale) // q, as g is an integer: int64
+        units are compared with that bound in int64, and units beyond int64
+        as Python ints.
         """
         units = self.units()
         if units is None:
             exact = (abs(self[x] - self[y]) > epsilon for x, y in zip(a.tolist(), b.tolist()))
             return np.fromiter(exact, dtype=bool, count=len(a))
-        units, digits = units
+        units, scale = units
         gaps = abs(units[a] - units[b])
-        bound = epsilon.numerator * 10**digits // epsilon.denominator
+        bound = epsilon.numerator * scale // epsilon.denominator
         if units.dtype == np.int64 and bound > _INT64_MAX:  # every int64 gap is within epsilon
             return np.zeros(len(gaps), dtype=bool)
         return gaps > bound

@@ -629,15 +629,17 @@ def exact_reads(monkeypatch):
 
 
 def test_an_equidistant_tree_is_validated_and_analyzed_without_an_exact_value(tmp_path, capsys, monkeypatch):
+    """The lengths in hundredths, then in thirds: integer units of 1/100 or 1/3."""
     text = gen.random_tree_case(random.Random("exact reads"), 200).text
-    path = tmp_path / "tree.nwk"  # the lengths in hundredths: integer units of 10**-2
-    path.write_text(re.sub(r":(\d+)", lambda m: ":" + format_value(F(int(m.group(1)), 100)), text))
+    path = tmp_path / "tree.nwk"
     reads = exact_reads(monkeypatch)
-    assert main(["validate", str(path)]) == 0
-    assert main(["analyze", str(path), "--json"]) == 0
-    out = capsys.readouterr().out
-    assert "ultrametric space (200 points" in out and json.loads(out[out.index("{"):])["result"]["n"] == 200
-    assert reads == []
+    for spell in (lambda m: format_value(F(m, 100)), lambda m: f"{m}/3"):
+        path.write_text(re.sub(r":(\d+)", lambda m: ":" + spell(int(m.group(1))), text))
+        assert main(["validate", str(path)]) == 0
+        assert main(["analyze", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert "ultrametric space (200 points" in out and json.loads(out[out.index("{"):])["result"]["n"] == 200
+        assert reads == []
 
 
 def test_a_plain_dendrogram_reads_no_positive_value_exactly(tmp_path, capsys, monkeypatch):

@@ -412,6 +412,16 @@ def test_a_rendered_value_is_not_written_as_a_value_another_cell_spells():
         assert parse_distance_csv(write_distance_csv(space)) == space
 
 
+def test_a_third_in_a_tree_of_inexact_units_is_written_as_a_ratio():
+    # the unit is 1/(3 * 10**18): 1/3's float text 0.3333333333333333 reads
+    # back below its neighbour 0.33333333333333331, so it is written 1/3
+    space = parse_newick("((A:1/6,B:1/6):5/6,(C:0.166666666666666655,D:0.166666666666666655)"
+                         ":0.833333333333333345);", 0)
+    text = write_distance_csv(space)
+    assert text.splitlines()[1:3] == ["0,1/3,2,2", "1/3,0,2,2"]
+    assert parse_distance_csv(text) == space
+
+
 def test_table_constructors_reject_a_spelling_that_does_not_denote_its_value():
     # written verbatim, "5" would read back as another value: y,5 gives (2, 5),
     # and a 3-point space on (1, 2) would write a matrix that is not ultrametric

@@ -977,8 +977,8 @@ def test_newick_gaps_beyond_int64_are_compared_as_python_ints(monkeypatch):
         grouped.clear()
         space = parse_newick(WIDE_TREE, epsilon)
         assert_same(space, parse_newick_reference(WIDE_TREE, epsilon))
-        units, digits = grouped[0].units()
-        assert units.dtype == object and digits == 25
+        units, scale = grouped[0].units()
+        assert units.dtype == object and scale == 10**25
         assert len(space.table) == (1 if F(2, 10**25) <= epsilon else 2)
 
 
@@ -1212,16 +1212,24 @@ def test_integer_units_group_like_the_fraction_chain(spellings, epsilon):
     units = values.units()
     assert (units is not None) == (digits <= 15 and max(exact) * 10**digits < 10**15)
     if units is not None:
-        assert units[1] == digits and units[0].dtype == np.int64
+        assert units[1] == 10**digits and units[0].dtype == np.int64
         assert units[0].tolist() == [v * 10**digits for v in exact]
     assert_same_grouping(values, epsilon)
 
-    counted = ValueList.of_units([int(v * 10**digits) for v in exact], digits)
+    counted = ValueList.of_units([int(v * 10**digits) for v in exact], 10**digits)
     beyond = max(exact) * 10**digits > np.iinfo(np.int64).max
     assert counted.units()[0].dtype == (object if beyond else np.int64)
     assert counted.floats.tolist() == [values_module._float(v) for v in exact]
     assert_same_grouping(counted, epsilon)
     assert list(counted) == exact
+
+
+@pytest.mark.parametrize("scale", [1, 3, 3 * 10**18, 10**22, 10**23, 7 * 10**22, 3**40, 10**400])
+def test_unit_floats_are_the_nearest_floats_at_every_scale(scale):
+    """A scale that is a float divides int64 units in one vectorised step,
+    and any other each value exactly: both give the float nearest each value."""
+    units = range(2000)
+    assert ValueList.of_units(units, scale).floats.tolist() == [values_module._float(F(u, scale)) for u in units]
 
 
 def quantize_reference(keys, convert):
@@ -3514,7 +3522,7 @@ def random_dendrogram_compact_reference(n, seed, value_count):
     used = sorted(set(levels[1:]), reverse=True)
     slot = {level: i for i, level in enumerate(used, 1)}
     ids = np.array([slot[level] for level in levels[1:]], dtype=np.int32)
-    values = ValueList.of_units([0, *(heights[level] for level in used)], 0)
+    values = ValueList.of_units([0, *(heights[level] for level in used)], 1)
     return gaps_branch_reference(labels, _Gaps(order, ids, values), F(0))
 
 
