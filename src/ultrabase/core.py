@@ -49,7 +49,8 @@ _BLOCK_CELLS = 2**18  # cells per block of rows: about 1 MB of int32
 _UNREACHED = np.iinfo(np.int64).max
 
 ZERO = Fraction(0)
-_BAD_LABEL_CHAR = re.compile(r"[\x00-\x1f,\x7f\ufeff]")
+# a comma, a control character, a BOM, or another line break to str.splitlines
+_BAD_LABEL_CHAR = re.compile(r"[\x00-\x1f,\x7f\x85\u2028\u2029\ufeff]")
 
 
 def _check_labels(labels: Sequence[str]) -> None:
@@ -164,7 +165,7 @@ class UltrametricSpace:
             epsilon: Fraction = ZERO) -> "UltrametricSpace":
         """The space of a gap form, unchecked: its points in leaf ``order``,
         and ``ids[k] >= 1`` the position in ``values``, the zero and then
-        increasing positive values, of the distance between leaves k and
+        distinct positive values, of the distance between leaves k and
         k + 1. The table keeps the values the ids use, grouped within
         ``epsilon``."""
         used, position = _used_ids(ids, len(values))
@@ -336,8 +337,8 @@ class _ValueIds:
 @dataclass(frozen=True, eq=False)
 class _Gaps:
     """A dendrogram: its points in leaf ``order``, and ``ids[k]`` the
-    position in ``values``, the zero and then distinct positive values in
-    increasing value, of the distance between leaves k and k + 1. The
+    position in ``values``, the zero and then distinct positive values,
+    of the distance between leaves k and k + 1. The
     distance between leaves i < j is the largest value among ids[i..j-1].
     Such a matrix is ultrametric by construction: it is the gap form
     :meth:`UltrametricSpace._of` builds."""

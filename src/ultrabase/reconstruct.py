@@ -66,6 +66,8 @@ class CoordinateTable:
         if len(set(landmarks)) != len(landmarks):
             raise UsageError("duplicate landmark column")
         for lab in (*landmarks, *points):  # each would break the CSV line it is written in
+            if not isinstance(lab, str):
+                raise UsageError(f"invalid label {lab!r}: labels are text")
             if "," in lab or lab.splitlines() not in ([lab], []):
                 raise UsageError(f"invalid label {lab!r}: no commas or line breaks")
         seen: set[str] = set()

@@ -37,6 +37,8 @@ def test_distinguishers(recmin4, uniform3):
     assert distinguishers(recmin4, "1", "2") == ("1", "2", "3", "4")
     two = uniform_space(2)
     assert distinguishers(two, "1", "2") == ("1", "2")
+    with pytest.raises(UsageError, match="^distinguishers needs two distinct points$"):
+        distinguishers(uniform3, "1", "1")
 
 
 def test_is_k_generator_examples(recmin4, uniform3):

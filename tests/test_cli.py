@@ -375,6 +375,8 @@ def test_coords_unknown_landmark_exits_2(recmin_csv, capsys):
 
 def test_coords_requires_selection(recmin_csv, capsys):
     assert main(["coords", str(recmin_csv)]) == 2
+    assert main(["coords", str(recmin_csv), "--landmarks", " , "]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "error: empty landmark list"
 
 
 def test_reconstruct_duplicate_rows_exits_1(tmp_path, capsys):
@@ -409,6 +411,9 @@ def test_oracle_check(capsys):
 
     assert main(["oracle-check", "--n", "20"]) == 2
     assert "capped" in capsys.readouterr().err
+
+    assert main(["oracle-check", "--n", "1"]) == 2
+    assert capsys.readouterr().err == "error: need n >= 2, seeds >= 1, values >= 1\n"
 
 
 def test_oracle_check_json(capsys):

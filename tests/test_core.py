@@ -11,6 +11,7 @@ from ultrabase import (
     uniform_space,
     validate_ultrametric,
 )
+from ultrabase.core import DistanceTable, ValidationReport, Violation
 from ultrabase.errors import UltrametricViolationError, UnknownLabelError
 
 F = Fraction
@@ -129,6 +130,26 @@ def test_label_validation():
         build_space(["a,b", "c"], good)
     with pytest.raises(UsageError):
         build_space(["a\tb", "c"], good)
+
+
+@pytest.mark.parametrize("values, texts, message", [
+    ((1, 2), ("1",), "distance table texts must align with values"),
+    ((0, 1), (), "distance table values must be positive"),
+])
+def test_distance_table_checks_its_values(values, texts, message):
+    with pytest.raises(UsageError) as exc:
+        DistanceTable(values, texts)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("ok, violations", [
+    (True, (Violation("triangle", ("x", "y", "z"), (F(1), F(1), F(3)), "d(x,z)=3 > max(1, 1)"),)),
+    (False, ()),
+])
+def test_a_report_is_ok_exactly_when_it_has_no_violations(ok, violations):
+    with pytest.raises(UsageError) as exc:
+        ValidationReport(ok=ok, violations=violations)
+    assert str(exc.value) == "a validation report is ok exactly when it has no violations"
 
 
 def test_ball_examples(recmin4, uniform3):

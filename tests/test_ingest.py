@@ -196,6 +196,8 @@ def test_subdominant_rejects_malformed():
             subdominant_ultrametric([cells, cells[::-1]], labels=["a", "b"])
     with pytest.raises(UsageError, match="square"):
         subdominant_ultrametric([[0, 1]])
+    with pytest.raises(UsageError, match="^need at least two points$"):
+        subdominant_ultrametric([[0]])
     with pytest.raises(UltrametricViolationError):
         subdominant_ultrametric([[0, 0], [0, 0]])  # degenerate dissimilarity
 
@@ -420,6 +422,19 @@ def test_a_third_in_a_tree_of_inexact_units_is_written_as_a_ratio():
     text = write_distance_csv(space)
     assert text.splitlines()[1:3] == ["0,1/3,2,2", "1/3,0,2,2"]
     assert parse_distance_csv(text) == space
+
+
+def test_every_accepted_label_reads_back():
+    """A label holding a character at which `str.splitlines` breaks a line
+    is refused, or its written document reads back as the space."""
+    breaks = [c for c in map(chr, range(0x10000)) if len(f"a{c}b".splitlines()) > 1]
+    assert {"\x85", "\u2028", "\u2029"} < set(breaks)
+    for c in breaks:
+        try:
+            space = build_space([f"a{c}b", "c"], [[0, 1], [1, 0]])
+        except UsageError:
+            continue
+        assert parse_distance_csv(write_distance_csv(space)) == space
 
 
 def test_table_constructors_reject_a_spelling_that_does_not_denote_its_value():

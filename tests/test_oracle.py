@@ -65,6 +65,13 @@ def test_random_dendrogram_space_parameter_checks():
         random_dendrogram_space(4, seed=0, value_count=0)
 
 
+@pytest.mark.parametrize("make", [uniform_space, reciprocal_min_space])
+def test_named_spaces_need_two_points(make):
+    with pytest.raises(UsageError) as exc:
+        make(1)
+    assert str(exc.value) == "need at least two points"
+
+
 def test_cross_check_fixtures(recmin4, uniform4):
     for space in (uniform4, recmin4, reciprocal_min_space(6)):
         report = cross_check(space)

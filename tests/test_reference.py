@@ -1604,7 +1604,7 @@ def check_labels_reference(labels):
     for lab in labels:
         if not isinstance(lab, str) or not lab:
             raise UsageError(f"invalid point label {lab!r}: labels are nonempty text")
-        if "," in lab or any(ord(c) < 32 or c in "\x7f\ufeff" for c in lab):
+        if "," in lab or any(ord(c) < 32 or c in "\x7f\x85\u2028\u2029\ufeff" for c in lab):
             raise UsageError(f"invalid point label {lab!r}: no commas or control characters")
         if lab in seen:
             raise UsageError(f"duplicate point label {lab!r}")
