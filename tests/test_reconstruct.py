@@ -186,10 +186,8 @@ def test_table_from_rows_is_encoded_once():
     (("s", "s"), ("s",), [[0, 0]], "duplicate landmark column"),
     (("s",), ("s", "t"), [[0]], "coordinate rows must align with point labels"),
     (("s",), ("s", "t"), [[0], [1, 2]], "row for 't' has 2 values, expected 1"),
-    ((1,), ("x",), [[0]], "invalid label 1: labels are text"),
-    (("s",), ("s", None), [[0], [1]], "invalid label None: labels are text"),
 ])
-def test_table_checks_its_landmarks_labels_and_rows(landmarks, points, rows, message):
+def test_table_checks_its_landmarks_and_rows(landmarks, points, rows, message):
     with pytest.raises(UsageError) as exc:
         CoordinateTable(landmarks, points, rows)
     assert str(exc.value) == message
@@ -199,6 +197,8 @@ def test_table_checks_its_landmarks_labels_and_rows(landmarks, points, rows, mes
     (("s,1", "t"), ("s,1", "t"), "invalid label 's,1': no commas or line breaks"),
     (("s",), ("s", "x\ny"), "invalid label 'x\\ny': no commas or line breaks"),
     (("s",), ("s", ""), "empty point label"),
+    ((1,), ("x",), "invalid label 1: labels are text"),
+    (("s",), ("s", None), "invalid label None: labels are text"),
 ])
 def test_table_refuses_labels_its_writer_cannot_write(landmarks, points, message):
     rows = [[int(p != s) for s in landmarks] for p in points]
