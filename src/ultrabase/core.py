@@ -338,9 +338,9 @@ class _ValueIds:
 class _Gaps:
     """A dendrogram: its points in leaf ``order``, and ``ids[k]`` the
     position in ``values``, the zero and then distinct positive values,
-    of the distance between leaves k and k + 1. The
-    distance between leaves i < j is the largest value among ids[i..j-1].
-    Such a matrix is ultrametric by construction: it is the gap form
+    of the distance between leaves k and k + 1. The distance between
+    leaves i < j is the largest value among ids[i..j-1]. Such a matrix is
+    ultrametric by construction: it is the gap form
     :meth:`UltrametricSpace._of` builds."""
 
     order: Sequence[int]

@@ -255,8 +255,8 @@ def _distinct_texts(values: ValueList) -> list[str]:
     clashing = {cells[i] for i in rendered if signs[i] and counts[cells[i]] > 1}
     texts = [ratio_text(values[i]) if cell in clashing else cell for i, cell in enumerate(cells)]
     decimals = [i for i in rendered if signs[i] and "/" not in texts[i]]
-    units = values.units()
-    if not decimals or (units is not None and _terminates(units[1])):  # no float text, or every value terminates
+    # no float text, or every value terminates
+    if not decimals or ((units := values.units()) is not None and _terminates(units[1])):
         return texts
     floated = {i: back for i in decimals if (back := parse_decimal(texts[i])) != values[i]}
     exact = [i for i in range(len(values)) if i not in floated]
