@@ -1224,7 +1224,7 @@ def test_integer_units_group_like_the_fraction_chain(spellings, epsilon):
     assert list(counted) == exact
 
 
-@pytest.mark.parametrize("scale", [1, 3, 3 * 10**18, 10**22, 10**23, 7 * 10**22, 3**40, 10**400])
+@pytest.mark.parametrize("scale", [1, 3, 3 * 10**18, 10**22, 10**23, 7 * 10**22, 3**40])
 def test_unit_floats_are_the_nearest_floats_at_every_scale(scale):
     """A scale that is a float divides int64 units in one vectorised step,
     and any other each value exactly: both give the float nearest each value."""
